@@ -3,11 +3,13 @@
 //! comparison (abduction + K replays + baseline + oracle), and the query
 //! engine (cached vs uncached execution of a shared-session query set).
 
+use std::sync::Arc;
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use veritas::{Abduction, CounterfactualEngine, Scenario, VeritasConfig};
 use veritas_abr::Mpc;
-use veritas_engine::{Engine, QuerySet, SyntheticSpec};
+use veritas_engine::{Corpus, Engine, QuerySet, SyntheticSpec};
 use veritas_media::{QualityLadder, VbrParams, VideoAsset};
 use veritas_player::{run_session, PlayerConfig};
 use veritas_trace::generators::{FccLike, TraceGenerator};
@@ -54,24 +56,31 @@ fn bench_engine(c: &mut Criterion) {
     // where every query touches every session. Cached execution abduces
     // once per session; uncached once per (query, session) unit — the
     // ratio of these two benches is the cache's speedup (>= 2x expected).
-    let corpus = SyntheticSpec {
-        sessions: 4,
-        video_duration_s: 120.0,
-        ..SyntheticSpec::default()
-    }
-    .build();
+    let corpus: Arc<dyn Corpus> = Arc::new(
+        SyntheticSpec {
+            sessions: 4,
+            video_duration_s: 120.0,
+            ..SyntheticSpec::default()
+        }
+        .build(),
+    );
     let set = QuerySet::cache_stress(10);
+    let engine = |threads| Engine::builder().threads(threads);
 
     c.bench_function("engine/queryset_10q4s_uncached", |b| {
         b.iter(|| {
-            let engine = Engine::new().with_threads(1).without_cache();
-            engine.run(black_box(&corpus), black_box(&set)).unwrap()
+            let engine = engine(1).no_cache().build().unwrap();
+            engine
+                .run(black_box(Arc::clone(&corpus)), black_box(&set))
+                .unwrap()
         })
     });
     c.bench_function("engine/queryset_10q4s_cached", |b| {
         b.iter(|| {
-            let engine = Engine::new().with_threads(1);
-            let report = engine.run(black_box(&corpus), black_box(&set)).unwrap();
+            let engine = engine(1).build().unwrap();
+            let report = engine
+                .run(black_box(Arc::clone(&corpus)), black_box(&set))
+                .unwrap();
             assert_eq!(report.summary.cache_misses, 4);
             report
         })
@@ -79,18 +88,20 @@ fn bench_engine(c: &mut Criterion) {
 
     // The CI smoke workload: the 3-query example set over a 5-session
     // corpus (tracked in BENCH_baseline.json as engine_queryset_small).
-    let small_corpus = SyntheticSpec {
-        sessions: 5,
-        video_duration_s: 120.0,
-        ..SyntheticSpec::default()
-    }
-    .build();
+    let small_corpus: Arc<dyn Corpus> = Arc::new(
+        SyntheticSpec {
+            sessions: 5,
+            video_duration_s: 120.0,
+            ..SyntheticSpec::default()
+        }
+        .build(),
+    );
     let small_set = QuerySet::example();
     c.bench_function("engine_queryset_small", |b| {
         b.iter(|| {
-            let engine = Engine::new().with_threads(1);
+            let engine = engine(1).build().unwrap();
             engine
-                .run(black_box(&small_corpus), black_box(&small_set))
+                .run(black_box(Arc::clone(&small_corpus)), black_box(&small_set))
                 .unwrap()
         })
     });

@@ -105,7 +105,10 @@ pub fn run_paper_scenarios_via_engine(
         set = set.with_query(Query::counterfactual(kind.figure(), kind.spec()));
     }
     let plan = QueryPlan::compile(&set, &engine_corpus).expect("paper query set is valid");
-    let engine = Engine::new().with_threads(default_threads());
+    let engine = Engine::builder()
+        .threads(default_threads())
+        .build()
+        .expect("a thread count is a valid engine configuration");
     let report = engine
         .submit_shared(
             std::sync::Arc::new(engine_corpus),

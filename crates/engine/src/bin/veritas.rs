@@ -3,16 +3,16 @@
 //!
 //! ```text
 //! veritas run <queries.json> [--corpus DIR|FILE.vcorp | --synthetic N]
-//!             [--seed S] [--threads N] [--shards N] [--stream] [--out FILE]
+//!             [--seed S] [--threads N] [--stream] [--out FILE]
 //!             [--summary FILE] [--no-cache] [--cache-dir DIR]
 //!             [--min-cache-hits N] [--allow-errors] [--fault-spec SPEC]
-//!             [--retry N] [--workers N] [--worker-cmd CMD] [--mmap]
+//!             [--retry N] [--workers N [--shards N]] [--worker-cmd CMD] [--mmap]
 //! veritas worker [--addr HOST:PORT] ...              # veritasd under another name
 //! veritas ingest <DIR> --out FILE.vcorp [--append]
 //! veritas synth --out DIR [--sessions N] [--seed S]
 //! veritas bench [--sessions N] [--queries N] [--threads N]
 //!               [--cache-dir DIR] [--load-sessions N] [--json FILE]
-//! veritas serve [--addr HOST:PORT] [--corpus DIR|FILE.vcorp | --synthetic N] ...
+//! veritas serve [--addr HOST:PORT] ...               # veritasd under another name
 //! veritas example-queries
 //! veritas validate <report.jsonl>
 //! ```
@@ -27,15 +27,15 @@
 //! tests. By
 //! default records are written in deterministic batch order once the run
 //! completes; `--stream` writes each line the moment its unit finishes
-//! (completion order), and `--shards N` partitions the corpus across N
-//! worker groups. `--cache-dir DIR` attaches the persistent abduction
+//! (completion order). `--cache-dir DIR` attaches the persistent abduction
 //! store: posteriors are written through to `DIR` and restored on later
 //! runs, so a repeat run over an unchanged corpus performs zero EHMM
 //! inferences (the summary's `disk_hits` counts the restorations). The
 //! exit code is nonzero when any record carries an error, unless
-//! `--allow-errors` is passed. `--fault-spec SPEC` (or the
-//! `VERITAS_FAULT_SPEC` environment variable) attaches a seeded,
-//! deterministic fault-injection plan (see
+//! `--allow-errors` is passed, or when the run served fewer than
+//! `--min-cache-hits N` units from the in-memory cache. `--fault-spec
+//! SPEC` (or the `VERITAS_FAULT_SPEC` environment variable) attaches a
+//! seeded, deterministic fault-injection plan (see
 //! `veritas_engine::FaultPlan::parse`; e.g.
 //! `seed=42,compute=0.1,disk_read=0.2`) so CI can chaos-test the real
 //! binary, and `--retry N` enables per-unit supervision: failed units
@@ -46,8 +46,9 @@
 //! rejected for non-`.vcorp` corpora).
 //!
 //! `--workers N` switches `run` to distributed execution: the corpus is
-//! partitioned into shards and farmed to N locally spawned worker
-//! processes (`veritas worker`, or whatever `--worker-cmd` names) by a
+//! partitioned into shards (`--shards`, default one per worker) and
+//! farmed to N locally spawned worker processes (`veritas worker`, or
+//! whatever `--worker-cmd` names) by a
 //! `veritas_engine::dist::Coordinator`; the merged output is
 //! byte-identical (after timing normalization) to the single-process
 //! run, `--retry` bounds the coordinator's shard re-dispatches, and
@@ -55,7 +56,8 @@
 //! locally. `worker` is the daemon under another name — `veritas worker
 //! --addr 127.0.0.1:0 --corpus ...` is exactly `veritasd` with the same
 //! flags, which is how spawned pools work without a second binary on
-//! `PATH`.
+//! `PATH`. The corpus and engine flags `run` shares with the daemon are
+//! parsed by `veritas_engine::EngineFlags`.
 //!
 //! `bench` times the same synthetic query set
 //! with and without the abduction cache and reports the speedup — plus,
@@ -77,9 +79,9 @@ use std::time::Instant;
 
 use veritas::VeritasConfig;
 use veritas_engine::{
-    append_dir, columns, ingest_dir, service, worker_command, ColumnSet, Coordinator, Corpus,
-    DistConfig, Engine, EngineError, EngineReport, FaultPlan, LazyCorpus, Query, QueryKind,
-    QueryPlan, QueryRecord, QuerySet, RetryPolicy, RunSummary, SessionCorpus, SyntheticSpec,
+    append_dir, columns, flags, ingest_dir, service, ColumnSet, Corpus, Engine, EngineError,
+    EngineFlags, EngineReport, LazyCorpus, Query, QueryKind, QueryPlan, QueryRecord, QuerySet,
+    RetryPolicy, RunSummary, SessionCorpus, SyntheticSpec,
 };
 
 /// What a subcommand can fail with: a usage problem (bad flags or
@@ -160,38 +162,32 @@ fn print_usage() {
         "veritas — batched causal queries over video streaming traces\n\n\
          USAGE:\n\
          \x20 veritas run <queries.json> [--corpus DIR|FILE.vcorp | --synthetic N]\n\
-         \x20                            [--seed S] [--threads N] [--shards N] [--stream]\n\
+         \x20                            [--seed S] [--threads N] [--stream]\n\
          \x20                            [--out FILE] [--summary FILE] [--no-cache]\n\
          \x20                            [--cache-dir DIR] [--min-cache-hits N]\n\
          \x20                            [--allow-errors] [--fault-spec SPEC] [--retry N]\n\
-         \x20                            [--workers N] [--worker-cmd CMD] [--mmap]\n\
-         \x20 veritas worker [--addr HOST:PORT] ...   (veritasd under another name)\n\
+         \x20                            [--workers N [--shards N]] [--worker-cmd CMD]\n\
+         \x20                            [--mmap]\n\
          \x20 veritas ingest <DIR> --out FILE.vcorp [--append]\n\
          \x20 veritas synth --out DIR [--sessions N] [--seed S]\n\
          \x20 veritas bench [--sessions N] [--queries N] [--threads N]\n\
          \x20               [--cache-dir DIR] [--load-sessions N] [--json FILE]\n\
-         \x20 veritas serve [--addr HOST:PORT] [--corpus DIR|FILE.vcorp | --synthetic N]\n\
-         \x20               [--seed S] [--threads N] [--shards N] [--cache-dir DIR]\n\
-         \x20               [--admission N] [--io-timeout SECS] [--max-connections N]\n\
-         \x20               [--auth-token SECRET] [--fault-spec SPEC]\n\
+         \x20 veritas serve [FLAGS]    the veritasd daemon; flags: veritas serve --help\n\
+         \x20 veritas worker [FLAGS]   the same daemon, as a spawned distributed worker\n\
          \x20 veritas example-queries\n\
          \x20 veritas validate <report.jsonl>"
     );
 }
 
-/// One parsed `--flag value` option set.
+/// One parsed `--flag value` option set: the shared engine flags plus
+/// the CLI's own.
 struct Options {
     positional: Vec<String>,
-    corpus: Option<PathBuf>,
-    synthetic: Option<usize>,
-    seed: u64,
-    threads: Option<usize>,
-    shards: Option<usize>,
+    engine: EngineFlags,
     stream: bool,
     out: Option<PathBuf>,
     summary: Option<PathBuf>,
     no_cache: bool,
-    cache_dir: Option<PathBuf>,
     min_cache_hits: Option<u64>,
     allow_errors: bool,
     append: bool,
@@ -199,28 +195,21 @@ struct Options {
     queries: usize,
     load_sessions: Option<usize>,
     json: Option<PathBuf>,
-    fault_spec: Option<String>,
     retry: Option<u32>,
-    workers: usize,
-    worker_cmd: Option<String>,
     mmap: bool,
 }
 
 /// Parses `args`, accepting only the flags in `allowed` — a flag another
-/// subcommand understands is rejected here, not silently ignored.
-fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
+/// subcommand understands is rejected here, not silently ignored. The
+/// engine flags go to [`EngineFlags::accept`].
+fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, CliError> {
     let mut options = Options {
         positional: Vec::new(),
-        corpus: None,
-        synthetic: None,
-        seed: 7,
-        threads: None,
-        shards: None,
+        engine: EngineFlags::default(),
         stream: false,
         out: None,
         summary: None,
         no_cache: false,
-        cache_dir: None,
         min_cache_hits: None,
         allow_errors: false,
         append: false,
@@ -228,166 +217,43 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
         queries: 10,
         load_sessions: None,
         json: None,
-        fault_spec: None,
         retry: None,
-        workers: 0,
-        worker_cmd: None,
         mmap: false,
     };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
         if arg.starts_with("--") && !allowed.contains(&arg.as_str()) {
-            return Err(format!(
+            return Err(CliError::Usage(format!(
                 "unknown flag `{arg}` for this subcommand (accepted: {})",
                 if allowed.is_empty() {
                     "none".to_string()
                 } else {
                     allowed.join(", ")
                 }
-            ));
+            )));
         }
-        let mut value_for = |flag: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
+        if options.engine.accept(arg, &mut rest)? {
+            continue;
+        }
         match arg.as_str() {
-            "--corpus" => options.corpus = Some(PathBuf::from(value_for("--corpus")?)),
-            "--synthetic" => options.synthetic = Some(parse_num(&value_for("--synthetic")?)?),
-            "--seed" => options.seed = parse_num(&value_for("--seed")?)?,
-            "--threads" => options.threads = Some(parse_num(&value_for("--threads")?)?),
-            "--shards" => options.shards = Some(parse_num(&value_for("--shards")?)?),
             "--stream" => options.stream = true,
-            "--out" => options.out = Some(PathBuf::from(value_for("--out")?)),
-            "--summary" => options.summary = Some(PathBuf::from(value_for("--summary")?)),
+            "--out" => options.out = Some(flags::value(arg, &mut rest)?.into()),
+            "--summary" => options.summary = Some(flags::value(arg, &mut rest)?.into()),
             "--no-cache" => options.no_cache = true,
-            "--cache-dir" => options.cache_dir = Some(PathBuf::from(value_for("--cache-dir")?)),
-            "--min-cache-hits" => {
-                options.min_cache_hits = Some(parse_num(&value_for("--min-cache-hits")?)?)
-            }
+            "--min-cache-hits" => options.min_cache_hits = Some(flags::number(arg, &mut rest)?),
             "--allow-errors" => options.allow_errors = true,
             "--append" => options.append = true,
-            "--sessions" => options.sessions = parse_num(&value_for("--sessions")?)?,
-            "--queries" => options.queries = parse_num(&value_for("--queries")?)?,
-            "--load-sessions" => {
-                options.load_sessions = Some(parse_num(&value_for("--load-sessions")?)?)
-            }
-            "--json" => options.json = Some(PathBuf::from(value_for("--json")?)),
-            "--fault-spec" => options.fault_spec = Some(value_for("--fault-spec")?),
-            "--retry" => options.retry = Some(parse_num(&value_for("--retry")?)?),
-            "--workers" => options.workers = parse_num(&value_for("--workers")?)?,
-            "--worker-cmd" => options.worker_cmd = Some(value_for("--worker-cmd")?),
+            "--sessions" => options.sessions = flags::number(arg, &mut rest)?,
+            "--queries" => options.queries = flags::number(arg, &mut rest)?,
+            "--load-sessions" => options.load_sessions = Some(flags::number(arg, &mut rest)?),
+            "--json" => options.json = Some(flags::value(arg, &mut rest)?.into()),
+            "--retry" => options.retry = Some(flags::number(arg, &mut rest)?),
             "--mmap" => options.mmap = true,
             positional => options.positional.push(positional.to_string()),
         }
     }
+    options.engine.validate()?;
     Ok(options)
-}
-
-fn parse_num<T: std::str::FromStr>(text: &str) -> Result<T, String> {
-    text.parse()
-        .map_err(|_| format!("invalid numeric value `{text}`"))
-}
-
-/// The fault spec string a run would arm: `--fault-spec` wins, else the
-/// `VERITAS_FAULT_SPEC` environment variable, else none.
-fn resolved_fault_spec(options: &Options) -> Option<String> {
-    options.fault_spec.clone().or_else(|| {
-        std::env::var("VERITAS_FAULT_SPEC")
-            .ok()
-            .filter(|value| !value.is_empty())
-    })
-}
-
-/// Resolves the run's fault plan ([`resolved_fault_spec`]). A malformed
-/// spec is a usage error (exit 2).
-fn resolve_fault_plan(options: &Options) -> Result<Option<Arc<FaultPlan>>, CliError> {
-    resolved_fault_spec(options)
-        .map(|spec| {
-            FaultPlan::parse(&spec)
-                .map(Arc::new)
-                .map_err(|e| CliError::Usage(format!("invalid fault spec `{spec}`: {e}")))
-        })
-        .transpose()
-}
-
-/// Loads the corpus a `--corpus`/`--synthetic` pair names. A `--corpus`
-/// path ending in `.vcorp` opens the columnar binary store lazily
-/// ([`LazyCorpus`]); any other path is a JSON session directory. A
-/// fault plan, when present, arms the `.vcorp` block-decode injection
-/// point.
-fn load_corpus(
-    options: &Options,
-    fault: Option<&Arc<FaultPlan>>,
-) -> Result<Arc<dyn Corpus>, CliError> {
-    let is_vcorp = options
-        .corpus
-        .as_deref()
-        .is_some_and(|path| path.extension().is_some_and(|ext| ext == "vcorp"));
-    if options.mmap && !is_vcorp {
-        return Err(CliError::Usage(
-            "--mmap applies only to `.vcorp` corpora".to_string(),
-        ));
-    }
-    match (&options.corpus, options.synthetic) {
-        (Some(_), Some(_)) => Err(CliError::Usage(
-            "--corpus and --synthetic are mutually exclusive".to_string(),
-        )),
-        (Some(path), None) if path.extension().is_some_and(|ext| ext == "vcorp") => {
-            let mut corpus = LazyCorpus::open(path).map_err(EngineError::from)?;
-            if options.mmap {
-                // Falls back to positioned reads silently where mapping is
-                // unavailable; `is_mapped` reports what actually happened.
-                corpus = corpus.with_mmap();
-            }
-            Ok(Arc::new(match fault {
-                Some(plan) => corpus.with_fault_plan(Arc::clone(plan)),
-                None => corpus,
-            }))
-        }
-        (Some(dir), None) => Ok(Arc::new(SessionCorpus::from_dir(dir)?)),
-        (None, n) => {
-            let spec = SyntheticSpec {
-                sessions: n.unwrap_or(4),
-                seed: options.seed,
-                ..SyntheticSpec::default()
-            };
-            eprintln!(
-                "synthesizing corpus: {} sessions, seed {}",
-                spec.sessions, spec.seed
-            );
-            Ok(Arc::new(spec.try_build()?))
-        }
-    }
-}
-
-/// Constructs the engine through [`Engine::builder`]; inconsistent flag
-/// combinations (e.g. `--no-cache` with `--cache-dir`) surface as
-/// [`EngineError::Config`] from the builder.
-fn build_engine(options: &Options, fault: Option<&Arc<FaultPlan>>) -> Result<Engine, CliError> {
-    let mut builder = Engine::builder();
-    if let Some(threads) = options.threads {
-        builder = builder.threads(threads);
-    }
-    if let Some(shards) = options.shards {
-        builder = builder.shards(shards);
-    }
-    if options.no_cache {
-        builder = builder.no_cache();
-    }
-    if let Some(dir) = &options.cache_dir {
-        builder = builder.cache_dir(dir);
-    }
-    if let Some(min) = options.min_cache_hits {
-        builder = builder.min_cache_hits(min);
-    }
-    if let Some(plan) = fault {
-        builder = builder.fault_plan(Arc::clone(plan));
-    }
-    if let Some(attempts) = options.retry {
-        builder = builder.retry_policy(RetryPolicy::with_max_attempts(attempts));
-    }
-    Ok(builder.build()?)
 }
 
 /// Where `run` writes its JSONL record lines.
@@ -403,7 +269,7 @@ fn record_writer(out: &Option<PathBuf>) -> Result<Box<dyn Write>, String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
-    let options = parse_options(
+    let mut options = parse_options(
         args,
         &[
             "--corpus",
@@ -433,51 +299,69 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let json = std::fs::read_to_string(query_path)
         .map_err(|e| format!("cannot read {query_path}: {e}"))?;
     let set = QuerySet::from_json(&json).map_err(|e| format!("cannot parse {query_path}: {e}"))?;
-
-    let summary = if options.workers > 0 {
-        if options.no_cache {
-            return Err(CliError::Usage(
-                "--no-cache cannot be combined with --workers (spawned workers always run a \
-                 cache; share one across them with --cache-dir)"
-                    .to_string(),
-            ));
-        }
-        run_distributed(&options, &set)?
-    } else {
-        // The builder validates the flag combinations (`--no-cache` vs
-        // `--cache-dir` / `--min-cache-hits`) before any work happens. The
-        // same fault plan is shared by the engine and the corpus, so every
-        // injection point draws from one seeded decision stream.
-        let fault = resolve_fault_plan(&options)?;
-        let engine = build_engine(&options, fault.as_ref())?;
-        // The CLI owns both values, so they are shared with the workers via
-        // `submit_shared` instead of paying `submit`'s defensive deep copies.
-        let corpus = load_corpus(&options, fault.as_ref())?;
-        let plan = Arc::new(QueryPlan::compile(&set, corpus.as_ref())?);
-        if options.stream {
-            // Incremental consumption: each record is written (and flushed)
-            // the moment its unit completes, in completion order.
-            let mut handle = engine.submit_shared(Arc::clone(&corpus), Arc::clone(&plan))?;
-            let mut writer = record_writer(&options.out)?;
-            for record in &mut handle {
-                let line =
-                    serde_json::to_string(&record).expect("record serialization cannot fail");
-                writeln!(writer, "{line}").map_err(|e| format!("cannot write record: {e}"))?;
-                writer
-                    .flush()
-                    .map_err(|e| format!("cannot flush record: {e}"))?;
+    if options.no_cache && options.min_cache_hits.is_some() {
+        return Err(CliError::Usage(
+            "--min-cache-hits cannot be satisfied with --no-cache".to_string(),
+        ));
+    }
+    let flags = &mut options.engine;
+    if flags.fault_spec.is_none() {
+        flags.fault_spec = std::env::var("VERITAS_FAULT_SPEC")
+            .ok()
+            .filter(|value| !value.is_empty());
+    }
+    let fault = flags.fault_plan()?;
+    let in_process = flags.workers == 0;
+    if options.no_cache && !in_process {
+        return Err(CliError::Usage(
+            "--no-cache cannot be combined with --workers (spawned workers always run a \
+             cache; share one across them with --cache-dir)"
+                .to_string(),
+        ));
+    }
+    // An in-process run shares one fault plan between the corpus and the
+    // engine, so every injection point draws from one seeded decision
+    // stream. A distributed run forwards the spec to its workers instead:
+    // the coordinator's corpus copy is only partitioned and key-mapped,
+    // never decoded.
+    let corpus = flags.load_corpus(fault.as_ref().filter(|_| in_process), options.mmap)?;
+    let plan = Arc::new(QueryPlan::compile(&set, corpus.as_ref())?);
+    let retry = options.retry.map(RetryPolicy::with_max_attempts);
+    // `--retry` bounds the coordinator's shard re-dispatches, or the
+    // in-process engine's unit retries.
+    let coordinator = flags.coordinator(retry.unwrap_or_default())?;
+    let mut handle = match &coordinator {
+        Some(coordinator) => coordinator.submit(corpus, plan)?,
+        None => {
+            let mut builder = flags.engine_builder(fault.as_ref());
+            if options.no_cache {
+                builder = builder.no_cache();
             }
-            handle.into_summary()
-        } else {
-            let report = engine
-                .submit_shared(Arc::clone(&corpus), Arc::clone(&plan))?
-                .wait();
-            let mut writer = record_writer(&options.out)?;
-            write!(writer, "{}", report.to_jsonl())
-                .and_then(|()| writer.flush())
-                .map_err(|e| format!("cannot write records: {e}"))?;
-            report.summary
+            if let Some(policy) = retry {
+                builder = builder.retry_policy(policy);
+            }
+            builder.build()?.submit_shared(corpus, plan)?
         }
+    };
+
+    let mut writer = record_writer(&options.out)?;
+    let summary = if options.stream {
+        // Incremental consumption: each record is written (and flushed)
+        // the moment its unit completes, in completion order.
+        for record in &mut handle {
+            let line = serde_json::to_string(&record).expect("record serialization cannot fail");
+            writeln!(writer, "{line}").map_err(|e| format!("cannot write record: {e}"))?;
+            writer
+                .flush()
+                .map_err(|e| format!("cannot flush record: {e}"))?;
+        }
+        handle.into_summary()
+    } else {
+        let report = handle.wait();
+        write!(writer, "{}", report.to_jsonl())
+            .and_then(|()| writer.flush())
+            .map_err(|e| format!("cannot write records: {e}"))?;
+        report.summary
     };
 
     if let Some(path) = &options.summary {
@@ -492,9 +376,8 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             units: summary.units,
         }));
     }
-    // The `--min-cache-hits` floor, checked the same way for both
-    // execution paths (`Engine::verify_summary` semantics): a shortfall
-    // is the typed `CacheShortfall`, exit 1.
+    // The `--min-cache-hits` floor: a shortfall is the typed
+    // `CacheShortfall`, exit 1.
     if let Some(expected) = options.min_cache_hits {
         if summary.cache_hits < expected {
             return Err(CliError::Engine(EngineError::CacheShortfall {
@@ -504,75 +387,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         }
     }
     Ok(())
-}
-
-/// The `--workers N` execution path: compile the plan locally, spawn a
-/// local worker pool, farm the corpus shards to it through a
-/// [`Coordinator`], and write the merged records exactly where the
-/// in-process path writes them. `--retry` bounds the coordinator's
-/// shard-level re-dispatches; `--shards` fixes the partition width
-/// (default: one shard per worker).
-fn run_distributed(options: &Options, set: &QuerySet) -> Result<RunSummary, CliError> {
-    // The coordinator's corpus copy is only partitioned and key-mapped,
-    // never decoded, so the fault plan is not armed locally — the spec
-    // string is forwarded so the *workers* inject the faults.
-    let corpus = load_corpus(options, None)?;
-    let plan = Arc::new(QueryPlan::compile(set, corpus.as_ref())?);
-    let mut forward: Vec<String> = Vec::new();
-    match (&options.corpus, options.synthetic) {
-        (Some(path), _) => forward.extend(["--corpus".to_string(), path.display().to_string()]),
-        (None, n) => forward.extend([
-            "--synthetic".to_string(),
-            n.unwrap_or(4).to_string(),
-            "--seed".to_string(),
-            options.seed.to_string(),
-        ]),
-    }
-    if let Some(dir) = &options.cache_dir {
-        forward.extend(["--cache-dir".to_string(), dir.display().to_string()]);
-    }
-    if let Some(threads) = options.threads {
-        forward.extend(["--threads".to_string(), threads.to_string()]);
-    }
-    if let Some(spec) = resolved_fault_spec(options) {
-        forward.extend(["--fault-spec".to_string(), spec]);
-    }
-    let command = worker_command(options.worker_cmd.as_deref())?;
-    let coordinator = Coordinator::spawn(
-        options.workers,
-        &command,
-        &forward,
-        DistConfig {
-            shards: options.shards.unwrap_or(0),
-            retry: options
-                .retry
-                .map(RetryPolicy::with_max_attempts)
-                .unwrap_or_default(),
-            ..DistConfig::default()
-        },
-    )?;
-    let summary = if options.stream {
-        let mut handle = coordinator.submit(Arc::clone(&corpus), Arc::clone(&plan))?;
-        let mut writer = record_writer(&options.out)?;
-        for record in &mut handle {
-            let line = serde_json::to_string(&record).expect("record serialization cannot fail");
-            writeln!(writer, "{line}").map_err(|e| format!("cannot write record: {e}"))?;
-            writer
-                .flush()
-                .map_err(|e| format!("cannot flush record: {e}"))?;
-        }
-        handle.into_summary()
-    } else {
-        let report = coordinator
-            .submit(Arc::clone(&corpus), Arc::clone(&plan))?
-            .wait();
-        let mut writer = record_writer(&options.out)?;
-        write!(writer, "{}", report.to_jsonl())
-            .and_then(|()| writer.flush())
-            .map_err(|e| format!("cannot write records: {e}"))?;
-        report.summary
-    };
-    Ok(summary)
 }
 
 /// `veritas ingest <DIR> --out FILE.vcorp [--append]`: convert a JSON
@@ -622,7 +436,7 @@ fn cmd_synth(args: &[String]) -> Result<(), CliError> {
     };
     let spec = SyntheticSpec {
         sessions: options.sessions,
-        seed: options.seed,
+        seed: options.engine.synthetic_seed(),
         ..SyntheticSpec::default()
     };
     let corpus = spec.try_build()?;
@@ -823,23 +637,24 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
             "--json",
         ],
     )?;
+    let seed = options.engine.synthetic_seed();
     let spec = SyntheticSpec {
         sessions: options.sessions,
         video_duration_s: 120.0,
-        seed: options.seed,
+        seed,
         ..SyntheticSpec::default()
     };
     eprintln!(
         "benchmarking: {} sessions x {} queries",
         spec.sessions, options.queries
     );
-    let corpus = spec.try_build()?;
+    let corpus: Arc<dyn Corpus> = Arc::new(spec.try_build()?);
     let set = QuerySet::cache_stress(options.queries);
-    let threads = options.threads.unwrap_or(1);
+    let threads = options.engine.threads.unwrap_or(1);
 
     let run = |engine: Engine| -> Result<(EngineReport, f64), CliError> {
         let started = Instant::now();
-        let report = engine.run(&corpus, &set)?;
+        let report = engine.run(Arc::clone(&corpus), &set)?;
         Ok((report, started.elapsed().as_secs_f64() * 1e3))
     };
     let cached = || Engine::builder().threads(threads).build();
@@ -864,7 +679,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     // With a cache dir: populate the persistent store, then time a fresh
     // engine whose every posterior is restored from disk — the repeat-run
     // production profile.
-    let disk_warm = match &options.cache_dir {
+    let disk_warm = match &options.engine.cache_dir {
         Some(dir) => {
             let with_store = || Engine::builder().threads(threads).cache_dir(dir).build();
             let _ = run(with_store()?)?;
@@ -891,7 +706,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     // synthesized N-session JSON directory and its ingested `.vcorp`.
     let load = match options.load_sessions {
         Some(n) => {
-            let load = bench_load(n, options.seed, threads)?;
+            let load = bench_load(n, seed, threads)?;
             println!(
                 "corpus load ({n} sessions): json {:.1} ms   vcorp {:.1} ms   speedup {:.1}x   \
                  peak resident {} ({} bytes)",

@@ -2,16 +2,9 @@
 //!
 //! Binds a TCP listener, loads one resident corpus, warms one shared
 //! abduction cache, and answers newline-delimited JSON query requests
-//! until killed. See the `veritas_engine::service` module for the wire
-//! protocol and the metrics snapshot format.
-//!
-//! ```text
-//! veritasd [--addr HOST:PORT] [--corpus DIR|FILE.vcorp | --synthetic N]
-//!          [--seed S] [--threads N] [--shards N] [--cache-dir DIR]
-//!          [--admission N] [--io-timeout SECS] [--max-connections N]
-//!          [--auth-token SECRET] [--fault-spec SPEC]
-//!          [--workers N] [--worker-cmd CMD]
-//! ```
+//! until killed. `veritasd --help` lists the flags; see the
+//! `veritas_engine::service` module for the wire protocol and the
+//! metrics snapshot format.
 //!
 //! On startup the daemon prints `veritasd: listening on <addr>` to
 //! stdout — with `--addr 127.0.0.1:0` this line is how callers learn the
@@ -21,60 +14,8 @@ use std::process::ExitCode;
 
 use veritas_engine::service;
 
-const USAGE: &str = "veritasd - serve Veritas causal queries from a resident engine
-
-USAGE:
-    veritasd [--addr HOST:PORT] [--corpus DIR|FILE.vcorp | --synthetic N]
-             [--seed S] [--threads N] [--shards N] [--cache-dir DIR]
-             [--admission N] [--io-timeout SECS] [--max-connections N]
-             [--auth-token SECRET] [--fault-spec SPEC]
-             [--workers N] [--worker-cmd CMD]
-
-OPTIONS:
-    --addr HOST:PORT     Listen address (default 127.0.0.1:4617; port 0 = ephemeral)
-    --corpus PATH        Serve a directory of per-session JSON logs, or a
-                         columnar binary `.vcorp` corpus (lazy-loaded; see
-                         `veritas ingest`)
-    --synthetic N        Serve an N-session synthetic corpus (default: 4 sessions)
-    --seed S             Synthetic corpus seed (default 7)
-    --threads N          Worker threads per plan (default: available cores)
-    --shards N           Corpus shards per plan (default 1)
-    --cache-dir DIR      Persistent abduction store (warm restarts)
-    --admission N        Max concurrent plans before shedding (default 4)
-    --io-timeout SECS    Per-connection read/write deadline (default 30; 0 = none)
-    --max-connections N  Max open connections before shedding accepts with a
-                         typed \"overloaded\" error (default 0 = unbounded)
-    --auth-token SECRET  Require every request line to carry {\"auth\": SECRET};
-                         a mismatch is answered with a typed \"unauthorized\"
-                         envelope and the connection is closed
-    --fault-spec SPEC    Seeded deterministic fault injection for chaos tests,
-                         e.g. seed=42,compute=0.1,socket=0.05 (sites: disk_read,
-                         disk_write, decode, compute, panic, socket)
-    --workers N          Distributed front end: spawn N local worker daemons
-                         and farm each plan's corpus shards to them (deterministic
-                         merge; a dead worker costs one shard re-dispatch). The
-                         workers inherit this daemon's corpus source, cache dir,
-                         thread count, and fault spec
-    --worker-cmd CMD     Launch workers with CMD (whitespace-split) instead of
-                         re-invoking this executable
-
-PROTOCOL (one JSON object per line, responses are JSON lines too):
-    {\"query\": <QuerySet>, \"stream\": bool?}  -> QueryRecord lines, then
-                                                {\"summary\": ..., \"req_id\": N}
-    {\"metrics\": true}                        -> {\"metrics\": ...}
-    {\"shutdown\": true}                       -> {\"draining\": true}; in-flight
-                                                plans finish, new queries get a
-                                                typed \"draining\" error, then the
-                                                process exits cleanly
-    any failure                              -> {\"error\": {\"kind\": ..., \"detail\": ...}}
-    with --auth-token, every request object must also carry {\"auth\": SECRET}";
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
     match service::run_cli(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {

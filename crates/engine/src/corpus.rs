@@ -416,9 +416,8 @@ impl SessionCorpus {
     /// appears in exactly one shard.
     ///
     /// Shards are views (session index lists), so one corpus can be
-    /// divided across engine instances or — as [`crate::Engine::submit`]
-    /// does with [`crate::Engine::with_shards`] — across worker groups of
-    /// a single streaming run.
+    /// divided across engine instances — the partition a distributed
+    /// [`crate::Coordinator`] farms to its worker processes.
     pub fn shard(&self, shards: usize) -> Vec<CorpusShard> {
         shard_indices(self.len(), shards)
     }

@@ -30,38 +30,42 @@
 //! JSONL protocol with a `shard` selector:
 //! `{"query": <QuerySet>, "shard": {"index": I, "of": S}}`; the worker
 //! compiles the same plan against its own copy of the corpus and
-//! executes only that shard ([`crate::Engine::submit_shard_shared`]).
+//! executes only that shard.
 //!
-//! **Determinism.** Worker records are buffered per shard and re-keyed
-//! to their global plan positions ([`merge`]); [`DistHandle::wait`]
-//! restores exactly the batch order of the single-process run, and
-//! aggregation queries are folded across shards by the same
-//! order-insensitive reduction the engine uses, so the merged JSONL is
-//! byte-identical (after timing normalization) to [`crate::Engine::run`].
+//! **Determinism.** A record's wire identity — `(query_id, session,
+//! variant)` — names exactly one plan unit, so every worker record is
+//! re-keyed to its global plan position no matter which worker produced
+//! it or when it arrived. The coordinator's dispatch threads feed the
+//! re-keyed records into an ordinary [`crate::RunHandle`], so
+//! [`crate::RunHandle::wait`] restores exactly the batch order of the
+//! single-process run, and aggregation queries are folded across shards
+//! by the same order-insensitive reduction the engine uses: the merged
+//! JSONL is byte-identical (after timing normalization) to
+//! [`crate::Engine::run`].
 //!
-//! **Supervision.** A worker that dies, times out, resets the
-//! connection, or answers a typed error fails only that shard's
-//! *attempt*: the shard is re-dispatched to the next worker under the
-//! coordinator's [`RetryPolicy`] (reported as
-//! [`crate::RunSummary::shard_retries`]), and a shared `--cache-dir`
-//! makes re-execution cheap — posteriors the dead worker already
-//! persisted are disk hits for its replacement. Records are forwarded
-//! only when a shard's batch is complete, so retry is exactly-once as
-//! far as the consumer can tell. A shard that exhausts every attempt
-//! degrades to typed per-unit error records (the run still completes),
-//! mirroring session quarantine in the in-process supervisor.
+//! **Supervision.** A worker that dies, resets the connection, answers
+//! a typed error, or (with [`DistConfig::io_timeout`] set) misses its
+//! deadline fails only that shard's *attempt*: the shard is
+//! re-dispatched to the next worker under the coordinator's
+//! [`RetryPolicy`] (reported as [`crate::RunSummary::shard_retries`]),
+//! and a shared `--cache-dir` makes re-execution cheap — posteriors the
+//! dead worker already persisted are disk hits for its replacement.
+//! Records are forwarded only when a shard's batch is complete, so retry
+//! is exactly-once as far as the consumer can tell. A shard that
+//! exhausts every attempt degrades to typed per-unit error records (the
+//! run still completes), mirroring session quarantine in the in-process
+//! supervisor.
 
-mod merge;
 mod pool;
 
-pub use merge::DistHandle;
 pub use pool::{worker_command, WorkerPool};
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
@@ -69,10 +73,11 @@ use crate::corpus::Corpus;
 use crate::error::{EngineError, ErrorEnvelope};
 use crate::plan::QueryPlan;
 use crate::query::QuerySet;
-use crate::runner::{EngineReport, QueryRecord, RetryPolicy, RunSummary};
+use crate::runner::{
+    check_plan_fits, units_by_shard, EngineReport, ExecCtx, QueryRecord, RetryPolicy, RunHandle,
+    RunSummary,
+};
 use crate::service::SummaryEnvelope;
-
-use merge::{unit_key, ShardOutcome, UnitKey};
 
 /// Knobs of a [`Coordinator`].
 #[derive(Debug, Clone, Default)]
@@ -87,7 +92,9 @@ pub struct DistConfig {
     /// *different* worker first.
     pub retry: RetryPolicy,
     /// Read/write deadline on worker connections (`None`: no deadline).
-    /// A deadline turns a hung worker into a shard retry.
+    /// A deadline turns a hung worker into a shard retry — but a worker
+    /// sends nothing until its whole shard is done, so the deadline must
+    /// exceed the slowest shard. Neither binary sets it.
     pub io_timeout: Option<Duration>,
 }
 
@@ -99,7 +106,7 @@ pub struct DistConfig {
 /// Construction is either [`Coordinator::spawn`] (launch and own a
 /// local [`WorkerPool`]) or [`Coordinator::connect`] (use daemons that
 /// are already listening). Submission mirrors the engine:
-/// [`Coordinator::submit`] returns a streaming [`DistHandle`],
+/// [`Coordinator::submit`] returns the same streaming [`RunHandle`],
 /// [`Coordinator::run`] is the blocking compile → submit → wait wrapper.
 ///
 /// Every worker must serve **the same corpus** the coordinator submits
@@ -155,13 +162,20 @@ struct WireShard {
     of: usize,
 }
 
+/// The wire identity of one work unit: query id, session id, and sweep
+/// variant label. Unique per plan unit by construction (units are
+/// query × session × config, and variant labels are unique per query).
+type UnitKey = (String, String, Option<String>);
+
 /// Everything one dispatch thread needs to drive its shard to
 /// completion (or exhaustion).
 struct ShardJob {
     shard: usize,
+    shards: usize,
+    /// The shard's global plan-unit indices.
+    units: Vec<usize>,
     addrs: Vec<SocketAddr>,
     request: String,
-    expected: usize,
     key_of: Arc<HashMap<UnitKey, usize>>,
     retry: RetryPolicy,
     io_timeout: Option<Duration>,
@@ -213,7 +227,7 @@ impl Coordinator {
 
     /// Submits a compiled plan for distributed execution, mirroring
     /// [`crate::Engine::submit_shared`]: returns immediately with a
-    /// streaming [`DistHandle`] while dispatch threads drive one shard
+    /// streaming [`RunHandle`] while dispatch threads drive one shard
     /// each. The corpus here is the *coordinator's* copy — used for
     /// partitioning, record re-keying, and synthesizing a dead shard's
     /// error records; the workers execute against their own copies.
@@ -221,72 +235,59 @@ impl Coordinator {
         &self,
         corpus: Arc<dyn Corpus>,
         plan: Arc<QueryPlan>,
-    ) -> Result<DistHandle, EngineError> {
-        if corpus.is_empty() {
-            return Err(EngineError::EmptyCorpus);
-        }
-        if plan.sessions() != corpus.len() {
-            return Err(EngineError::CorpusMismatch(format!(
-                "plan was compiled against {} sessions but the corpus has {}",
-                plan.sessions(),
-                corpus.len()
-            )));
-        }
+    ) -> Result<RunHandle, EngineError> {
+        check_plan_fits(corpus.as_ref(), &plan)?;
+        let started = Instant::now();
         let requested = if self.config.shards == 0 {
             self.addrs.len()
         } else {
             self.config.shards
         };
-        let views = corpus.shard(requested);
-        let shards = views.len();
-        let mut shard_of = vec![0usize; corpus.len()];
-        for view in &views {
-            for &si in &view.sessions {
-                shard_of[si] = view.index;
-            }
-        }
-        let mut units_of_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (ui, unit) in plan.units().iter().enumerate() {
-            units_of_shard[shard_of[unit.session]].push(ui);
-        }
-        let key_of = Arc::new(merge::key_map(plan.as_ref(), corpus.as_ref()));
-        let (tx, rx) = mpsc::channel();
-        let mut threads = Vec::with_capacity(shards);
-        for (s, units) in units_of_shard.iter().enumerate() {
-            let request = serde_json::to_string(&WorkerRequest {
-                query: plan.set(),
-                shard: WireShard {
-                    index: s,
-                    of: shards,
-                },
-                columns: plan.column_demand_union().bits(),
-            })
-            .expect("request serialization cannot fail");
-            let job = ShardJob {
-                shard: s,
+        let units_of_shard = units_by_shard(corpus.as_ref(), &plan, requested);
+        let shards = units_of_shard.len();
+        let key_of = Arc::new(key_map(&plan, corpus.as_ref()));
+        let jobs: Vec<ShardJob> = units_of_shard
+            .into_iter()
+            .enumerate()
+            .map(|(shard, units)| ShardJob {
+                shard,
+                shards,
+                units,
                 addrs: self.addrs.clone(),
-                request,
-                expected: units.len(),
+                request: serde_json::to_string(&WorkerRequest {
+                    query: plan.set(),
+                    shard: WireShard {
+                        index: shard,
+                        of: shards,
+                    },
+                    columns: plan.column_demand_union().bits(),
+                })
+                .expect("request serialization cannot fail"),
                 key_of: Arc::clone(&key_of),
                 retry: self.config.retry,
                 io_timeout: self.config.io_timeout,
-            };
-            let tx = tx.clone();
-            threads.push(
+            })
+            .collect();
+        let ctx = Arc::new(ExecCtx::new(corpus, plan));
+        let (tx, rx) = mpsc::sync_channel(self.addrs.len().saturating_mul(2).clamp(4, 1024));
+        let threads = jobs
+            .into_iter()
+            .map(|job| {
+                let (ctx, tx) = (Arc::clone(&ctx), tx.clone());
                 std::thread::Builder::new()
-                    .name(format!("veritas-dist-{s}"))
-                    .spawn(move || dispatch_shard(job, &tx))
-                    .expect("spawning a dispatch thread cannot fail"),
-            );
-        }
-        drop(tx);
-        Ok(DistHandle::new(
+                    .name(format!("veritas-dist-{}", job.shard))
+                    .spawn(move || dispatch_shard(job, &ctx, &tx))
+                    .expect("spawning a dispatch thread cannot fail")
+            })
+            .collect();
+        Ok(RunHandle::new(
+            ctx,
             rx,
             threads,
-            plan,
-            corpus,
-            units_of_shard,
             self.addrs.len(),
+            shards,
+            true,
+            started,
         ))
     }
 
@@ -302,40 +303,64 @@ impl Coordinator {
     }
 }
 
+/// Builds a plan's wire-identity → global-unit-index map, the inverse
+/// the merge uses to re-key worker records.
+fn key_map(plan: &QueryPlan, corpus: &dyn Corpus) -> HashMap<UnitKey, usize> {
+    plan.units()
+        .iter()
+        .enumerate()
+        .map(|(ui, unit)| {
+            let query = &plan.set().queries[unit.query];
+            let planned = &plan.configs()[unit.config];
+            (
+                (
+                    query.id.clone(),
+                    corpus.session_id(unit.session).to_string(),
+                    planned.label.clone(),
+                ),
+                ui,
+            )
+        })
+        .collect()
+}
+
 /// Drives one shard: dispatch to worker `(shard + attempt) % N`, retry
-/// with the policy's deterministic backoff on any failure, and report
-/// the outcome to the merge. Failed attempts never leak records — a
-/// shard's batch is forwarded only when complete.
-fn dispatch_shard(job: ShardJob, tx: &mpsc::Sender<ShardOutcome>) {
+/// with the policy's deterministic backoff on any failure, then feed the
+/// shard's re-keyed records — or, once every attempt has failed, one
+/// typed error record per unit — into the run's channel, and the
+/// worker's summary into the run's counters. Failed attempts never leak
+/// records: a shard's batch is forwarded only when complete.
+fn dispatch_shard(job: ShardJob, ctx: &ExecCtx, tx: &mpsc::SyncSender<(usize, QueryRecord)>) {
     let max_attempts = u64::from(job.retry.max_attempts.max(1));
-    let mut retries: u64 = 0;
     let mut attempt: u64 = 0;
-    loop {
+    let keyed = loop {
         attempt += 1;
         let worker = job.addrs[(job.shard + attempt as usize - 1) % job.addrs.len()];
         match run_shard_attempt(&job, worker) {
             Ok((keyed, summary)) => {
-                let _ = tx.send(ShardOutcome::Done {
-                    keyed,
-                    summary,
-                    retries,
-                });
-                return;
+                ctx.absorb(summary);
+                break keyed;
+            }
+            Err(_) if attempt < max_attempts => {
+                ctx.shard_retries.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(job.retry.backoff_for(job.shard, attempt as u32));
             }
             Err(error) => {
-                if attempt < max_attempts {
-                    retries += 1;
-                    std::thread::sleep(job.retry.backoff_for(job.shard, attempt as u32));
-                    continue;
-                }
-                let _ = tx.send(ShardOutcome::Failed {
-                    shard: job.shard,
-                    attempts: attempt,
-                    error,
-                    retries,
-                });
-                return;
+                let error = format!(
+                    "shard {}/{} failed after {attempt} attempts: {error}",
+                    job.shard, job.shards
+                );
+                break job
+                    .units
+                    .iter()
+                    .map(|&ui| (ui, ctx.synth_error_record(ui, error.clone(), Some(attempt))))
+                    .collect();
             }
+        }
+    };
+    for entry in keyed {
+        if tx.send(entry).is_err() {
+            return; // the handle was dropped — the run was abandoned
         }
     }
 }
@@ -359,7 +384,7 @@ fn run_shard_attempt(
     let mut reader = BufReader::new(stream);
     writeln!(writer, "{}", job.request).map_err(|e| format!("send to {addr}: {e}"))?;
     writer.flush().map_err(|e| format!("send to {addr}: {e}"))?;
-    let mut keyed = Vec::with_capacity(job.expected);
+    let mut keyed = Vec::with_capacity(job.units.len());
     let mut line = String::new();
     loop {
         line.clear();
@@ -380,18 +405,23 @@ fn run_shard_attempt(
             ));
         }
         if let Ok(envelope) = serde_json::from_str::<SummaryEnvelope>(trimmed) {
-            if keyed.len() != job.expected {
+            if keyed.len() != job.units.len() {
                 return Err(format!(
                     "worker {addr} answered {} records for a {}-unit shard",
                     keyed.len(),
-                    job.expected
+                    job.units.len()
                 ));
             }
             return Ok((keyed, envelope.summary));
         }
         let record: QueryRecord = serde_json::from_str(trimmed)
             .map_err(|e| format!("unparseable line from worker {addr}: {e}"))?;
-        let key = job.key_of.get(&unit_key(&record)).copied().ok_or_else(|| {
+        let identity = (
+            record.query_id.clone(),
+            record.session.clone(),
+            record.variant.clone(),
+        );
+        let key = job.key_of.get(&identity).copied().ok_or_else(|| {
             format!(
                 "worker {addr} answered a record outside the plan: {} / {}",
                 record.query_id, record.session

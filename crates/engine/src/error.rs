@@ -86,8 +86,8 @@ pub enum EngineError {
     /// connection is closed after this answer.
     Unauthorized,
     /// A run finished but observed fewer cache hits than the configured
-    /// floor ([`crate::EngineBuilder::min_cache_hits`]) — the cache-reuse
-    /// assertion CLI callers opt into.
+    /// floor (`veritas run --min-cache-hits`) — the cache-reuse assertion
+    /// CLI callers opt into.
     CacheShortfall {
         /// The configured minimum.
         expected: u64,

@@ -7,10 +7,10 @@
 //! increment per job. The blocking [`execute_indexed`] collects results
 //! per worker and merges them in input order at the end, so the output is
 //! deterministic regardless of which worker ran which job. The streaming
-//! [`stream_groups`] instead sends each `(index, result)` pair through a
-//! bounded [`mpsc::sync_channel`] the moment it completes, partitions its
-//! jobs into groups (corpus shards), and detaches its workers so the
-//! caller can consume incrementally while execution continues.
+//! [`stream`] instead sends each `(index, result)` pair through a bounded
+//! [`mpsc::sync_channel`] the moment it completes and detaches its
+//! workers, so the caller can consume incrementally while execution
+//! continues.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,25 +89,21 @@ where
     merged.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Runs grouped jobs across detached workers, streaming each completed
-/// `(job index, result)` pair through a bounded channel.
+/// Runs `job` over every index in `jobs` across detached workers,
+/// streaming each completed `(job index, result)` pair through a bounded
+/// channel.
 ///
-/// `groups` partitions the job indices (the engine partitions work units
-/// by corpus shard); each group has its own atomic cursor, so a group is
-/// drained in order by the workers assigned to it. Worker `t` starts on
-/// group `t % groups.len()` and moves to the next group when its current
-/// one is exhausted — threads never idle while any shard still has work,
-/// even when `threads < groups` or the shards are unbalanced.
-///
-/// The channel holds at most `capacity` undelivered results: when the
+/// The workers share one atomic cursor over `jobs`, so they claim
+/// indices in list order and never idle while any job remains. The
+/// channel holds at most `capacity` undelivered results: when the
 /// consumer falls behind, workers block on `send`, bounding memory by
 /// `capacity` records instead of the whole result set. Dropping the
 /// receiver shuts the pool down: every subsequent `send` fails and the
 /// workers exit. A panicking job poisons nothing — the worker unwinds,
 /// its channel handle drops, and the caller observes the panic by joining
 /// the returned handles.
-pub fn stream_groups<R, F>(
-    groups: Vec<Vec<usize>>,
+pub fn stream<R, F>(
+    jobs: Vec<usize>,
     threads: usize,
     capacity: usize,
     job: F,
@@ -116,34 +112,19 @@ where
     R: Send + 'static,
     F: Fn(usize) -> R + Send + Sync + 'static,
 {
-    let total: usize = groups.iter().map(Vec::len).sum();
-    let threads = threads.max(1).min(total.max(1));
-    let job = Arc::new(job);
-    let groups: Arc<Vec<(Vec<usize>, AtomicUsize)>> = Arc::new(
-        groups
-            .into_iter()
-            .map(|indices| (indices, AtomicUsize::new(0)))
-            .collect(),
-    );
+    let threads = threads.max(1).min(jobs.len().max(1));
+    let shared = Arc::new((jobs, AtomicUsize::new(0), job));
     let (tx, rx) = mpsc::sync_channel(capacity.max(1));
     let workers = (0..threads)
-        .map(|t| {
-            let groups = Arc::clone(&groups);
-            let job = Arc::clone(&job);
+        .map(|_| {
+            let shared = Arc::clone(&shared);
             let tx = tx.clone();
             std::thread::spawn(move || {
                 IN_WORKER.with(|flag| flag.set(true));
-                for offset in 0..groups.len() {
-                    let (indices, cursor) = &groups[(t + offset) % groups.len()];
-                    loop {
-                        let at = cursor.fetch_add(1, Ordering::Relaxed);
-                        if at >= indices.len() {
-                            break;
-                        }
-                        let index = indices[at];
-                        if tx.send((index, job(index))).is_err() {
-                            return; // receiver gone — the run was abandoned
-                        }
+                let (jobs, cursor, job) = &*shared;
+                while let Some(&index) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    if tx.send((index, job(index))).is_err() {
+                        return; // receiver gone — the run was abandoned
                     }
                 }
             })
@@ -215,9 +196,8 @@ mod tests {
     }
 
     #[test]
-    fn stream_groups_delivers_every_job_exactly_once() {
-        let groups = vec![vec![0, 1, 2], vec![3, 4], vec![5]];
-        let (rx, workers) = stream_groups(groups, 4, 2, |i| i * 10);
+    fn stream_delivers_every_job_exactly_once() {
+        let (rx, workers) = stream(vec![5, 0, 3, 1, 4, 2], 4, 2, |i| i * 10);
         let mut received: Vec<(usize, usize)> = rx.iter().collect();
         for handle in workers {
             handle.join().unwrap();
@@ -226,27 +206,15 @@ mod tests {
         assert_eq!(
             received,
             (0..6).map(|i| (i, i * 10)).collect::<Vec<_>>(),
-            "every grouped job must arrive exactly once"
+            "every job must arrive exactly once"
         );
-    }
-
-    #[test]
-    fn stream_groups_with_fewer_threads_than_groups_drains_all_groups() {
-        let groups = vec![vec![0], vec![1], vec![2], vec![3]];
-        let (rx, workers) = stream_groups(groups, 1, 1, |i| i);
-        let mut received: Vec<usize> = rx.iter().map(|(_, r)| r).collect();
-        for handle in workers {
-            handle.join().unwrap();
-        }
-        received.sort_unstable();
-        assert_eq!(received, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn stream_workers_stop_when_the_receiver_is_dropped() {
         // 64 jobs, capacity 1: dropping the receiver after one result must
         // still let every worker terminate.
-        let (rx, workers) = stream_groups(vec![(0..64).collect()], 2, 1, |i| i);
+        let (rx, workers) = stream((0..64).collect(), 2, 1, |i| i);
         let first = rx.recv().unwrap();
         assert!(first.0 < 64);
         drop(rx);
@@ -257,7 +225,7 @@ mod tests {
 
     #[test]
     fn stream_workers_are_marked_as_workers() {
-        let (rx, workers) = stream_groups(vec![vec![0, 1]], 2, 4, |_| on_worker_thread());
+        let (rx, workers) = stream(vec![0, 1], 2, 4, |_| on_worker_thread());
         let flags: Vec<bool> = rx.iter().map(|(_, f)| f).collect();
         for handle in workers {
             handle.join().unwrap();

@@ -10,18 +10,18 @@
 //!    trace-level reductions) into a flat, validated list of
 //!    [`WorkUnit`]s with per-config cache fingerprints precomputed and
 //!    counterfactual scenarios materialized once per distinct spec.
-//! 2. **Execute** — [`Engine::submit`] partitions the corpus into shards
-//!    ([`SessionCorpus::shard`]), fans units out across atomic-cursor
-//!    worker groups, resolves every abduction through the shared
+//! 2. **Execute** — [`Engine::submit_shared`] fans units out across
+//!    atomic-cursor workers, resolves every abduction through the shared
 //!    [`AbductionCache`] (one EHMM posterior per session × config ×
 //!    horizon), and pushes each completed [`QueryRecord`] through a
 //!    bounded channel. Engines are configured with [`EngineBuilder`]
-//!    (threads, shards, persistent cache tier, cache-hit floor,
-//!    admission bound) via [`Engine::builder`].
+//!    (threads, persistent cache tier, admission bound, retry policy,
+//!    fault plan) via [`Engine::builder`].
 //! 3. **Consume** — the returned [`RunHandle`] is an
 //!    `Iterator<Item = QueryRecord>` for incremental consumption
 //!    (aggregations fold from the stream without buffering records), and
-//!    [`RunHandle::wait`] restores the deterministic batch shape.
+//!    [`RunHandle::wait`] restores the deterministic batch shape. A
+//!    distributed run ([`Coordinator::submit`]) returns the same handle.
 //!    [`Engine::run`] is the blocking `compile → submit → wait` wrapper
 //!    — an alias, not a second code path.
 //!
@@ -32,10 +32,11 @@
 //!
 //! The `veritas` CLI binary (`src/bin/veritas.rs`) exposes the pipeline
 //! end to end: `veritas run queries.json --corpus DIR` (or
-//! `--synthetic N`), with `--stream` for record-at-a-time JSONL,
-//! `--shards N` for partitioned execution, and `--cache-dir DIR` for the
-//! persistent abduction store; plus `veritas bench`,
-//! `veritas example-queries`, `veritas validate`, and `veritas serve`.
+//! `--synthetic N`), with `--stream` for record-at-a-time JSONL and
+//! `--cache-dir DIR` for the persistent abduction store; plus
+//! `veritas bench`, `veritas example-queries`, `veritas validate`, and
+//! `veritas serve`. Both binaries parse their shared engine flags with
+//! one parser, [`EngineFlags`].
 //!
 //! # Running as a service
 //!
@@ -84,14 +85,15 @@
 //!
 //! # Distributed execution
 //!
-//! The same partitioning that feeds in-process worker threads can feed
+//! Work units are independent, so a corpus can also be split across
 //! worker *processes*: a [`Coordinator`] (module [`dist`], front ends
 //! `veritas run --workers N` and `veritasd --workers N`) compiles the
 //! plan once, farms each [`CorpusShard`] to a pool of `veritasd` workers
-//! over the JSONL wire protocol, and merges the record streams back into
-//! the exact batch order — and, after timing normalization, the exact
-//! bytes — of the single-process run. A worker that dies or hangs costs
-//! one shard re-dispatch under the coordinator's [`RetryPolicy`]
+//! over the JSONL wire protocol, and feeds the re-keyed records into the
+//! same [`RunHandle`] an in-process run returns — so the batch is the
+//! exact order and, after timing normalization, the exact bytes of the
+//! single-process run. A worker that dies or refuses a shard costs one
+//! shard re-dispatch under the coordinator's [`RetryPolicy`]
 //! ([`RunSummary::shard_retries`]), and a shared `--cache-dir` makes the
 //! re-execution mostly disk hits. See the [`dist`] module docs for the
 //! topology and the retry semantics.
@@ -130,18 +132,19 @@
 //! # Example: streaming consumption
 //!
 //! ```
+//! use std::sync::Arc;
 //! use veritas::VeritasConfig;
 //! use veritas_engine::{Engine, Query, QueryPlan, QuerySet, ScenarioSpec, SessionCorpus};
 //!
-//! let corpus = SessionCorpus::synthetic(2, 7);
+//! let corpus = Arc::new(SessionCorpus::synthetic(2, 7));
 //! let set = QuerySet::new("demo", VeritasConfig::paper_default().with_samples(2))
 //!     .with_query(Query::abduction("posterior"))
 //!     .with_query(Query::counterfactual("what-if-bba", ScenarioSpec::abr("bba")));
 //!
 //! // Compile once; submit streams records as workers finish them.
-//! let plan = QueryPlan::compile(&set, &corpus).unwrap();
-//! let engine = Engine::builder().shards(2).build().unwrap();
-//! let mut handle = engine.submit(&corpus, &plan).unwrap();
+//! let plan = Arc::new(QueryPlan::compile(&set, corpus.as_ref()).unwrap());
+//! let engine = Engine::builder().threads(2).build().unwrap();
+//! let mut handle = engine.submit_shared(corpus.clone(), plan).unwrap();
 //! let mut seen = 0;
 //! for record in &mut handle {
 //!     assert!(record.is_ok());
@@ -155,7 +158,7 @@
 //! assert_eq!(summary.cache_hits, 2);
 //!
 //! // The batch shape: Engine::run == compile + submit + wait.
-//! let report = engine.run(&corpus, &set).unwrap();
+//! let report = engine.run(corpus, &set).unwrap();
 //! assert_eq!(report.records.len(), 4);
 //! ```
 
@@ -168,6 +171,7 @@ pub mod dist;
 pub(crate) mod error;
 pub mod executor;
 pub(crate) mod fault;
+pub mod flags;
 pub(crate) mod persist;
 pub(crate) mod plan;
 pub(crate) mod query;
@@ -181,9 +185,10 @@ pub use cache::{
 pub use corpus::{
     Corpus, CorpusSession, CorpusShard, LogRef, ResidencyStats, SessionCorpus, SyntheticSpec,
 };
-pub use dist::{worker_command, Coordinator, DistConfig, DistHandle, WorkerPool};
+pub use dist::{worker_command, Coordinator, DistConfig, WorkerPool};
 pub use error::{EngineError, ErrorEnvelope, WireError};
 pub use fault::{FaultPlan, FaultSite};
+pub use flags::EngineFlags;
 pub use persist::{DiskLoadOutcome, DiskStore, PersistKey};
 pub use plan::{
     AggregateMetric, AggregateSpec, AggregateSummary, ConfigSweep, PlannedConfig, QueryPlan,
@@ -195,8 +200,8 @@ pub use runner::{
     QueryOutput, QueryRecord, RangeSummary, RetryPolicy, RunHandle, RunSummary, AGGREGATE_SESSION,
 };
 pub use service::{
-    CorpusSource, MetricsEnvelope, MetricsSnapshot, Service, ServiceConfig, ServiceHandle,
-    SummaryEnvelope, DEFAULT_ADMISSION_BOUND,
+    MetricsEnvelope, MetricsSnapshot, Service, ServiceConfig, ServiceHandle, SummaryEnvelope,
+    DEFAULT_ADMISSION_BOUND,
 };
 pub use store::{
     append_dir, columns, ingest_dir, ColumnSet, CorpusMeta, IngestReport, LazyCorpus, VcorpError,

@@ -519,7 +519,7 @@ pub struct WorkUnit {
 }
 
 /// A compiled, validated execution plan: the output of the **compile**
-/// stage, the input of [`crate::Engine::submit`].
+/// stage, the input of [`crate::Engine::submit_shared`].
 ///
 /// Compilation resolves everything that can fail or be shared up front:
 /// session selectors (against the corpus the plan is compiled for), sweep
@@ -654,7 +654,7 @@ impl QueryPlan {
     /// the per-session log fingerprints (in session order) folded with
     /// the deployed-setting fingerprint
     /// ([`crate::SessionCorpus::deployed_fingerprint`]).
-    /// [`crate::Engine::submit`] rejects a corpus whose content differs —
+    /// [`crate::Engine::submit_shared`] rejects a corpus whose content differs —
     /// the plan's scenarios and selectors are resolved against one
     /// specific corpus, and a same-sized impostor (different logs *or* a
     /// different deployed ABR / player / asset) would silently replay the

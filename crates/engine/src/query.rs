@@ -9,7 +9,7 @@
 //! configurations) and *aggregate* queries (an [`AggregateSpec`]
 //! trace-level reduction folded over per-session outputs). A query set is
 //! compiled into a [`crate::QueryPlan`] and executed with
-//! [`crate::Engine::submit`] (or the blocking [`crate::Engine::run`]
+//! [`crate::Engine::submit_shared`] (or the blocking [`crate::Engine::run`]
 //! wrapper), reusing one abduction per (session, config) through the
 //! [`crate::AbductionCache`].
 //!

@@ -1,15 +1,15 @@
-//! The execute and consume stages: [`Engine::submit`] streams a compiled
-//! [`QueryPlan`] over a corpus; [`RunHandle`] is the consumer's view.
+//! The execute and consume stages: [`Engine::submit_shared`] streams a
+//! compiled [`QueryPlan`] over a corpus; [`RunHandle`] is the consumer's
+//! view of every run, in-process or distributed.
 //!
 //! Execution model: every [`crate::WorkUnit`] (query × session × config)
-//! is independent. Units are partitioned into corpus shards
-//! ([`crate::SessionCorpus::shard`], one worker group per shard) and
-//! claimed by atomic-cursor workers ([`crate::executor::stream_groups`]);
-//! each unit resolves its abduction through the shared
-//! [`AbductionCache`] using the plan's precomputed config fingerprints,
-//! so a batch of N queries touching the same session runs
-//! forward–backward once, not N times. Completed [`QueryRecord`]s flow
-//! through a bounded channel the moment they finish:
+//! is independent. Units are claimed by atomic-cursor workers
+//! ([`crate::executor::stream`]); each unit resolves its abduction
+//! through the shared [`AbductionCache`] using the plan's precomputed
+//! config fingerprints, so a batch of N queries touching the same
+//! session runs forward–backward once, not N times. Completed
+//! [`QueryRecord`]s flow through a bounded channel the moment they
+//! finish:
 //!
 //! * **incremental** — `RunHandle` implements
 //!   `Iterator<Item = QueryRecord>`, yielding records in completion
@@ -24,7 +24,7 @@
 //! and emits one final `session: "*"` record per aggregation when its
 //! last unit completes.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -42,7 +42,7 @@ use veritas_player::QoeSummary;
 use veritas_trace::stats::trace_mae;
 
 use crate::cache::{infer_prefix, AbductionCache, CacheSource};
-use crate::corpus::{Corpus, LogRef, SessionCorpus};
+use crate::corpus::{Corpus, LogRef};
 use crate::error::EngineError;
 use crate::executor;
 use crate::fault::{FaultPlan, FaultSite};
@@ -287,9 +287,11 @@ pub struct RunSummary {
     /// nonzero on a warm start, and together with `cache_misses == 0` the
     /// proof that the run performed no EHMM inference at all.
     pub disk_hits: u64,
-    /// Worker threads used.
+    /// Worker threads used (worker processes, for a distributed run).
     pub threads: usize,
-    /// Corpus shards the run was partitioned into.
+    /// Corpus shards the run was partitioned into: the coordinator's
+    /// partition width for a distributed run, the partition a
+    /// shard-restricted worker run was cut from, and 1 otherwise.
     pub shards: usize,
     /// Wall-clock duration of the run in milliseconds.
     pub elapsed_ms: f64,
@@ -439,27 +441,23 @@ impl RetryPolicy {
 }
 
 /// Configures and builds an [`Engine`] — the one construction path both
-/// the `veritas` CLI and the `veritasd` service go through.
+/// the `veritas` CLI and the `veritasd` service go through (via
+/// [`crate::EngineFlags::engine_builder`]).
 ///
-/// Every knob the old `Engine::with_*` combinators exposed lives here,
-/// plus the two that only make sense at construction time: the
-/// cache-hit floor ([`Self::min_cache_hits`]) and the admission bound
-/// ([`Self::admission`]). [`Self::build`] validates the combination
-/// (e.g. a cache directory with caching disabled is an
-/// [`EngineError::Config`], not a silent no-op).
+/// [`Self::build`] validates the combination (e.g. a cache directory
+/// with caching disabled is an [`EngineError::Config`], not a silent
+/// no-op).
 ///
 /// ```
 /// use veritas_engine::Engine;
-/// let engine = Engine::builder().threads(2).shards(2).build().unwrap();
+/// let engine = Engine::builder().threads(2).build().unwrap();
 /// assert_eq!(engine.admission_bound(), None);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
     threads: Option<usize>,
-    shards: Option<usize>,
     cache_disabled: bool,
     cache_dir: Option<PathBuf>,
-    min_cache_hits: Option<u64>,
     admission: Option<usize>,
     retry: Option<RetryPolicy>,
     fault: Option<Arc<FaultPlan>>,
@@ -467,29 +465,22 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// A builder with every knob at its default: caching on, default
-    /// thread count, one shard, no persistent store, no admission bound.
+    /// thread count, no persistent store, no admission bound.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Worker-thread count. `0` means "pick the default"
-    /// ([`executor::default_threads`]).
+    /// ([`executor::default_threads`]); the builder, not the executor,
+    /// owns that convention, so a summary always reports the real count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
     }
 
-    /// Partitions every submitted corpus into `shards` worker groups
-    /// (clamped to at least one; also clamped to the corpus size at
-    /// submit time).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
-        self
-    }
-
     /// Disables the abduction cache — every unit re-infers. Exists for
     /// the `veritas bench` comparison; incompatible with
-    /// [`Self::cache_dir`] and [`Self::min_cache_hits`].
+    /// [`Self::cache_dir`].
     pub fn no_cache(mut self) -> Self {
         self.cache_disabled = true;
         self
@@ -499,14 +490,6 @@ impl EngineBuilder {
     /// build time if absent) behind the in-memory cache.
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Requires at least `hits` in-memory cache hits per run:
-    /// [`Engine::verify_summary`] returns
-    /// [`EngineError::CacheShortfall`] when a summary falls short.
-    pub fn min_cache_hits(mut self, hits: u64) -> Self {
-        self.min_cache_hits = Some(hits);
         self
     }
 
@@ -543,11 +526,6 @@ impl EngineBuilder {
                     .to_string(),
             ));
         }
-        if self.cache_disabled && self.min_cache_hits.is_some() {
-            return Err(EngineError::Config(
-                "a cache-hit floor cannot be satisfied with the cache disabled".to_string(),
-            ));
-        }
         let mut cache = AbductionCache::new();
         if let Some(dir) = self.cache_dir {
             let mut store = DiskStore::open(dir)?;
@@ -559,17 +537,12 @@ impl EngineBuilder {
         Ok(Engine {
             retry: self.retry,
             fault: self.fault,
-            threads: self.threads.map(|threads| {
-                if threads == 0 {
-                    executor::default_threads()
-                } else {
-                    threads
-                }
-            }),
-            shards: self.shards.unwrap_or(1),
+            threads: match self.threads {
+                None | Some(0) => executor::default_threads(),
+                Some(threads) => threads,
+            },
             cache_enabled: !self.cache_disabled,
             cache: Arc::new(cache),
-            min_cache_hits: self.min_cache_hits,
             admission: self.admission.map(|bound| {
                 Arc::new(AdmissionGate {
                     bound,
@@ -584,21 +557,15 @@ impl EngineBuilder {
 ///
 /// The API is a three-stage pipeline: **compile** a [`QuerySet`] into a
 /// [`QueryPlan`] ([`QueryPlan::compile`]), **execute** it with
-/// [`Engine::submit`], and **consume** the returned [`RunHandle`] either
-/// incrementally (it is an `Iterator`) or as a batch
+/// [`Engine::submit_shared`], and **consume** the returned [`RunHandle`]
+/// either incrementally (it is an `Iterator`) or as a batch
 /// ([`RunHandle::wait`]). [`Engine::run`] wraps all three for the
-/// blocking callers.
-///
-/// Construction goes through [`Engine::builder`]; the surviving
-/// `with_*` combinators are thin deprecated wrappers over the same
-/// fields.
+/// blocking callers. Construction goes through [`Engine::builder`].
 #[derive(Debug)]
 pub struct Engine {
-    threads: Option<usize>,
-    shards: usize,
+    threads: usize,
     cache_enabled: bool,
     cache: Arc<AbductionCache>,
-    min_cache_hits: Option<u64>,
     admission: Option<Arc<AdmissionGate>>,
     retry: Option<RetryPolicy>,
     fault: Option<Arc<FaultPlan>>,
@@ -610,9 +577,18 @@ impl Default for Engine {
     }
 }
 
+/// Which of a plan's units a submit executes: all of them, or only those
+/// whose session falls in shard `index` of the `of`-way partition
+/// [`Corpus::shard`] produces — the worker half of distributed execution
+/// ([`crate::dist`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Scope {
+    All,
+    Shard { index: usize, of: usize },
+}
+
 impl Engine {
-    /// An engine with caching enabled, the default thread count, and a
-    /// single shard.
+    /// An engine with caching enabled and the default thread count.
     pub fn new() -> Self {
         EngineBuilder::new()
             .build()
@@ -622,73 +598,6 @@ impl Engine {
     /// The canonical construction path: a fresh [`EngineBuilder`].
     pub fn builder() -> EngineBuilder {
         EngineBuilder::new()
-    }
-
-    /// Overrides the worker-thread count. `0` is normalized to
-    /// [`executor::default_threads`] at this boundary — the builder, not
-    /// the executor, owns the "pick for me" convention, so a summary
-    /// always reports the real thread count.
-    ///
-    /// Deprecated: prefer [`EngineBuilder::threads`] via
-    /// [`Engine::builder`]. Kept as a thin wrapper so existing callers
-    /// and tests keep working.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(if threads == 0 {
-            executor::default_threads()
-        } else {
-            threads
-        });
-        self
-    }
-
-    /// Partitions every submitted corpus into `shards` worker groups
-    /// (clamped to at least one; also clamped to the corpus size at
-    /// submit time). Units of one shard are drained together, emulating a
-    /// corpus split across engine instances.
-    ///
-    /// Deprecated: prefer [`EngineBuilder::shards`] via
-    /// [`Engine::builder`]. Kept as a thin wrapper so existing callers
-    /// and tests keep working.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Disables the abduction cache — every unit re-infers. Exists for the
-    /// `veritas bench` comparison and for measuring cache effectiveness.
-    ///
-    /// Deprecated: prefer [`EngineBuilder::no_cache`] via
-    /// [`Engine::builder`]. Kept as a thin wrapper so existing callers
-    /// and tests keep working.
-    pub fn without_cache(mut self) -> Self {
-        self.cache_enabled = false;
-        self
-    }
-
-    /// Attaches a persistent abduction store rooted at `dir` (created if
-    /// absent) behind the in-memory cache: posteriors inferred by this
-    /// engine are written through to disk, and runs restore previously
-    /// persisted posteriors instead of re-inferring — including across
-    /// processes. Re-enables caching if [`Engine::without_cache`] was
-    /// called earlier (a disk tier behind a disabled cache would be a
-    /// silent no-op). Fails only if the directory cannot be created; read
-    /// or write problems at run time degrade to cache misses
-    /// (see [`crate::persist`]).
-    ///
-    /// Deprecated: prefer [`EngineBuilder::cache_dir`] via
-    /// [`Engine::builder`] (which rejects the disabled-cache combination
-    /// instead of silently re-enabling). Kept as a thin wrapper so
-    /// existing callers and tests keep working.
-    pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Result<Self, EngineError> {
-        let store = DiskStore::open(dir)?;
-        self.cache_enabled = true;
-        match Arc::get_mut(&mut self.cache) {
-            // The builder normally still owns its cache exclusively:
-            // attach in place, keeping any posteriors already in memory.
-            Some(cache) => cache.attach_disk_store(store),
-            None => self.cache = Arc::new(AbductionCache::new().with_disk_store(store)),
-        }
-        Ok(self)
     }
 
     /// The engine's abduction cache (shared across runs).
@@ -742,256 +651,169 @@ impl Engine {
         }
     }
 
-    /// The configured cache-hit floor, when one was set
-    /// ([`EngineBuilder::min_cache_hits`]).
-    pub fn min_cache_hits(&self) -> Option<u64> {
-        self.min_cache_hits
-    }
-
-    /// Checks a finished run's summary against this engine's configured
-    /// cache-hit floor ([`EngineBuilder::min_cache_hits`]); a shortfall
-    /// is an [`EngineError::CacheShortfall`]. No-op without a floor.
-    pub fn verify_summary(&self, summary: &RunSummary) -> Result<(), EngineError> {
-        if let Some(expected) = self.min_cache_hits {
-            if summary.cache_hits < expected {
-                return Err(EngineError::CacheShortfall {
-                    expected,
-                    observed: summary.cache_hits,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Executes a query set over a corpus, blocking until every record is
-    /// in: a thin `compile → submit → wait` wrapper. The plan is compiled
-    /// against this very corpus in the same call, so the corpus-content
-    /// verification that guards the public submit paths is skipped.
-    pub fn run(&self, corpus: &SessionCorpus, set: &QuerySet) -> Result<EngineReport, EngineError> {
-        let plan = QueryPlan::compile(set, corpus)?;
-        Ok(self
-            .submit_inner(Arc::new(corpus.clone()), Arc::new(plan), false, None)?
-            .wait())
+    /// in: a thin `compile → submit → wait` wrapper.
+    pub fn run(
+        &self,
+        corpus: Arc<dyn Corpus>,
+        set: &QuerySet,
+    ) -> Result<EngineReport, EngineError> {
+        let plan = QueryPlan::compile(set, corpus.as_ref())?;
+        Ok(self.submit_shared(corpus, Arc::new(plan))?.wait())
     }
 
-    /// Submits a compiled plan for streaming execution over a corpus.
+    /// Submits a compiled plan for streaming execution over any
+    /// [`Corpus`] — eager [`crate::SessionCorpus`] values and lazy
+    /// [`crate::LazyCorpus`] views alike, shared rather than copied.
     ///
     /// Returns immediately with a [`RunHandle`]; workers push each
     /// completed [`QueryRecord`] through a bounded channel as it
-    /// finishes. The corpus and plan are cloned into shared ownership —
-    /// callers that already hold `Arc`s (or a lazy [`crate::LazyCorpus`],
-    /// which must not be deep-copied) should use [`Engine::submit_shared`]
-    /// to skip the copy.
-    pub fn submit(
-        &self,
-        corpus: &SessionCorpus,
-        plan: &QueryPlan,
-    ) -> Result<RunHandle, EngineError> {
-        self.submit_shared(Arc::new(corpus.clone()), Arc::new(plan.clone()))
-    }
-
-    /// [`Engine::submit`] without the defensive copies, over any
-    /// [`Corpus`] implementation — eager [`SessionCorpus`] values and
-    /// lazy [`crate::LazyCorpus`] views alike.
-    ///
-    /// Fails fast when the corpus is empty or its session count differs
-    /// from the one the plan was compiled against (plans resolve session
-    /// selectors and deployed-setting scenarios at compile time, so they
-    /// are corpus-shaped).
+    /// finishes. Fails fast when the corpus is empty or is not the one
+    /// the plan was compiled against (plans resolve session selectors
+    /// and deployed-setting scenarios at compile time, so they are
+    /// corpus-shaped).
     pub fn submit_shared(
         &self,
         corpus: Arc<dyn Corpus>,
         plan: Arc<QueryPlan>,
     ) -> Result<RunHandle, EngineError> {
-        self.submit_inner(corpus, plan, true, None)
+        self.submit_scoped(corpus, plan, Scope::All)
     }
 
-    /// [`Engine::submit_shared`] restricted to one [`crate::CorpusShard`]
-    /// of a `of`-way partition: only the plan units whose session falls
-    /// in shard `index` (as produced by [`Corpus::shard`]) execute; every
-    /// other unit is skipped entirely. This is the worker half of
-    /// distributed execution ([`crate::dist`]): a coordinator hands each
-    /// worker process a `(index, of)` pair and merges the resulting
-    /// record streams.
-    ///
-    /// Aggregation queries are *not* folded on a restricted run — the
-    /// handle yields only the shard's per-session `metric_value` records
-    /// and never the final `session: "*"` record, because no single shard
-    /// sees every contribution. The coordinator folds across shards.
-    ///
-    /// `index` at or past the actual partition width (the corpus clamps
-    /// `of` to its session count) is an [`EngineError::Config`].
-    pub fn submit_shard_shared(
+    /// The one submit implementation. A [`Scope::Shard`] run executes
+    /// only the shard's units and does *not* fold aggregation queries —
+    /// the handle yields the shard's per-session `metric_value` records
+    /// but never the final `session: "*"` record, because no single
+    /// shard sees every contribution; the coordinator folds across
+    /// shards. A shard `index` at or past the actual partition width (the
+    /// corpus clamps `of` to its session count) is an
+    /// [`EngineError::Config`].
+    pub(crate) fn submit_scoped(
         &self,
         corpus: Arc<dyn Corpus>,
         plan: Arc<QueryPlan>,
-        index: usize,
-        of: usize,
+        scope: Scope,
     ) -> Result<RunHandle, EngineError> {
-        self.submit_inner(corpus, plan, true, Some((index, of)))
-    }
-
-    /// The one submit implementation. `verify_content` re-hashes the
-    /// corpus to prove it is the one the plan was compiled against —
-    /// required on the public paths, skipped by [`Engine::run`], which
-    /// compiles and submits the same borrow in one call. `shard_sel`
-    /// restricts execution to one shard of a fixed-width partition
-    /// ([`Engine::submit_shard_shared`]).
-    fn submit_inner(
-        &self,
-        corpus: Arc<dyn Corpus>,
-        plan: Arc<QueryPlan>,
-        verify_content: bool,
-        shard_sel: Option<(usize, usize)>,
-    ) -> Result<RunHandle, EngineError> {
-        if corpus.is_empty() {
-            return Err(EngineError::EmptyCorpus);
-        }
-        if plan.sessions() != corpus.len() {
-            return Err(EngineError::CorpusMismatch(format!(
-                "plan was compiled against {} sessions but the corpus has {}",
-                plan.sessions(),
-                corpus.len()
-            )));
-        }
+        check_plan_fits(corpus.as_ref(), &plan)?;
         // Per-session log fingerprints, resolved once here instead of
         // once per cache lookup (a `.vcorp` corpus serves them from its
-        // index without touching a session block) — and, on the public
-        // paths, folded with the deployed setting to verify this is the
-        // *same* corpus the plan's scenarios and selectors were resolved
-        // against.
+        // index without touching a session block), folded with the
+        // deployed setting to verify this is the *same* corpus the plan's
+        // scenarios and selectors were resolved against.
         let log_fps: Vec<u64> = (0..corpus.len())
             .map(|i| corpus.log_fingerprint(i))
             .collect();
-        if verify_content {
-            let content = crate::cache::combine_fingerprints(
-                log_fps
-                    .iter()
-                    .copied()
-                    .chain(std::iter::once(corpus.deployed_fingerprint())),
-            );
-            if content != plan.corpus_fingerprint() {
-                return Err(EngineError::CorpusMismatch(
-                    "plan was compiled against a different corpus (content fingerprints \
-                     differ); recompile the plan for this corpus"
-                        .to_string(),
-                ));
-            }
+        let content = crate::cache::combine_fingerprints(
+            log_fps
+                .iter()
+                .copied()
+                .chain(std::iter::once(corpus.deployed_fingerprint())),
+        );
+        if content != plan.corpus_fingerprint() {
+            return Err(EngineError::CorpusMismatch(
+                "plan was compiled against a different corpus (content fingerprints \
+                 differ); recompile the plan for this corpus"
+                    .to_string(),
+            ));
         }
-        let threads = self.threads.unwrap_or_else(executor::default_threads);
         let started = Instant::now();
-
-        // Partition units into shard groups: one worker group per corpus
-        // shard, preserving plan order within each group. A restricted
-        // submit instead keeps the single selected shard's units (in plan
-        // order) and drops the rest of the plan on the floor.
-        let (groups, shards) = match shard_sel {
-            None => {
-                let shard_views = corpus.shard(self.shards);
-                let shards = shard_views.len();
-                let mut shard_of = vec![0usize; corpus.len()];
-                for shard in &shard_views {
-                    for &si in &shard.sessions {
-                        shard_of[si] = shard.index;
-                    }
-                }
-                let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shards];
-                for (ui, unit) in plan.units().iter().enumerate() {
-                    groups[shard_of[unit.session]].push(ui);
-                }
-                (groups, shards)
-            }
-            Some((index, of)) => {
-                let shard_views = corpus.shard(of);
-                let shards = shard_views.len();
+        let (units, shards) = match scope {
+            Scope::All => ((0..plan.units().len()).collect(), 1),
+            Scope::Shard { index, of } => {
+                let mut groups = units_by_shard(corpus.as_ref(), &plan, of);
+                let shards = groups.len();
                 if index >= shards {
                     return Err(EngineError::Config(format!(
                         "shard {index} out of range: the corpus partitions into {shards} shards"
                     )));
                 }
-                let mut mine = vec![false; corpus.len()];
-                for &si in &shard_views[index].sessions {
-                    mine[si] = true;
-                }
-                let group: Vec<usize> = plan
-                    .units()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, unit)| mine[unit.session])
-                    .map(|(ui, _)| ui)
-                    .collect();
-                (vec![group], shards)
+                (groups.swap_remove(index), shards)
             }
         };
         let ctx = Arc::new(ExecCtx {
-            corpus: Arc::clone(&corpus),
-            plan: Arc::clone(&plan),
             cache: self.cache_enabled.then(|| Arc::clone(&self.cache)),
             log_fps,
-            run_hits: AtomicU64::new(0),
-            run_misses: AtomicU64::new(0),
-            run_disk_hits: AtomicU64::new(0),
             retry: self.retry,
             fault: self.fault.clone(),
-            run_retries: AtomicU64::new(0),
-            quarantined: Mutex::new(BTreeSet::new()),
             projection: projection_enabled(),
+            ..ExecCtx::new(corpus, plan)
         });
         let worker_ctx = Arc::clone(&ctx);
-        let capacity = threads.saturating_mul(2).clamp(4, 1024);
-        let (rx, workers) = executor::stream_groups(groups, threads, capacity, move |index| {
+        let capacity = self.threads.saturating_mul(2).clamp(4, 1024);
+        let (rx, workers) = executor::stream(units, self.threads, capacity, move |index| {
             worker_ctx.supervised_run(index)
         });
-
-        let folds = plan
-            .set()
-            .queries
-            .iter()
-            .enumerate()
-            .map(|(qi, query)| {
-                (shard_sel.is_none() && query.kind == QueryKind::Aggregate).then(|| AggregateFold {
-                    remaining: plan.unit_count(qi),
-                    values: Vec::new(),
-                    unit_errors: 0,
-                })
-            })
-            .collect();
-        let latencies = vec![Vec::new(); plan.set().queries.len()];
-        Ok(RunHandle {
-            rx: Some(rx),
-            workers,
-            plan,
+        Ok(RunHandle::new(
             ctx,
-            pending: VecDeque::new(),
-            folds,
-            latencies,
-            ok: 0,
-            errors: 0,
-            sessions: corpus.len(),
-            threads,
+            rx,
+            workers,
+            self.threads,
             shards,
+            matches!(scope, Scope::All),
             started,
-        })
+        ))
     }
 }
 
-/// Incremental fold state of one aggregation query: only the per-session
-/// scalars are retained, never the records themselves. Shared with the
-/// distributed coordinator ([`crate::dist`]), which folds the same way
-/// across worker shards.
-pub(crate) struct AggregateFold {
-    pub(crate) remaining: usize,
-    pub(crate) values: Vec<f64>,
-    pub(crate) unit_errors: usize,
+/// Rejects a plan that cannot run over `corpus`: an empty corpus, or a
+/// session count other than the one the plan was compiled against.
+pub(crate) fn check_plan_fits(corpus: &dyn Corpus, plan: &QueryPlan) -> Result<(), EngineError> {
+    if corpus.is_empty() {
+        return Err(EngineError::EmptyCorpus);
+    }
+    if plan.sessions() != corpus.len() {
+        return Err(EngineError::CorpusMismatch(format!(
+            "plan was compiled against {} sessions but the corpus has {}",
+            plan.sessions(),
+            corpus.len()
+        )));
+    }
+    Ok(())
 }
 
-/// A live streaming run: the **consume** stage.
+/// The plan's unit indices grouped by the [`Corpus::shard`] partition of
+/// width `shards` (clamped by the corpus), in plan order within each
+/// shard.
+pub(crate) fn units_by_shard(
+    corpus: &dyn Corpus,
+    plan: &QueryPlan,
+    shards: usize,
+) -> Vec<Vec<usize>> {
+    let views = corpus.shard(shards);
+    let mut shard_of = vec![0usize; corpus.len()];
+    for view in &views {
+        for &si in &view.sessions {
+            shard_of[si] = view.index;
+        }
+    }
+    let mut groups = vec![Vec::new(); views.len()];
+    for (ui, unit) in plan.units().iter().enumerate() {
+        groups[shard_of[unit.session]].push(ui);
+    }
+    groups
+}
+
+/// Incremental fold state of one aggregation query: only the per-session
+/// scalars are retained, never the records themselves.
+struct AggregateFold {
+    remaining: usize,
+    values: Vec<f64>,
+    unit_errors: usize,
+}
+
+/// A live streaming run: the **consume** stage, for in-process and
+/// distributed runs alike.
 ///
-/// Iterate it for records in completion order (each `next()` blocks until
-/// a worker finishes a unit), then call [`RunHandle::into_summary`]; or
-/// call [`RunHandle::wait`] for the deterministic batch report. Dropping
-/// the handle abandons the run: workers observe the closed channel and
-/// stop after their in-flight unit.
+/// Its producers — in-process workers ([`Engine::submit_shared`]) or a
+/// coordinator's per-shard dispatch threads
+/// ([`crate::dist::Coordinator::submit`]) — push `(plan position,
+/// record)` pairs through one bounded channel and fold their counters
+/// into the run's shared context. Iterate the handle for records in
+/// completion order (each `next()` blocks until a producer delivers
+/// one), then call [`RunHandle::into_summary`]; or call
+/// [`RunHandle::wait`] for the deterministic batch report. Dropping the
+/// handle abandons the run: producers observe the closed channel and
+/// stop after their in-flight unit or shard.
 ///
 /// Unit panics are *isolated*: a panicking unit becomes a typed error
 /// record (via [`crate::executor::run_isolated`]), so the only panics
@@ -999,29 +821,72 @@ pub(crate) struct AggregateFold {
 /// defects in the streaming machinery itself.
 pub struct RunHandle {
     rx: Option<mpsc::Receiver<(usize, QueryRecord)>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    plan: Arc<QueryPlan>,
-    /// Shared with the workers; carries this run's own cache counters so
+    producers: Vec<std::thread::JoinHandle<()>>,
+    /// Shared with the producers; carries this run's own counters so
     /// concurrent submits on one engine never pollute each other's
     /// summaries.
     ctx: Arc<ExecCtx>,
-    /// Aggregation fold records waiting to be yielded.
-    pending: VecDeque<(usize, QueryRecord)>,
+    /// An aggregation's fold record, waiting to be yielded right after
+    /// the unit that completed it.
+    pending: Option<(usize, QueryRecord)>,
     folds: Vec<Option<AggregateFold>>,
     latencies: Vec<Vec<u64>>,
     ok: usize,
     errors: usize,
-    sessions: usize,
     threads: usize,
     shards: usize,
     started: Instant,
 }
 
 impl RunHandle {
-    /// Yields the next record with its deterministic sort key (worker
-    /// units sort by plan position; aggregation folds after all units).
+    /// Wraps a run submitted at `started`. `threads` and `shards` are
+    /// what the summary reports (a coordinator reports its
+    /// worker-process count as `threads`); `fold` enables the
+    /// aggregation folds, which a shard-restricted run leaves to its
+    /// coordinator.
+    pub(crate) fn new(
+        ctx: Arc<ExecCtx>,
+        rx: mpsc::Receiver<(usize, QueryRecord)>,
+        producers: Vec<std::thread::JoinHandle<()>>,
+        threads: usize,
+        shards: usize,
+        fold: bool,
+        started: Instant,
+    ) -> Self {
+        let plan = &ctx.plan;
+        let folds = plan
+            .set()
+            .queries
+            .iter()
+            .enumerate()
+            .map(|(qi, query)| {
+                (fold && query.kind == QueryKind::Aggregate).then(|| AggregateFold {
+                    remaining: plan.unit_count(qi),
+                    values: Vec::new(),
+                    unit_errors: 0,
+                })
+            })
+            .collect();
+        let latencies = vec![Vec::new(); plan.set().queries.len()];
+        Self {
+            rx: Some(rx),
+            producers,
+            ctx,
+            pending: None,
+            folds,
+            latencies,
+            ok: 0,
+            errors: 0,
+            threads,
+            shards,
+            started,
+        }
+    }
+
+    /// Yields the next record with its deterministic sort key (units
+    /// sort by plan position; aggregation folds after all units).
     fn next_keyed(&mut self) -> Option<(usize, QueryRecord)> {
-        if let Some(keyed) = self.pending.pop_front() {
+        if let Some(keyed) = self.pending.take() {
             return Some(keyed);
         }
         let rx = self.rx.as_ref()?;
@@ -1032,18 +897,20 @@ impl RunHandle {
             }
             Err(_) => {
                 self.rx = None;
-                self.join_workers();
+                self.join_producers();
                 None
             }
         }
     }
 
-    /// Folds a completed worker unit into the summary statistics and the
+    /// Folds a completed unit into the summary statistics and the
     /// aggregation accumulators, queueing an aggregation's final record
-    /// when its last unit arrives.
+    /// when its last unit arrives. [`AggregateSummary::reduce`] sorts
+    /// the values itself, so the fold is insensitive to the order
+    /// contributions arrive in — in-process or from worker shards.
     fn absorb_unit(&mut self, key: usize, record: &QueryRecord) {
         self.count(record);
-        let unit = self.plan.units()[key];
+        let unit = self.ctx.plan.units()[key];
         self.latencies[unit.query].push(record.elapsed_us);
         let Some(fold) = self.folds[unit.query].as_mut() else {
             return;
@@ -1054,14 +921,14 @@ impl RunHandle {
         }
         fold.remaining -= 1;
         if fold.remaining == 0 {
-            let query = &self.plan.set().queries[unit.query];
-            let final_record = aggregate_record(query, self.folds[unit.query].as_ref().unwrap());
+            let query = &self.ctx.plan.set().queries[unit.query];
+            let final_record = aggregate_record(query, fold);
             self.count(&final_record);
             // Keyed by query index so the batch report lists fold records
             // in query order regardless of which aggregation's last unit
             // happened to finish first.
-            let final_key = self.plan.units().len() + unit.query;
-            self.pending.push_back((final_key, final_record));
+            let final_key = self.ctx.plan.units().len() + unit.query;
+            self.pending = Some((final_key, final_record));
         }
     }
 
@@ -1073,8 +940,8 @@ impl RunHandle {
         }
     }
 
-    fn join_workers(&mut self) {
-        for handle in self.workers.drain(..) {
+    fn join_producers(&mut self) {
+        for handle in self.producers.drain(..) {
             if let Err(payload) = handle.join() {
                 std::panic::resume_unwind(payload);
             }
@@ -1083,9 +950,8 @@ impl RunHandle {
 
     /// The summary of everything absorbed so far.
     fn summary_now(&self) -> RunSummary {
-        let per_query = self
-            .plan
-            .set()
+        let set = self.ctx.plan.set();
+        let per_query = set
             .queries
             .iter()
             .zip(&self.latencies)
@@ -1102,9 +968,9 @@ impl RunHandle {
             })
             .collect();
         RunSummary {
-            queryset: self.plan.set().name.clone(),
-            queries: self.plan.set().queries.len(),
-            sessions: self.sessions,
+            queryset: set.name.clone(),
+            queries: set.queries.len(),
+            sessions: self.ctx.corpus.len(),
             units: self.ok + self.errors,
             ok: self.ok,
             errors: self.errors,
@@ -1115,32 +981,24 @@ impl RunHandle {
             shards: self.shards,
             elapsed_ms: self.started.elapsed().as_secs_f64() * 1e3,
             retries: self.ctx.run_retries.load(Ordering::Relaxed),
-            quarantined: {
-                let mut ids: Vec<String> = self
-                    .ctx
-                    .quarantined
-                    .lock()
-                    .iter()
-                    .map(|&si| self.ctx.corpus.session_id(si).to_string())
-                    .collect();
-                ids.sort();
-                ids
-            },
-            shard_retries: 0,
+            quarantined: self.ctx.quarantined.lock().iter().cloned().collect(),
+            shard_retries: self.ctx.shard_retries.load(Ordering::Relaxed),
             per_query,
         }
     }
 
     /// Drains the remaining stream and returns the batch-shaped report:
     /// records restored to deterministic plan order (aggregation folds at
-    /// the end). Records already taken through the iterator are *not*
-    /// re-included; call `wait` on a fresh handle for the full batch.
+    /// the end) — for a distributed run, the same order and (after
+    /// timing normalization) the same bytes as the in-process run.
+    /// Records already taken through the iterator are *not* re-included;
+    /// call `wait` on a fresh handle for the full batch.
     pub fn wait(mut self) -> EngineReport {
-        let mut keyed: Vec<(usize, QueryRecord)> = Vec::with_capacity(self.plan.units().len());
+        let mut keyed: Vec<(usize, QueryRecord)> = Vec::with_capacity(self.ctx.plan.units().len());
         while let Some(entry) = self.next_keyed() {
             keyed.push(entry);
         }
-        self.join_workers();
+        self.join_producers();
         keyed.sort_unstable_by_key(|(key, _)| *key);
         EngineReport {
             records: keyed.into_iter().map(|(_, record)| record).collect(),
@@ -1153,7 +1011,7 @@ impl RunHandle {
     /// consumed.
     pub fn into_summary(mut self) -> RunSummary {
         while self.next_keyed().is_some() {}
-        self.join_workers();
+        self.join_producers();
         self.summary_now()
     }
 }
@@ -1169,19 +1027,21 @@ impl Iterator for RunHandle {
 impl Drop for RunHandle {
     fn drop(&mut self) {
         // Close the channel first so blocked senders fail out, then let
-        // the workers finish their in-flight units. Panics are not
+        // the producers finish their in-flight work. Panics are not
         // re-raised here (a re-raise during an unwind would abort); the
         // consuming methods propagate them.
         self.rx = None;
-        for handle in self.workers.drain(..) {
+        for handle in self.producers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// Everything a worker needs to execute plan units: shared, immutable,
-/// and alive for as long as any worker runs.
-struct ExecCtx {
+/// Everything a run's producers share with its [`RunHandle`]: the plan,
+/// the corpus, the per-run counters, and — for in-process runs — what a
+/// worker needs to execute plan units. Shared, immutable apart from the
+/// counters, and alive for as long as any producer runs.
+pub(crate) struct ExecCtx {
     corpus: Arc<dyn Corpus>,
     plan: Arc<QueryPlan>,
     /// `None` when caching is disabled — units infer directly.
@@ -1202,8 +1062,10 @@ struct ExecCtx {
     fault: Option<Arc<FaultPlan>>,
     /// Unit retries this run performed.
     run_retries: AtomicU64,
-    /// Corpus session indices quarantined by retry exhaustion.
-    quarantined: Mutex<BTreeSet<usize>>,
+    /// Worker-shard re-dispatches a coordinator performed for this run.
+    pub(crate) shard_retries: AtomicU64,
+    /// Ids of the sessions quarantined by retry exhaustion.
+    quarantined: Mutex<BTreeSet<String>>,
     /// Whether unit log loads pass the plan's column demand to
     /// [`Corpus::log_projected`] (the default) or force full decodes
     /// (`VERITAS_NO_PROJECTION=1`, the differential-testing escape
@@ -1221,6 +1083,42 @@ fn projection_enabled() -> bool {
 }
 
 impl ExecCtx {
+    /// A context that only carries records: zeroed counters and no
+    /// executor state. A coordinator's runs use it as is; the engine
+    /// fills in the execution fields.
+    pub(crate) fn new(corpus: Arc<dyn Corpus>, plan: Arc<QueryPlan>) -> Self {
+        Self {
+            corpus,
+            plan,
+            cache: None,
+            log_fps: Vec::new(),
+            run_hits: AtomicU64::new(0),
+            run_misses: AtomicU64::new(0),
+            run_disk_hits: AtomicU64::new(0),
+            retry: None,
+            fault: None,
+            run_retries: AtomicU64::new(0),
+            shard_retries: AtomicU64::new(0),
+            quarantined: Mutex::new(BTreeSet::new()),
+            projection: false,
+        }
+    }
+
+    /// Folds a worker process's per-shard summary into this run's
+    /// counters: cache tiers and unit retries add up, quarantine lists
+    /// union.
+    pub(crate) fn absorb(&self, summary: RunSummary) {
+        self.run_hits
+            .fetch_add(summary.cache_hits, Ordering::Relaxed);
+        self.run_misses
+            .fetch_add(summary.cache_misses, Ordering::Relaxed);
+        self.run_disk_hits
+            .fetch_add(summary.disk_hits, Ordering::Relaxed);
+        self.run_retries
+            .fetch_add(summary.retries, Ordering::Relaxed);
+        self.quarantined.lock().extend(summary.quarantined);
+    }
+
     /// Loads a session log for unit execution, asking the corpus to
     /// decode only the columns the plan's queries will read (unless
     /// projection is disabled). [`Corpus::log_projected`] guarantees the
@@ -1246,14 +1144,11 @@ impl ExecCtx {
     /// `max_attempts` quarantines its session (subsequent units on that
     /// session answer a typed quarantine error without running).
     fn supervised_run(&self, index: usize) -> QueryRecord {
-        let unit = self.plan.units()[index];
-        if self.retry.is_some() && self.quarantined.lock().contains(&unit.session) {
+        let session = self.corpus.session_id(self.plan.units()[index].session);
+        if self.retry.is_some() && self.quarantined.lock().contains(session) {
             return self.synth_error_record(
                 index,
-                format!(
-                    "session {} quarantined after repeated failures",
-                    self.corpus.session_id(unit.session)
-                ),
+                format!("session {session} quarantined after repeated failures"),
                 None,
             );
         }
@@ -1282,7 +1177,7 @@ impl ExecCtx {
                 continue;
             }
             if self.retry.is_some() {
-                self.quarantined.lock().insert(unit.session);
+                self.quarantined.lock().insert(session.to_string());
                 let mut record = record;
                 record.attempts = Some(attempt);
                 return record;
@@ -1292,9 +1187,9 @@ impl ExecCtx {
     }
 
     /// A typed error record for unit `index` that did not come out of
-    /// [`ExecCtx::run_unit`] (quarantine short-circuits and isolated
-    /// panics).
-    fn synth_error_record(
+    /// [`ExecCtx::run_unit`]: quarantine short-circuits, isolated panics,
+    /// and the units of a distributed shard that exhausted its attempts.
+    pub(crate) fn synth_error_record(
         &self,
         index: usize,
         error: String,
@@ -1577,10 +1472,8 @@ impl ExecCtx {
 }
 
 /// Builds the final `session: "*"` record of an aggregation query from
-/// its fold state. [`AggregateSummary::reduce`] sorts the values itself,
-/// so the fold is insensitive to the order contributions arrived in —
-/// the property the distributed merge ([`crate::dist`]) relies on.
-pub(crate) fn aggregate_record(query: &Query, fold: &AggregateFold) -> QueryRecord {
+/// its fold state.
+fn aggregate_record(query: &Query, fold: &AggregateFold) -> QueryRecord {
     let spec = query.aggregate.as_ref().expect("validated aggregate query");
     let mut record = QueryRecord {
         query_id: query.id.clone(),
@@ -1648,17 +1541,19 @@ pub fn materialize_scenario(corpus: &dyn Corpus, spec: &ScenarioSpec) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::SyntheticSpec;
+    use crate::corpus::{SessionCorpus, SyntheticSpec};
     use crate::query::QuerySet;
     use veritas::{CounterfactualEngine, VeritasConfig};
 
-    fn tiny_corpus() -> SessionCorpus {
-        SyntheticSpec {
-            sessions: 2,
-            video_duration_s: 120.0,
-            ..SyntheticSpec::default()
-        }
-        .build()
+    fn tiny_corpus() -> Arc<SessionCorpus> {
+        Arc::new(
+            SyntheticSpec {
+                sessions: 2,
+                video_duration_s: 120.0,
+                ..SyntheticSpec::default()
+            }
+            .build(),
+        )
     }
 
     fn config() -> VeritasConfig {
@@ -1668,16 +1563,16 @@ mod tests {
     #[test]
     fn scenario_materialization_validates_names() {
         let corpus = tiny_corpus();
-        assert!(materialize_scenario(&corpus, &ScenarioSpec::abr("bba")).is_ok());
+        assert!(materialize_scenario(&*corpus, &ScenarioSpec::abr("bba")).is_ok());
         assert!(
-            materialize_scenario(&corpus, &ScenarioSpec::abr("pensieve"))
+            materialize_scenario(&*corpus, &ScenarioSpec::abr("pensieve"))
                 .unwrap_err()
                 .contains("unknown ABR")
         );
-        assert!(materialize_scenario(&corpus, &ScenarioSpec::ladder("8k"))
+        assert!(materialize_scenario(&*corpus, &ScenarioSpec::ladder("8k"))
             .unwrap_err()
             .contains("unknown ladder"));
-        assert!(materialize_scenario(&corpus, &ScenarioSpec::buffer(-1.0)).is_err());
+        assert!(materialize_scenario(&*corpus, &ScenarioSpec::buffer(-1.0)).is_err());
     }
 
     #[test]
@@ -1689,7 +1584,7 @@ mod tests {
                 Query::counterfactual("cf", ScenarioSpec::abr("bba")).with_sessions(vec![1]),
             );
         let engine = Engine::new();
-        let report = engine.run(&corpus, &set).unwrap();
+        let report = engine.run(corpus.clone(), &set).unwrap();
         assert_eq!(report.summary.units, 3);
         assert_eq!(report.summary.ok, 3);
         assert_eq!(report.summary.errors, 0);
@@ -1725,7 +1620,7 @@ mod tests {
                 ScenarioSpec::abr("pensieve"),
             ))
             .with_query(Query::abduction("good"));
-        let report = Engine::new().run(&corpus, &set).unwrap();
+        let report = Engine::new().run(corpus.clone(), &set).unwrap();
         assert_eq!(report.summary.errors, 4);
         assert_eq!(report.summary.ok, 2);
         for record in report.records_for("bad") {
@@ -1739,11 +1634,11 @@ mod tests {
         let out_of_range =
             QuerySet::new("t", config()).with_query(Query::abduction("a").with_sessions(vec![9]));
         assert!(matches!(
-            Engine::new().run(&corpus, &out_of_range),
+            Engine::new().run(corpus.clone(), &out_of_range),
             Err(EngineError::Query(_))
         ));
         let empty = QuerySet::new("t", config());
-        assert!(Engine::new().run(&corpus, &empty).is_err());
+        assert!(Engine::new().run(corpus.clone(), &empty).is_err());
     }
 
     #[test]
@@ -1751,10 +1646,10 @@ mod tests {
         let corpus = tiny_corpus();
         let set = QuerySet::new("t", config())
             .with_query(Query::counterfactual("cf", ScenarioSpec::abr("bba")));
-        let report = Engine::new().run(&corpus, &set).unwrap();
+        let report = Engine::new().run(corpus.clone(), &set).unwrap();
         let core = CounterfactualEngine::new(config());
         for (record, session) in report.records.iter().zip(&corpus.sessions) {
-            let scenario = materialize_scenario(&corpus, &ScenarioSpec::abr("bba")).unwrap();
+            let scenario = materialize_scenario(&*corpus, &ScenarioSpec::abr("bba")).unwrap();
             let expected = core.veritas_predict(&session.log, &scenario);
             let output = record.output.as_ref().unwrap();
             let veritas = output.veritas.unwrap();
@@ -1794,7 +1689,7 @@ mod tests {
             .with_query(Query::interventional("iv-next").with_sessions(vec![0]))
             .with_query(Query::abduction("ab").with_sessions(vec![0]));
         let engine = Engine::new();
-        let report = engine.run(&corpus, &set).unwrap();
+        let report = engine.run(corpus.clone(), &set).unwrap();
         assert_eq!(report.summary.errors, 0);
         assert_eq!(
             report.summary.cache_misses, 1,
@@ -1803,7 +1698,7 @@ mod tests {
         assert_eq!(report.summary.cache_hits, 4);
         assert_eq!(engine.cache().entries(), 1);
         // Running the same set again is fully served from cache.
-        let again = engine.run(&corpus, &set).unwrap();
+        let again = engine.run(corpus.clone(), &set).unwrap();
         assert_eq!(again.summary.cache_misses, 0);
         assert_eq!(again.summary.cache_hits, 5);
     }
@@ -1814,8 +1709,8 @@ mod tests {
         let set = QuerySet::new("t", config())
             .with_query(Query::abduction("a"))
             .with_query(Query::counterfactual("b", ScenarioSpec::abr("bba")));
-        let engine = Engine::new().without_cache();
-        let report = engine.run(&corpus, &set).unwrap();
+        let engine = Engine::builder().no_cache().build().unwrap();
+        let report = engine.run(corpus.clone(), &set).unwrap();
         assert_eq!(report.summary.cache_hits, 0);
         assert_eq!(report.summary.cache_misses, 0);
         assert!(report
@@ -1823,7 +1718,7 @@ mod tests {
             .iter()
             .all(|r| r.cache.as_deref() == Some("off")));
         // Identical results either way.
-        let cached = Engine::new().run(&corpus, &set).unwrap();
+        let cached = Engine::new().run(corpus.clone(), &set).unwrap();
         for (a, b) in report.records.iter().zip(&cached.records) {
             assert_eq!(a.output, b.output);
         }
@@ -1839,7 +1734,7 @@ mod tests {
                     .with_sessions(vec![0])
                     .with_chunk_index(10),
             );
-        let report = Engine::new().run(&corpus, &set).unwrap();
+        let report = Engine::new().run(corpus.clone(), &set).unwrap();
         for line in report.to_jsonl().lines() {
             let back: QueryRecord = serde_json::from_str(line).unwrap();
             assert!(report.records.contains(&back));
@@ -1849,17 +1744,23 @@ mod tests {
     }
 
     #[test]
-    fn with_threads_zero_normalizes_to_default() {
+    fn threads_zero_normalizes_to_default() {
         let corpus = tiny_corpus();
         let set = QuerySet::new("t", config()).with_query(Query::abduction("a"));
-        let report = Engine::new().with_threads(0).run(&corpus, &set).unwrap();
+        let run = |threads| {
+            Engine::builder()
+                .threads(threads)
+                .build()
+                .unwrap()
+                .run(corpus.clone(), &set)
+                .unwrap()
+        };
         assert_eq!(
-            report.summary.threads,
+            run(0).summary.threads,
             executor::default_threads(),
-            "with_threads(0) must mean `pick the default`, not one thread"
+            "threads(0) must mean `pick the default`, not one thread"
         );
-        let explicit = Engine::new().with_threads(3).run(&corpus, &set).unwrap();
-        assert_eq!(explicit.summary.threads, 3);
+        assert_eq!(run(3).summary.threads, 3);
     }
 
     #[test]
@@ -1868,7 +1769,7 @@ mod tests {
         let set = QuerySet::new("t", config())
             .with_query(Query::abduction("a"))
             .with_query(Query::counterfactual("b", ScenarioSpec::abr("bba")));
-        let report = Engine::new().run(&corpus, &set).unwrap();
+        let report = Engine::new().run(corpus.clone(), &set).unwrap();
         assert_eq!(report.summary.per_query.len(), 2);
         for latency in &report.summary.per_query {
             assert_eq!(latency.units, corpus.len());
@@ -1884,7 +1785,10 @@ mod tests {
     fn submit_rejects_a_mismatched_corpus() {
         let corpus = tiny_corpus();
         let set = QuerySet::new("t", config()).with_query(Query::abduction("a"));
-        let plan = QueryPlan::compile(&set, &corpus).unwrap();
+        let plan = Arc::new(QueryPlan::compile(&set, &*corpus).unwrap());
+        let submit = |corpus: SessionCorpus| {
+            Engine::new().submit_shared(Arc::new(corpus), Arc::clone(&plan))
+        };
         // Wrong session count.
         let bigger = SyntheticSpec {
             sessions: 3,
@@ -1893,7 +1797,7 @@ mod tests {
         }
         .build();
         assert!(matches!(
-            Engine::new().submit(&bigger, &plan),
+            submit(bigger),
             Err(EngineError::CorpusMismatch(_))
         ));
         // Same session count, different content: the plan's scenarios and
@@ -1906,7 +1810,7 @@ mod tests {
             ..SyntheticSpec::default()
         }
         .build();
-        match Engine::new().submit(&impostor, &plan) {
+        match submit(impostor) {
             Err(EngineError::CorpusMismatch(message)) => {
                 assert!(message.contains("different corpus"))
             }
@@ -1916,17 +1820,44 @@ mod tests {
         // Identical logs but a different deployed setting: scenarios were
         // materialized from the original setting, so this too must be
         // rejected, not silently replayed.
-        let mut redeployed = corpus.clone();
+        let mut redeployed = (*corpus).clone();
         redeployed.deployed_abr = "bba".to_string();
         assert!(
-            Engine::new().submit(&redeployed, &plan).is_err(),
+            submit(redeployed).is_err(),
             "a changed deployed setting must invalidate the plan"
         );
-        let mut rebuffered = corpus.clone();
+        let mut rebuffered = (*corpus).clone();
         rebuffered.player = rebuffered.player.with_buffer_capacity(30.0);
-        assert!(Engine::new().submit(&rebuffered, &plan).is_err());
+        assert!(submit(rebuffered).is_err());
         // The corpus it was compiled against still works.
-        assert!(Engine::new().submit(&corpus, &plan).is_ok());
+        assert!(submit((*corpus).clone()).is_ok());
+    }
+
+    #[test]
+    fn a_shard_scope_runs_only_its_shard_and_leaves_folds_to_the_coordinator() {
+        use crate::plan::{AggregateMetric, AggregateSpec};
+        let corpus = tiny_corpus();
+        let set = QuerySet::new("t", config())
+            .with_query(Query::abduction("ab"))
+            .with_query(Query::aggregate(
+                "agg",
+                AggregateSpec::of(AggregateMetric::MeanCapacityMbps),
+            ));
+        let plan = Arc::new(QueryPlan::compile(&set, &*corpus).unwrap());
+        let engine = Engine::new();
+        let shard = |index| {
+            engine.submit_scoped(
+                corpus.clone(),
+                Arc::clone(&plan),
+                Scope::Shard { index, of: 2 },
+            )
+        };
+        let report = shard(1).unwrap().wait();
+        let sessions: Vec<&str> = report.records.iter().map(|r| r.session.as_str()).collect();
+        assert_eq!(sessions, vec!["session-1", "session-1"]);
+        assert_eq!(report.summary.shards, 2);
+        assert!(report.aggregate_for("agg").is_none());
+        assert!(matches!(shard(2), Err(EngineError::Config(_))));
     }
 
     #[test]
@@ -1946,7 +1877,12 @@ mod tests {
         // always close the report in query order, no matter which
         // aggregation's last unit finished first.
         for _ in 0..3 {
-            let report = Engine::new().with_threads(4).run(&corpus, &set).unwrap();
+            let report = Engine::builder()
+                .threads(4)
+                .build()
+                .unwrap()
+                .run(corpus.clone(), &set)
+                .unwrap();
             let tail: Vec<(&str, &str)> = report.records[report.records.len() - 2..]
                 .iter()
                 .map(|r| (r.query_id.as_str(), r.session.as_str()))
@@ -1976,45 +1912,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_the_legacy_combinators() {
-        let corpus = tiny_corpus();
-        let set = QuerySet::new("t", config()).with_query(Query::abduction("a"));
-        let built = Engine::builder()
-            .threads(3)
-            .shards(2)
-            .build()
-            .unwrap()
-            .run(&corpus, &set)
-            .unwrap();
-        let legacy = Engine::new()
-            .with_threads(3)
-            .with_shards(2)
-            .run(&corpus, &set)
-            .unwrap();
-        assert_eq!(built.summary.threads, 3);
-        assert_eq!(built.summary.shards, legacy.summary.shards);
-        for (a, b) in built.records.iter().zip(&legacy.records) {
-            assert_eq!(a.output, b.output);
-        }
-        // threads(0) means "pick the default", exactly like with_threads(0).
-        let zero = Engine::builder().threads(0).build().unwrap();
-        let report = zero.run(&corpus, &set).unwrap();
-        assert_eq!(report.summary.threads, executor::default_threads());
-        // no_cache() re-infers every unit, exactly like without_cache().
-        let uncached = Engine::builder().no_cache().build().unwrap();
-        let report = uncached.run(&corpus, &set).unwrap();
-        assert_eq!(report.summary.cache_hits, 0);
-        assert_eq!(report.summary.cache_misses, 0);
-    }
-
-    #[test]
     fn builder_rejects_inconsistent_cache_combinations() {
         assert!(matches!(
             Engine::builder().no_cache().cache_dir("/tmp/never").build(),
-            Err(EngineError::Config(_))
-        ));
-        assert!(matches!(
-            Engine::builder().no_cache().min_cache_hits(1).build(),
             Err(EngineError::Config(_))
         ));
     }
@@ -2047,28 +1947,5 @@ mod tests {
             let _ = unbounded.try_admit().unwrap();
         }
         assert_eq!(unbounded.active_plans(), 0);
-    }
-
-    #[test]
-    fn verify_summary_enforces_the_cache_floor() {
-        let corpus = tiny_corpus();
-        let set = QuerySet::new("t", config())
-            .with_query(Query::abduction("a"))
-            .with_query(Query::abduction("b"));
-        let engine = Engine::builder().min_cache_hits(2).build().unwrap();
-        let report = engine.run(&corpus, &set).unwrap();
-        // Two queries over two sessions: 2 misses + 2 hits — floor met.
-        engine.verify_summary(&report.summary).unwrap();
-        let strict = Engine::builder().min_cache_hits(1_000).build().unwrap();
-        let report = strict.run(&corpus, &set).unwrap();
-        match strict.verify_summary(&report.summary) {
-            Err(EngineError::CacheShortfall { expected, observed }) => {
-                assert_eq!(expected, 1_000);
-                assert_eq!(observed, report.summary.cache_hits);
-            }
-            other => panic!("expected CacheShortfall, got {other:?}"),
-        }
-        // Engines without a floor never object.
-        Engine::new().verify_summary(&report.summary).unwrap();
     }
 }

@@ -1,13 +1,13 @@
 //! `veritasd`: the engine as a long-lived service.
 //!
-//! One resident corpus and one warm [`AbductionCache`] (memory +
+//! One resident corpus and one warm [`crate::AbductionCache`] (memory +
 //! optional disk tier) serve every connection, so the corpus is loaded
 //! once and each posterior is inferred at most once across *all* clients
 //! — the amortization a per-query CLI invocation can never reach. The
-//! corpus may be an eager [`SessionCorpus`] (JSON directory or
+//! corpus may be an eager [`crate::SessionCorpus`] (JSON directory or
 //! synthetic) or a lazy [`crate::LazyCorpus`] over a `.vcorp` file
-//! ([`CorpusSource`]); with the latter, a daemon restart opens the file
-//! and reads its index — no JSON parsing, no float re-hashing — so
+//! (see [`EngineFlags`]); with the latter, a daemon restart opens the
+//! file and reads its index — no JSON parsing, no float re-hashing — so
 //! restart time is decoupled from corpus size. The service is plain
 //! `std::net` TCP speaking newline-delimited JSON; it rides the same
 //! `compile → submit → consume` pipeline as the library, so what a
@@ -24,8 +24,8 @@
 //!   from deterministic batch order to completion order (records are
 //!   flushed the moment their unit finishes). Optional `"shard":
 //!   {"index": I, "of": S}` restricts execution to one corpus shard of
-//!   an `S`-way partition ([`Engine::submit_shard_shared`]) — the worker
-//!   half of distributed execution (see [`crate::dist`]).
+//!   an `S`-way partition — the worker half of distributed execution
+//!   (see [`crate::dist`]).
 //! * `{"metrics": true}` — a point-in-time [`MetricsSnapshot`].
 //! * `{"shutdown": true}` — begin a graceful drain: the request is
 //!   acknowledged with `{"draining": true}`, in-flight plans finish,
@@ -53,12 +53,20 @@
 //!
 //! Every served (or refused) plan also emits one structured JSONL line
 //! to stderr: `{"ts_ms", "req_id", "peer", "records", "elapsed_us",
-//! "status"}` with `status` one of `"ok"`, `"shed"`, `"drained"`, or
-//! `"unauthorized"`.
+//! "status"}`, where `status` is one of:
+//!
+//! * `"ok"` — the plan ran and its summary is on the wire;
+//! * `"shed"` — refused by admission control;
+//! * `"drained"` — refused because the daemon is draining;
+//! * `"rejected"` — refused because the query set does not compile
+//!   against the corpus, a worker's column demand disagrees with its
+//!   coordinator's, or the submit failed;
+//! * `"unauthorized"` — a request without a valid auth token (logged
+//!   with `req_id: null`, since no plan id is assigned).
 //!
 //! # Admission control & connection hygiene
 //!
-//! Concurrent plans are bounded ([`EngineBuilder::admission`], default
+//! Concurrent plans are bounded ([`crate::EngineBuilder::admission`], default
 //! [`DEFAULT_ADMISSION_BOUND`]): a request past the bound is shed
 //! immediately with an `"overloaded"` error (HTTP 429 in spirit) instead
 //! of queueing unboundedly. Within an admitted plan, the engine's
@@ -85,12 +93,14 @@
 //! per-shard `shard` requests, and the record streams are merged back
 //! deterministically. Clients observe no protocol difference. A shared
 //! `--cache-dir` makes the workers' disk tier common, so a posterior any
-//! worker infers is a disk hit for all of them.
+//! worker infers is a disk hit for all of them. A failed shard is
+//! re-dispatched under the default [`crate::RetryPolicy`] (3 attempts);
+//! worker connections carry no deadline, so a hung worker stalls its
+//! shard.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -99,16 +109,17 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheStats;
-use crate::corpus::{Corpus, SessionCorpus, SyntheticSpec};
-use crate::dist::{Coordinator, DistConfig, DistHandle};
+use crate::corpus::Corpus;
+use crate::dist::Coordinator;
 use crate::error::EngineError;
 use crate::fault::{FaultPlan, FaultSite};
+use crate::flags::{self, EngineFlags};
 use crate::plan::{percentile_u64, QueryPlan};
 use crate::query::{object_fields, opt, reject_unknown, req, QuerySet};
 use crate::runner::{
-    Engine, EngineReport, QueryLatency, QueryRecord, RunHandle, RunSummary, AGGREGATE_SESSION,
+    Engine, QueryLatency, QueryRecord, RetryPolicy, RunHandle, RunSummary, Scope, AGGREGATE_SESSION,
 };
-use crate::store::{ColumnSet, LazyCorpus};
+use crate::store::ColumnSet;
 
 /// Concurrent plans admitted by default; past it requests are shed with
 /// a typed `"overloaded"` response.
@@ -122,91 +133,71 @@ pub const DEFAULT_IO_TIMEOUT_S: u64 = 30;
 /// bounded sliding window so a long-lived daemon's memory stays flat.
 const LATENCY_WINDOW: usize = 4096;
 
-/// Where the daemon's resident corpus comes from.
-#[derive(Debug, Clone)]
-pub enum CorpusSource {
-    /// A directory of per-session JSON logs ([`SessionCorpus::from_dir`]).
-    Dir(PathBuf),
-    /// A columnar binary `.vcorp` corpus, served lazily
-    /// ([`LazyCorpus::open`]): the daemon keeps only the session index
-    /// resident and decodes logs on demand per work unit.
-    Vcorp(PathBuf),
-    /// A synthetic corpus ([`SyntheticSpec`]), for demos and smoke tests.
-    Synthetic {
-        /// Number of sessions to synthesize.
-        sessions: usize,
-        /// Generator seed.
-        seed: u64,
-    },
-}
+/// `veritasd --help` (and `veritas serve --help` / `veritas worker
+/// --help`, which run the same daemon).
+const USAGE: &str = "veritasd - serve Veritas causal queries from a resident engine
 
-impl CorpusSource {
-    /// Loads (or synthesizes, or lazily opens) the corpus.
-    pub fn load(&self) -> Result<Arc<dyn Corpus>, EngineError> {
-        self.load_with_fault(None)
-    }
+USAGE:
+    veritasd [--addr HOST:PORT] [--corpus DIR|FILE.vcorp | --synthetic N]
+             [--seed S] [--threads N] [--cache-dir DIR]
+             [--admission N] [--io-timeout SECS] [--max-connections N]
+             [--auth-token SECRET] [--fault-spec SPEC]
+             [--workers N [--shards N]] [--worker-cmd CMD]
 
-    /// [`CorpusSource::load`], with an optional fault plan attached to
-    /// the corpus-side injection points (currently: `.vcorp` block
-    /// decodes, see [`LazyCorpus::with_fault_plan`]).
-    pub fn load_with_fault(
-        &self,
-        fault: Option<Arc<FaultPlan>>,
-    ) -> Result<Arc<dyn Corpus>, EngineError> {
-        match self {
-            CorpusSource::Dir(dir) => Ok(Arc::new(SessionCorpus::from_dir(dir)?)),
-            CorpusSource::Vcorp(path) => {
-                let corpus = LazyCorpus::open(path)?;
-                Ok(Arc::new(match fault {
-                    Some(plan) => corpus.with_fault_plan(plan),
-                    None => corpus,
-                }))
-            }
-            CorpusSource::Synthetic { sessions, seed } => Ok(Arc::new(
-                SyntheticSpec {
-                    sessions: *sessions,
-                    seed: *seed,
-                    ..SyntheticSpec::default()
-                }
-                .try_build()?,
-            )),
-        }
-    }
+OPTIONS:
+    --addr HOST:PORT     Listen address (default 127.0.0.1:4617; port 0 = ephemeral)
+    --corpus PATH        Serve a directory of per-session JSON logs, or a
+                         columnar binary `.vcorp` corpus (lazy-loaded; see
+                         `veritas ingest`)
+    --synthetic N        Serve an N-session synthetic corpus (default: 4 sessions)
+    --seed S             Synthetic corpus seed (default 7)
+    --threads N          Worker threads per plan (default: available cores
+                         minus one, at least 1)
+    --cache-dir DIR      Persistent abduction store (warm restarts)
+    --admission N        Max concurrent plans before shedding (default 4)
+    --io-timeout SECS    Per-connection read/write deadline (default 30; 0 = none)
+    --max-connections N  Max open connections before shedding accepts with a
+                         typed \"overloaded\" error (default 0 = unbounded)
+    --auth-token SECRET  Require every request line to carry {\"auth\": SECRET};
+                         a mismatch is answered with a typed \"unauthorized\"
+                         envelope and the connection is closed
+    --fault-spec SPEC    Seeded deterministic fault injection for chaos tests,
+                         e.g. seed=42,compute=0.1,socket=0.05 (sites: disk_read,
+                         disk_write, decode, compute, panic, socket)
+    --workers N          Distributed front end: spawn N local worker daemons
+                         and farm each plan's corpus shards to them (deterministic
+                         merge; a failed shard is re-dispatched, up to 3
+                         attempts). The workers inherit this daemon's corpus
+                         source, cache dir, thread count, and fault spec
+    --shards N           With --workers: corpus shards per plan (default: one
+                         per worker)
+    --worker-cmd CMD     Launch workers with CMD (whitespace-split) instead of
+                         re-invoking this executable
 
-    /// The command-line flags that reproduce this source in a spawned
-    /// worker process (`--corpus PATH` or `--synthetic N --seed S`) —
-    /// how a distributed front end hands its corpus to its workers.
-    pub fn to_args(&self) -> Vec<String> {
-        match self {
-            CorpusSource::Dir(path) | CorpusSource::Vcorp(path) => {
-                vec!["--corpus".to_string(), path.display().to_string()]
-            }
-            CorpusSource::Synthetic { sessions, seed } => vec![
-                "--synthetic".to_string(),
-                sessions.to_string(),
-                "--seed".to_string(),
-                seed.to_string(),
-            ],
-        }
-    }
-}
+PROTOCOL (one JSON object per line, responses are JSON lines too):
+    {\"query\": <QuerySet>, \"stream\": bool?}  -> QueryRecord lines, then
+                                                {\"summary\": ..., \"req_id\": N}
+    {\"metrics\": true}                        -> {\"metrics\": ...}
+    {\"shutdown\": true}                       -> {\"draining\": true}; in-flight
+                                                plans finish, new queries get a
+                                                typed \"draining\" error, then the
+                                                process exits cleanly
+    any failure                              -> {\"error\": {\"kind\": ..., \"detail\": ...}}
+    with --auth-token, every request object must also carry {\"auth\": SECRET}";
 
 /// Everything needed to bind a [`Service`]: the listen address, the
-/// corpus source, and the engine knobs (all forwarded to
-/// [`Engine::builder`]).
+/// shared engine flags (corpus source, threads, cache directory, fault
+/// spec, worker pool), and the daemon's own knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Listen address, e.g. `127.0.0.1:4617`. Port `0` binds an
     /// ephemeral port — read it back via [`Service::local_addr`].
     pub addr: String,
-    /// The resident corpus.
-    pub corpus: CorpusSource,
-    /// Worker threads per plan (`None`: engine default).
-    pub threads: Option<usize>,
-    /// Corpus shards per plan (`None`: engine default).
-    pub shards: Option<usize>,
-    /// Persistent abduction store directory, for warm restarts.
-    pub cache_dir: Option<PathBuf>,
+    /// The resident corpus and the engine serving it. A `fault_spec`
+    /// is attached to the engine, the corpus, and the service's own
+    /// socket I/O; `workers > 0` serves every full query through a
+    /// worker pool (see the module docs).
+    pub engine: EngineFlags,
     /// Concurrent-plan admission bound.
     pub admission: usize,
     /// Per-connection read/write deadline in seconds (`0` disables).
@@ -218,122 +209,49 @@ pub struct ServiceConfig {
     /// `auth` field or it is refused with a typed `"unauthorized"`
     /// envelope and the connection is closed.
     pub auth_token: Option<String>,
-    /// Fault-injection spec (see [`FaultPlan::parse`]); when set, the
-    /// parsed plan is attached to the engine, the corpus, and the
-    /// service's own socket I/O for chaos testing.
-    pub fault_spec: Option<String>,
-    /// Worker processes to spawn for distributed execution (`0`: serve
-    /// every plan in-process). See the module docs.
-    pub workers: usize,
-    /// Override for the worker launch command (whitespace-split; the
-    /// corpus and service flags are appended). Defaults to re-launching
-    /// this very executable.
-    pub worker_cmd: Option<String>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:4617".to_string(),
-            corpus: CorpusSource::Synthetic {
-                sessions: 4,
-                seed: 7,
-            },
-            threads: None,
-            shards: None,
-            cache_dir: None,
+            engine: EngineFlags::default(),
             admission: DEFAULT_ADMISSION_BOUND,
             io_timeout_s: DEFAULT_IO_TIMEOUT_S,
             max_connections: 0,
             auth_token: None,
-            fault_spec: None,
-            workers: 0,
-            worker_cmd: None,
         }
     }
 }
 
 impl ServiceConfig {
     /// Parses the daemon's command-line flags (shared by the `veritasd`
-    /// binary and the `veritas serve` subcommand):
-    ///
-    /// ```text
-    /// [--addr HOST:PORT] [--corpus DIR|FILE.vcorp | --synthetic N] [--seed S]
-    /// [--threads N] [--shards N] [--cache-dir DIR] [--admission N]
-    /// [--io-timeout SECS] [--max-connections N] [--auth-token SECRET]
-    /// [--fault-spec SPEC] [--workers N] [--worker-cmd CMD]
-    /// ```
-    ///
-    /// A `--corpus` path ending in `.vcorp` is served lazily from the
-    /// binary store ([`CorpusSource::Vcorp`]); anything else is a JSON
-    /// session directory.
+    /// binary and the `veritas serve` / `veritas worker` subcommands):
+    /// the [`EngineFlags`] plus `--addr`, `--admission`, `--io-timeout`,
+    /// `--max-connections` and `--auth-token`.
     pub fn parse(args: &[String]) -> Result<Self, EngineError> {
         let mut config = Self::default();
-        let mut corpus_path: Option<PathBuf> = None;
-        let mut synthetic: Option<usize> = None;
-        let mut seed: u64 = 7;
-        let mut iter = args.iter();
-        let usage = |flag: &str| EngineError::Config(format!("{flag} requires a value"));
-        while let Some(arg) = iter.next() {
-            let mut value_for = |flag: &str| iter.next().cloned().ok_or_else(|| usage(flag));
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if config.engine.accept(arg, &mut rest)? {
+                continue;
+            }
             match arg.as_str() {
-                "--addr" => config.addr = value_for("--addr")?,
-                "--corpus" => corpus_path = Some(PathBuf::from(value_for("--corpus")?)),
-                "--synthetic" => {
-                    synthetic = Some(parse_num(&value_for("--synthetic")?, "--synthetic")?)
-                }
-                "--seed" => seed = parse_num(&value_for("--seed")?, "--seed")?,
-                "--threads" => {
-                    config.threads = Some(parse_num(&value_for("--threads")?, "--threads")?)
-                }
-                "--shards" => config.shards = Some(parse_num(&value_for("--shards")?, "--shards")?),
-                "--cache-dir" => config.cache_dir = Some(PathBuf::from(value_for("--cache-dir")?)),
-                "--admission" => {
-                    config.admission = parse_num(&value_for("--admission")?, "--admission")?
-                }
-                "--io-timeout" => {
-                    config.io_timeout_s = parse_num(&value_for("--io-timeout")?, "--io-timeout")?
-                }
-                "--max-connections" => {
-                    config.max_connections =
-                        parse_num(&value_for("--max-connections")?, "--max-connections")?
-                }
-                "--auth-token" => config.auth_token = Some(value_for("--auth-token")?),
-                "--fault-spec" => config.fault_spec = Some(value_for("--fault-spec")?),
-                "--workers" => config.workers = parse_num(&value_for("--workers")?, "--workers")?,
-                "--worker-cmd" => config.worker_cmd = Some(value_for("--worker-cmd")?),
+                "--addr" => config.addr = flags::value(arg, &mut rest)?,
+                "--admission" => config.admission = flags::number(arg, &mut rest)?,
+                "--io-timeout" => config.io_timeout_s = flags::number(arg, &mut rest)?,
+                "--max-connections" => config.max_connections = flags::number(arg, &mut rest)?,
+                "--auth-token" => config.auth_token = Some(flags::value(arg, &mut rest)?),
                 other => {
                     return Err(EngineError::Config(format!(
-                        "unknown flag `{other}` (accepted: --addr, --corpus, --synthetic, \
-                         --seed, --threads, --shards, --cache-dir, --admission, --io-timeout, \
-                         --max-connections, --auth-token, --fault-spec, --workers, \
-                         --worker-cmd)"
+                        "unknown flag `{other}` (see veritasd --help)"
                     )))
                 }
             }
         }
-        config.corpus = match (corpus_path, synthetic) {
-            (Some(_), Some(_)) => {
-                return Err(EngineError::Config(
-                    "--corpus and --synthetic are mutually exclusive".to_string(),
-                ))
-            }
-            (Some(path), None) if path.extension().is_some_and(|ext| ext == "vcorp") => {
-                CorpusSource::Vcorp(path)
-            }
-            (Some(dir), None) => CorpusSource::Dir(dir),
-            (None, sessions) => CorpusSource::Synthetic {
-                sessions: sessions.unwrap_or(4),
-                seed,
-            },
-        };
+        config.engine.validate()?;
         Ok(config)
     }
-}
-
-fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, EngineError> {
-    text.parse()
-        .map_err(|_| EngineError::Config(format!("invalid numeric value `{text}` for {flag}")))
 }
 
 /// One parsed request line. Exactly one of `query` / `metrics` /
@@ -705,11 +623,6 @@ impl ServiceState {
     /// Runs one admitted query set: stream the records, then the summary
     /// envelope. The admission permit is held until the summary is on the
     /// wire, so `plans_active` covers the full client-visible lifetime.
-    ///
-    /// A `shard` selector runs the restricted in-process path (this
-    /// daemon is someone's worker); a full request on a daemon fronting a
-    /// worker pool is served through the [`Coordinator`] instead of the
-    /// local engine.
     fn serve_query(
         &self,
         set: QuerySet,
@@ -741,51 +654,17 @@ impl ServiceState {
             self.log_plan(Some(req_id), peer, 0, 0, "drained");
             return self.refuse(writer, &EngineError::Draining);
         }
-        let plan = match QueryPlan::compile(&set, self.corpus.as_ref()) {
-            Ok(plan) => Arc::new(plan),
-            Err(error) => return self.refuse(writer, &error),
-        };
-        // A coordinator advertises the column demand it derived; this
-        // worker just derived its own from the identical query set. Any
-        // difference means the two ends would prune different columns —
-        // refuse loudly rather than decode divergently.
-        if let Some(bits) = columns {
-            let derived = plan.column_demand_union();
-            if ColumnSet::from_bits(bits) != Some(derived) {
-                self.log_plan(Some(req_id), peer, 0, 0, "column-mismatch");
-                return self.refuse(
-                    writer,
-                    &EngineError::Protocol(format!(
-                        "column-demand mismatch: request advertised bitmask {bits:#x}, this \
-                         worker derives {:#x} from the same query set (coordinator/worker \
-                         version skew?)",
-                        derived.bits()
-                    )),
-                );
-            }
-        }
-        let submitted = match (&shard, &self.dist) {
-            (Some(sel), _) => self
-                .engine
-                .submit_shard_shared(Arc::clone(&self.corpus), plan, sel.index, sel.of)
-                .map(AnyHandle::Local),
-            (None, Some(coordinator)) => coordinator
-                .submit(Arc::clone(&self.corpus), plan)
-                .map(AnyHandle::Dist),
-            (None, None) => self
-                .engine
-                .submit_shared(Arc::clone(&self.corpus), plan)
-                .map(AnyHandle::Local),
-        };
-        let handle = match submitted {
+        let mut handle = match self.start_plan(&set, shard, columns) {
             Ok(handle) => handle,
-            Err(error) => return self.refuse(writer, &error),
+            Err(error) => {
+                self.log_plan(Some(req_id), peer, 0, 0, "rejected");
+                return self.refuse(writer, &error);
+            }
         };
         let mut records: u64 = 0;
         let summary = if streaming {
             // Completion order, one flush per record: the client sees
             // each unit the moment it finishes.
-            let mut handle = handle;
             for record in &mut handle {
                 self.observe(&record);
                 records += 1;
@@ -830,39 +709,41 @@ impl ServiceState {
         drop(permit);
         Ok(())
     }
-}
 
-/// Either execution backend behind one `serve_query` flow: the local
-/// engine's [`RunHandle`] or the worker pool's [`DistHandle`]. Both
-/// stream records in completion order and close with a [`RunSummary`].
-enum AnyHandle {
-    Local(RunHandle),
-    Dist(DistHandle),
-}
-
-impl Iterator for AnyHandle {
-    type Item = QueryRecord;
-
-    fn next(&mut self) -> Option<QueryRecord> {
-        match self {
-            AnyHandle::Local(handle) => handle.next(),
-            AnyHandle::Dist(handle) => handle.next(),
+    /// Compiles `set` and submits it. A `shard` selector runs the
+    /// shard-restricted in-process path (this daemon is someone's
+    /// worker); a full request on a daemon fronting a worker pool is
+    /// served through the [`Coordinator`] instead of the local engine.
+    fn start_plan(
+        &self,
+        set: &QuerySet,
+        shard: Option<ShardSel>,
+        columns: Option<u32>,
+    ) -> Result<RunHandle, EngineError> {
+        let plan = Arc::new(QueryPlan::compile(set, self.corpus.as_ref())?);
+        // A coordinator advertises the column demand it derived; this
+        // worker just derived its own from the identical query set. Any
+        // difference means the two ends would prune different columns —
+        // refuse loudly rather than decode divergently.
+        if let Some(bits) = columns {
+            let derived = plan.column_demand_union();
+            if ColumnSet::from_bits(bits) != Some(derived) {
+                return Err(EngineError::Protocol(format!(
+                    "column-demand mismatch: request advertised bitmask {bits:#x}, this \
+                     worker derives {:#x} from the same query set (coordinator/worker \
+                     version skew?)",
+                    derived.bits()
+                )));
+            }
         }
-    }
-}
-
-impl AnyHandle {
-    fn wait(self) -> EngineReport {
-        match self {
-            AnyHandle::Local(handle) => handle.wait(),
-            AnyHandle::Dist(handle) => handle.wait(),
-        }
-    }
-
-    fn into_summary(self) -> RunSummary {
-        match self {
-            AnyHandle::Local(handle) => handle.into_summary(),
-            AnyHandle::Dist(handle) => handle.into_summary(),
+        let corpus = Arc::clone(&self.corpus);
+        match (shard, &self.dist) {
+            (Some(ShardSel { index, of }), _) => {
+                self.engine
+                    .submit_scoped(corpus, plan, Scope::Shard { index, of })
+            }
+            (None, Some(coordinator)) => coordinator.submit(corpus, plan),
+            (None, None) => self.engine.submit_shared(corpus, plan),
         }
     }
 }
@@ -884,64 +765,20 @@ impl Service {
     /// daemon owns: the engine (compute + disk tier), the corpus (block
     /// decodes), and the connection handlers (socket I/O).
     pub fn bind(config: ServiceConfig) -> Result<Self, EngineError> {
-        let fault = config
-            .fault_spec
-            .as_deref()
-            .map(|spec| {
-                FaultPlan::parse(spec)
-                    .map(Arc::new)
-                    .map_err(|e| EngineError::Config(format!("invalid --fault-spec: {e}")))
-            })
-            .transpose()?;
-        let corpus = config.corpus.load_with_fault(fault.clone())?;
+        let fault = config.engine.fault_plan()?;
+        let corpus = config.engine.load_corpus(fault.as_ref(), false)?;
         if corpus.is_empty() {
             return Err(EngineError::EmptyCorpus);
         }
-        let dist = if config.workers > 0 {
-            // The workers re-open the same corpus source and (when set)
-            // share the front end's disk cache tier and fault spec. Each
-            // is a full daemon on an ephemeral port; the coordinator owns
-            // their lifetimes.
-            let mut forward = config.corpus.to_args();
-            if let Some(dir) = &config.cache_dir {
-                forward.push("--cache-dir".to_string());
-                forward.push(dir.display().to_string());
-            }
-            if let Some(threads) = config.threads {
-                forward.push("--threads".to_string());
-                forward.push(threads.to_string());
-            }
-            if let Some(spec) = &config.fault_spec {
-                forward.push("--fault-spec".to_string());
-                forward.push(spec.clone());
-            }
-            let command = crate::dist::worker_command(config.worker_cmd.as_deref())?;
-            Some(Coordinator::spawn(
-                config.workers,
-                &command,
-                &forward,
-                DistConfig {
-                    shards: config.shards.unwrap_or(0),
-                    ..DistConfig::default()
-                },
-            )?)
-        } else {
-            None
-        };
-        let mut builder = Engine::builder().admission(config.admission);
-        if let Some(threads) = config.threads {
-            builder = builder.threads(threads);
-        }
-        if let Some(shards) = config.shards {
-            builder = builder.shards(shards);
-        }
-        if let Some(dir) = config.cache_dir {
-            builder = builder.cache_dir(dir);
-        }
-        if let Some(plan) = &fault {
-            builder = builder.fault_plan(Arc::clone(plan));
-        }
-        let engine = builder.build()?;
+        // Workers re-open the same corpus source and share this daemon's
+        // disk cache tier and fault spec; the coordinator owns their
+        // lifetimes.
+        let dist = config.engine.coordinator(RetryPolicy::default())?;
+        let engine = config
+            .engine
+            .engine_builder(fault.as_ref())
+            .admission(config.admission)
+            .build()?;
         let listener = TcpListener::bind(&config.addr)?;
         let self_addr = listener.local_addr()?;
         Ok(Self {
@@ -1124,13 +961,18 @@ impl ServiceHandle {
     }
 }
 
-/// The shared `main` of the `veritasd` binary and `veritas serve`:
-/// parse flags, bind, announce the address on stdout, and serve forever.
+/// The shared `main` of the `veritasd` binary and `veritas serve` /
+/// `veritas worker`: print the usage for `--help`, or parse flags, bind,
+/// announce the address on stdout, and serve forever.
 ///
 /// The announcement line (`veritasd: listening on <addr>`) is the
 /// machine-readable readiness signal — tests and scripts bind `:0` and
 /// parse the real port from it.
 pub fn run_cli(args: &[String]) -> Result<(), EngineError> {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return Ok(());
+    }
     let config = ServiceConfig::parse(args)?;
     let admission = config.admission;
     let service = Service::bind(config)?;
@@ -1184,40 +1026,50 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(config.addr, "127.0.0.1:0");
-        assert!(matches!(
-            config.corpus,
-            CorpusSource::Synthetic {
-                sessions: 3,
-                seed: 11
-            }
-        ));
-        assert_eq!(config.threads, Some(2));
-        assert_eq!(config.shards, Some(2));
         assert_eq!(
-            config.cache_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/vcache"))
+            config.engine,
+            EngineFlags {
+                corpus: None,
+                synthetic: Some(3),
+                seed: Some(11),
+                threads: Some(2),
+                shards: Some(2),
+                cache_dir: Some("/tmp/vcache".into()),
+                fault_spec: Some("seed=7,compute=0.1".to_string()),
+                workers: 3,
+                worker_cmd: Some("./veritasd".to_string()),
+            }
         );
         assert_eq!(config.admission, 8);
         assert_eq!(config.io_timeout_s, 5);
         assert_eq!(config.max_connections, 64);
         assert_eq!(config.auth_token.as_deref(), Some("hunter2"));
-        assert_eq!(config.fault_spec.as_deref(), Some("seed=7,compute=0.1"));
-        assert_eq!(config.workers, 3);
-        assert_eq!(config.worker_cmd.as_deref(), Some("./veritasd"));
     }
 
     #[test]
     fn corpus_paths_dispatch_on_the_vcorp_extension() {
-        let binary = ServiceConfig::parse(&args(&["--corpus", "traces/corpus.vcorp"])).unwrap();
-        assert!(matches!(binary.corpus, CorpusSource::Vcorp(_)));
-        let json = ServiceConfig::parse(&args(&["--corpus", "traces/sessions"])).unwrap();
-        assert!(matches!(json.corpus, CorpusSource::Dir(_)));
+        // Only the `.vcorp` reader can memory-map, so a directory path is
+        // refused before any I/O while a `.vcorp` path reaches the reader.
+        let flags = |path: &str| {
+            ServiceConfig::parse(&args(&["--corpus", path]))
+                .unwrap()
+                .engine
+        };
+        assert!(matches!(
+            flags("missing/corpus.vcorp").load_corpus(None, true),
+            Err(EngineError::Io(_))
+        ));
+        assert!(matches!(
+            flags("missing/sessions").load_corpus(None, true),
+            Err(EngineError::Config(_))
+        ));
     }
 
     #[test]
     fn config_rejects_bad_flag_combinations() {
         for bad in [
             &["--corpus", "dir", "--synthetic", "2"][..],
+            &["--shards", "2"][..],
             &["--bogus"][..],
             &["--threads"][..],
             &["--admission", "many"][..],
@@ -1285,7 +1137,10 @@ mod tests {
     fn a_malformed_fault_spec_is_a_config_error_at_bind() {
         let config = ServiceConfig {
             addr: "127.0.0.1:0".to_string(),
-            fault_spec: Some("seed=nope".to_string()),
+            engine: EngineFlags {
+                fault_spec: Some("seed=nope".to_string()),
+                ..EngineFlags::default()
+            },
             ..ServiceConfig::default()
         };
         let error = match Service::bind(config) {

@@ -72,7 +72,7 @@ fn seeded_faults_with_retries_reproduce_the_fault_free_run() {
         .threads(1)
         .build()
         .unwrap()
-        .run(&corpus, &set)
+        .run(Arc::new(corpus.clone()), &set)
         .unwrap()
         .records
         .into_iter()
@@ -88,7 +88,7 @@ fn seeded_faults_with_retries_reproduce_the_fault_free_run() {
             .retry_policy(fast_retry(10))
             .build()
             .unwrap();
-        let report = engine.run(&corpus, &set).unwrap();
+        let report = engine.run(Arc::new(corpus.clone()), &set).unwrap();
 
         assert!(
             plan.total_injected() > 0,
@@ -128,7 +128,7 @@ fn injected_faults_without_retries_surface_as_typed_records() {
             .build()
             .unwrap();
         // The run itself must succeed: faults are per-unit, never fatal.
-        let report = engine.run(&corpus, &set).unwrap();
+        let report = engine.run(Arc::new(corpus.clone()), &set).unwrap();
 
         assert!(plan.total_injected() > 0, "{spec}: the plan never fired");
         assert!(
@@ -171,7 +171,7 @@ fn exhausted_retries_quarantine_the_session() {
         .retry_policy(fast_retry(2))
         .build()
         .unwrap();
-    let report = engine.run(&corpus, &set).unwrap();
+    let report = engine.run(Arc::new(corpus.clone()), &set).unwrap();
 
     let mut expected: Vec<String> = corpus.sessions.iter().map(|s| s.id.clone()).collect();
     expected.sort();
@@ -293,7 +293,7 @@ fn disk_tier_faults_degrade_to_misses_without_errors() {
         .build()
         .unwrap();
     let baseline: Vec<QueryRecord> = warm
-        .run(&corpus, &set)
+        .run(Arc::new(corpus.clone()), &set)
         .unwrap()
         .records
         .into_iter()
@@ -310,7 +310,7 @@ fn disk_tier_faults_degrade_to_misses_without_errors() {
         .fault_plan(Arc::clone(&plan))
         .build()
         .unwrap();
-    let report = engine.run(&corpus, &set).unwrap();
+    let report = engine.run(Arc::new(corpus.clone()), &set).unwrap();
 
     assert!(plan.total_injected() > 0, "the disk sites never fired");
     assert_eq!(report.summary.errors, 0, "disk faults must stay invisible");

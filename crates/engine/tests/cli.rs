@@ -1,5 +1,6 @@
 //! CLI-level tests of the `veritas` binary: exit-status behavior on
-//! per-unit errors (`--allow-errors`), and the sharded streaming path.
+//! per-unit errors (`--allow-errors`), the streaming path, and flag
+//! usage errors.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -87,7 +88,7 @@ fn run_rejects_invalid_query_files_with_nonzero_exit() {
 }
 
 #[test]
-fn streamed_sharded_run_writes_valid_jsonl() {
+fn streamed_run_writes_valid_jsonl() {
     let dir = temp_dir("stream");
     std::fs::write(
         dir.join("queries.json"),
@@ -101,8 +102,6 @@ fn streamed_sharded_run_writes_valid_jsonl() {
             "--synthetic",
             "2",
             "--stream",
-            "--shards",
-            "2",
             "--out",
             "stream.jsonl",
             "--summary",
@@ -123,7 +122,72 @@ fn streamed_sharded_run_writes_valid_jsonl() {
     assert_eq!(records.len(), 2);
     assert!(records.iter().all(|r| r.is_ok()));
     let summary = std::fs::read_to_string(dir.join("summary.json")).unwrap();
-    assert!(summary.contains("\"shards\": 2"), "summary was: {summary}");
+    assert!(summary.contains("\"shards\": 1"), "summary was: {summary}");
+}
+
+#[test]
+fn flags_a_run_cannot_honor_are_usage_errors() {
+    let dir = temp_dir("usage");
+    std::fs::write(
+        dir.join("queries.json"),
+        r#"{"queries": [{"id": "posterior", "kind": "abduction"}]}"#,
+    )
+    .unwrap();
+    for (flags, complaint) in [
+        (&["--shards", "2"][..], "--workers"),
+        (&["--no-cache", "--min-cache-hits", "1"][..], "--no-cache"),
+        (&["--no-cache", "--workers", "2"][..], "--no-cache"),
+    ] {
+        let mut args = vec!["run", "queries.json", "--synthetic", "2"];
+        args.extend_from_slice(flags);
+        let output = veritas(&args, &dir);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains(complaint), "{flags:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_cache_hit_shortfall_fails_the_run() {
+    let dir = temp_dir("cache_floor");
+    std::fs::write(
+        dir.join("queries.json"),
+        r#"{"queries": [{"id": "posterior", "kind": "abduction"}]}"#,
+    )
+    .unwrap();
+    // One query per session: every unit infers, so no hit can be served.
+    let output = veritas(
+        &[
+            "run",
+            "queries.json",
+            "--synthetic",
+            "2",
+            "--min-cache-hits",
+            "1",
+            "--out",
+            "report.jsonl",
+        ],
+        &dir,
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("cache"), "stderr: {stderr}");
+}
+
+#[test]
+fn the_daemon_subcommands_print_the_daemon_usage() {
+    let dir = temp_dir("daemon_help");
+    let daemon = Command::new(env!("CARGO_BIN_EXE_veritasd"))
+        .arg("--help")
+        .output()
+        .expect("the veritasd binary must run");
+    assert!(daemon.status.success());
+    assert!(String::from_utf8_lossy(&daemon.stdout).contains("--worker-cmd"));
+    for subcommand in ["serve", "worker"] {
+        let output = veritas(&[subcommand, "--help"], &dir);
+        assert_eq!(output.status.code(), Some(0), "veritas {subcommand} --help");
+        assert_eq!(output.stdout, daemon.stdout, "veritas {subcommand} --help");
+    }
 }
 
 #[test]

@@ -71,7 +71,9 @@ fn normalized(records: &[QueryRecord]) -> Vec<String> {
 
 fn baseline() -> (Vec<String>, RunSummary) {
     let engine = Engine::builder().build().expect("build engine");
-    let report = engine.run(&corpus(), &dist_set()).expect("baseline run");
+    let report = engine
+        .run(Arc::new(corpus()), &dist_set())
+        .expect("baseline run");
     (normalized(&report.records), report.summary)
 }
 

@@ -70,16 +70,16 @@ fn warm_run_is_record_identical_with_zero_inferences() {
     let corpus = corpus();
     let set = query_set(&corpus);
 
-    let cold = Engine::new().with_cache_dir(&dir).unwrap();
-    let cold_report = cold.run(&corpus, &set).unwrap();
+    let cold = Engine::builder().cache_dir(&dir).build().unwrap();
+    let cold_report = cold.run(Arc::new(corpus.clone()), &set).unwrap();
     assert_eq!(cold_report.summary.errors, 0);
     assert_eq!(cold_report.summary.disk_hits, 0, "nothing to restore yet");
     assert!(cold_report.summary.cache_misses > 0);
 
     // A fresh engine — fresh in-memory cache, same store directory — is a
     // different process in every way that matters.
-    let warm = Engine::new().with_cache_dir(&dir).unwrap();
-    let warm_report = warm.run(&corpus, &set).unwrap();
+    let warm = Engine::builder().cache_dir(&dir).build().unwrap();
+    let warm_report = warm.run(Arc::new(corpus.clone()), &set).unwrap();
     assert_eq!(warm_report.summary.errors, 0);
     assert_eq!(
         warm_report.summary.cache_misses, 0,
@@ -105,42 +105,15 @@ fn warm_run_is_record_identical_with_zero_inferences() {
 }
 
 #[test]
-fn with_cache_dir_re_enables_a_disabled_cache() {
-    // Regression: `without_cache().with_cache_dir(..)` used to return Ok
-    // with a disk store that was never read or written.
-    let dir = temp_dir("re_enable");
-    let corpus = corpus();
-    let set = query_set(&corpus);
-    let cold = Engine::new()
-        .without_cache()
-        .with_cache_dir(&dir)
-        .unwrap()
-        .run(&corpus, &set)
-        .unwrap()
-        .summary;
-    assert!(
-        cold.cache_misses > 0,
-        "with_cache_dir must re-enable the cache, not leave it off"
-    );
-    let warm = Engine::new()
-        .with_cache_dir(&dir)
-        .unwrap()
-        .run(&corpus, &set)
-        .unwrap()
-        .summary;
-    assert_eq!(warm.cache_misses, 0);
-    assert_eq!(warm.disk_hits, cold.cache_misses);
-}
-
-#[test]
 fn changed_corpus_content_misses_instead_of_serving_stale_posteriors() {
     let dir = temp_dir("stale");
     let corpus = corpus();
     let set = query_set(&corpus);
-    Engine::new()
-        .with_cache_dir(&dir)
+    Engine::builder()
+        .cache_dir(&dir)
+        .build()
         .unwrap()
-        .run(&corpus, &set)
+        .run(Arc::new(corpus.clone()), &set)
         .unwrap();
 
     // Same session count and ids, different observed content.
@@ -151,10 +124,11 @@ fn changed_corpus_content_misses_instead_of_serving_stale_posteriors() {
         ..SyntheticSpec::default()
     }
     .build();
-    let summary = Engine::new()
-        .with_cache_dir(&dir)
+    let summary = Engine::builder()
+        .cache_dir(&dir)
+        .build()
         .unwrap()
-        .run(&changed, &set)
+        .run(Arc::new(changed.clone()), &set)
         .unwrap()
         .summary;
     assert_eq!(
@@ -230,10 +204,11 @@ fn truncated_and_garbage_store_files_degrade_to_cold_runs() {
     let dir = temp_dir("tolerate");
     let corpus = corpus();
     let set = query_set(&corpus);
-    let baseline = Engine::new()
-        .with_cache_dir(&dir)
+    let baseline = Engine::builder()
+        .cache_dir(&dir)
+        .build()
         .unwrap()
-        .run(&corpus, &set)
+        .run(Arc::new(corpus.clone()), &set)
         .unwrap();
 
     // Mangle every persisted entry a different way.
@@ -258,10 +233,11 @@ fn truncated_and_garbage_store_files_degrade_to_cold_runs() {
         }
     }
 
-    let summary: RunSummary = Engine::new()
-        .with_cache_dir(&dir)
+    let summary: RunSummary = Engine::builder()
+        .cache_dir(&dir)
+        .build()
         .unwrap()
-        .run(&corpus, &set)
+        .run(Arc::new(corpus.clone()), &set)
         .unwrap()
         .summary;
     assert_eq!(
@@ -273,10 +249,11 @@ fn truncated_and_garbage_store_files_degrade_to_cold_runs() {
 
     // The corrupted entries were overwritten by write-through; a third
     // run restores everything again.
-    let healed = Engine::new()
-        .with_cache_dir(&dir)
+    let healed = Engine::builder()
+        .cache_dir(&dir)
+        .build()
         .unwrap()
-        .run(&corpus, &set)
+        .run(Arc::new(corpus.clone()), &set)
         .unwrap()
         .summary;
     assert_eq!(healed.cache_misses, 0);

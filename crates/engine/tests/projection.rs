@@ -91,7 +91,7 @@ fn every_query_kind_is_projection_neutral_between_corpus_sources() {
     let eager = SessionCorpus::from_dir(&json_dir).unwrap();
     let set = query_set(&eager);
     let cold = Engine::builder().cache_dir(&cache_dir).build().unwrap();
-    let baseline = cold.run(&eager, &set).unwrap();
+    let baseline = cold.run(Arc::new(eager.clone()), &set).unwrap();
     assert_eq!(baseline.summary.errors, 0);
     assert!(baseline.summary.cache_misses > 0, "cold run must infer");
 

@@ -5,10 +5,11 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use veritas::VeritasConfig;
 use veritas_engine::{
-    ingest_dir, CorpusSource, Engine, ErrorEnvelope, MetricsEnvelope, MetricsSnapshot, Query,
+    ingest_dir, Engine, EngineFlags, ErrorEnvelope, MetricsEnvelope, MetricsSnapshot, Query,
     QueryRecord, QuerySet, RunSummary, ScenarioSpec, Service, ServiceConfig, SessionCorpus,
     SummaryEnvelope, WireError,
 };
@@ -22,8 +23,12 @@ fn temp_dir(name: &str) -> PathBuf {
 fn config(sessions: usize, seed: u64) -> ServiceConfig {
     ServiceConfig {
         addr: "127.0.0.1:0".to_string(),
-        corpus: CorpusSource::Synthetic { sessions, seed },
-        threads: Some(2),
+        engine: EngineFlags {
+            synthetic: Some(sessions),
+            seed: Some(seed),
+            threads: Some(2),
+            ..EngineFlags::default()
+        },
         ..ServiceConfig::default()
     }
 }
@@ -139,20 +144,20 @@ fn concurrent_clients_see_batch_identical_records() {
 
     // The ground truth each client must receive: the batch pipeline run
     // in-process over an identical corpus and engine configuration.
-    let corpus = SessionCorpus::synthetic(sessions, seed);
+    let corpus = Arc::new(SessionCorpus::synthetic(sessions, seed));
     let engine = Engine::builder().threads(2).build().unwrap();
     let set_a = small_set("client-a");
     let set_b = QuerySet::new("client-b", VeritasConfig::paper_default().with_samples(2))
         .with_query(Query::abduction("only-posterior"));
     let expect_a: Vec<QueryRecord> = engine
-        .run(&corpus, &set_a)
+        .run(corpus.clone(), &set_a)
         .unwrap()
         .records
         .into_iter()
         .map(normalize)
         .collect();
     let expect_b: Vec<QueryRecord> = engine
-        .run(&corpus, &set_b)
+        .run(corpus.clone(), &set_b)
         .unwrap()
         .records
         .into_iter()
@@ -237,7 +242,7 @@ fn a_cache_dir_restart_serves_posteriors_from_disk() {
     let _ = std::fs::remove_dir_all(dir.join("store"));
     let with_store = || {
         let mut c = config(2, 31);
-        c.cache_dir = Some(dir.join("store"));
+        c.engine.cache_dir = Some(dir.join("store"));
         c
     };
     let set = small_set("restart");
@@ -289,7 +294,7 @@ fn requests_past_the_admission_bound_are_shed_with_a_typed_error() {
     // once A drains.
     let mut single = config(4, 43);
     single.admission = 1;
-    single.threads = Some(1);
+    single.engine.threads = Some(1);
     let handle = Service::bind(single).unwrap().spawn().unwrap();
     let slow_set =
         QuerySet::new("slow", VeritasConfig::paper_default().with_samples(192)).with_query(
@@ -416,16 +421,20 @@ fn a_vcorp_corpus_serves_the_same_records_as_its_source_directory() {
     ingest_dir(&sessions_dir, &vcorp).unwrap();
 
     let mut cfg = config(0, 0);
-    cfg.corpus = CorpusSource::Vcorp(vcorp);
+    cfg.engine = EngineFlags {
+        corpus: Some(vcorp),
+        threads: Some(2),
+        ..EngineFlags::default()
+    };
     let handle = Service::bind(cfg).unwrap().spawn().unwrap();
 
     // Ground truth: the batch pipeline over the JSON directory the
     // `.vcorp` was ingested from.
     let set = small_set("vcorp");
     let engine = Engine::builder().threads(2).build().unwrap();
-    let from_dir = SessionCorpus::from_dir(&sessions_dir).unwrap();
+    let from_dir = Arc::new(SessionCorpus::from_dir(&sessions_dir).unwrap());
     let expected: Vec<QueryRecord> = engine
-        .run(&from_dir, &set)
+        .run(from_dir, &set)
         .unwrap()
         .records
         .into_iter()
@@ -495,10 +504,10 @@ fn the_veritasd_binary_announces_its_port_and_serves_queries() {
         .unwrap();
 
     let set = small_set("binary");
-    let corpus = SessionCorpus::synthetic(2, 9);
+    let corpus = Arc::new(SessionCorpus::synthetic(2, 9));
     let engine = Engine::builder().threads(2).build().unwrap();
     let expected: Vec<QueryRecord> = engine
-        .run(&corpus, &set)
+        .run(corpus, &set)
         .unwrap()
         .records
         .into_iter()
@@ -574,7 +583,7 @@ fn an_auth_token_gates_every_request() {
 #[test]
 fn a_shutdown_request_drains_in_flight_plans_then_exits() {
     let mut cfg = config(4, 43);
-    cfg.threads = Some(1);
+    cfg.engine.threads = Some(1);
     let handle = Service::bind(cfg).unwrap().spawn().unwrap();
 
     // Client A holds a deliberately slow plan in flight (single worker,
@@ -649,4 +658,64 @@ fn summaries_carry_monotonic_request_ids() {
         );
     }
     handle.stop();
+}
+
+#[test]
+fn the_plan_log_records_refused_plans_too() {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_veritasd"))
+        .args([
+            "--addr",
+            "127.0.0.1:0",
+            "--synthetic",
+            "2",
+            "--threads",
+            "1",
+        ])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("the veritasd binary must start");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr: std::net::SocketAddr = banner
+        .trim()
+        .strip_prefix("veritasd: listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
+        .parse()
+        .unwrap();
+
+    let mut client = Client::connect(&addr);
+    let out_of_range = QuerySet::new("bad", VeritasConfig::paper_default().with_samples(2))
+        .with_query(Query::abduction("posterior").with_sessions(vec![9]));
+    let refused = client.query(&out_of_range, false);
+    assert_eq!(
+        refused.error.expect("a typed refusal").kind,
+        "invalid_query"
+    );
+    client.summary(&small_set("good"));
+    client.send(r#"{"shutdown": true}"#);
+    assert_eq!(client.read_line(), r#"{"draining":true}"#);
+    let output = child.wait_with_output().unwrap();
+    assert!(output.status.success());
+
+    // One structured line per plan, refused or served; the startup line
+    // is plain text.
+    #[derive(serde::Deserialize)]
+    struct PlanLogLine {
+        req_id: Option<u64>,
+        status: String,
+    }
+    let plans: Vec<(Option<u64>, String)> = String::from_utf8_lossy(&output.stderr)
+        .lines()
+        .filter_map(|line| serde_json::from_str::<PlanLogLine>(line).ok())
+        .map(|line| (line.req_id, line.status))
+        .collect();
+    assert_eq!(
+        plans,
+        vec![
+            (Some(1), "rejected".to_string()),
+            (Some(2), "ok".to_string())
+        ]
+    );
 }

@@ -1,7 +1,9 @@
 //! Integration tests for the compile → execute → consume pipeline:
 //! streamed records must match the batch path exactly (any order, any
-//! shard count), sweeps must expand config grids through one plan, and
+//! thread count), sweeps must expand config grids through one plan, and
 //! aggregations must fold correctly from the stream.
+
+use std::sync::Arc;
 
 use veritas::VeritasConfig;
 use veritas_engine::{
@@ -9,13 +11,15 @@ use veritas_engine::{
     ScenarioSpec, SessionCorpus, SyntheticSpec, AGGREGATE_SESSION,
 };
 
-fn corpus(sessions: usize) -> SessionCorpus {
-    SyntheticSpec {
-        sessions,
-        video_duration_s: 120.0,
-        ..SyntheticSpec::default()
-    }
-    .build()
+fn corpus(sessions: usize) -> Arc<SessionCorpus> {
+    Arc::new(
+        SyntheticSpec {
+            sessions,
+            video_duration_s: 120.0,
+            ..SyntheticSpec::default()
+        }
+        .build(),
+    )
 }
 
 fn config() -> VeritasConfig {
@@ -46,22 +50,24 @@ fn streamed_records_match_the_batch_run_exactly() {
         .with_query(Query::counterfactual("cf", ScenarioSpec::abr("bba")))
         .with_query(Query::interventional("iv"))
         .with_query(Query::counterfactual("cf-seeded", ScenarioSpec::abr("bola")).with_seed(99));
-    let batch = Engine::new().run(&corpus, &set).unwrap();
+    let batch = Engine::new().run(corpus.clone(), &set).unwrap();
 
-    for shards in [1, 2, 3] {
-        let plan = QueryPlan::compile(&set, &corpus).unwrap();
-        let engine = Engine::new().with_shards(shards);
-        let mut handle = engine.submit(&corpus, &plan).unwrap();
+    let plan = Arc::new(QueryPlan::compile(&set, corpus.as_ref()).unwrap());
+    for threads in [1, 2, 3] {
+        let engine = Engine::builder().threads(threads).build().unwrap();
+        let mut handle = engine
+            .submit_shared(corpus.clone(), Arc::clone(&plan))
+            .unwrap();
         let streamed: Vec<QueryRecord> = (&mut handle).collect();
         let summary = handle.into_summary();
         assert_eq!(summary.errors, 0);
-        assert_eq!(summary.shards, shards);
+        assert_eq!(summary.threads, threads);
         assert_eq!(streamed.len(), batch.records.len());
         let streamed = sorted(streamed.into_iter().map(normalized).collect());
         let expected = sorted(batch.records.iter().cloned().map(normalized).collect());
         assert_eq!(
             streamed, expected,
-            "streamed records (shards={shards}) must match Engine::run records"
+            "streamed records (threads={threads}) must match Engine::run records"
         );
     }
 }
@@ -72,9 +78,12 @@ fn run_is_submit_then_wait() {
     let set = QuerySet::new("wrap", config())
         .with_query(Query::abduction("ab"))
         .with_query(Query::counterfactual("cf", ScenarioSpec::buffer(30.0)));
-    let plan = QueryPlan::compile(&set, &corpus).unwrap();
-    let via_run = Engine::new().run(&corpus, &set).unwrap();
-    let via_wait = Engine::new().submit(&corpus, &plan).unwrap().wait();
+    let plan = Arc::new(QueryPlan::compile(&set, corpus.as_ref()).unwrap());
+    let via_run = Engine::new().run(corpus.clone(), &set).unwrap();
+    let via_wait = Engine::new()
+        .submit_shared(corpus.clone(), plan)
+        .unwrap()
+        .wait();
     // Deterministic order on both paths, identical outputs.
     let a: Vec<QueryRecord> = via_run.records.into_iter().map(normalized).collect();
     let b: Vec<QueryRecord> = via_wait.records.into_iter().map(normalized).collect();
@@ -88,11 +97,11 @@ fn sweep_expands_variants_through_one_plan() {
         "sigma-sweep",
         ConfigSweep::new().over_sigma(vec![0.25, 0.5, 1.0]),
     ));
-    let plan = QueryPlan::compile(&set, &corpus).unwrap();
+    let plan = QueryPlan::compile(&set, corpus.as_ref()).unwrap();
     assert_eq!(plan.units().len(), 6, "3 variants x 2 sessions");
     assert_eq!(plan.configs().len(), 4, "base + 3 variants");
 
-    let report = Engine::new().run(&corpus, &set).unwrap();
+    let report = Engine::new().run(corpus.clone(), &set).unwrap();
     assert_eq!(report.summary.units, 6);
     assert_eq!(report.summary.errors, 0);
     let mut variants: Vec<String> = report
@@ -131,7 +140,7 @@ fn counterfactual_sweep_replays_each_variant() {
         )
         .with_scenario(ScenarioSpec::abr("bba")),
     );
-    let report = Engine::new().run(&corpus, &set).unwrap();
+    let report = Engine::new().run(corpus.clone(), &set).unwrap();
     assert_eq!(report.summary.errors, 0);
     assert_eq!(report.summary.units, 6);
     // The sample-count axis steers posterior sampling of the replay.
@@ -159,9 +168,9 @@ fn aggregate_folds_incrementally_from_the_stream() {
             "capacity",
             AggregateSpec::of(AggregateMetric::MeanCapacityMbps),
         ));
-    let plan = QueryPlan::compile(&set, &corpus).unwrap();
+    let plan = Arc::new(QueryPlan::compile(&set, corpus.as_ref()).unwrap());
     let engine = Engine::new();
-    let mut handle = engine.submit(&corpus, &plan).unwrap();
+    let mut handle = engine.submit_shared(corpus.clone(), plan).unwrap();
     let records: Vec<QueryRecord> = (&mut handle).collect();
     let summary = handle.into_summary();
     assert_eq!(summary.errors, 0);
@@ -216,7 +225,7 @@ fn qoe_aggregates_replay_the_declared_scenario() {
                 .with_scenario(ScenarioSpec::abr("bba")),
         ))
         .with_query(Query::counterfactual("cf", ScenarioSpec::abr("bba")));
-    let report = Engine::new().run(&corpus, &set).unwrap();
+    let report = Engine::new().run(corpus.clone(), &set).unwrap();
     assert_eq!(report.summary.errors, 0);
     let aggregate = report.aggregate_for("rebuffer-bba").unwrap();
     assert_eq!(aggregate.sessions, 2);
@@ -244,7 +253,7 @@ fn aggregate_over_failing_units_reports_a_fold_error() {
         "broken",
         AggregateSpec::of(AggregateMetric::MeanSsim).with_scenario(ScenarioSpec::abr("pensieve")),
     ));
-    let report = Engine::new().run(&corpus, &set).unwrap();
+    let report = Engine::new().run(corpus.clone(), &set).unwrap();
     // 2 unit errors + 1 fold error.
     assert_eq!(report.summary.errors, 3);
     assert_eq!(report.aggregate_for("broken"), None);
@@ -255,28 +264,6 @@ fn aggregate_over_failing_units_reports_a_fold_error() {
         .unwrap();
     assert!(!fold.is_ok());
     assert!(fold.error.as_ref().unwrap().contains("no session"));
-}
-
-#[test]
-fn sharded_aggregation_matches_unsharded() {
-    let corpus = corpus(5);
-    let set = QuerySet::new("agg-shards", config()).with_query(Query::aggregate(
-        "capacity",
-        AggregateSpec::of(AggregateMetric::MeanCapacityMbps),
-    ));
-    let unsharded = Engine::new().run(&corpus, &set).unwrap();
-    let plan = QueryPlan::compile(&set, &corpus).unwrap();
-    let sharded = Engine::new()
-        .with_shards(3)
-        .submit(&corpus, &plan)
-        .unwrap()
-        .wait();
-    assert_eq!(
-        unsharded.aggregate_for("capacity").unwrap(),
-        sharded.aggregate_for("capacity").unwrap(),
-        "the fold is order-independent, so sharding must not change it"
-    );
-    assert_eq!(sharded.summary.shards, 3);
 }
 
 #[test]
@@ -313,9 +300,11 @@ fn sweep_and_aggregate_round_trip_through_query_json() {
 fn partial_iteration_then_summary_is_safe() {
     let corpus = corpus(3);
     let set = QuerySet::new("partial", config()).with_query(Query::abduction("ab"));
-    let plan = QueryPlan::compile(&set, &corpus).unwrap();
+    let plan = Arc::new(QueryPlan::compile(&set, corpus.as_ref()).unwrap());
     let engine = Engine::new();
-    let mut handle = engine.submit(&corpus, &plan).unwrap();
+    let mut handle = engine
+        .submit_shared(corpus.clone(), Arc::clone(&plan))
+        .unwrap();
     let first = handle.next().unwrap();
     assert!(first.is_ok());
     // into_summary drains the rest; every unit is still accounted for.
@@ -324,6 +313,6 @@ fn partial_iteration_then_summary_is_safe() {
     assert_eq!(summary.ok, 3);
 
     // Dropping a handle mid-run must not hang or panic.
-    let handle = engine.submit(&corpus, &plan).unwrap();
+    let handle = engine.submit_shared(corpus, plan).unwrap();
     drop(handle);
 }

@@ -4,13 +4,15 @@
 //! Builds a [`QuerySet`] programmatically (the same structure `veritas run
 //! queries.json` reads from disk), compiles it into a [`QueryPlan`],
 //! executes it over a small synthetic corpus through the cached engine —
-//! first as a blocking batch, then as a sharded record stream — and shows
-//! the new compound query kinds: a configuration sweep and a trace-level
+//! first as a blocking batch, then as a record stream — and shows the
+//! compound query kinds: a configuration sweep and a trace-level
 //! aggregation.
 //!
 //! ```sh
 //! cargo run --release --example queries
 //! ```
+
+use std::sync::Arc;
 
 use veritas::VeritasConfig;
 use veritas_engine::{
@@ -41,12 +43,13 @@ fn main() {
 
     // 2. A corpus: three deployed MPC sessions over hidden synthetic
     //    GTBW traces (use SessionCorpus::from_dir for recorded logs).
-    let corpus = SessionCorpus::synthetic(3, 42);
+    //    The engine shares the corpus with its workers instead of copying it.
+    let corpus = Arc::new(SessionCorpus::synthetic(3, 42));
 
     // 3. Compile. The plan is the flat unit list the executor drains:
     //    session selectors resolved, scenarios materialized once per
     //    distinct spec, config fingerprints precomputed.
-    let plan = QueryPlan::compile(&set, &corpus).expect("valid query set");
+    let plan = Arc::new(QueryPlan::compile(&set, corpus.as_ref()).expect("valid query set"));
     println!(
         "--- plan: {} units across {} queries, {} config(s) ---",
         plan.units().len(),
@@ -54,11 +57,12 @@ fn main() {
         plan.configs().len()
     );
 
-    // 4. Execute + consume, batch-shaped: submit(...).wait() restores
-    //    deterministic order (Engine::run is exactly this wrapper).
+    // 4. Execute + consume, batch-shaped: submit_shared(...).wait()
+    //    restores deterministic order (Engine::run is exactly this
+    //    wrapper). A distributed Coordinator returns the same RunHandle.
     let engine = Engine::new();
     let report = engine
-        .submit(&corpus, &plan)
+        .submit_shared(corpus.clone(), plan)
         .expect("plan fits corpus")
         .wait();
 
@@ -108,12 +112,12 @@ fn main() {
             AggregateSpec::of(AggregateMetric::RebufferRatioPercent)
                 .with_scenario(ScenarioSpec::abr("bba")),
         ));
-    let plan = QueryPlan::compile(&compound, &corpus).expect("valid compound set");
+    let plan =
+        Arc::new(QueryPlan::compile(&compound, corpus.as_ref()).expect("valid compound set"));
     let mut handle = Engine::new()
-        .with_shards(2)
-        .submit(&corpus, &plan)
+        .submit_shared(corpus, plan)
         .expect("plan fits corpus");
-    println!("\n--- streaming (completion order, 2 shards) ---");
+    println!("\n--- streaming (completion order) ---");
     for record in &mut handle {
         match record.variant.as_deref() {
             Some(variant) => println!(
@@ -151,7 +155,7 @@ fn main() {
     // 3 sigma variants x 3 sessions + 3 aggregate units + 1 fold record.
     assert_eq!(summary.units, 13);
     println!(
-        "compound set: {} records in {:.1} ms across {} shards",
-        summary.units, summary.elapsed_ms, summary.shards
+        "compound set: {} records in {:.1} ms on {} threads",
+        summary.units, summary.elapsed_ms, summary.threads
     );
 }
