@@ -15,9 +15,11 @@ use crate::Abr;
 /// and from `max_buffer_chunks` upward the highest rung wins.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BolaBasic {
-    /// Buffer level (in chunks) below which the lowest quality is selected.
-    pub min_buffer_chunks: f64,
-    /// Buffer level (in chunks) at which the highest quality is selected.
+    /// Buffer level (in chunks) below which the lowest quality is selected;
+    /// `None` derives it from the buffer capacity at decision time.
+    pub min_buffer_chunks: Option<f64>,
+    /// Buffer level (in chunks) at which the highest quality is selected;
+    /// `None` derives it from the buffer capacity at decision time.
     pub max_buffer_chunks: Option<f64>,
 }
 
@@ -26,7 +28,7 @@ impl BolaBasic {
     /// at decision time (lowest rung below ~20% occupancy, highest at ~90%).
     pub fn new() -> Self {
         Self {
-            min_buffer_chunks: f64::NAN, // derived from capacity at choose()
+            min_buffer_chunks: None,
             max_buffer_chunks: None,
         }
     }
@@ -35,18 +37,16 @@ impl BolaBasic {
     pub fn with_thresholds(min_buffer_chunks: f64, max_buffer_chunks: f64) -> Self {
         assert!(min_buffer_chunks > 0.0 && max_buffer_chunks > min_buffer_chunks);
         Self {
-            min_buffer_chunks,
+            min_buffer_chunks: Some(min_buffer_chunks),
             max_buffer_chunks: Some(max_buffer_chunks),
         }
     }
 
     fn thresholds(&self, ctx: &AbrContext) -> (f64, f64) {
         let capacity_chunks = ctx.buffer_capacity_s / ctx.asset.chunk_duration_s();
-        let min_b = if self.min_buffer_chunks.is_nan() {
-            (0.2 * capacity_chunks).max(0.5)
-        } else {
-            self.min_buffer_chunks
-        };
+        let min_b = self
+            .min_buffer_chunks
+            .unwrap_or((0.2 * capacity_chunks).max(0.5));
         let max_b = self
             .max_buffer_chunks
             .unwrap_or((0.9 * capacity_chunks).max(min_b + 0.5));
@@ -194,6 +194,12 @@ mod tests {
                 assert!(bola.choose(&c) < asset.num_qualities());
             }
         }
+    }
+
+    #[test]
+    fn capacity_derived_thresholds_compare_equal() {
+        assert_eq!(BolaBasic::new(), BolaBasic::new());
+        assert_ne!(BolaBasic::new(), BolaBasic::with_thresholds(2.0, 14.0));
     }
 
     #[test]

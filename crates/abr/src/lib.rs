@@ -20,6 +20,8 @@ mod bba;
 mod bola;
 mod context;
 mod mpc;
+#[cfg(test)]
+mod reference;
 mod simple;
 
 pub use bba::Bba;
@@ -98,5 +100,23 @@ mod tests {
         assert!(abr_by_name("pensieve").is_none());
         assert!(abr_by_name("random:notanumber").is_none());
         assert!(abr_by_name("fixed:").is_none());
+    }
+
+    fn assert_round_trips<T>(value: T)
+    where
+        T: serde::Serialize + for<'de> serde::Deserialize<'de> + PartialEq + std::fmt::Debug,
+    {
+        let json = serde_json::to_string(&value).expect("serializes");
+        let back: T = serde_json::from_str(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+        assert_eq!(back, value, "{json}");
+    }
+
+    #[test]
+    fn configured_algorithms_round_trip_through_serde_json() {
+        assert_round_trips(Mpc::new());
+        assert_round_trips(Mpc::robust());
+        assert_round_trips(Bba::new());
+        assert_round_trips(BolaBasic::new());
+        assert_round_trips(BolaBasic::with_thresholds(2.0, 14.0));
     }
 }

@@ -35,6 +35,16 @@ impl Default for QoeWeights {
 /// maximum prediction error — RobustMPC), then exhaustively searches quality
 /// assignments over a short lookahead horizon, simulating buffer evolution
 /// and picking the first decision of the best plan.
+///
+/// The search walks the lookahead tree depth first. Each plan prefix's
+/// buffer, QoE and previous bitrate are extended one step at a time, so
+/// every prefix is scored exactly once: a decision over `q` rungs and
+/// horizon `h` costs Σ_{k=1..h} q^k step evaluations (3,905 at the default
+/// `h = 5` on a 5-rung ladder). Every complete plan still gets the same
+/// floating-point operations in the same order as a plan-by-plan rescore,
+/// and an exact tie goes to the plan with the smallest index when the plan
+/// is read as a base-`q` number with step 0 least significant. A NaN score
+/// never wins; if no plan scores above −∞, the answer is rung 0.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Mpc {
     /// Number of future chunks considered in the lookahead.
@@ -67,8 +77,10 @@ impl Mpc {
         }
     }
 
-    /// Overrides the lookahead horizon (must be ≥ 1; values above 5 get slow
-    /// because the search is exhaustive).
+    /// Overrides the lookahead horizon (must be ≥ 1). The search is
+    /// exhaustive, so a decision scores Σ_{k=1..h} q^k plan prefixes on a
+    /// `q`-rung ladder: 3,905 at `h = 5`, `q = 5`, and about `q` times more
+    /// for each step added.
     pub fn with_horizon(mut self, horizon: usize) -> Self {
         assert!(horizon >= 1);
         self.horizon = horizon;
@@ -93,37 +105,6 @@ impl Mpc {
             base
         }
     }
-
-    /// Scores one candidate plan (quality per horizon step), returning the
-    /// total QoE. Buffer evolution: each chunk takes `size / throughput` to
-    /// download, during which the buffer drains; on completion it gains one
-    /// chunk duration, capped at capacity.
-    fn score_plan(&self, ctx: &AbrContext, plan: &[usize], predicted_throughput_mbps: f64) -> f64 {
-        let asset = ctx.asset;
-        let chunk_dur = asset.chunk_duration_s();
-        let mut buffer = ctx.buffer_s;
-        let mut qoe = 0.0;
-        let mut prev_rate = ctx.last_quality.map(|q| asset.ladder().bitrate(q));
-        for (step, &q) in plan.iter().enumerate() {
-            let chunk = ctx.next_chunk + step;
-            if chunk >= asset.num_chunks() {
-                break;
-            }
-            let size = asset.size_bytes(chunk, q);
-            let dt = size * 8.0 / 1e6 / predicted_throughput_mbps;
-            let rebuffer = (dt - buffer).max(0.0);
-            buffer = (buffer - dt).max(0.0) + chunk_dur;
-            buffer = buffer.min(ctx.buffer_capacity_s);
-            let rate = asset.ladder().bitrate(q);
-            qoe += rate;
-            if let Some(prev) = prev_rate {
-                qoe -= self.weights.smoothness_lambda * (rate - prev).abs();
-            }
-            qoe -= self.weights.rebuffer_mu * rebuffer;
-            prev_rate = Some(rate);
-        }
-        qoe
-    }
 }
 
 impl Default for Mpc {
@@ -142,40 +123,173 @@ impl Abr for Mpc {
     }
 
     fn choose(&mut self, ctx: &AbrContext) -> usize {
+        let asset = ctx.asset;
         let num_q = ctx.num_qualities();
-        if num_q == 1 {
+        let remaining = asset.num_chunks().saturating_sub(ctx.next_chunk);
+        let horizon = self.horizon.min(remaining);
+        if num_q == 1 || horizon == 0 {
             return 0;
         }
-        let remaining = ctx.asset.num_chunks().saturating_sub(ctx.next_chunk);
-        let horizon = self.horizon.min(remaining.max(1));
         let predicted = self.predicted_throughput(ctx);
+        let download_s: Vec<f64> = (0..horizon)
+            .flat_map(|step| {
+                (0..num_q).map(move |q| {
+                    asset.size_bytes(ctx.next_chunk + step, q) * 8.0 / 1e6 / predicted
+                })
+            })
+            .collect();
+        let bitrates = asset.ladder().bitrates();
+        let mut search = Lookahead {
+            weights: self.weights,
+            chunk_duration_s: asset.chunk_duration_s(),
+            buffer_capacity_s: ctx.buffer_capacity_s,
+            bitrates: &bitrates,
+            download_s: &download_s,
+            plan: vec![0; horizon],
+            best_plan: vec![0; horizon],
+            best_score: f64::NEG_INFINITY,
+        };
+        let prev_rate = ctx.last_quality.map(|q| bitrates[q]);
+        search.extend(0, ctx.buffer_s, 0.0, prev_rate);
+        clamp_quality(search.best_plan[0], num_q)
+    }
+}
 
-        // Exhaustive search over quality assignments for the horizon,
-        // enumerated as base-`num_q` counters.
-        let mut best_plan_first = 0usize;
-        let mut best_score = f64::NEG_INFINITY;
-        let total_plans = num_q.pow(horizon as u32);
-        let mut plan = vec![0usize; horizon];
-        for idx in 0..total_plans {
-            let mut rem = idx;
-            for slot in plan.iter_mut() {
-                *slot = rem % num_q;
-                rem /= num_q;
-            }
-            let score = self.score_plan(ctx, &plan, predicted);
-            if score > best_score {
-                best_score = score;
-                best_plan_first = plan[0];
+/// One decision's depth-first walk over the lookahead tree.
+struct Lookahead<'a> {
+    weights: QoeWeights,
+    chunk_duration_s: f64,
+    buffer_capacity_s: f64,
+    /// Nominal bitrate (Mbps) of each rung.
+    bitrates: &'a [f64],
+    /// Predicted download time (s) of each step's chunk at each rung,
+    /// `horizon × rungs`, row-major.
+    download_s: &'a [f64],
+    /// Rungs of the plan being extended.
+    plan: Vec<usize>,
+    /// The best complete plan so far and its score.
+    best_plan: Vec<usize>,
+    best_score: f64,
+}
+
+impl<'a> Lookahead<'a> {
+    /// Scores every plan extending `plan[..step]`, whose state after `step`
+    /// chunks is (`buffer`, `qoe`, `prev_rate`).
+    fn extend(&mut self, step: usize, buffer: f64, qoe: f64, prev_rate: Option<f64>) {
+        if step + 1 == self.plan.len() {
+            // Only a one-step horizon gets here: deeper searches finish
+            // inline below.
+            self.finish(step, buffer, qoe, prev_rate);
+            return;
+        }
+        for (q, (&dt, &rate)) in self
+            .download_row(step)
+            .iter()
+            .zip(self.bitrates)
+            .enumerate()
+        {
+            let (buffer, qoe) = self.advance(buffer, qoe, prev_rate, dt, rate);
+            self.plan[step] = q;
+            // The last step, where most of the work is, runs inline here
+            // rather than in one more call of `extend`.
+            if step + 2 == self.plan.len() {
+                self.finish(step + 1, buffer, qoe, Some(rate));
+            } else {
+                self.extend(step + 1, buffer, qoe, Some(rate));
             }
         }
-        clamp_quality(best_plan_first, num_q)
+    }
+
+    /// Scores the last step of every plan extending `plan[..step]` and
+    /// offers the best of them.
+    #[inline(always)]
+    fn finish(&mut self, step: usize, buffer: f64, qoe: f64, prev_rate: Option<f64>) {
+        if let Some((q, score)) = self.best_last_rung(step, buffer, qoe, prev_rate) {
+            self.plan[step] = q;
+            self.offer(score);
+        }
+    }
+
+    /// The best rung for the last step after the prefix `plan[..step]`, and
+    /// the plan's score, or `None` if no score beats −∞. These plans differ
+    /// only in their last rung, the most significant base-`q` digit, so
+    /// among equal scores the first is the one an index-order enumeration
+    /// meets first.
+    #[inline]
+    fn best_last_rung(
+        &self,
+        step: usize,
+        buffer: f64,
+        qoe: f64,
+        prev_rate: Option<f64>,
+    ) -> Option<(usize, f64)> {
+        let mut best = None;
+        let mut best_score = f64::NEG_INFINITY;
+        for (q, (&dt, &rate)) in self
+            .download_row(step)
+            .iter()
+            .zip(self.bitrates)
+            .enumerate()
+        {
+            let (_, score) = self.advance(buffer, qoe, prev_rate, dt, rate);
+            if score > best_score {
+                best_score = score;
+                best = Some(q);
+            }
+        }
+        best.map(|q| (q, best_score))
+    }
+
+    /// Keeps the complete `plan` if it beats the best so far; an exact tie
+    /// goes to the smaller base-`q` index. `best_plan` starts as plan 0,
+    /// which no plan precedes, so if nothing beats −∞ (or every score is
+    /// NaN) the answer stays rung 0.
+    fn offer(&mut self, score: f64) {
+        if score > self.best_score
+            || (score == self.best_score && self.plan.iter().rev().lt(self.best_plan.iter().rev()))
+        {
+            self.best_score = score;
+            self.best_plan.copy_from_slice(&self.plan);
+        }
+    }
+
+    /// One step from (`buffer`, `qoe`, `prev_rate`): the chunk downloads in
+    /// `dt` while the buffer drains, then the buffer gains one chunk
+    /// duration, capped at capacity; the QoE gains the bitrate `rate` and
+    /// pays for the bitrate change and any stall. Returns the new buffer
+    /// and QoE.
+    #[inline(always)]
+    fn advance(
+        &self,
+        buffer: f64,
+        qoe: f64,
+        prev_rate: Option<f64>,
+        dt: f64,
+        rate: f64,
+    ) -> (f64, f64) {
+        let rebuffer = (dt - buffer).max(0.0);
+        let buffer = ((buffer - dt).max(0.0) + self.chunk_duration_s).min(self.buffer_capacity_s);
+        let mut qoe = qoe + rate;
+        if let Some(prev) = prev_rate {
+            qoe -= self.weights.smoothness_lambda * (rate - prev).abs();
+        }
+        qoe -= self.weights.rebuffer_mu * rebuffer;
+        (buffer, qoe)
+    }
+
+    /// Predicted download times of step `step`'s chunk, one per rung.
+    fn download_row(&self, step: usize) -> &'a [f64] {
+        let num_q = self.bitrates.len();
+        &self.download_s[step * num_q..(step + 1) * num_q]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veritas_media::VideoAsset;
+    use crate::reference::naive_choose;
+    use proptest::prelude::*;
+    use veritas_media::{QualityLadder, VbrParams, VideoAsset};
 
     fn ctx<'a>(
         asset: &'a VideoAsset,
@@ -291,5 +405,175 @@ mod tests {
     fn names_distinguish_variants() {
         assert_eq!(Mpc::new().name(), "MPC");
         assert_eq!(Mpc::robust().name(), "RobustMPC");
+    }
+
+    /// Sizes without scene complexity or jitter: rungs with equal nominal
+    /// bitrates get equal sizes, so plans can tie exactly.
+    const EXACT_SIZES: VbrParams = VbrParams {
+        complexity_std: 0.0,
+        size_jitter_std: 0.0,
+    };
+
+    /// Nominal bitrates the generated ladders draw from. There are few, so
+    /// duplicated rungs (and exact score ties with them) are common.
+    const RUNG_MBPS: [f64; 4] = [0.3, 1.0, 2.5, 6.0];
+
+    /// The rung the depth-first search picks, after checking that the
+    /// enumeration it replaced picks the same one. The enumeration cannot
+    /// run at horizon 0 (it indexes an empty plan), where the answer is
+    /// rung 0.
+    fn choose_checked(mpc: Mpc, ctx: &AbrContext) -> usize {
+        let got = { mpc }.choose(ctx);
+        let want = if mpc.horizon == 0 {
+            0
+        } else {
+            naive_choose(&mpc, ctx)
+        };
+        assert_eq!(got, want, "{mpc:?} at chunk {}", ctx.next_chunk);
+        got
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(5000))]
+
+        #[test]
+        fn depth_first_search_picks_the_enumerations_rung(
+            (ladder_pick, rungs, exact_sizes, num_chunks, asset_seed) in (
+                0usize..4,
+                prop::collection::vec(0usize..RUNG_MBPS.len(), 1..=6),
+                any::<bool>(),
+                1usize..=12,
+                0u64..1_000,
+            ),
+            (horizon, robust, lambda_pick, mu_pick, window) in
+                (0usize..=6, any::<bool>(), 0usize..3, 0usize..2, 0usize..=6),
+            (capacity_pick, buffer_pick, buffer_frac, chunk_pick, last_pick) in
+                (0usize..2, 0usize..3, 0.0f64..1.0, 0usize..1_000, 0usize..8),
+            history in prop::collection::vec(
+                (0.0f64..1.0, 0.05f64..12.0)
+                    .prop_map(|(coin, mbps)| if coin < 0.25 { 0.0 } else { mbps }),
+                0..8,
+            ),
+        ) {
+            let ladder = match ladder_pick {
+                0 => QualityLadder::paper_default(),
+                1 => QualityLadder::paper_higher_qualities(),
+                _ => QualityLadder::from_bitrates(
+                    &rungs.iter().map(|&r| RUNG_MBPS[r]).collect::<Vec<_>>(),
+                ),
+            };
+            let params = if exact_sizes { EXACT_SIZES } else { VbrParams::default() };
+            let asset =
+                VideoAsset::generate(ladder, 2.0 * num_chunks as f64, 2.0, params, asset_seed);
+            let mpc = Mpc {
+                horizon,
+                prediction_window: window,
+                weights: QoeWeights {
+                    smoothness_lambda: [0.0, 1.0, 100.0][lambda_pick],
+                    rebuffer_mu: [0.0, 8.0][mu_pick],
+                },
+                robust,
+            };
+            let capacity = [5.0, 30.0][capacity_pick];
+            let ctx = AbrContext {
+                asset: &asset,
+                next_chunk: chunk_pick % (num_chunks + 1),
+                buffer_s: [0.0, capacity, buffer_frac * capacity][buffer_pick],
+                buffer_capacity_s: capacity,
+                throughput_history_mbps: &history,
+                download_time_history_s: &[],
+                last_quality: last_pick
+                    .checked_sub(1)
+                    .map(|q| q % asset.num_qualities()),
+            };
+            choose_checked(mpc, &ctx);
+        }
+    }
+
+    #[test]
+    fn exact_ties_go_to_the_plan_the_enumeration_meets_first() {
+        // Two rungs, two steps, no smoothness penalty: one high chunk fits
+        // the buffer but two stall, so (high, low) and (low, high) tie at
+        // 1.4 exactly. The enumeration meets (high, low) first — index 1,
+        // against 2 for (low, high) — so the answer is the high rung, even
+        // though a depth-first walk reaches (low, high) first.
+        let asset = VideoAsset::generate(
+            QualityLadder::from_bitrates(&[0.4, 1.0]),
+            20.0,
+            2.0,
+            EXACT_SIZES,
+            1,
+        );
+        let mpc = Mpc::new().with_horizon(2).with_weights(QoeWeights {
+            smoothness_lambda: 0.0,
+            rebuffer_mu: 8.0,
+        });
+        let c = AbrContext {
+            asset: &asset,
+            next_chunk: 3,
+            buffer_s: 2.3,
+            buffer_capacity_s: 5.0,
+            throughput_history_mbps: &[0.9; 5],
+            download_time_history_s: &[],
+            last_quality: Some(0),
+        };
+        assert_eq!(choose_checked(mpc, &c), 1);
+    }
+
+    #[test]
+    fn nan_scores_never_win() {
+        let asset = VideoAsset::paper_default(1);
+        let top = asset.num_qualities() - 1;
+        let ctx = |history: &'static [f64]| AbrContext {
+            asset: &asset,
+            next_chunk: 40,
+            buffer_s: 3.0,
+            buffer_capacity_s: 5.0,
+            throughput_history_mbps: history,
+            download_time_history_s: &[],
+            last_quality: Some(2),
+        };
+        let no_stall_penalty = QoeWeights {
+            smoothness_lambda: 1.0,
+            rebuffer_mu: 0.0,
+        };
+        // A huge prediction error leaves RobustMPC a ~1e-308 Mbps forecast:
+        // the lowest rung's download time stays finite, the top rung's is
+        // infinite, and with μ = 0 every plan using it scores 0 · ∞ = NaN.
+        let mpc = Mpc::robust().with_weights(no_stall_penalty);
+        let mixed = ctx(&[1e296, 1e-9]);
+        let predicted = mpc.predicted_throughput(&mixed);
+        assert!((asset.size_bytes(40, 0) * 8.0 / 1e6 / predicted).is_finite());
+        assert!((asset.size_bytes(40, top) * 8.0 / 1e6 / predicted).is_infinite());
+        assert!(choose_checked(mpc, &mixed) < top);
+        // A forecast of exactly 0 makes every download infinite: every plan
+        // scores NaN (μ = 0) or −∞ (μ = 8), and nothing beats −∞.
+        let stalled = ctx(&[f64::INFINITY, 3.0]);
+        assert_eq!(mpc.predicted_throughput(&stalled), 0.0);
+        assert_eq!(choose_checked(mpc, &stalled), 0);
+        assert_eq!(choose_checked(Mpc::robust(), &stalled), 0);
+    }
+
+    #[test]
+    fn an_exhausted_video_or_an_empty_horizon_picks_rung_0() {
+        let asset = VideoAsset::paper_default(1);
+        let tput = [9.0; 5];
+        let c = |next_chunk| AbrContext {
+            asset: &asset,
+            next_chunk,
+            buffer_s: 5.0,
+            buffer_capacity_s: 5.0,
+            throughput_history_mbps: &tput,
+            download_time_history_s: &[],
+            last_quality: Some(4),
+        };
+        assert_eq!(choose_checked(Mpc::new(), &c(asset.num_chunks())), 0);
+        assert_eq!(choose_checked(Mpc::new(), &c(asset.num_chunks() + 7)), 0);
+        let blind = Mpc {
+            horizon: 0,
+            ..Mpc::new()
+        };
+        assert_eq!(choose_checked(blind, &c(10)), 0);
+        assert_eq!(choose_checked(Mpc::new(), &c(10)), 4);
     }
 }
