@@ -6,7 +6,7 @@
 //!             [--seed S] [--threads N] [--stream] [--out FILE]
 //!             [--summary FILE] [--no-cache] [--cache-dir DIR]
 //!             [--min-cache-hits N] [--allow-errors] [--fault-spec SPEC]
-//!             [--retry N] [--workers N [--shards N]] [--worker-cmd CMD] [--mmap]
+//!             [--retry N] [--workers N [--shards N]] [--worker-cmd CMD]
 //! veritas worker [--addr HOST:PORT] ...              # veritasd under another name
 //! veritas ingest <DIR> --out FILE.vcorp [--append]
 //! veritas synth --out DIR [--sessions N] [--seed S]
@@ -34,16 +34,12 @@
 //! exit code is nonzero when any record carries an error, unless
 //! `--allow-errors` is passed, or when the run served fewer than
 //! `--min-cache-hits N` units from the in-memory cache. `--fault-spec
-//! SPEC` (or the `VERITAS_FAULT_SPEC` environment variable) attaches a
-//! seeded, deterministic fault-injection plan (see
+//! SPEC` attaches a seeded, deterministic fault-injection plan (see
 //! `veritas_engine::FaultPlan::parse`; e.g.
 //! `seed=42,compute=0.1,disk_read=0.2`) so CI can chaos-test the real
 //! binary, and `--retry N` enables per-unit supervision: failed units
 //! are re-run up to N attempts with deterministic exponential backoff,
-//! and sessions that exhaust their attempts are quarantined. `--mmap`
-//! backs `.vcorp` column decodes with a read-only memory map instead of
-//! positioned reads (ignored silently on platforms without `mmap`;
-//! rejected for non-`.vcorp` corpora).
+//! and sessions that exhaust their attempts are quarantined.
 //!
 //! `--workers N` switches `run` to distributed execution: the corpus is
 //! partitioned into shards (`--shards`, default one per worker) and
@@ -167,7 +163,6 @@ fn print_usage() {
          \x20                            [--cache-dir DIR] [--min-cache-hits N]\n\
          \x20                            [--allow-errors] [--fault-spec SPEC] [--retry N]\n\
          \x20                            [--workers N [--shards N]] [--worker-cmd CMD]\n\
-         \x20                            [--mmap]\n\
          \x20 veritas ingest <DIR> --out FILE.vcorp [--append]\n\
          \x20 veritas synth --out DIR [--sessions N] [--seed S]\n\
          \x20 veritas bench [--sessions N] [--queries N] [--threads N]\n\
@@ -196,7 +191,6 @@ struct Options {
     load_sessions: Option<usize>,
     json: Option<PathBuf>,
     retry: Option<u32>,
-    mmap: bool,
 }
 
 /// Parses `args`, accepting only the flags in `allowed` — a flag another
@@ -218,7 +212,6 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, CliError>
         load_sessions: None,
         json: None,
         retry: None,
-        mmap: false,
     };
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
@@ -248,7 +241,6 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, CliError>
             "--load-sessions" => options.load_sessions = Some(flags::number(arg, &mut rest)?),
             "--json" => options.json = Some(flags::value(arg, &mut rest)?.into()),
             "--retry" => options.retry = Some(flags::number(arg, &mut rest)?),
-            "--mmap" => options.mmap = true,
             positional => options.positional.push(positional.to_string()),
         }
     }
@@ -269,7 +261,7 @@ fn record_writer(out: &Option<PathBuf>) -> Result<Box<dyn Write>, String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
-    let mut options = parse_options(
+    let options = parse_options(
         args,
         &[
             "--corpus",
@@ -288,7 +280,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             "--retry",
             "--workers",
             "--worker-cmd",
-            "--mmap",
         ],
     )?;
     let [query_path] = options.positional.as_slice() else {
@@ -304,12 +295,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             "--min-cache-hits cannot be satisfied with --no-cache".to_string(),
         ));
     }
-    let flags = &mut options.engine;
-    if flags.fault_spec.is_none() {
-        flags.fault_spec = std::env::var("VERITAS_FAULT_SPEC")
-            .ok()
-            .filter(|value| !value.is_empty());
-    }
+    let flags = &options.engine;
     let fault = flags.fault_plan()?;
     let in_process = flags.workers == 0;
     if options.no_cache && !in_process {
@@ -324,7 +310,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     // stream. A distributed run forwards the spec to its workers instead:
     // the coordinator's corpus copy is only partitioned and key-mapped,
     // never decoded.
-    let corpus = flags.load_corpus(fault.as_ref().filter(|_| in_process), options.mmap)?;
+    let corpus = flags.load_corpus(fault.as_ref().filter(|_| in_process))?;
     let plan = Arc::new(QueryPlan::compile(&set, corpus.as_ref())?);
     let retry = options.retry.map(RetryPolicy::with_max_attempts);
     // `--retry` bounds the coordinator's shard re-dispatches, or the

@@ -58,8 +58,9 @@ impl Deref for LogRef<'_> {
 /// Everything except [`Corpus::log`] must be served from resident
 /// metadata (ids, fingerprints, the deployed setting): plan compilation
 /// and fingerprint checks never force a session load. Only the executor,
-/// per work unit, calls `log` — which is where a lazy implementation
-/// pays its decode, bounded by its resident set.
+/// per work unit, calls `log` — with the plan's column demand for that
+/// session — which is where a lazy implementation pays its decode,
+/// bounded by its resident set.
 pub trait Corpus: Send + Sync {
     /// Number of sessions.
     fn len(&self) -> usize;
@@ -72,36 +73,29 @@ pub trait Corpus: Send + Sync {
     /// The stable id of session `index` (cache key, record field).
     fn session_id(&self, index: usize) -> &str;
 
-    /// The log of session `index`, loading it if necessary. Errors
-    /// (e.g. a corrupt lazy block) become per-unit record errors, not
-    /// run aborts.
-    fn log(&self, index: usize) -> Result<LogRef<'_>, String>;
-
     /// The log of session `index` with *at least* the columns in
-    /// `columns` populated — the seam query-aware column projection
-    /// threads through ([`crate::QueryPlan::column_demand`] derives the
-    /// set, the executor passes it here).
+    /// `columns` populated, loading it if necessary. This is the seam
+    /// query-aware column projection threads through
+    /// ([`crate::QueryPlan::column_demand`] derives the set, the executor
+    /// passes it here). Errors (e.g. a corrupt lazy block) become
+    /// per-unit record errors, not run aborts.
     ///
     /// # Contract
     ///
-    /// * Every field backed by a selected column must be bit-identical
-    ///   to what [`Corpus::log`] would return; unselected per-chunk
-    ///   fields may come back zero-filled (callers must not read them —
-    ///   the plan's demand derivation guarantees the engine never does).
+    /// * Every field backed by a selected column is bit-identical to the
+    ///   recorded log; unselected per-chunk fields may come back
+    ///   zero-filled (callers must not read them — the plan's demand
+    ///   derivation guarantees the engine never does).
     /// * Session-level scalars (ABR name, durations, chunk count) are
     ///   always populated, whatever the set.
     /// * [`Corpus::log_fingerprint`] is unaffected: projection is pure
     ///   I/O pruning and must never change fingerprints, cache keys, or
     ///   emitted records.
     ///
-    /// The default delegates to the full [`Corpus::log`], which
-    /// trivially satisfies the contract — eager corpora (JSON dirs,
-    /// synthetic) already hold complete logs, so only lazily decoding
-    /// implementations ([`crate::LazyCorpus`]) override this.
-    fn log_projected(&self, index: usize, columns: ColumnSet) -> Result<LogRef<'_>, String> {
-        let _ = columns;
-        self.log(index)
-    }
+    /// Eager corpora (JSON directories, synthetic) already hold complete
+    /// logs and ignore `columns`; [`crate::LazyCorpus`] decodes only the
+    /// selected column ranges.
+    fn log(&self, index: usize, columns: ColumnSet) -> Result<LogRef<'_>, String>;
 
     /// The [`crate::log_fingerprint`] of session `index`, without
     /// necessarily loading the log (a `.vcorp` serves it from its index).
@@ -438,7 +432,7 @@ impl Corpus for SessionCorpus {
         &self.sessions[index].id
     }
 
-    fn log(&self, index: usize) -> Result<LogRef<'_>, String> {
+    fn log(&self, index: usize, _columns: ColumnSet) -> Result<LogRef<'_>, String> {
         Ok(LogRef::Borrowed(&self.sessions[index].log))
     }
 

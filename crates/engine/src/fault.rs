@@ -14,8 +14,7 @@
 //! only *which worker* draws a given sequence number varies.
 //!
 //! Plans are wired in through [`crate::EngineBuilder::fault_plan`],
-//! `veritas run --fault-spec` (or the `VERITAS_FAULT_SPEC`
-//! environment variable), and `veritasd --fault-spec`, so CI can
+//! `veritas run --fault-spec`, and `veritasd --fault-spec`, so CI can
 //! chaos-test the real binaries. The core invariant the chaos tests
 //! enforce: under any seeded plan with retries enabled, a run over an
 //! intact corpus emits records identical (after timing normalization)

@@ -170,31 +170,20 @@ impl EngineFlags {
     }
 
     /// Loads the corpus: a `--corpus` path ending in `.vcorp` opens the
-    /// columnar store lazily (memory-mapped when `mmap` is set, with
-    /// `fault` arming its block-decode injection point); any other path
-    /// is a JSON session directory; no path synthesizes a corpus.
+    /// columnar store lazily (with `fault` arming its block-decode
+    /// injection point); any other path is a JSON session directory; no
+    /// path synthesizes a corpus.
     pub fn load_corpus(
         &self,
         fault: Option<&Arc<FaultPlan>>,
-        mmap: bool,
     ) -> Result<Arc<dyn Corpus>, EngineError> {
         let vcorp = self
             .corpus
             .as_deref()
             .filter(|path| path.extension().is_some_and(|ext| ext == "vcorp"));
-        if mmap && vcorp.is_none() {
-            return Err(EngineError::Config(
-                "--mmap applies only to `.vcorp` corpora".to_string(),
-            ));
-        }
         match (vcorp, &self.corpus) {
             (Some(path), _) => {
                 let mut corpus = LazyCorpus::open(path)?;
-                if mmap {
-                    // Falls back to positioned reads silently where
-                    // mapping is unavailable.
-                    corpus = corpus.with_mmap();
-                }
                 if let Some(plan) = fault {
                     corpus = corpus.with_fault_plan(Arc::clone(plan));
                 }

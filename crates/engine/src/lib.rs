@@ -111,23 +111,20 @@
 //! [`log_fingerprint`]s — so a daemon restart or a cold run parses zero
 //! JSON and re-hashes zero floats. Session logs decode on demand per
 //! work unit, digest-verified, into a bounded resident set
-//! ([`LazyCorpus::with_max_resident`], [`LazyCorpus::with_max_resident_bytes`]),
-//! so corpora larger than RAM stream through a run. See the [`store`]
-//! module docs for the file layout and versioning rules.
+//! ([`LazyCorpus::with_max_resident`]), so corpora larger than RAM
+//! stream through a run. See the [`store`] module docs for the file
+//! layout and versioning rules.
 //!
 //! Decoding is **query-aware**: [`QueryPlan::compile`] derives the
-//! [`ColumnSet`] each query kind actually reads (module
-//! [`columns`]), the executor requests logs through
-//! [`Corpus::log_projected`], and a [`LazyCorpus`] decodes only those
-//! column ranges — per-column digest-verified — instead of the full
+//! [`ColumnSet`] each query kind actually reads (module [`columns`]),
+//! the executor passes it to [`Corpus::log`], and a [`LazyCorpus`]
+//! reads and decodes only those column ranges — one positioned read per
+//! contiguous range, per-column digest-verified — instead of the full
 //! block. Projection never changes answers or cache keys (the
-//! [`log_fingerprint`] is precomputed in the index); disable it with
-//! `VERITAS_NO_PROJECTION=1` to A/B against full decodes, and observe it
-//! via [`Corpus::residency`] ([`ResidencyStats`]: bytes/columns decoded,
+//! [`log_fingerprint`] is precomputed in the index); observe it via
+//! [`Corpus::residency`] ([`ResidencyStats`]: bytes/columns decoded,
 //! peak resident bytes — surfaced by `veritas bench --json` and the
-//! service's `{"metrics": true}`). `--mmap` (CLI) /
-//! [`LazyCorpus::with_mmap`] back decodes with a memory map instead of
-//! positioned reads where the platform supports it.
+//! service's `{"metrics": true}`).
 //!
 //! # Example: streaming consumption
 //!

@@ -690,7 +690,7 @@ impl QueryPlan {
     /// The per-chunk columns the plan's units read from session
     /// `session`: the union of [the demand] of every query that selected
     /// it. Empty for sessions no query selected. The executor passes this
-    /// to [`crate::Corpus::log_projected`] so a columnar store decodes
+    /// to [`crate::Corpus::log`] so a columnar store decodes
     /// only what the plan will touch.
     ///
     /// [the demand]: query_column_demand

@@ -735,7 +735,6 @@ impl Engine {
             log_fps,
             retry: self.retry,
             fault: self.fault.clone(),
-            projection: projection_enabled(),
             ..ExecCtx::new(corpus, plan)
         });
         let worker_ctx = Arc::clone(&ctx);
@@ -1066,20 +1065,6 @@ pub(crate) struct ExecCtx {
     pub(crate) shard_retries: AtomicU64,
     /// Ids of the sessions quarantined by retry exhaustion.
     quarantined: Mutex<BTreeSet<String>>,
-    /// Whether unit log loads pass the plan's column demand to
-    /// [`Corpus::log_projected`] (the default) or force full decodes
-    /// (`VERITAS_NO_PROJECTION=1`, the differential-testing escape
-    /// hatch). Projection never changes an answer — only how many bytes
-    /// a columnar store decodes to produce it.
-    projection: bool,
-}
-
-/// Whether executors request column-projected logs (the default).
-/// Setting `VERITAS_NO_PROJECTION=1` forces full decodes — the escape
-/// hatch the projection differential tests and the ingest-smoke CI job
-/// use to prove projected runs answer byte-identically.
-fn projection_enabled() -> bool {
-    !std::env::var("VERITAS_NO_PROJECTION").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 impl ExecCtx {
@@ -1100,7 +1085,6 @@ impl ExecCtx {
             run_retries: AtomicU64::new(0),
             shard_retries: AtomicU64::new(0),
             quarantined: Mutex::new(BTreeSet::new()),
-            projection: false,
         }
     }
 
@@ -1120,17 +1104,12 @@ impl ExecCtx {
     }
 
     /// Loads a session log for unit execution, asking the corpus to
-    /// decode only the columns the plan's queries will read (unless
-    /// projection is disabled). [`Corpus::log_projected`] guarantees the
-    /// selected fields are bit-identical to a full decode, so answers —
-    /// and through the precomputed fingerprints, cache keys — do not
-    /// depend on this choice.
+    /// decode only the columns the plan's queries will read.
+    /// [`Corpus::log`] guarantees the selected fields are bit-identical
+    /// to a full decode, so answers — and through the precomputed
+    /// fingerprints, cache keys — do not depend on the projection.
     fn load_log(&self, si: usize) -> Result<LogRef<'_>, String> {
-        if self.projection {
-            self.corpus.log_projected(si, self.plan.column_demand(si))
-        } else {
-            self.corpus.log(si)
-        }
+        self.corpus.log(si, self.plan.column_demand(si))
     }
 
     /// The supervised unit path every worker goes through: quarantine

@@ -766,7 +766,7 @@ impl Service {
     /// decodes), and the connection handlers (socket I/O).
     pub fn bind(config: ServiceConfig) -> Result<Self, EngineError> {
         let fault = config.engine.fault_plan()?;
-        let corpus = config.engine.load_corpus(fault.as_ref(), false)?;
+        let corpus = config.engine.load_corpus(fault.as_ref())?;
         if corpus.is_empty() {
             return Err(EngineError::EmptyCorpus);
         }
@@ -1048,20 +1048,28 @@ mod tests {
 
     #[test]
     fn corpus_paths_dispatch_on_the_vcorp_extension() {
-        // Only the `.vcorp` reader can memory-map, so a directory path is
-        // refused before any I/O while a `.vcorp` path reaches the reader.
-        let flags = |path: &str| {
-            ServiceConfig::parse(&args(&["--corpus", path]))
+        // Two empty directories that differ only in the extension: the
+        // `.vcorp` one reaches the columnar reader, which cannot read a
+        // directory as a corpus file (an i/o error, or a format error
+        // where the filesystem reports a tiny directory size); the other
+        // is loaded as a JSON session directory and holds no sessions.
+        let root = std::env::temp_dir().join("veritas_service_dispatch_test");
+        let _ = std::fs::remove_dir_all(&root);
+        let (vcorp, dir) = (root.join("x.vcorp"), root.join("x"));
+        std::fs::create_dir_all(&vcorp).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        let flags = |path: &std::path::Path| {
+            ServiceConfig::parse(&args(&["--corpus", path.to_str().unwrap()]))
                 .unwrap()
                 .engine
         };
         assert!(matches!(
-            flags("missing/corpus.vcorp").load_corpus(None, true),
-            Err(EngineError::Io(_))
+            flags(&vcorp).load_corpus(None),
+            Err(EngineError::Io(_) | EngineError::CorpusFormat(_))
         ));
         assert!(matches!(
-            flags("missing/sessions").load_corpus(None, true),
-            Err(EngineError::Config(_))
+            flags(&dir).load_corpus(None),
+            Err(EngineError::EmptyCorpus)
         ));
     }
 

@@ -1,10 +1,10 @@
 //! [`LazyCorpus`]: a `.vcorp`-backed [`Corpus`] that decodes session
-//! logs on demand — optionally only the *columns* a query plan demands —
-//! and keeps a bounded resident set in memory.
+//! logs on demand — only the *columns* a query plan demands — and keeps a
+//! bounded resident set in memory.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -13,7 +13,7 @@ use veritas_player::{PlayerConfig, SessionLog};
 use veritas_trace::BandwidthTrace;
 
 use super::{
-    block_header_len, decode_block_projected, open_parts, projected_ranges, ColumnSet, CorpusMeta,
+    block_header_len, decode_block, open_parts, projected_ranges, ColumnSet, CorpusMeta,
     IndexEntry, VcorpError,
 };
 use crate::corpus::{Corpus, LogRef, ResidencyStats};
@@ -64,24 +64,11 @@ impl PositionedFile {
             file.read_exact(buf)
         }
     }
-
-    /// The raw handle, where mapping it is possible (unix only — which
-    /// is also the only place [`vmmap::Mmap::map`] can succeed).
-    fn for_map(&self) -> Option<&File> {
-        #[cfg(unix)]
-        {
-            Some(&self.file)
-        }
-        #[cfg(not(unix))]
-        {
-            None
-        }
-    }
 }
 
 /// One resident decoded log: the log, the columns that were actually
-/// decoded into it, and its projected in-memory size for byte-bounded
-/// eviction accounting.
+/// decoded into it, and its projected in-memory size (reported through
+/// [`ResidencyStats`]).
 #[derive(Debug)]
 struct ResidentEntry {
     log: Arc<SessionLog>,
@@ -92,9 +79,8 @@ struct ResidentEntry {
 #[derive(Debug, Default)]
 struct Resident {
     map: HashMap<usize, ResidentEntry>,
-    /// Decode order, for FIFO eviction. May contain stale indices (a
-    /// widening re-decode re-enqueues its session); eviction skips
-    /// entries no longer in the map.
+    /// Decode order, for FIFO eviction: every resident session exactly
+    /// once (a widening re-decode moves its session to the back).
     order: VecDeque<usize>,
     /// Sum of resident entry sizes.
     bytes: usize,
@@ -109,20 +95,19 @@ struct Resident {
 /// [`Corpus::log_fingerprint`] / [`Corpus::content_fingerprint`] never
 /// touch a session block. Logs are decoded (and digest-verified) on
 /// first access per session and cached in a FIFO resident set bounded by
-/// [`LazyCorpus::with_max_resident`] sessions and, optionally,
-/// [`LazyCorpus::with_max_resident_bytes`] of projected log memory, so a
-/// streaming run over a corpus larger than RAM holds only a window of it.
+/// [`LazyCorpus::with_max_resident`] sessions, so a streaming run over a
+/// corpus larger than RAM holds only a window of it.
 ///
-/// [`LazyCorpus::load_log_projected`] decodes only the columns in a
-/// [`ColumnSet`]: the unselected column ranges are never read (one
-/// positioned read per contiguous selected range — or a plain slice of
-/// the mapping under [`LazyCorpus::with_mmap`]), never digest-checked,
-/// and zero-filled in the returned log. A resident log decoded under a
-/// narrower set than a later request is *widened*: re-decoded under the
-/// union and replaced, so a resident entry always covers every column
-/// any holder of it may read. [`LazyCorpus::bytes_decoded`] /
-/// [`LazyCorpus::columns_decoded`] count the cumulative decode work, the
-/// observable I/O win of projection.
+/// Every block read goes through [`LazyCorpus::load_log_projected`],
+/// which decodes only the columns in a [`ColumnSet`]: it issues one
+/// positioned read per contiguous selected range (one read of the whole
+/// block for a full decode), and the unselected ranges are never read,
+/// never digest-checked, and zero-filled in the returned log. A resident
+/// log decoded under a narrower set than a later request is *widened*:
+/// re-decoded under the union and replaced, so a resident entry always
+/// covers every column any holder of it may read.
+/// [`LazyCorpus::bytes_decoded`] / [`LazyCorpus::columns_decoded`] count
+/// the cumulative decode work, the observable I/O win of projection.
 ///
 /// The deployed setting (asset, player, ABR) is reconstructed from the
 /// header exactly as [`crate::SessionCorpus::from_dir`] reconstructs it
@@ -130,18 +115,13 @@ struct Resident {
 /// interchangeable between a directory and its ingested `.vcorp`.
 #[derive(Debug)]
 pub struct LazyCorpus {
-    path: PathBuf,
     file: PositionedFile,
-    /// Opt-in whole-file mapping ([`LazyCorpus::with_mmap`]); block
-    /// decodes slice it instead of issuing positioned reads.
-    map: Option<vmmap::Mmap>,
     meta: CorpusMeta,
     asset: VideoAsset,
     player: PlayerConfig,
     index: Vec<IndexEntry>,
     resident: Mutex<Resident>,
     max_resident: usize,
-    max_resident_bytes: usize,
     peak_resident: AtomicUsize,
     peak_resident_bytes: AtomicUsize,
     bytes_decoded: AtomicU64,
@@ -154,8 +134,7 @@ impl LazyCorpus {
     /// Opens and verifies `path` (see [`super::open_parts`]), retaining
     /// only the header and index in memory.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, VcorpError> {
-        let path = path.as_ref();
-        let parts = open_parts(path)?;
+        let parts = open_parts(path.as_ref())?;
         let asset = VideoAsset::generate(
             QualityLadder::paper_default(),
             parts.meta.video_duration_s,
@@ -166,16 +145,13 @@ impl LazyCorpus {
         let player =
             PlayerConfig::paper_default().with_buffer_capacity(parts.meta.buffer_capacity_s);
         Ok(Self {
-            path: path.to_path_buf(),
             file: PositionedFile::new(parts.file),
-            map: None,
             meta: parts.meta,
             asset,
             player,
             index: parts.index,
             resident: Mutex::new(Resident::default()),
             max_resident: DEFAULT_MAX_RESIDENT,
-            max_resident_bytes: usize::MAX,
             peak_resident: AtomicUsize::new(0),
             peak_resident_bytes: AtomicUsize::new(0),
             bytes_decoded: AtomicU64::new(0),
@@ -191,37 +167,6 @@ impl LazyCorpus {
         self
     }
 
-    /// Caps the resident set at `max` bytes of projected log memory
-    /// (at least 1; unbounded by default). Entry sizes are the projected
-    /// block sizes — header plus decoded columns — so a set of narrow
-    /// projections admits proportionally more sessions than full decodes
-    /// would. A single oversized entry is still admitted (the bound
-    /// never starves a load); eviction is FIFO, same as the session cap.
-    pub fn with_max_resident_bytes(mut self, max: usize) -> Self {
-        self.max_resident_bytes = max.max(1);
-        self
-    }
-
-    /// Switches block reads to an opt-in read-only memory map of the
-    /// backing file. Projected decodes then copy only the column slices
-    /// they return — no per-range positioned reads. Falls back silently
-    /// to the positioned-read path when mapping is unsupported (non-unix)
-    /// or refused by the OS; [`LazyCorpus::is_mapped`] reports which path
-    /// is active.
-    pub fn with_mmap(mut self) -> Self {
-        self.map = self
-            .file
-            .for_map()
-            .and_then(|file| vmmap::Mmap::map(file).ok());
-        self
-    }
-
-    /// Whether block reads are served from a memory map
-    /// ([`LazyCorpus::with_mmap`]) rather than positioned reads.
-    pub fn is_mapped(&self) -> bool {
-        self.map.is_some()
-    }
-
     /// Attaches a fault plan: block decodes consult it and fail
     /// deterministically with a typed [`VcorpError::Corrupt`], surfacing
     /// as a retryable per-unit error. Resident (already-decoded) logs are
@@ -230,11 +175,6 @@ impl LazyCorpus {
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.fault = Some(plan);
         self
-    }
-
-    /// The backing file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// The corpus header (deployed setting).
@@ -262,19 +202,9 @@ impl LazyCorpus {
         &self.index[index].id
     }
 
-    /// The configured resident-set session bound.
-    pub fn max_resident(&self) -> usize {
-        self.max_resident
-    }
-
     /// Decoded logs currently resident.
     pub fn resident_sessions(&self) -> usize {
         self.resident.lock().expect("resident lock").map.len()
-    }
-
-    /// Projected bytes of the currently resident decoded logs.
-    pub fn resident_bytes(&self) -> usize {
-        self.resident.lock().expect("resident lock").bytes
     }
 
     /// High-water mark of concurrently resident decoded logs — the
@@ -367,16 +297,21 @@ impl LazyCorpus {
                 _ => {}
             }
             if let Some(old) = resident.map.remove(&index) {
+                // The replaced copy gives up its FIFO slot; the widened
+                // one re-enters at the back.
                 resident.bytes -= old.bytes;
+                resident.order.retain(|&i| i != index);
             }
-            while !resident.order.is_empty()
-                && (resident.map.len() >= self.max_resident
-                    || resident.bytes.saturating_add(decoded_bytes) > self.max_resident_bytes)
-            {
-                let evict = resident.order.pop_front().expect("non-empty order");
-                if let Some(old) = resident.map.remove(&evict) {
-                    resident.bytes -= old.bytes;
-                }
+            while resident.map.len() >= self.max_resident {
+                let evict = resident
+                    .order
+                    .pop_front()
+                    .expect("order lists every resident session");
+                let old = resident
+                    .map
+                    .remove(&evict)
+                    .expect("order lists only resident sessions");
+                resident.bytes -= old.bytes;
             }
             resident.map.insert(
                 index,
@@ -413,40 +348,16 @@ impl LazyCorpus {
                 entry.id
             ))
         })?;
+        // Only the header and the selected column ranges are read; the
+        // rest of the buffer stays zeroed and is never examined by the
+        // decode.
+        let mut bytes = vec![0u8; block_len];
+        for (start, len) in projected_ranges(header_len, chunks, cols) {
+            self.file
+                .read_exact_at(&mut bytes[start..start + len], entry.offset + start as u64)?;
+        }
+        let log = decode_block(&bytes, entry, cols)?;
         let decoded_bytes = header_len + cols.len() * chunks * 8;
-        let log = if let Some(map) = &self.map {
-            let start = entry.offset as usize;
-            let bytes = map
-                .as_slice()
-                .get(start..start + block_len)
-                .ok_or_else(|| {
-                    VcorpError::Corrupt(format!(
-                        "session `{}`: block extends past the mapped file",
-                        entry.id
-                    ))
-                })?;
-            decode_block_projected(bytes, entry, cols)?
-        } else if cols.is_all() {
-            let mut bytes = vec![0u8; block_len];
-            self.file.read_exact_at(&mut bytes, entry.offset)?;
-            decode_block_projected(&bytes, entry, cols)?
-        } else {
-            // Only the header and the selected column ranges are read;
-            // the rest of the buffer stays zeroed and is never examined
-            // by the projected decode.
-            let mut bytes = vec![0u8; block_len];
-            for (start, len) in projected_ranges(header_len, chunks, cols) {
-                if start + len > block_len {
-                    return Err(VcorpError::Corrupt(format!(
-                        "session `{}`: column range extends past its block",
-                        entry.id
-                    )));
-                }
-                self.file
-                    .read_exact_at(&mut bytes[start..start + len], entry.offset + start as u64)?;
-            }
-            decode_block_projected(&bytes, entry, cols)?
-        };
         self.bytes_decoded
             .fetch_add(decoded_bytes as u64, Ordering::Relaxed);
         self.columns_decoded
@@ -464,13 +375,7 @@ impl Corpus for LazyCorpus {
         &self.index[index].id
     }
 
-    fn log(&self, index: usize) -> Result<LogRef<'_>, String> {
-        self.load_log(index)
-            .map(LogRef::Shared)
-            .map_err(|e| e.to_string())
-    }
-
-    fn log_projected(&self, index: usize, columns: ColumnSet) -> Result<LogRef<'_>, String> {
+    fn log(&self, index: usize, columns: ColumnSet) -> Result<LogRef<'_>, String> {
         self.load_log_projected(index, columns)
             .map(LogRef::Shared)
             .map_err(|e| e.to_string())

@@ -121,7 +121,7 @@ pub mod columns {
 ///
 /// Compiled query plans derive one per session — the union of every work
 /// unit's column demand — and thread it through
-/// [`crate::Corpus::log_projected`] down to the storage layer, which
+/// [`crate::Corpus::log`] down to the storage layer, which
 /// decodes (and digest-verifies) only the selected columns; see
 /// [`LazyCorpus`]. An empty set still decodes the block header
 /// (session-level scalars), just no per-chunk series. Unselected columns
@@ -683,11 +683,22 @@ fn take_str(reader: &mut Reader<'_>, what: &str) -> Result<String, VcorpError> {
     String::from_utf8(bytes[..len].to_vec()).map_err(|_| corrupt(format!("{what} is not UTF-8")))
 }
 
-/// Decodes one session block and verifies it against its index entry:
-/// the chunk count, every per-column digest, and finally that the
-/// rebuilt log's recomputed [`crate::log_fingerprint`] equals the stored
-/// one — the stored digests the cache trusts are never unchecked.
-fn decode_block(bytes: &[u8], entry: &IndexEntry) -> Result<SessionLog, VcorpError> {
+/// Decodes one session block restricted to the columns in `cols` and
+/// verifies it against its index entry: the chunk count and every
+/// selected column's digest. Unselected columns are skipped — not
+/// digest-checked — and their record fields zero-filled, so callers may
+/// hand in a buffer whose unselected column ranges were never read.
+///
+/// A full decode (`cols.is_all()`) also checks that the rebuilt log's
+/// recomputed [`crate::log_fingerprint`] equals the stored one, so the
+/// stored fingerprints the cache trusts are never unchecked. A partial
+/// decode skips that check: it hashes fields that may not be decoded,
+/// and cache identity comes from the index's stored fingerprint anyway.
+fn decode_block(
+    bytes: &[u8],
+    entry: &IndexEntry,
+    cols: ColumnSet,
+) -> Result<SessionLog, VcorpError> {
     let fail = |reason: String| corrupt(format!("session `{}`: {reason}", entry.id));
     let mut reader = Reader::new(bytes);
     let abr_name = take_str(&mut reader, "ABR name")?;
@@ -714,20 +725,20 @@ fn decode_block(bytes: &[u8], entry: &IndexEntry) -> Result<SessionLog, VcorpErr
         )));
     }
     let mut take_int_column = |column: usize, name: &str| -> Result<Vec<usize>, VcorpError> {
+        if !cols.contains(column) {
+            reader.take_bytes(n * 8).expect("length verified above");
+            return Ok(vec![0usize; n]);
+        }
         let mut values = Vec::with_capacity(n);
         let mut digest = FNV_OFFSET;
         for _ in 0..n {
             let v = reader.take_u64().expect("length verified above");
             fnv_mix(&mut digest, v);
-            values.push(usize::try_from(v).map_err(|_| {
-                corrupt(format!("session `{}`: column `{name}` overflows", entry.id))
-            })?);
+            let v = usize::try_from(v).map_err(|_| fail(format!("column `{name}` overflows")))?;
+            values.push(v);
         }
         if digest != entry.column_digests[column] {
-            return Err(corrupt(format!(
-                "session `{}`: column `{name}` digest mismatch",
-                entry.id
-            )));
+            return Err(fail(format!("column `{name}` digest mismatch")));
         }
         Ok(values)
     };
@@ -735,6 +746,11 @@ fn decode_block(bytes: &[u8], entry: &IndexEntry) -> Result<SessionLog, VcorpErr
     let quality_column = take_int_column(1, "quality")?;
     let mut columns: Vec<Vec<f64>> = Vec::with_capacity(F64_COLUMNS.len());
     for (column, (name, _)) in F64_COLUMNS.iter().enumerate() {
+        if !cols.contains(2 + column) {
+            reader.take_bytes(n * 8).expect("length verified above");
+            columns.push(vec![0.0; n]);
+            continue;
+        }
         let mut values = Vec::with_capacity(n);
         let mut digest = FNV_OFFSET;
         for _ in 0..n {
@@ -782,7 +798,7 @@ fn decode_block(bytes: &[u8], entry: &IndexEntry) -> Result<SessionLog, VcorpErr
         total_rebuffer_s,
         session_duration_s,
     };
-    if log_fingerprint(&log) != entry.log_fingerprint {
+    if cols.is_all() && log_fingerprint(&log) != entry.log_fingerprint {
         return Err(fail(
             "stored log fingerprint does not match the decoded log".to_string(),
         ));
@@ -799,10 +815,11 @@ pub(crate) fn block_header_len(entry: &IndexEntry) -> Option<usize> {
     (entry.block_len as usize).checked_sub(columns)
 }
 
-/// The byte ranges of a block a projected decode actually reads: the
-/// header, then each selected column, with adjacent selections coalesced
-/// into one contiguous range (a `pread`-backed reader issues one read per
-/// range). Returns `(start, len)` pairs in ascending order.
+/// The byte ranges of a block a decode under `cols` reads: the header,
+/// then each selected column, with adjacent selections coalesced into one
+/// contiguous range (the reader issues one `pread` per range, so a full
+/// decode is a single read of the whole block). Returns `(start, len)`
+/// pairs in ascending order.
 pub(crate) fn projected_ranges(
     header_len: usize,
     chunks: usize,
@@ -822,134 +839,6 @@ pub(crate) fn projected_ranges(
     }
     ranges.retain(|&(_, len)| len > 0);
     ranges
-}
-
-/// [`decode_block`] restricted to the columns in `cols`: unselected
-/// columns are skipped — not digest-checked — and their record fields
-/// zero-filled. Selected columns are verified against their index digests
-/// exactly as a full decode would. The whole-log fingerprint recompute is
-/// *skipped* (it hashes fields that may not be decoded); cache identity
-/// comes from the index's stored fingerprint, which full decodes prove
-/// equal to the recomputed one. `cols == all` delegates to
-/// [`decode_block`], full verification included.
-///
-/// Callers may hand in a block buffer whose unselected column ranges were
-/// never read (left zeroed): this function touches only the header and
-/// the selected ranges.
-fn decode_block_projected(
-    bytes: &[u8],
-    entry: &IndexEntry,
-    cols: ColumnSet,
-) -> Result<SessionLog, VcorpError> {
-    if cols.is_all() {
-        return decode_block(bytes, entry);
-    }
-    let fail = |reason: String| corrupt(format!("session `{}`: {reason}", entry.id));
-    let mut reader = Reader::new(bytes);
-    let abr_name = take_str(&mut reader, "ABR name")?;
-    let buffer_capacity_s = need_f64(&mut reader, "buffer capacity")?;
-    let chunk_duration_s = need_f64(&mut reader, "chunk duration")?;
-    let startup_delay_s = need_f64(&mut reader, "startup delay")?;
-    let total_rebuffer_s = need_f64(&mut reader, "total rebuffer")?;
-    let session_duration_s = need_f64(&mut reader, "session duration")?;
-    let n = need_u64(&mut reader, "chunk count")?;
-    if n != entry.chunk_count {
-        return Err(fail(format!(
-            "block declares {n} chunks but the index says {}",
-            entry.chunk_count
-        )));
-    }
-    let n = n as usize;
-    let expected = n
-        .checked_mul(NUM_COLUMNS * 8)
-        .filter(|&cols| bytes.len() - reader.pos() == cols);
-    if expected.is_none() {
-        return Err(fail(format!(
-            "block length {} does not match its {n} declared chunks",
-            bytes.len()
-        )));
-    }
-    let mut int_column = |column: usize, name: &str| -> Result<Vec<usize>, VcorpError> {
-        if !cols.contains(column) {
-            reader.take_bytes(n * 8).expect("length verified above");
-            return Ok(vec![0usize; n]);
-        }
-        let mut values = Vec::with_capacity(n);
-        let mut digest = FNV_OFFSET;
-        for _ in 0..n {
-            let v = reader.take_u64().expect("length verified above");
-            fnv_mix(&mut digest, v);
-            values.push(usize::try_from(v).map_err(|_| {
-                corrupt(format!("session `{}`: column `{name}` overflows", entry.id))
-            })?);
-        }
-        if digest != entry.column_digests[column] {
-            return Err(corrupt(format!(
-                "session `{}`: column `{name}` digest mismatch",
-                entry.id
-            )));
-        }
-        Ok(values)
-    };
-    let index_column = int_column(0, "index")?;
-    let quality_column = int_column(1, "quality")?;
-    let mut columns: Vec<Vec<f64>> = Vec::with_capacity(F64_COLUMNS.len());
-    for (column, (name, _)) in F64_COLUMNS.iter().enumerate() {
-        if !cols.contains(2 + column) {
-            reader.take_bytes(n * 8).expect("length verified above");
-            columns.push(vec![0.0; n]);
-            continue;
-        }
-        let mut values = Vec::with_capacity(n);
-        let mut digest = FNV_OFFSET;
-        for _ in 0..n {
-            let v = reader.take_f64().expect("length verified above");
-            fnv_mix_f64(&mut digest, v);
-            values.push(v);
-        }
-        if digest != entry.column_digests[2 + column] {
-            return Err(fail(format!("column `{name}` digest mismatch")));
-        }
-        columns.push(values);
-    }
-    debug_assert!(reader.at_end(), "length verified above");
-    // Positional access below mirrors the F64_COLUMNS on-disk order.
-    let records = (0..n)
-        .map(|i| ChunkRecord {
-            index: index_column[i],
-            quality: quality_column[i],
-            size_bytes: columns[0][i],
-            ssim: columns[1][i],
-            wait_before_request_s: columns[2][i],
-            start_time_s: columns[3][i],
-            end_time_s: columns[4][i],
-            download_time_s: columns[5][i],
-            throughput_mbps: columns[6][i],
-            buffer_at_request_s: columns[7][i],
-            rebuffer_s: columns[8][i],
-            tcp_info: TcpInfo {
-                cwnd_segments: columns[9][i],
-                ssthresh_segments: columns[10][i],
-                rto_s: columns[11][i],
-                srtt_s: columns[12][i],
-                min_rtt_s: columns[13][i],
-                last_send_gap_s: columns[14][i],
-            },
-            gtbw_at_request_mbps: columns[15][i],
-        })
-        .collect();
-    // No whole-log fingerprint recompute here: it covers fields that may
-    // be undecoded. The stored fingerprint in the index is the cache
-    // identity, and full decodes verify it equals the recompute.
-    Ok(SessionLog {
-        abr_name,
-        buffer_capacity_s,
-        chunk_duration_s,
-        records,
-        startup_delay_s,
-        total_rebuffer_s,
-        session_duration_s,
-    })
 }
 
 /// The verified skeleton of an open `.vcorp`: the file handle (positioned

@@ -341,36 +341,127 @@ fn post_open_column_flips_fail_only_the_projections_that_read_them() {
     );
 }
 
+proptest! {
+    /// Arbitrary bytes written over a session block *after* open (so the
+    /// whole-file checksum never sees them) reach the block decoder as
+    /// is: under any column set, full decodes included, the decode either
+    /// succeeds or fails typed as [`VcorpError::Corrupt`] — never a panic.
+    #[test]
+    fn post_open_block_overwrites_decode_or_fail_typed(
+        offset in 0usize..4096,
+        patch in prop::collection::vec(any::<u8>(), 1..24),
+        mask in 0u32..(1u32 << ColumnSet::COUNT),
+        full in any::<bool>(),
+    ) {
+        let dir = temp_dir("post_open_overwrite");
+        let path = dir.join("corpus.vcorp");
+        let mut values = finite_source(0.0);
+        let mut writer = VcorpWriter::create(&path, &meta()).expect("create writer");
+        writer.append("s0", &synth_log("mpc", 5, &mut values)).expect("append");
+        writer.finish().expect("finish");
+        let entry = open_parts(&path).expect("open parts").index[0].clone();
+
+        let corpus = LazyCorpus::open(&path).expect("open before corruption");
+        let mut bytes = fs::read(&path).expect("read file");
+        let block_end = (entry.offset + entry.block_len) as usize;
+        let start = entry.offset as usize + offset % entry.block_len as usize;
+        let end = (start + patch.len()).min(block_end);
+        bytes[start..end].copy_from_slice(&patch[..end - start]);
+        fs::write(&path, &bytes).expect("rewrite corrupted file");
+
+        let cols = if full {
+            ColumnSet::all()
+        } else {
+            ColumnSet::from_bits(mask).expect("mask is in range")
+        };
+        match corpus.load_log_projected(0, cols) {
+            Ok(_) | Err(VcorpError::Corrupt(_)) => {}
+            Err(other) => panic!("expected a decode or Corrupt under {cols:?}, got: {other}"),
+        }
+    }
+}
+
+/// The whole-log fingerprint check only a full decode runs: a stored
+/// fingerprint patched in the index (and the whole-file checksum resealed,
+/// so open accepts the file) fails a full decode, while a projection —
+/// which never recomputes the fingerprint — still decodes.
 #[test]
-fn mmap_and_pread_decodes_agree_bit_for_bit() {
-    let dir = temp_dir("mmap_agreement");
+fn full_decodes_check_the_stored_log_fingerprint() {
+    let dir = temp_dir("fingerprint_check");
     let path = dir.join("corpus.vcorp");
-    let mut values = bit_source(1234);
-    let logs: Vec<SessionLog> = (0..4).map(|_| synth_log("mpc", 5, &mut values)).collect();
+    let mut values = finite_source(0.0);
+    let log = synth_log("mpc", 4, &mut values);
     let mut writer = VcorpWriter::create(&path, &meta()).expect("create writer");
-    for (i, log) in logs.iter().enumerate() {
-        writer.append(&format!("s{i}"), log).expect("append");
+    writer.append("s0", &log).expect("append");
+    writer.finish().expect("finish");
+
+    // The index starts with the session count; the one entry then holds
+    // the id `s0` (length word + one padded word), offset, block length,
+    // and chunk count before the fingerprint word.
+    let mut bytes = fs::read(&path).expect("read file");
+    let len = bytes.len();
+    let word = |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let fingerprint_at = word(&bytes, len - 16) as usize + 8 + 16 + 24;
+    assert_eq!(word(&bytes, fingerprint_at), log_fingerprint(&log));
+    bytes[fingerprint_at] ^= 0x01;
+    let mut checksum = FNV_OFFSET;
+    for chunk in bytes[8..len - 8].chunks_exact(8) {
+        fnv_mix(&mut checksum, u64::from_le_bytes(chunk.try_into().unwrap()));
+    }
+    bytes[len - 8..].copy_from_slice(&checksum.to_le_bytes());
+    fs::write(&path, &bytes).expect("rewrite resealed file");
+
+    let corpus = LazyCorpus::open(&path).expect("a resealed corpus opens");
+    let err = corpus
+        .load_log(0)
+        .expect_err("a full decode must recompute the fingerprint");
+    assert!(
+        matches!(&err, VcorpError::Corrupt(reason) if reason.contains("stored log fingerprint")),
+        "expected the fingerprint error, got: {err}"
+    );
+    let projected = corpus
+        .load_log_projected(0, ColumnSet::of(&[columns::SIZE_BYTES]))
+        .expect("a projection does not recompute the fingerprint");
+    for (got, want) in projected.records.iter().zip(&log.records) {
+        assert_eq!(got.size_bytes.to_bits(), want.size_bytes.to_bits());
+    }
+}
+
+/// A widened session gives up its old FIFO slot: the next eviction drops
+/// the oldest decode, not the freshly widened copy.
+#[test]
+fn widened_sessions_are_not_evicted_from_their_stale_fifo_slot() {
+    let dir = temp_dir("widen_eviction");
+    let path = dir.join("corpus.vcorp");
+    let mut values = finite_source(0.0);
+    let mut writer = VcorpWriter::create(&path, &meta()).expect("create writer");
+    for i in 0..3 {
+        writer
+            .append(&format!("s{i}"), &synth_log("mpc", 3, &mut values))
+            .expect("append");
     }
     writer.finish().expect("finish");
 
-    let cols = ColumnSet::of(&[columns::SSIM, columns::THROUGHPUT_MBPS]);
-    let pread = LazyCorpus::open(&path).expect("open pread");
-    let mapped = LazyCorpus::open(&path).expect("open mmap").with_mmap();
-    for i in 0..logs.len() {
-        assert_eq!(
-            log_bits(&mapped.load_log(i).expect("mmap full decode")),
-            log_bits(&pread.load_log(i).expect("pread full decode")),
-        );
-    }
-    // Fresh opens so both sides decode the projection (nothing resident).
-    let pread = LazyCorpus::open(&path).expect("reopen pread");
-    let mapped = LazyCorpus::open(&path).expect("reopen mmap").with_mmap();
-    for i in 0..logs.len() {
-        assert_eq!(
-            log_bits(&mapped.load_log_projected(i, cols).expect("mmap projected")),
-            log_bits(&pread.load_log_projected(i, cols).expect("pread projected")),
-        );
-    }
+    let corpus = LazyCorpus::open(&path).expect("open").with_max_resident(2);
+    let narrow = ColumnSet::of(&[columns::SIZE_BYTES]);
+    corpus.load_log_projected(0, narrow).expect("load s0");
+    let narrow_bytes = corpus.bytes_decoded() as usize;
+    corpus.load_log_projected(1, narrow).expect("load s1");
+    corpus.load_log(0).expect("widen s0");
+    let full_bytes = corpus.bytes_decoded() as usize - 2 * narrow_bytes;
+    corpus.load_log_projected(2, narrow).expect("load s2");
+
+    // s1 is the oldest decode, so it is the one evicted.
+    let residency = Corpus::residency(&corpus).expect("a lazy corpus reports residency");
+    assert_eq!(residency.resident_sessions, 2);
+    assert_eq!(residency.resident_bytes, full_bytes + narrow_bytes);
+    let before = corpus.bytes_decoded();
+    corpus.load_log(0).expect("reload s0");
+    assert_eq!(
+        corpus.bytes_decoded(),
+        before,
+        "the widened s0 must still be resident"
+    );
 }
 
 #[test]

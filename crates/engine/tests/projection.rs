@@ -132,51 +132,3 @@ fn every_query_kind_is_projection_neutral_between_corpus_sources() {
         lazy.len()
     );
 }
-
-#[test]
-fn mmap_backed_runs_match_pread_backed_runs() {
-    let dir = temp_dir("mmap");
-    let cache_dir = dir.join("cache");
-    let json_dir = dir.join("sessions");
-    std::fs::create_dir_all(&json_dir).unwrap();
-
-    let source = SyntheticSpec {
-        sessions: 2,
-        video_duration_s: 120.0,
-        ..SyntheticSpec::default()
-    }
-    .build();
-    for session in &source.sessions {
-        let path = json_dir.join(format!("{}.json", session.id));
-        std::fs::write(path, session.log.to_json()).unwrap();
-    }
-    let vcorp = dir.join("corpus.vcorp");
-    ingest_dir(&json_dir, &vcorp).unwrap();
-
-    let pread = Arc::new(LazyCorpus::open(&vcorp).unwrap());
-    let set = {
-        let probe = SessionCorpus::from_dir(&json_dir).unwrap();
-        query_set(&probe)
-    };
-    let plan = Arc::new(QueryPlan::compile(&set, pread.as_ref()).unwrap());
-    let cold = Engine::builder().cache_dir(&cache_dir).build().unwrap();
-    let baseline = cold
-        .submit_shared(Arc::clone(&pread) as Arc<dyn Corpus>, Arc::clone(&plan))
-        .unwrap()
-        .wait();
-    assert_eq!(baseline.summary.errors, 0);
-
-    let mapped = Arc::new(LazyCorpus::open(&vcorp).unwrap().with_mmap());
-    let warm = Engine::builder().cache_dir(&cache_dir).build().unwrap();
-    let report = warm
-        .submit_shared(Arc::clone(&mapped) as Arc<dyn Corpus>, plan)
-        .unwrap()
-        .wait();
-    assert_eq!(report.summary.errors, 0);
-    assert_eq!(
-        normalized_jsonl(&report),
-        normalized_jsonl(&baseline),
-        "an mmap-backed corpus must reproduce the pread-backed run"
-    );
-    assert_eq!(report.summary.cache_misses, 0);
-}
