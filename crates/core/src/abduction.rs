@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use veritas_ehmm::{
-    interpolate_full_path, sample_path, states_to_values, EhmmSpec, EhmmWorkspace, EmissionTable,
-    Posteriors, TransitionMatrix, ViterbiResult,
+    interpolate_full_path, states_to_values, EhmmSpec, EhmmWorkspace, EmissionTable, Posteriors,
+    TransitionMatrix, ViterbiResult,
 };
 use veritas_net::emission_log_density;
 use veritas_player::{ChunkRecord, SessionLog};
@@ -176,11 +176,12 @@ impl Abduction {
     /// Viterbi pass runs; only the cheap δ-interval layout is rederived
     /// from the log.
     ///
-    /// Every shape is revalidated against the log/config pair: a Viterbi
-    /// path or posterior whose length, state count, or state indices do
-    /// not fit yields [`AbductionError::InconsistentParts`], so a stale or
+    /// Every part is revalidated against the log/config pair: a Viterbi
+    /// path or posterior part whose length, state count, or state indices
+    /// do not fit, or stored gaps that differ from the log's δ-interval
+    /// layout, yield [`AbductionError::InconsistentParts`], so a stale or
     /// truncated store entry can never be served as a plausible-looking
-    /// posterior.
+    /// posterior, nor sampled with the wrong `A^Δ`.
     ///
     /// # Panics
     ///
@@ -216,32 +217,37 @@ impl Abduction {
                 "viterbi state {state} exceeds the {num_states}-state capacity grid"
             )));
         }
-        if posteriors.gamma.len() != num_obs || posteriors.gamma.cols() != num_states {
+        let matrices = [
+            ("gamma", &posteriors.gamma),
+            ("alpha", &posteriors.alpha),
+            ("beta", &posteriors.beta),
+            ("emission rows", &posteriors.emissions),
+        ];
+        if let Some((name, m)) = matrices
+            .iter()
+            .find(|(_, m)| m.len() != num_obs || m.cols() != num_states)
+        {
             return Err(inconsistent(format!(
-                "gamma is {}x{}, expected {num_obs}x{num_states}",
-                posteriors.gamma.len(),
-                posteriors.gamma.cols()
+                "{name} is {}x{}, expected {num_obs}x{num_states}",
+                m.len(),
+                m.cols()
             )));
         }
-        if posteriors.xi.len() != num_obs - 1 {
+        if posteriors.totals.len() != num_obs - 1 {
             return Err(inconsistent(format!(
-                "{} pairwise posteriors for {num_obs} chunks, expected {}",
-                posteriors.xi.len(),
+                "{} pairwise totals for {num_obs} chunks, expected {}",
+                posteriors.totals.len(),
                 num_obs - 1
             )));
         }
-        if let Some(pair) = posteriors
-            .xi
-            .iter()
-            .find(|m| m.len() != num_states || m.cols() != num_states)
-        {
-            return Err(inconsistent(format!(
-                "pairwise posterior is {}x{}, expected {num_states}x{num_states}",
-                pair.len(),
-                pair.cols()
-            )));
+        let (start_intervals, gaps, total_intervals) = interval_layout(log, config)?;
+        // The sampler transports step n with A^{gaps[n + 1]}: gaps that
+        // differ from the log's layout would sample with the wrong kernel.
+        if posteriors.gaps != gaps {
+            return Err(inconsistent(
+                "stored gaps differ from the log's interval layout".to_string(),
+            ));
         }
-        let (start_intervals, _gaps, total_intervals) = interval_layout(log, config)?;
         Ok(Self {
             config: *config,
             quantizer,
@@ -341,11 +347,10 @@ impl Abduction {
     /// in their sampling seed without re-running forward–backward.
     pub fn sample_traces_with_seed(&self, k: usize, seed: u64) -> Vec<BandwidthTrace> {
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..k)
-            .map(|_| {
-                let states = sample_path(&self.posteriors, &self.viterbi, &mut rng);
-                self.states_to_trace(&states)
-            })
+        self.workspace
+            .sample_paths(&self.posteriors, &self.viterbi, k, &mut rng)
+            .iter()
+            .map(|states| self.states_to_trace(states))
             .collect()
     }
 
@@ -400,6 +405,7 @@ fn interval_layout(
 mod tests {
     use super::*;
     use veritas_abr::Mpc;
+    use veritas_ehmm::StateMatrix;
     use veritas_media::{QualityLadder, VbrParams, VideoAsset};
     use veritas_player::{run_session, PlayerConfig};
     use veritas_trace::generators::{FccLike, TraceGenerator};
@@ -719,19 +725,46 @@ mod tests {
             Err(AbductionError::InconsistentParts(_))
         ));
 
-        // A pairwise-posterior list of the wrong length.
-        let mut bad_posteriors = ab.posteriors().clone();
-        bad_posteriors.xi.pop();
-        assert!(matches!(
-            Abduction::from_parts(
-                &log,
-                &config,
-                ab.workspace().clone(),
-                ab.viterbi().clone(),
-                bad_posteriors,
-            ),
-            Err(AbductionError::InconsistentParts(_))
-        ));
+        // Every posterior part, mis-shaped one at a time.
+        let rejects = |mutate: &dyn Fn(&mut Posteriors)| {
+            let mut bad = ab.posteriors().clone();
+            mutate(&mut bad);
+            matches!(
+                Abduction::from_parts(
+                    &log,
+                    &config,
+                    ab.workspace().clone(),
+                    ab.viterbi().clone(),
+                    bad,
+                ),
+                Err(AbductionError::InconsistentParts(_))
+            )
+        };
+        let (rows, cols) = (log.records.len(), ab.capacity_grid().len());
+        let matrix = |r: usize, c: usize| StateMatrix::zeros(r, c);
+        let wrong_shapes = [(rows - 1, cols), (rows + 1, cols), (rows, cols - 1)];
+        for (r, c) in wrong_shapes {
+            assert!(rejects(&|p| p.gamma = matrix(r, c)), "gamma {r}x{c}");
+            assert!(rejects(&|p| p.alpha = matrix(r, c)), "alpha {r}x{c}");
+            assert!(rejects(&|p| p.beta = matrix(r, c)), "beta {r}x{c}");
+            assert!(
+                rejects(&|p| p.emissions = matrix(r, c)),
+                "emissions {r}x{c}"
+            );
+        }
+        assert!(rejects(&|p| {
+            p.totals.pop();
+        }));
+        assert!(rejects(&|p| p.totals.push(1.0)));
+        // Gaps that do not match the log's interval layout: a changed gap,
+        // a shifted one, and one too few.
+        assert!(rejects(&|p| p.gaps[1] += 1));
+        assert!(rejects(&|p| p.gaps.rotate_left(1)));
+        assert!(rejects(&|p| {
+            p.gaps.pop();
+        }));
+        // The untouched parts still restore.
+        assert!(!rejects(&|_| {}));
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Flat row-major buffers for the inference hot path.
 //!
-//! Every per-observation quantity of the EHMM kernels (α, β, γ, emissions,
-//! and each step's pairwise posterior) used to live in `Vec<Vec<f64>>`: one
-//! heap allocation per row and a pointer chase per access. [`StateMatrix`]
+//! Every per-observation quantity of the EHMM kernels (α, β, γ and the
+//! scaled emission rows) used to live in `Vec<Vec<f64>>`: one heap
+//! allocation per row and a pointer chase per access. [`StateMatrix`]
 //! replaces that with a single contiguous allocation plus a row stride,
 //! while still *indexing* like the nested representation (`m[n][i]`), so
 //! downstream code — the capacity sampler, tests, callers reading
-//! `Posteriors::gamma` — is unchanged.
+//! `Posteriors::gamma` — is unchanged. A step's K×K pairwise posterior is
+//! only ever materialised as a `StateMatrix` by
+//! [`EhmmWorkspace::pair`](crate::EhmmWorkspace::pair), for tests.
 
 use std::ops::{Index, IndexMut};
 

@@ -4,30 +4,51 @@
 //! algorithm is that transitions between consecutive observations use
 //! `A^{Δ_n}`. The implementation uses per-step scaling (normalizing the
 //! forward and backward vectors) so long sessions do not underflow, and
-//! returns both the per-observation marginals `γ` and the pairwise
-//! posteriors `Γ` (called `ξ` in HMM literature) that the capacity sampler
-//! consumes.
+//! returns the per-observation marginals `γ` plus the O(N·K) inputs the
+//! pairwise posteriors `Γ` (called `ξ` in HMM literature) are computed
+//! from. The dense `ξ` tensor is (N−1)·K² words, and the capacity sampler
+//! reads one column of it per step, so it is never stored:
+//! [`EhmmWorkspace::sample_path`] rebuilds each column it reads and
+//! [`EhmmWorkspace::pair`] materialises a whole step when a test needs it.
 //!
 //! The computation itself lives in [`EhmmWorkspace::forward_backward`] —
 //! flat buffers, banded matvecs, shared per-gap kernels. This module keeps
 //! the public [`Posteriors`] type and the classic free-function entry point.
 
-use crate::dense::StateMatrix;
+use crate::dense::{normalize, StateMatrix};
 use crate::model::{EhmmSpec, EmissionTable};
 use crate::workspace::EhmmWorkspace;
 
 /// Posterior quantities produced by the forward–backward pass.
 ///
-/// Both fields are flat row-major buffers that index like the nested
-/// `Vec`s they replaced: `gamma[n][i]` and `xi[n][i][j]`.
+/// Every buffer is O(N·K). The pairwise posterior of step `n` is
+///
+/// `ξ[n][i][j] = α[n][i] · A^Δ[i][j] · e[n+1][j] · β[n+1][j] / totals[n]`
+///
+/// with `Δ = gaps[n + 1]`, evaluated in exactly that order inside the
+/// kernel band, 0 outside it, and the flat `1/K²` wherever `totals[n]` is
+/// not positive. [`EhmmWorkspace::pair`] evaluates it for a whole step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Posteriors {
-    /// `gamma[n][i] = P(C_{s_n} = i | Y_{1:N}, W, S)`.
+    /// `gamma[n][i] = P(C_{s_n} = i | Y_{1:N}, W, S)`: each row is
+    /// `α[n] ⊙ β[n]`, normalized.
     pub gamma: StateMatrix,
-    /// `xi[n][i][j] = P(C_{s_n} = i, C_{s_{n+1}} = j | Y_{1:N}, W, S)`,
-    /// defined for `n = 0..N−2` (the paper's `Γ_{i,j,n}`); each step is one
-    /// flat K×K matrix.
-    pub xi: Vec<StateMatrix>,
+    /// Scaled forward variables: row `n` is the normalized filter
+    /// `P(C_{s_n} | Y_{1:n})`.
+    pub alpha: StateMatrix,
+    /// Scaled backward variables, one normalized row per observation.
+    pub beta: StateMatrix,
+    /// Scaled linear emission rows `e[n][j]` (each row's largest entry is
+    /// 1, see [`EmissionTable::scaled_linear_row`]).
+    pub emissions: StateMatrix,
+    /// `totals[n]`, for `n = 0..N−2`: the normalizer of step `n`'s pairwise
+    /// posterior, summed over `i` ascending and then `j` across the kernel
+    /// band.
+    pub totals: Vec<f64>,
+    /// The embedded gap `Δ_n` of every observation, as in
+    /// [`EmissionTable::gaps`]; step `n` transports with
+    /// `A^{gaps[n + 1]}`.
+    pub gaps: Vec<u32>,
     /// Log-likelihood of the observations under the model, up to the
     /// per-observation emission scaling constants (comparable across
     /// candidate hidden-state priors for the same observations).
@@ -35,6 +56,45 @@ pub struct Posteriors {
 }
 
 impl Posteriors {
+    /// Assembles posteriors from the smoother's parts, deriving `γ` from
+    /// `α` and `β` — the one place `γ` is computed, so a posterior
+    /// restored from its stored parts carries the same `γ` bits as a fresh
+    /// forward–backward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alpha` and `beta` differ in shape.
+    pub fn new(
+        alpha: StateMatrix,
+        beta: StateMatrix,
+        emissions: StateMatrix,
+        totals: Vec<f64>,
+        gaps: Vec<u32>,
+        log_likelihood: f64,
+    ) -> Self {
+        assert!(
+            alpha.len() == beta.len() && alpha.cols() == beta.cols(),
+            "alpha and beta must have the same shape"
+        );
+        let mut gamma = StateMatrix::zeros(alpha.len(), alpha.cols());
+        for n in 0..alpha.len() {
+            let row = gamma.row_mut(n);
+            for (slot, (&a, &b)) in row.iter_mut().zip(alpha.row(n).iter().zip(beta.row(n))) {
+                *slot = a * b;
+            }
+            normalize(row);
+        }
+        Self {
+            gamma,
+            alpha,
+            beta,
+            emissions,
+            totals,
+            gaps,
+            log_likelihood,
+        }
+    }
+
     /// Marginally most likely state per observation (differs in general from
     /// the Viterbi path, which is the jointly most likely sequence).
     pub fn marginal_map_path(&self) -> Vec<usize> {
@@ -73,6 +133,12 @@ mod tests {
 
     fn spec3() -> EhmmSpec {
         EhmmSpec::with_uniform_initial(TransitionMatrix::tridiagonal(3, 0.7))
+    }
+
+    /// Every step's materialised pairwise posterior `ξ[n]`.
+    fn pairs(spec: &EhmmSpec, p: &Posteriors) -> Vec<StateMatrix> {
+        let ws = EhmmWorkspace::new(spec.clone());
+        (0..p.totals.len()).map(|n| ws.pair(p, n)).collect()
     }
 
     /// Exact posteriors by brute-force enumeration of every state sequence.
@@ -140,7 +206,7 @@ mod tests {
             assert!((sum - 1.0).abs() < 1e-9, "gamma[{n}] sums to {sum}");
             assert!(row.iter().all(|&v| (0.0..=1.0 + 1e-9).contains(&v)));
         }
-        for (n, pair) in p.xi.iter().enumerate() {
+        for (n, pair) in pairs(&spec3(), &p).iter().enumerate() {
             let sum: f64 = pair.iter().flatten().sum();
             assert!((sum - 1.0).abs() < 1e-9, "xi[{n}] sums to {sum}");
         }
@@ -151,6 +217,7 @@ mod tests {
         let spec = spec3();
         let obs = example_obs();
         let p = forward_backward(&spec, &obs);
+        let xi = pairs(&spec, &p);
         let (gamma_bf, xi_bf) = brute_force(&spec, &obs);
         for n in 0..obs.num_obs() {
             for i in 0..3 {
@@ -166,9 +233,9 @@ mod tests {
             for i in 0..3 {
                 for j in 0..3 {
                     assert!(
-                        (p.xi[n][i][j] - xi_bf[n][i][j]).abs() < 1e-9,
+                        (xi[n][i][j] - xi_bf[n][i][j]).abs() < 1e-9,
                         "xi[{n}][{i}][{j}]: {} vs {}",
-                        p.xi[n][i][j],
+                        xi[n][i][j],
                         xi_bf[n][i][j]
                     );
                 }
@@ -179,9 +246,10 @@ mod tests {
     #[test]
     fn pair_marginals_are_consistent_with_gamma() {
         let p = forward_backward(&spec3(), &example_obs());
-        for n in 0..p.xi.len() {
+        let xi = pairs(&spec3(), &p);
+        for n in 0..xi.len() {
             for i in 0..3 {
-                let row_sum: f64 = p.xi[n][i].iter().sum();
+                let row_sum: f64 = xi[n][i].iter().sum();
                 assert!(
                     (row_sum - p.gamma[n][i]).abs() < 1e-9,
                     "sum_j xi[{n}][{i}][j] = {row_sum} != gamma[{n}][{i}] = {}",
@@ -189,7 +257,7 @@ mod tests {
                 );
             }
             for j in 0..3 {
-                let col_sum: f64 = (0..3).map(|i| p.xi[n][i][j]).sum();
+                let col_sum: f64 = (0..3).map(|i| xi[n][i][j]).sum();
                 assert!((col_sum - p.gamma[n + 1][j]).abs() < 1e-9);
             }
         }

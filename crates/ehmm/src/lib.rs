@@ -32,6 +32,12 @@
 //! ([`StateMatrix`]) for every intermediate. The free functions above are
 //! thin single-use wrappers; batch callers should build one workspace per
 //! model and reuse it so every decode shares the same memoized kernels.
+//!
+//! The smoother's output, [`Posteriors`], is O(N·K): γ plus the α, β,
+//! scaled emissions, per-step totals and gaps the pairwise posterior ξ is
+//! computed from. ξ itself ((N−1)·K² words) is never stored; the sampler
+//! rebuilds the one column it reads per step, with the same operations, and
+//! [`EhmmWorkspace::pair`] materialises a whole step for tests.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -52,6 +58,6 @@ pub use forward_backward::{forward_backward, Posteriors};
 pub use interpolate::{interpolate_full_path, states_to_values};
 pub use matrix::{TransitionMatrix, TransitionPowers};
 pub use model::{EhmmSpec, EmissionTable};
-pub use sampler::{sample_path, sample_path_ffbs, sample_paths};
+pub use sampler::{sample_path, sample_path_ffbs};
 pub use viterbi::{path_log_score, viterbi, ViterbiResult};
 pub use workspace::{EhmmWorkspace, GapKernel};

@@ -8,13 +8,22 @@
 //! `powers.power(..).clone()`, nested `Vec<Vec<f64>>` buffers, `safe_ln`
 //! per transition entry — so any divergence introduced by the banded,
 //! log-memoized kernels is caught here.
+//!
+//! A second reference, [`dense_forward_backward`] and
+//! [`dense_sample_path`], keeps the banded smoother and the Algorithm 1
+//! sampler as they were while the posterior still stored the dense
+//! pairwise tensor ξ. The sampler now rebuilds one ξ column per step from
+//! O(N·K) parts; the `dense_xi` tests pin that rebuild to the dense tensor
+//! bit for bit.
 
 use rand::Rng;
 
+use crate::dense::StateMatrix;
 use crate::matrix::TransitionPowers;
 use crate::model::{EhmmSpec, EmissionTable};
 use crate::sampler::sample_categorical;
 use crate::viterbi::{safe_ln, ViterbiResult};
+use crate::workspace::EhmmWorkspace;
 
 /// Posteriors in the pre-optimization nested-`Vec` layout.
 pub struct NaivePosteriors {
@@ -232,6 +241,136 @@ pub fn naive_sample_path_ffbs<R: Rng + ?Sized>(
     path
 }
 
+/// The banded smoother's output while it still stored the dense pairwise
+/// tensor: `xi[n]` is one K×K matrix per step, `totals[n]` its normalizer.
+pub struct DensePosteriors {
+    pub gamma: StateMatrix,
+    pub xi: Vec<StateMatrix>,
+    pub totals: Vec<f64>,
+}
+
+/// The banded, flat-buffer forward–backward pass as it was before ξ was
+/// dropped from the posterior: the same forward scatter, backward gather
+/// and marginals, then one dense K×K matrix per step.
+pub fn dense_forward_backward(ws: &EhmmWorkspace, obs: &EmissionTable) -> DensePosteriors {
+    let num_states = ws.spec().num_states();
+    let num_obs = obs.num_obs();
+    let step_kernels: Vec<_> = (1..num_obs).map(|n| ws.kernel(obs.gap(n))).collect();
+
+    let mut emissions = StateMatrix::zeros(num_obs, num_states);
+    for n in 0..num_obs {
+        obs.scaled_linear_row_into(n, emissions.row_mut(n));
+    }
+    let mut alpha = StateMatrix::zeros(num_obs, num_states);
+    for (slot, (&p, &e)) in alpha
+        .row_mut(0)
+        .iter_mut()
+        .zip(ws.spec().initial().iter().zip(emissions.row(0)))
+    {
+        *slot = p * e;
+    }
+    normalize(alpha.row_mut(0));
+    for n in 1..num_obs {
+        let kernel = &step_kernels[n - 1];
+        let (prev, cur) = alpha.prev_and_current(n);
+        for (i, &p) in prev.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            let row = kernel.matrix().row(i);
+            for j in kernel.band(i, num_states) {
+                cur[j] += p * row[j];
+            }
+        }
+        for (c, &e) in cur.iter_mut().zip(emissions.row(n)) {
+            *c *= e;
+        }
+        normalize(cur);
+    }
+
+    let mut beta = StateMatrix::filled(num_obs, num_states, 1.0);
+    for n in (0..num_obs - 1).rev() {
+        let kernel = &step_kernels[n];
+        let (cur, next) = beta.current_and_next(n);
+        let em_next = emissions.row(n + 1);
+        for (i, slot) in cur.iter_mut().enumerate() {
+            let row = kernel.matrix().row(i);
+            let mut acc = 0.0;
+            for j in kernel.band(i, num_states) {
+                acc += row[j] * em_next[j] * next[j];
+            }
+            *slot = acc;
+        }
+        normalize(cur);
+    }
+
+    let mut gamma = StateMatrix::zeros(num_obs, num_states);
+    for n in 0..num_obs {
+        let row = gamma.row_mut(n);
+        for (slot, (&a, &b)) in row.iter_mut().zip(alpha.row(n).iter().zip(beta.row(n))) {
+            *slot = a * b;
+        }
+        normalize(row);
+    }
+
+    let mut xi = Vec::with_capacity(num_obs.saturating_sub(1));
+    let mut totals = Vec::with_capacity(num_obs.saturating_sub(1));
+    for n in 0..num_obs.saturating_sub(1) {
+        let kernel = &step_kernels[n];
+        let alpha_n = alpha.row(n);
+        let em_next = emissions.row(n + 1);
+        let beta_next = beta.row(n + 1);
+        let mut pair = StateMatrix::zeros(num_states, num_states);
+        let mut total = 0.0;
+        for (i, &a) in alpha_n.iter().enumerate() {
+            let row = kernel.matrix().row(i);
+            let out = pair.row_mut(i);
+            for j in kernel.band(i, num_states) {
+                let v = a * row[j] * em_next[j] * beta_next[j];
+                out[j] = v;
+                total += v;
+            }
+        }
+        if total > 0.0 {
+            for v in pair.as_mut_slice() {
+                *v /= total;
+            }
+        } else {
+            let flat = 1.0 / (num_states * num_states) as f64;
+            for v in pair.as_mut_slice() {
+                *v = flat;
+            }
+        }
+        xi.push(pair);
+        totals.push(total);
+    }
+    DensePosteriors { gamma, xi, totals }
+}
+
+/// The Algorithm 1 sampler as it was over the dense tensor: copy column
+/// `ξ[n][·][next_state]`, draw from it.
+pub fn dense_sample_path<R: Rng + ?Sized>(
+    posteriors: &DensePosteriors,
+    viterbi: &ViterbiResult,
+    rng: &mut R,
+) -> Vec<usize> {
+    let num_obs = posteriors.gamma.len();
+    assert_eq!(viterbi.path.len(), num_obs, "viterbi path length mismatch");
+    let num_states = posteriors.gamma.cols();
+    let mut path = vec![0usize; num_obs];
+    path[num_obs - 1] = viterbi.path[num_obs - 1];
+    let mut weights = vec![0.0_f64; num_states];
+    for n in (0..num_obs - 1).rev() {
+        let next_state = path[n + 1];
+        let pair = &posteriors.xi[n];
+        for (i, w) in weights.iter_mut().enumerate() {
+            *w = pair[i][next_state];
+        }
+        path[n] = sample_categorical(&weights, rng);
+    }
+    path
+}
+
 fn normalize(v: &mut [f64]) -> f64 {
     let sum: f64 = v.iter().sum();
     if sum > 0.0 {
@@ -251,7 +390,6 @@ fn normalize(v: &mut [f64]) -> f64 {
 mod differential {
     use super::*;
     use crate::matrix::TransitionMatrix;
-    use crate::workspace::EhmmWorkspace;
     use crate::{forward_backward, path_log_score, sample_path_ffbs, viterbi};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -263,7 +401,7 @@ mod differential {
     /// the production shape) or a dense random row-stochastic matrix (full
     /// bandwidth, exercising the band-clamping logic), plus a random
     /// emission table with occasional `-inf` (impossible-state) entries.
-    fn any_model() -> impl Strategy<Value = (EhmmSpec, EmissionTable)> {
+    pub(super) fn any_model() -> impl Strategy<Value = (EhmmSpec, EmissionTable)> {
         (
             2usize..=12,
             1usize..=30,
@@ -339,13 +477,15 @@ mod differential {
                     );
                 }
             }
-            prop_assert_eq!(fast.xi.len(), slow.xi.len());
-            for n in 0..fast.xi.len() {
+            prop_assert_eq!(fast.totals.len(), slow.xi.len());
+            let ws = EhmmWorkspace::new(spec.clone());
+            for n in 0..fast.totals.len() {
+                let pair = ws.pair(&fast, n);
                 for i in 0..spec.num_states() {
                     for j in 0..spec.num_states() {
                         prop_assert!(
-                            (fast.xi[n][i][j] - slow.xi[n][i][j]).abs() <= TOL,
-                            "xi[{}][{}][{}]: {} vs {}", n, i, j, fast.xi[n][i][j], slow.xi[n][i][j]
+                            (pair[i][j] - slow.xi[n][i][j]).abs() <= TOL,
+                            "xi[{}][{}][{}]: {} vs {}", n, i, j, pair[i][j], slow.xi[n][i][j]
                         );
                     }
                 }
@@ -386,6 +526,82 @@ mod differential {
             let p1 = ws.forward_backward(&obs);
             let p2 = forward_backward(&spec, &obs);
             prop_assert_eq!(p1, p2);
+        }
+    }
+}
+
+mod dense_xi {
+    use super::differential::any_model;
+    use super::*;
+    use crate::matrix::TransitionMatrix;
+    use crate::viterbi;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+
+        /// The O(N·K) posterior reproduces the dense-ξ smoother bit for
+        /// bit: γ, every step's total, every rebuilt ξ column, and every
+        /// Algorithm 1 path drawn from the same RNG seed.
+        #[test]
+        fn column_rebuild_matches_the_dense_tensor(((spec, obs), seed) in (any_model(), any::<u64>())) {
+            let ws = EhmmWorkspace::new(spec.clone());
+            let fast = ws.forward_backward(&obs);
+            let dense = dense_forward_backward(&ws, &obs);
+            prop_assert_eq!(bits(fast.gamma.as_slice()), bits(dense.gamma.as_slice()));
+            prop_assert_eq!(bits(&fast.totals), bits(&dense.totals));
+            for n in 0..dense.xi.len() {
+                let pair = ws.pair(&fast, n);
+                for j in 0..spec.num_states() {
+                    let column = |m: &StateMatrix| -> Vec<u64> {
+                        (0..spec.num_states()).map(|i| m[i][j].to_bits()).collect()
+                    };
+                    prop_assert_eq!(column(&pair), column(&dense.xi[n]), "step {} column {}", n, j);
+                }
+            }
+
+            let v = viterbi(&spec, &obs);
+            let k = 4;
+            let paths = ws.sample_paths(&fast, &v, k, &mut StdRng::seed_from_u64(seed));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let reference: Vec<Vec<usize>> =
+                (0..k).map(|_| dense_sample_path(&dense, &v, &mut rng)).collect();
+            prop_assert_eq!(paths, reference);
+        }
+    }
+
+    #[test]
+    fn degenerate_steps_fall_back_to_the_flat_pair() {
+        // A^0 = I pins the state across step 0, but the second observation
+        // rules that state out: the step's total is 0, so ξ[0] is the flat
+        // 1/K² in both representations.
+        let spec = EhmmSpec::with_uniform_initial(TransitionMatrix::tridiagonal(3, 0.7));
+        let obs = EmissionTable::new(
+            vec![
+                vec![0.0, f64::NEG_INFINITY, f64::NEG_INFINITY],
+                vec![f64::NEG_INFINITY, 0.0, f64::NEG_INFINITY],
+            ],
+            vec![0, 0],
+        );
+        let ws = EhmmWorkspace::new(spec.clone());
+        let fast = ws.forward_backward(&obs);
+        let dense = dense_forward_backward(&ws, &obs);
+        assert_eq!(fast.totals, vec![0.0]);
+        let pair = ws.pair(&fast, 0);
+        assert!(pair.as_slice().iter().all(|&p| p == 1.0 / 9.0));
+        assert_eq!(bits(pair.as_slice()), bits(dense.xi[0].as_slice()));
+        let v = viterbi(&spec, &obs);
+        for seed in 0..20 {
+            assert_eq!(
+                ws.sample_path(&fast, &v, &mut StdRng::seed_from_u64(seed)),
+                dense_sample_path(&dense, &v, &mut StdRng::seed_from_u64(seed))
+            );
         }
     }
 }

@@ -1,5 +1,11 @@
 //! Posterior capacity-path sampling (paper Algorithm 1) plus an exact
 //! forward-filtering backward-sampling variant used as an ablation.
+//!
+//! Both samplers run on an [`EhmmWorkspace`], which resolves the per-gap
+//! transition kernels once per call. Algorithm 1 draws each state from one
+//! column of the pairwise posterior `Γ`; the workspace rebuilds that column
+//! from the O(N·K) parts [`Posteriors`] stores, bit-equal to the dense
+//! tensor the smoother used to keep.
 
 use rand::Rng;
 
@@ -12,39 +18,17 @@ use crate::workspace::EhmmWorkspace;
 /// (Algorithm 1): the last state is anchored at the Viterbi solution, then
 /// earlier states are drawn backwards from the pairwise posterior `Γ`
 /// conditioned on the state already drawn for the next chunk.
+///
+/// Convenience wrapper building a single-use [`EhmmWorkspace`]; repeated
+/// draws over one spec should go through [`EhmmWorkspace::sample_paths`],
+/// which shares the per-gap kernels.
 pub fn sample_path<R: Rng + ?Sized>(
+    spec: &EhmmSpec,
     posteriors: &Posteriors,
     viterbi: &ViterbiResult,
     rng: &mut R,
 ) -> Vec<usize> {
-    let num_obs = posteriors.gamma.len();
-    assert_eq!(viterbi.path.len(), num_obs, "viterbi path length mismatch");
-    let num_states = posteriors.gamma.cols();
-    let mut path = vec![0usize; num_obs];
-    path[num_obs - 1] = viterbi.path[num_obs - 1];
-    let mut weights = vec![0.0_f64; num_states];
-    for n in (0..num_obs - 1).rev() {
-        let next_state = path[n + 1];
-        // ξ_{n,i} = Γ[n][i][next_state]
-        let pair = &posteriors.xi[n];
-        for (i, w) in weights.iter_mut().enumerate() {
-            *w = pair[i][next_state];
-        }
-        path[n] = sample_categorical(&weights, rng);
-    }
-    path
-}
-
-/// Draws `k` independent sample paths with Algorithm 1.
-pub fn sample_paths<R: Rng + ?Sized>(
-    posteriors: &Posteriors,
-    viterbi: &ViterbiResult,
-    k: usize,
-    rng: &mut R,
-) -> Vec<Vec<usize>> {
-    (0..k)
-        .map(|_| sample_path(posteriors, viterbi, rng))
-        .collect()
+    EhmmWorkspace::new(spec.clone()).sample_path(posteriors, viterbi, rng)
 }
 
 /// Exact forward-filtering backward-sampling: draws the final state from its
@@ -128,7 +112,7 @@ mod tests {
         let v = viterbi(&spec, &obs);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..20 {
-            let path = sample_path(&p, &v, &mut rng);
+            let path = sample_path(&spec, &p, &v, &mut rng);
             assert_eq!(path, vec![0, 1, 1, 2]);
         }
     }
@@ -139,8 +123,9 @@ mod tests {
         let obs = ambiguous_obs();
         let p = forward_backward(&spec, &obs);
         let v = viterbi(&spec, &obs);
+        let ws = EhmmWorkspace::new(spec);
         let mut rng = StdRng::seed_from_u64(2);
-        for path in sample_paths(&p, &v, 50, &mut rng) {
+        for path in ws.sample_paths(&p, &v, 50, &mut rng) {
             assert_eq!(path.len(), obs.num_obs());
             assert!(path.iter().all(|&s| s < 3));
         }
@@ -152,8 +137,9 @@ mod tests {
         let obs = ambiguous_obs();
         let p = forward_backward(&spec, &obs);
         let v = viterbi(&spec, &obs);
+        let ws = EhmmWorkspace::new(spec);
         let mut rng = StdRng::seed_from_u64(3);
-        let samples = sample_paths(&p, &v, 200, &mut rng);
+        let samples = ws.sample_paths(&p, &v, 200, &mut rng);
         // The two endpoints are pinned; the middle should vary across draws.
         let middle_states: std::collections::BTreeSet<usize> =
             samples.iter().map(|s| s[1]).collect();
@@ -171,12 +157,14 @@ mod tests {
         let obs = ambiguous_obs();
         let p = forward_backward(&spec, &obs);
         let v = viterbi(&spec, &obs);
+        let ws = EhmmWorkspace::new(spec);
         let mut rng = StdRng::seed_from_u64(4);
-        let samples = sample_paths(&p, &v, 4000, &mut rng);
+        let samples = ws.sample_paths(&p, &v, 4000, &mut rng);
         // Empirical distribution of state at n=2 conditioned on state 1 at
         // n=3 ... but n=3 is pinned to 2 (Viterbi). The sampler draws state
         // at n=2 from Γ[2][·][2] normalized; compare empirical frequencies.
-        let weights: Vec<f64> = (0..3).map(|i| p.xi[2][i][2]).collect();
+        let pair = ws.pair(&p, 2);
+        let weights: Vec<f64> = (0..3).map(|i| pair[i][2]).collect();
         let z: f64 = weights.iter().sum();
         let expected: Vec<f64> = weights.iter().map(|w| w / z).collect();
         let mut counts = [0.0_f64; 3];
@@ -202,9 +190,16 @@ mod tests {
         let obs = ambiguous_obs();
         let p = forward_backward(&spec, &obs);
         let v = viterbi(&spec, &obs);
-        let a = sample_paths(&p, &v, 10, &mut StdRng::seed_from_u64(9));
-        let b = sample_paths(&p, &v, 10, &mut StdRng::seed_from_u64(9));
+        let ws = EhmmWorkspace::new(spec.clone());
+        let a = ws.sample_paths(&p, &v, 10, &mut StdRng::seed_from_u64(9));
+        let b = ws.sample_paths(&p, &v, 10, &mut StdRng::seed_from_u64(9));
         assert_eq!(a, b);
+        // One batch draws exactly what the same number of single draws do.
+        let mut rng = StdRng::seed_from_u64(9);
+        let singles: Vec<Vec<usize>> = (0..10)
+            .map(|_| sample_path(&spec, &p, &v, &mut rng))
+            .collect();
+        assert_eq!(a, singles);
     }
 
     #[test]

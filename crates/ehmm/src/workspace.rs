@@ -22,9 +22,9 @@
 //! the same transition and log-power tables.
 //!
 //! The public free functions ([`crate::viterbi`], [`crate::forward_backward`],
-//! [`crate::path_log_score`], [`crate::sample_path_ffbs`]) are thin wrappers
-//! that build a private single-use workspace, so existing callers keep their
-//! signatures and results.
+//! [`crate::path_log_score`], [`crate::sample_path`],
+//! [`crate::sample_path_ffbs`]) are thin wrappers that build a private
+//! single-use workspace.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -190,11 +190,10 @@ impl EhmmWorkspace {
 
     /// Resolves the kernel of every step's gap once, so the passes below
     /// index an `Arc` slice instead of hitting the shared map per step.
+    /// `gaps` holds one gap per observation (`gaps[0]` is unused), and
     /// `step_kernels[n - 1]` transports observation `n − 1` to `n`.
-    fn step_kernels(&self, obs: &EmissionTable) -> Vec<Arc<GapKernel>> {
-        (1..obs.num_obs())
-            .map(|n| self.kernel(obs.gap(n)))
-            .collect()
+    fn step_kernels(&self, gaps: &[u32]) -> Vec<Arc<GapKernel>> {
+        gaps.iter().skip(1).map(|&gap| self.kernel(gap)).collect()
     }
 
     fn check_states(&self, obs: &EmissionTable) {
@@ -205,13 +204,21 @@ impl EhmmWorkspace {
         );
     }
 
+    fn check_posterior_states(&self, posteriors: &Posteriors) {
+        assert_eq!(
+            self.spec.num_states(),
+            posteriors.alpha.cols(),
+            "spec and posteriors disagree on the state count"
+        );
+    }
+
     /// Gap-aware Viterbi decoding (paper Algorithm 3) over precomputed
     /// log-kernels: no per-step `ln`, no matrix clones, banded maximization.
     pub fn viterbi(&self, obs: &EmissionTable) -> ViterbiResult {
         self.check_states(obs);
         let num_states = self.spec.num_states();
         let num_obs = obs.num_obs();
-        let step_kernels = self.step_kernels(obs);
+        let step_kernels = self.step_kernels(obs.gaps());
 
         // delta[i]: best log-score of any path ending in state i at the
         // current observation; psi is the flat backpointer table (row 0
@@ -325,7 +332,7 @@ impl EhmmWorkspace {
         self.check_states(obs);
         let num_states = self.spec.num_states();
         let num_obs = obs.num_obs();
-        let step_kernels = self.step_kernels(obs);
+        let step_kernels = self.step_kernels(obs.gaps());
         let (emissions, alpha, log_likelihood) = self.forward_filter(obs, &step_kernels);
 
         // Backward pass, scaled by per-step normalization.
@@ -345,54 +352,106 @@ impl EhmmWorkspace {
             normalize(cur);
         }
 
-        // Marginals.
-        let mut gamma = StateMatrix::zeros(num_obs, num_states);
-        for n in 0..num_obs {
-            let row = gamma.row_mut(n);
-            for (slot, (&a, &b)) in row.iter_mut().zip(alpha.row(n).iter().zip(beta.row(n))) {
-                *slot = a * b;
-            }
-            normalize(row);
-        }
+        // Pairwise totals: the normalizer of each step's ξ, summed over i
+        // ascending and then j across the band. A column rebuilt for the
+        // sampler divides by exactly these bits.
+        let totals = (0..num_obs - 1)
+            .map(|n| {
+                let kernel = &step_kernels[n];
+                let em_next = emissions.row(n + 1);
+                let beta_next = beta.row(n + 1);
+                let mut total = 0.0;
+                for (i, &a) in alpha.row(n).iter().enumerate() {
+                    let row = kernel.matrix.row(i);
+                    for j in kernel.band(i, num_states) {
+                        total += a * row[j] * em_next[j] * beta_next[j];
+                    }
+                }
+                total
+            })
+            .collect();
 
-        // Pairwise posteriors, one flat K×K matrix per step.
-        let mut xi = Vec::with_capacity(num_obs.saturating_sub(1));
-        for n in 0..num_obs.saturating_sub(1) {
-            let kernel = &step_kernels[n];
-            let alpha_n = alpha.row(n);
-            let em_next = emissions.row(n + 1);
-            let beta_next = beta.row(n + 1);
-            let mut pair = StateMatrix::zeros(num_states, num_states);
-            let mut total = 0.0;
-            for (i, &a) in alpha_n.iter().enumerate() {
-                let row = kernel.matrix.row(i);
-                let out = pair.row_mut(i);
-                for j in kernel.band(i, num_states) {
-                    let v = a * row[j] * em_next[j] * beta_next[j];
-                    out[j] = v;
-                    total += v;
-                }
-            }
-            if total > 0.0 {
-                for v in pair.as_mut_slice() {
-                    *v /= total;
-                }
-            } else {
-                // Degenerate step: fall back to an uninformative pair
-                // posterior.
-                let flat = 1.0 / (num_states * num_states) as f64;
-                for v in pair.as_mut_slice() {
-                    *v = flat;
-                }
-            }
-            xi.push(pair);
-        }
-
-        Posteriors {
-            gamma,
-            xi,
+        Posteriors::new(
+            alpha,
+            beta,
+            emissions,
+            totals,
+            obs.gaps().to_vec(),
             log_likelihood,
+        )
+    }
+
+    /// Materialises step `n`'s pairwise posterior `ξ[n]` (the paper's
+    /// `Γ_{·,·,n}`) as a K×K matrix, through the same column rebuild the
+    /// sampler uses. Sampling never needs the whole matrix; this is for
+    /// tests and diagnostics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n + 1` is not an observation of `posteriors` or its state
+    /// count differs from the spec's.
+    pub fn pair(&self, posteriors: &Posteriors, n: usize) -> StateMatrix {
+        self.check_posterior_states(posteriors);
+        let num_states = self.spec.num_states();
+        let kernel = self.kernel(posteriors.gaps[n + 1]);
+        let mut pair = StateMatrix::zeros(num_states, num_states);
+        let mut column = vec![0.0_f64; num_states];
+        for j in 0..num_states {
+            pair_column(posteriors, n, &kernel, j, &mut column);
+            for (i, &v) in column.iter().enumerate() {
+                pair[i][j] = v;
+            }
         }
+        pair
+    }
+
+    /// Samples one hidden-state path with the paper's capacity sampler
+    /// (Algorithm 1); see [`crate::sample_path`] for the semantics.
+    pub fn sample_path<R: Rng + ?Sized>(
+        &self,
+        posteriors: &Posteriors,
+        viterbi: &ViterbiResult,
+        rng: &mut R,
+    ) -> Vec<usize> {
+        self.sample_paths(posteriors, viterbi, 1, rng)
+            .pop()
+            .expect("one path was drawn")
+    }
+
+    /// Draws `k` independent Algorithm 1 paths, resolving the step kernels
+    /// once for all of them. The draws consume `rng` exactly as `k` calls
+    /// of [`Self::sample_path`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the Viterbi path and the posteriors cover different
+    /// observation counts, or the posteriors' state count differs from the
+    /// spec's.
+    pub fn sample_paths<R: Rng + ?Sized>(
+        &self,
+        posteriors: &Posteriors,
+        viterbi: &ViterbiResult,
+        k: usize,
+        rng: &mut R,
+    ) -> Vec<Vec<usize>> {
+        self.check_posterior_states(posteriors);
+        let num_obs = posteriors.gamma.len();
+        assert_eq!(viterbi.path.len(), num_obs, "viterbi path length mismatch");
+        let step_kernels = self.step_kernels(&posteriors.gaps);
+        let mut weights = vec![0.0_f64; self.spec.num_states()];
+        (0..k)
+            .map(|_| {
+                let mut path = vec![0usize; num_obs];
+                path[num_obs - 1] = viterbi.path[num_obs - 1];
+                for n in (0..num_obs - 1).rev() {
+                    // ξ_{n,i} = Γ[n][i][next_state], rebuilt for this
+                    // column only.
+                    pair_column(posteriors, n, &step_kernels[n], path[n + 1], &mut weights);
+                    path[n] = sample_categorical(&weights, rng);
+                }
+                path
+            })
+            .collect()
     }
 
     /// Log-score of an arbitrary state path under the model, read straight
@@ -419,7 +478,7 @@ impl EhmmWorkspace {
         self.check_states(obs);
         let num_states = self.spec.num_states();
         let num_obs = obs.num_obs();
-        let step_kernels = self.step_kernels(obs);
+        let step_kernels = self.step_kernels(obs.gaps());
         let (_emissions, alpha, _log_likelihood) = self.forward_filter(obs, &step_kernels);
 
         // Backward sample. Weights outside the kernel band are structural
@@ -439,6 +498,27 @@ impl EhmmWorkspace {
             path[n] = sample_categorical(&weights, rng);
         }
         path
+    }
+}
+
+/// Column `j` of step `n`'s pairwise posterior, `out[i] = ξ[n][i][j]`,
+/// rebuilt from the stored parts with the operations the dense tensor was
+/// built with: `α[n][i] · A^Δ[i][j] · e[n+1][j] · β[n+1][j]`, left to
+/// right, divided by the step's total inside the band; 0 outside it; and
+/// the flat `1/K²` when the total is not positive (a degenerate step).
+fn pair_column(posteriors: &Posteriors, n: usize, kernel: &GapKernel, j: usize, out: &mut [f64]) {
+    let num_states = out.len();
+    let total = posteriors.totals[n];
+    if total > 0.0 {
+        out.fill(0.0);
+        let alpha_n = posteriors.alpha.row(n);
+        let em = posteriors.emissions.row(n + 1)[j];
+        let beta = posteriors.beta.row(n + 1)[j];
+        for i in kernel.band(j, num_states) {
+            out[i] = alpha_n[i] * kernel.matrix.row(i)[j] * em * beta / total;
+        }
+    } else {
+        out.fill(1.0 / (num_states * num_states) as f64);
     }
 }
 

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 
 use veritas_ehmm::{
     forward_backward, path_log_score, sample_path, sample_path_ffbs, viterbi, EhmmSpec,
-    EmissionTable, TransitionMatrix, TransitionPowers,
+    EhmmWorkspace, EmissionTable, TransitionMatrix, TransitionPowers,
 };
 
 /// Strategy: a small random model (3–5 states) plus a random emission table
@@ -126,9 +126,11 @@ proptest! {
     #[test]
     fn xi_marginalizes_to_gamma((spec, obs) in small_model()) {
         let fb = forward_backward(&spec, &obs);
-        for n in 0..fb.xi.len() {
+        let ws = EhmmWorkspace::new(spec.clone());
+        for n in 0..fb.totals.len() {
+            let pair = ws.pair(&fb, n);
             for i in 0..spec.num_states() {
-                let row_sum: f64 = fb.xi[n][i].iter().sum();
+                let row_sum: f64 = pair[i].iter().sum();
                 prop_assert!((row_sum - fb.gamma[n][i]).abs() < 1e-7);
             }
         }
@@ -139,7 +141,7 @@ proptest! {
         let fb = forward_backward(&spec, &obs);
         let vit = viterbi(&spec, &obs);
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = sample_path(&fb, &vit, &mut rng);
+        let a = sample_path(&spec, &fb, &vit, &mut rng);
         let b = sample_path_ffbs(&spec, &obs, &mut rng);
         prop_assert_eq!(a.len(), obs.num_obs());
         prop_assert_eq!(b.len(), obs.num_obs());

@@ -25,12 +25,21 @@
 //!
 //! # File format
 //!
-//! One file per posterior, named `ab-v1-<log>-<config>-<horizon>.vpost`
+//! One file per posterior, named `ab-v2-<log>-<config>-<horizon>.vpost`
 //! under the store directory. The payload is a fixed little-endian binary
-//! layout (magic, format version, the key triple, the Viterbi decode, the
-//! smoothed posteriors, and a trailing FNV-1a checksum). Floats are stored
-//! as raw IEEE-754 bit patterns, so a reloaded posterior is *bit-equal* to
-//! the one saved — no text round-trip error.
+//! layout: magic, format version, the key triple, the Viterbi decode, the
+//! smoother's O(N·K) parts (α, β, the scaled emission rows, each step's
+//! pairwise total, each observation's gap, the log-likelihood), and a
+//! trailing FNV-1a checksum. Floats are stored as raw IEEE-754 bit
+//! patterns, and γ is recomputed from α and β on load with the operations
+//! inference uses ([`Posteriors::new`]), so a reloaded posterior is
+//! *bit-equal* to the one saved — no text round-trip error. The dense
+//! pairwise tensor ξ is not stored: the sampler rebuilds the column it
+//! reads from these parts.
+//!
+//! Version 1 files (`ab-v1-*`, which stored γ and the dense ξ) are never
+//! read: the name and the embedded version both changed, so an old store
+//! directory simply misses and refills. The old files can be deleted.
 //!
 //! # Failure philosophy
 //!
@@ -61,7 +70,8 @@ use crate::fault::{FaultPlan, FaultSite};
 
 /// Version stamp embedded in every stored entry; bump on any layout
 /// change so older binaries' files read as misses instead of garbage.
-pub const FORMAT_VERSION: u64 = 1;
+/// Version 2 replaced γ and the dense ξ with the smoother's O(N·K) parts.
+pub const FORMAT_VERSION: u64 = 2;
 
 /// Version stamp of persisted kernel tables (`.vkern`); bumped
 /// independently of [`FORMAT_VERSION`] — the two layouts evolve
@@ -338,16 +348,14 @@ pub(crate) fn put_f64(buf: &mut Vec<u8>, value: f64) {
     put_u64(buf, value.to_bits());
 }
 
-/// Serializes one entry: magic, version, key, Viterbi decode, posteriors,
+/// Serializes one entry: magic, version, key, Viterbi decode, the
+/// posterior's α, β, emission rows, totals, gaps and log-likelihood, and a
 /// trailing FNV-1a checksum over everything after the magic.
 fn encode(key: &PersistKey, viterbi: &ViterbiResult, posteriors: &Posteriors) -> Vec<u8> {
     let num_obs = viterbi.path.len();
-    let num_states = posteriors.gamma.cols();
+    let num_states = posteriors.alpha.cols();
     let mut buf = Vec::with_capacity(
-        96 + 8
-            * (num_obs
-                + posteriors.gamma.as_slice().len()
-                + posteriors.xi.len() * num_states * num_states),
+        80 + 8 * (2 * num_obs + 3 * posteriors.alpha.as_slice().len() + posteriors.totals.len()),
     );
     buf.extend_from_slice(&MAGIC);
     put_u64(&mut buf, FORMAT_VERSION);
@@ -360,14 +368,16 @@ fn encode(key: &PersistKey, viterbi: &ViterbiResult, posteriors: &Posteriors) ->
         put_u64(&mut buf, state as u64);
     }
     put_f64(&mut buf, viterbi.log_likelihood);
-    for &v in posteriors.gamma.as_slice() {
-        put_f64(&mut buf, v);
-    }
-    put_u64(&mut buf, posteriors.xi.len() as u64);
-    for pair in &posteriors.xi {
-        for &v in pair.as_slice() {
+    for part in [&posteriors.alpha, &posteriors.beta, &posteriors.emissions] {
+        for &v in part.as_slice() {
             put_f64(&mut buf, v);
         }
+    }
+    for &total in &posteriors.totals {
+        put_f64(&mut buf, total);
+    }
+    for &gap in &posteriors.gaps {
+        put_u64(&mut buf, u64::from(gap));
     }
     put_f64(&mut buf, posteriors.log_likelihood);
     let checksum = fnv_checksum(&buf[MAGIC.len()..]);
@@ -575,12 +585,12 @@ fn decode(bytes: &[u8]) -> Option<(PersistKey, ViterbiResult, Posteriors)> {
     let (num_obs, num_states) = (num_obs as usize, num_states as usize);
     // The whole remaining layout is length-determined; verify it against
     // the payload size before allocating anything observation-sized.
-    let xi_cells = num_states.checked_mul(num_states)?;
+    let cells = num_obs.checked_mul(num_states)?;
     let expected_words = num_obs // viterbi path
         .checked_add(1)? // viterbi log-likelihood
-        .checked_add(num_obs.checked_mul(num_states)?)? // gamma
-        .checked_add(1)? // xi count
-        .checked_add((num_obs - 1).checked_mul(xi_cells)?)? // xi matrices
+        .checked_add(cells.checked_mul(3)?)? // alpha, beta, emission rows
+        .checked_add(num_obs - 1)? // pairwise totals
+        .checked_add(num_obs)? // gaps
         .checked_add(1)?; // posterior log-likelihood
     if payload.len() - reader.pos != expected_words.checked_mul(8)? {
         return None;
@@ -597,24 +607,19 @@ fn decode(bytes: &[u8]) -> Option<(PersistKey, ViterbiResult, Posteriors)> {
         path,
         log_likelihood: reader.take_f64()?,
     };
-    let gamma = StateMatrix::from_vec(num_obs, num_states, reader.take_f64s(num_obs * num_states)?);
-    let xi_count = usize::try_from(reader.take_u64()?).ok()?;
-    if xi_count != num_obs - 1 {
-        return None;
-    }
-    let mut xi = Vec::with_capacity(xi_count);
-    for _ in 0..xi_count {
-        xi.push(StateMatrix::from_vec(
-            num_states,
-            num_states,
-            reader.take_f64s(xi_cells)?,
-        ));
-    }
-    let posteriors = Posteriors {
-        gamma,
-        xi,
-        log_likelihood: reader.take_f64()?,
+    let mut matrix = || {
+        reader
+            .take_f64s(cells)
+            .map(|v| StateMatrix::from_vec(num_obs, num_states, v))
     };
+    let (alpha, beta, emissions) = (matrix()?, matrix()?, matrix()?);
+    let totals = reader.take_f64s(num_obs - 1)?;
+    let mut gaps = Vec::with_capacity(num_obs);
+    for _ in 0..num_obs {
+        gaps.push(u32::try_from(reader.take_u64()?).ok()?);
+    }
+    let log_likelihood = reader.take_f64()?;
+    let posteriors = Posteriors::new(alpha, beta, emissions, totals, gaps, log_likelihood);
     Some((key, viterbi, posteriors))
 }
 
@@ -624,7 +629,8 @@ mod tests {
     use proptest::prelude::*;
 
     /// Builds an entry directly from raw numbers (no inference), so the
-    /// codec is testable over arbitrary bit patterns.
+    /// codec is testable over arbitrary bit patterns. γ is derived from α
+    /// and β exactly as a decode derives it.
     fn entry(
         num_obs: usize,
         num_states: usize,
@@ -639,24 +645,53 @@ mod tests {
             path: (0..num_obs).map(|n| n % num_states).collect(),
             log_likelihood: values(),
         };
-        let posteriors = Posteriors {
-            gamma: StateMatrix::from_vec(
+        let mut matrix = || {
+            StateMatrix::from_vec(
                 num_obs,
                 num_states,
                 (0..num_obs * num_states).map(|_| values()).collect(),
-            ),
-            xi: (0..num_obs - 1)
-                .map(|_| {
-                    StateMatrix::from_vec(
-                        num_states,
-                        num_states,
-                        (0..num_states * num_states).map(|_| values()).collect(),
-                    )
-                })
-                .collect(),
-            log_likelihood: values(),
+            )
         };
+        let (alpha, beta, emissions) = (matrix(), matrix(), matrix());
+        let totals = (1..num_obs).map(|_| values()).collect();
+        let gaps = (0..num_obs).map(|_| values().to_bits() as u32).collect();
+        let posteriors = Posteriors::new(alpha, beta, emissions, totals, gaps, values());
         (key, viterbi, posteriors)
+    }
+
+    /// xorshift64*: a seeded stream of arbitrary 64-bit words.
+    struct Words(u64);
+
+    impl Words {
+        fn new(seed: u64) -> Self {
+            Self(seed | 1)
+        }
+
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        /// A value in `lo..hi`.
+        fn range(&mut self, lo: usize, hi: usize) -> usize {
+            lo + (self.next() % (hi - lo) as u64) as usize
+        }
+
+        /// A value in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// Overwrites the 8-byte words of `payload` at indices in
+        /// `words` with arbitrary bit patterns, `count` times.
+        fn scribble(&mut self, payload: &mut [u8], words: std::ops::Range<usize>, count: usize) {
+            for _ in 0..count {
+                let at = self.range(words.start, words.end) * 8;
+                payload[at..at + 8].copy_from_slice(&self.next().to_le_bytes());
+            }
+        }
     }
 
     proptest! {
@@ -670,15 +705,10 @@ mod tests {
             num_obs in 1usize..12,
             num_states in 1usize..6,
         ) {
-            let mut state = seed;
-            let mut values = move || {
-                // xorshift64* over the full u64 space, reinterpreted as
-                // f64 bits: covers NaN payloads, ±0, subnormals, ±inf.
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                f64::from_bits(state.wrapping_mul(0x2545_F491_4F6C_DD1D))
-            };
+            // Arbitrary words reinterpreted as f64 bits: NaN payloads,
+            // ±0, subnormals, ±inf.
+            let mut words = Words::new(seed);
+            let mut values = move || f64::from_bits(words.next());
             let (key, viterbi, posteriors) = entry(num_obs, num_states, &mut values);
             let bytes = encode(&key, &viterbi, &posteriors);
             let (back_key, back_viterbi, back_posteriors) =
@@ -693,14 +723,18 @@ mod tests {
                 back_posteriors.log_likelihood.to_bits(),
                 posteriors.log_likelihood.to_bits()
             );
-            let bits = |m: &StateMatrix| -> Vec<u64> {
-                m.as_slice().iter().map(|v| v.to_bits()).collect()
-            };
-            prop_assert_eq!(bits(&back_posteriors.gamma), bits(&posteriors.gamma));
-            prop_assert_eq!(back_posteriors.xi.len(), posteriors.xi.len());
-            for (a, b) in back_posteriors.xi.iter().zip(&posteriors.xi) {
-                prop_assert_eq!(bits(a), bits(b));
+            let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|v| v.to_bits()).collect() };
+            for (back, part) in [
+                (&back_posteriors.gamma, &posteriors.gamma),
+                (&back_posteriors.alpha, &posteriors.alpha),
+                (&back_posteriors.beta, &posteriors.beta),
+                (&back_posteriors.emissions, &posteriors.emissions),
+            ] {
+                prop_assert_eq!((back.len(), back.cols()), (part.len(), part.cols()));
+                prop_assert_eq!(bits(back.as_slice()), bits(part.as_slice()));
             }
+            prop_assert_eq!(bits(&back_posteriors.totals), bits(&posteriors.totals));
+            prop_assert_eq!(&back_posteriors.gaps, &posteriors.gaps);
             prop_assert_eq!(
                 encode(&key, &back_viterbi, &back_posteriors),
                 bytes,
@@ -734,6 +768,163 @@ mod tests {
             let position = position % bytes.len();
             bytes[position] ^= flip;
             prop_assert!(decode(&bytes).is_none());
+        }
+    }
+
+    /// One short session, its config and key, and the entry a fresh
+    /// inference encodes for it: the raw material the hostile-input cases
+    /// below mangle.
+    struct Fixture {
+        log: SessionLog,
+        config: VeritasConfig,
+        key: PersistKey,
+        entry: Vec<u8>,
+    }
+
+    fn fixture() -> &'static Fixture {
+        static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let corpus = crate::SyntheticSpec {
+                sessions: 1,
+                video_duration_s: 40.0,
+                seed: 5,
+                ..crate::SyntheticSpec::default()
+            }
+            .build();
+            let log = corpus.sessions[0].log.clone();
+            let config = VeritasConfig::paper_default();
+            let abduction = crate::infer_prefix(&log, log.records.len(), &config).unwrap();
+            let key = PersistKey {
+                log: crate::log_fingerprint(&log),
+                config: crate::config_fingerprint(&config),
+                horizon: log.records.len(),
+            };
+            let entry = encode(&key, abduction.viterbi(), abduction.posteriors());
+            Fixture {
+                log,
+                config,
+                key,
+                entry,
+            }
+        })
+    }
+
+    /// A file under `magic` whose checksum matches `payload` (everything
+    /// from the version word on), so the decoders see past the envelope.
+    fn seal(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
+        let mut bytes = magic.to_vec();
+        bytes.extend_from_slice(payload);
+        put_u64(&mut bytes, fnv_checksum(payload));
+        bytes
+    }
+
+    fn workspace(config: &VeritasConfig) -> Arc<EhmmWorkspace> {
+        Arc::new(EhmmWorkspace::new(Abduction::spec_for(config)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Hostile `.vpost` files with a valid magic, version and
+        /// checksum: arbitrary bytes, a real entry with arbitrary words
+        /// (header, path, gaps, floats), or one with only its floats
+        /// replaced. A load misses or heals, never panics; an entry that
+        /// restores samples without panicking.
+        #[test]
+        fn hostile_posterior_entries_never_panic((mode, seed) in (0u8..3, any::<u64>())) {
+            let fx = fixture();
+            let mut words = Words::new(seed);
+            let mut payload = fx.entry[MAGIC.len()..fx.entry.len() - 8].to_vec();
+            let num_words = payload.len() / 8;
+            match mode {
+                0 => {
+                    payload.truncate(8);
+                    let len = words.range(0, 2048);
+                    payload.extend((0..len).map(|_| words.next() as u8));
+                }
+                1 => {
+                    let count = words.range(1, 8);
+                    words.scribble(&mut payload, 1..num_words, count);
+                }
+                _ => {
+                    // The floats: past the 6-word key and shape header
+                    // (after the version), the path and its
+                    // log-likelihood; before the gaps and the final
+                    // log-likelihood.
+                    let num_obs = fx.log.records.len();
+                    let count = words.range(1, 32);
+                    words.scribble(&mut payload, 7 + num_obs + 1..num_words - num_obs - 1, count);
+                }
+            }
+            let dir = std::env::temp_dir().join("veritas_persist_hostile_vpost");
+            let store = DiskStore::open(&dir).unwrap();
+            let path = store.path_for(&fx.key);
+            fs::write(&path, seal(&MAGIC, &payload)).unwrap();
+            match store.load_classified(&fx.key, &fx.log, &fx.config, workspace(&fx.config)) {
+                DiskLoadOutcome::Restored(abduction) => {
+                    let traces = abduction.sample_traces_with_seed(3, seed);
+                    prop_assert_eq!(traces.len(), 3);
+                }
+                DiskLoadOutcome::Healed => prop_assert!(!path.exists(), "a healed entry is deleted"),
+                DiskLoadOutcome::Missing => {}
+            }
+        }
+
+        /// Hostile `.vkern` files with a valid magic, version and
+        /// checksum: arbitrary bytes, or a table with the right state count
+        /// whose rows are random (occasionally stochastic) and whose words
+        /// are then scribbled on. A load is `None` or a table that infers
+        /// and samples without panicking.
+        #[test]
+        fn hostile_kernel_tables_never_panic((mode, seed) in (0u8..2, any::<u64>())) {
+            let fx = fixture();
+            let num_states = fx.config.capacity_grid().len();
+            let mut words = Words::new(seed);
+            let mut payload = Vec::new();
+            put_u64(&mut payload, KERNEL_FORMAT_VERSION);
+            if mode == 0 {
+                let len = words.range(0, 2048);
+                payload.extend((0..len).map(|_| words.next() as u8));
+            } else {
+                let count = words.range(1, 4);
+                put_u64(&mut payload, fx.key.config);
+                put_u64(&mut payload, num_states as u64);
+                put_u64(&mut payload, count as u64);
+                let mut gap = 0;
+                for _ in 0..count {
+                    gap += words.range(0, 4) as u64;
+                    put_u64(&mut payload, gap);
+                    for _ in 0..num_states {
+                        let row: Vec<f64> = (0..num_states).map(|_| words.unit()).collect();
+                        let sum: f64 = row.iter().sum();
+                        for p in row {
+                            put_f64(&mut payload, p / sum);
+                        }
+                    }
+                }
+                if words.range(0, 2) == 0 {
+                    let (num_words, count) = (payload.len() / 8, words.range(1, 4));
+                    words.scribble(&mut payload, 1..num_words, count);
+                }
+            }
+            let dir = std::env::temp_dir().join("veritas_persist_hostile_vkern");
+            let store = DiskStore::open(&dir).unwrap();
+            fs::write(store.kernel_path_for(fx.key.config), seal(&KERNEL_MAGIC, &payload)).unwrap();
+            if let Some(kernels) = store.load_kernels(fx.key.config, num_states) {
+                let workspace = workspace(&fx.config);
+                for (gap, matrix) in kernels {
+                    workspace.preload_kernel(gap, matrix);
+                }
+                let caps = fx.config.capacity_grid();
+                let rows = fx
+                    .log
+                    .records
+                    .iter()
+                    .map(|r| Abduction::emission_row(r, &caps, fx.config.sigma_mbps))
+                    .collect();
+                let abduction = Abduction::try_infer_prepared(&fx.log, &fx.config, rows, workspace).unwrap();
+                prop_assert_eq!(abduction.sample_traces_with_seed(3, seed).len(), 3);
+            }
         }
     }
 

@@ -164,27 +164,21 @@ fn real_posteriors_round_trip_bit_equal_through_the_store() {
             .load(&key, &view, &config, workspace)
             .expect("a just-saved entry must load");
 
-        // Bit-for-bit equality of every float, not approximate equality.
-        let bits = |m: &veritas_ehmm::StateMatrix| -> Vec<u64> {
-            m.as_slice().iter().map(|v| v.to_bits()).collect()
-        };
+        // Bit-for-bit equality of every float, not approximate equality:
+        // the stored parts, and γ recomputed from them on load.
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|v| v.to_bits()).collect() };
+        let (back, orig) = (restored.posteriors(), inferred.posteriors());
         assert_eq!(restored.viterbi_states(), inferred.viterbi_states());
-        assert_eq!(
-            bits(&restored.posteriors().gamma),
-            bits(&inferred.posteriors().gamma)
-        );
-        assert_eq!(
-            restored.posteriors().xi.len(),
-            inferred.posteriors().xi.len()
-        );
-        for (a, b) in restored
-            .posteriors()
-            .xi
-            .iter()
-            .zip(&inferred.posteriors().xi)
-        {
-            assert_eq!(bits(a), bits(b));
+        for (a, b) in [
+            (&back.gamma, &orig.gamma),
+            (&back.alpha, &orig.alpha),
+            (&back.beta, &orig.beta),
+            (&back.emissions, &orig.emissions),
+        ] {
+            assert_eq!(bits(a.as_slice()), bits(b.as_slice()));
         }
+        assert_eq!(bits(&back.totals), bits(&orig.totals));
+        assert_eq!(back.gaps, orig.gaps);
         assert_eq!(
             restored.posteriors().log_likelihood.to_bits(),
             inferred.posteriors().log_likelihood.to_bits()

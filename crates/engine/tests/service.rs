@@ -476,19 +476,12 @@ fn protocol_errors_answer_in_band_and_keep_the_connection() {
     handle.stop();
 }
 
-#[test]
-fn the_veritasd_binary_announces_its_port_and_serves_queries() {
+/// Starts the real `veritasd` binary on an ephemeral port with `args`
+/// and returns it with the address its banner announces.
+fn spawn_veritasd(args: &[&str]) -> (std::process::Child, std::net::SocketAddr) {
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_veritasd"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--synthetic",
-            "2",
-            "--seed",
-            "9",
-            "--threads",
-            "2",
-        ])
+        .args(["--addr", "127.0.0.1:0"])
+        .args(args)
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -496,12 +489,18 @@ fn the_veritasd_binary_announces_its_port_and_serves_queries() {
     let mut stdout = BufReader::new(child.stdout.take().unwrap());
     let mut banner = String::new();
     stdout.read_line(&mut banner).unwrap();
-    let addr: std::net::SocketAddr = banner
+    let addr = banner
         .trim()
         .strip_prefix("veritasd: listening on ")
         .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
         .parse()
         .unwrap();
+    (child, addr)
+}
+
+#[test]
+fn the_veritasd_binary_announces_its_port_and_serves_queries() {
+    let (mut child, addr) = spawn_veritasd(&["--synthetic", "2", "--seed", "9", "--threads", "2"]);
 
     let set = small_set("binary");
     let corpus = Arc::new(SessionCorpus::synthetic(2, 9));
@@ -522,6 +521,45 @@ fn the_veritasd_binary_announces_its_port_and_serves_queries() {
     assert_eq!(metrics.sessions, 2);
     assert_eq!(metrics.plans_served, 1);
 
+    child.kill().unwrap();
+    let _ = child.wait();
+}
+
+#[test]
+fn a_deeply_nested_request_line_cannot_abort_the_daemon() {
+    // One unauthenticated line nesting 20,000 arrays. The request parser
+    // runs before the auth check, and a parser that recursed once per
+    // level without a bound would overflow the connection thread's stack,
+    // which aborts the whole process.
+    let (mut child, addr) = spawn_veritasd(&[
+        "--synthetic",
+        "2",
+        "--seed",
+        "9",
+        "--threads",
+        "1",
+        "--auth-token",
+        "s3cret",
+    ]);
+    let mut attacker = Client::connect(&addr);
+    attacker.send(&format!(r#"{{"query": {}"#, "[".repeat(20_000)));
+    let line = attacker.read_line();
+    let error = ErrorEnvelope::parse(&line)
+        .unwrap_or_else(|| panic!("the deep line must get a typed error, got: {line}"));
+    assert_eq!(error.kind, "protocol");
+
+    // The daemon is still up and serves an authenticated client normally.
+    let mut authed = Client::connect(&addr);
+    authed.send(r#"{"metrics": true, "auth": "s3cret"}"#);
+    let line = authed.read_line();
+    let metrics = serde_json::from_str::<MetricsEnvelope>(&line)
+        .unwrap_or_else(|e| panic!("metrics must still be served ({e}): {line}"))
+        .metrics;
+    assert_eq!(metrics.sessions, 2);
+    assert!(
+        child.try_wait().unwrap().is_none(),
+        "the daemon must keep running"
+    );
     child.kill().unwrap();
     let _ = child.wait();
 }

@@ -66,10 +66,7 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
 
 /// Deserializes a value from a JSON string.
 pub fn from_str<'de, T: serde::Deserialize<'de>>(input: &str) -> Result<T, Error> {
-    let mut parser = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut parser = Parser::new(input.as_bytes());
     parser.skip_whitespace();
     let value = parser.parse_value()?;
     parser.skip_whitespace();
@@ -186,12 +183,28 @@ fn write_string(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts, as in upstream
+/// serde_json. The parser recurses once per level, so without a bound a
+/// single line of `[[[[…` would overflow the thread's stack and abort the
+/// whole process; past the bound it returns an [`Error`] instead.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Self {
+            bytes,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn skip_whitespace(&mut self) {
         while self.pos < self.bytes.len()
             && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
@@ -219,8 +232,23 @@ impl Parser<'_> {
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_whitespace();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::new(format!(
+                        "recursion limit exceeded: more than {MAX_DEPTH} nested arrays or \
+                         objects at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
@@ -421,12 +449,27 @@ mod tests {
         ]);
         let mut out = String::new();
         write_value(&value, Some(2), 0, &mut out);
-        let mut parser = Parser {
-            bytes: out.as_bytes(),
-            pos: 0,
-        };
+        let mut parser = Parser::new(out.as_bytes());
         let back = parser.parse_value().unwrap();
         assert_eq!(back, value);
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(from_str::<Value>(&objects).is_err());
+        // Unclosed, far past any stack: an error, not an abort.
+        let deep = format!("{{\"query\": {}", "[".repeat(100_000));
+        assert!(from_str::<Value>(&deep).is_err());
+        assert!(from_str::<Value>(&"[".repeat(100_000)).is_err());
     }
 
     #[test]
