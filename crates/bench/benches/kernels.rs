@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the computational kernels: the EHMM
-//! algorithms, the TCP throughput estimator, the round-level TCP model, and
-//! the MPC lookahead.
+//! algorithms, the TCP throughput estimator, the round-level TCP model, the
+//! MPC lookahead, `.vcorp` projection, and the posterior store's restore.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -207,12 +207,57 @@ fn bench_store(c: &mut Criterion) {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The warm restore of the posterior store: `DiskStore::load` of one real
+/// 120-chunk, K = 21 posterior (63,432 bytes, page-cache warm), i.e. the
+/// file read, the checksum, the decode and `Abduction::from_parts` over a
+/// warm kernel workspace, as a disk hit in the engine pays it. CI fails it
+/// above 0.5× of the committed byte-serial-checksum median.
+fn bench_persist(c: &mut Criterion) {
+    use std::sync::Arc;
+    use veritas_engine::{
+        config_fingerprint, infer_prefix, log_fingerprint, DiskStore, PersistKey, SyntheticSpec,
+    };
+
+    let corpus = SyntheticSpec {
+        sessions: 1,
+        ..SyntheticSpec::default()
+    }
+    .try_build()
+    .expect("synthetic corpus");
+    let log = &corpus.sessions[0].log;
+    let config = VeritasConfig::paper_default();
+    assert_eq!((log.records.len(), config.capacity_grid().len()), (120, 21));
+    let key = PersistKey {
+        log: log_fingerprint(log),
+        config: config_fingerprint(&config),
+        horizon: log.records.len(),
+    };
+    let dir = std::env::temp_dir().join(format!("veritas_bench_persist_{}", std::process::id()));
+    let store = DiskStore::open(&dir).expect("open the store");
+    let abduction = infer_prefix(log, key.horizon, &config).expect("inference");
+    store.save(&key, &abduction).expect("save");
+    let workspace = Arc::new(EhmmWorkspace::new(Abduction::spec_for(&config)));
+    let restore = || {
+        store
+            .load(black_box(&key), log, &config, Arc::clone(&workspace))
+            .expect("a saved posterior restores")
+    };
+    // The first restore builds the transition kernels, as the engine's
+    // shared workspace already has by the time it serves disk hits.
+    restore();
+    let mut group = c.benchmark_group("persist");
+    group.bench_function("restore_120x21", |b| b.iter(restore));
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group!(
     benches,
     bench_ehmm,
     bench_abduction_scaling,
     bench_tcp,
     bench_abr,
-    bench_store
+    bench_store,
+    bench_persist
 );
 criterion_main!(benches);

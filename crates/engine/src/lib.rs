@@ -198,7 +198,7 @@ pub use runner::{
 };
 pub use service::{
     MetricsEnvelope, MetricsSnapshot, Service, ServiceConfig, ServiceHandle, SummaryEnvelope,
-    DEFAULT_ADMISSION_BOUND,
+    DEFAULT_ADMISSION_BOUND, MAX_REQUEST_LINE_BYTES,
 };
 pub use store::{
     append_dir, columns, ingest_dir, ColumnSet, CorpusMeta, IngestReport, LazyCorpus, VcorpError,

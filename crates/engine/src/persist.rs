@@ -25,20 +25,36 @@
 //!
 //! # File format
 //!
-//! One file per posterior, named `ab-v2-<log>-<config>-<horizon>.vpost`
+//! One file per posterior, named `ab-v3-<log>-<config>-<horizon>.vpost`
 //! under the store directory. The payload is a fixed little-endian binary
 //! layout: magic, format version, the key triple, the Viterbi decode, the
 //! smoother's O(N·K) parts (α, β, the scaled emission rows, each step's
 //! pairwise total, each observation's gap, the log-likelihood), and a
-//! trailing FNV-1a checksum. Floats are stored as raw IEEE-754 bit
-//! patterns, and γ is recomputed from α and β on load with the operations
-//! inference uses ([`Posteriors::new`]), so a reloaded posterior is
-//! *bit-equal* to the one saved — no text round-trip error. The dense
-//! pairwise tensor ξ is not stored: the sampler rebuilds the column it
-//! reads from these parts.
+//! trailing checksum. Floats are stored as raw IEEE-754 bit patterns, and
+//! γ is recomputed from α and β on load with the operations inference uses
+//! ([`Posteriors::new`]), so a reloaded posterior is *bit-equal* to the one
+//! saved — no text round-trip error. The dense pairwise tensor ξ is not
+//! stored: the sampler rebuilds the column it reads from these parts.
+//! Kernel tables (`kern-v2-<config>.vkern`) use the same envelope.
 //!
-//! Version 1 files (`ab-v1-*`, which stored γ and the dense ξ) are never
-//! read: the name and the embedded version both changed, so an old store
+//! The checksum covers everything after the magic. It runs [`LANES`]
+//! independent lanes over the payload's 8-byte little-endian words (word
+//! `i` feeds lane `i % LANES`; a trailing partial word is zero-padded), so
+//! the lanes' multiply chains overlap instead of serialising. Each step
+//! xors the word into its lane, multiplies by an odd constant and
+//! xor-shifts: every step is a bijection of the lane, so a change
+//! confined to one word changes that lane's final state and, through an
+//! equally bijective fold of the lanes and the byte length, the checksum —
+//! with certainty, not just with high probability. Folding the length in
+//! means zero bytes appended or removed inside the padded last word are
+//! caught too; any other length change also fails each decoder's exact
+//! length check. The cache fingerprints ([`crate::log_fingerprint`] and
+//! friends) stay FNV-1a: they are durable identities, not integrity
+//! checks.
+//!
+//! Older files are never read: `ab-v1-*` (which stored γ and the dense
+//! ξ), `ab-v2-*` and `kern-v1-*` (both sealed with a byte-serial FNV-1a)
+//! differ in both the file name and the embedded version, so an old store
 //! directory simply misses and refills. The old files can be deleted.
 //!
 //! # Failure philosophy
@@ -65,18 +81,35 @@ use veritas::{Abduction, VeritasConfig};
 use veritas_ehmm::{EhmmWorkspace, Posteriors, StateMatrix, TransitionMatrix, ViterbiResult};
 use veritas_player::SessionLog;
 
-use crate::cache::{fnv_mix, FNV_OFFSET};
 use crate::fault::{FaultPlan, FaultSite};
 
 /// Version stamp embedded in every stored entry; bump on any layout
 /// change so older binaries' files read as misses instead of garbage.
-/// Version 2 replaced γ and the dense ξ with the smoother's O(N·K) parts.
-pub const FORMAT_VERSION: u64 = 2;
+/// Version 2 replaced γ and the dense ξ with the smoother's O(N·K) parts;
+/// version 3 replaced the byte-serial FNV-1a checksum with [`checksum`].
+pub const FORMAT_VERSION: u64 = 3;
 
 /// Version stamp of persisted kernel tables (`.vkern`); bumped
 /// independently of [`FORMAT_VERSION`] — the two layouts evolve
-/// separately.
-pub const KERNEL_FORMAT_VERSION: u64 = 1;
+/// separately. Version 2 moved to [`checksum`].
+pub const KERNEL_FORMAT_VERSION: u64 = 2;
+
+/// Independent lanes of [`checksum`]: enough for the multiply chains of
+/// consecutive words to overlap in the pipeline.
+const LANES: usize = 4;
+
+/// Starting states of the [`checksum`] lanes; distinct, so no two lanes
+/// compute the same function of their words.
+const LANE_SEEDS: [u64; LANES] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+
+/// Odd multiplier of every [`checksum`] step; odd, so multiplying is a
+/// bijection of the 64-bit lane.
+const CHECKSUM_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Leading magic of every store file.
 const MAGIC: [u8; 8] = *b"VRTSPOST";
@@ -350,7 +383,7 @@ pub(crate) fn put_f64(buf: &mut Vec<u8>, value: f64) {
 
 /// Serializes one entry: magic, version, key, Viterbi decode, the
 /// posterior's α, β, emission rows, totals, gaps and log-likelihood, and a
-/// trailing FNV-1a checksum over everything after the magic.
+/// trailing [`checksum`] over everything after the magic.
 fn encode(key: &PersistKey, viterbi: &ViterbiResult, posteriors: &Posteriors) -> Vec<u8> {
     let num_obs = viterbi.path.len();
     let num_states = posteriors.alpha.cols();
@@ -380,15 +413,15 @@ fn encode(key: &PersistKey, viterbi: &ViterbiResult, posteriors: &Posteriors) ->
         put_u64(&mut buf, u64::from(gap));
     }
     put_f64(&mut buf, posteriors.log_likelihood);
-    let checksum = fnv_checksum(&buf[MAGIC.len()..]);
-    put_u64(&mut buf, checksum);
+    let sum = checksum(&buf[MAGIC.len()..]);
+    put_u64(&mut buf, sum);
     buf
 }
 
 /// Serializes one kernel table: magic, version, config fingerprint, the
 /// state count, the kernel count, each `(gap, A^Δ)` pair (floats as raw
-/// bit patterns), and a trailing FNV-1a checksum over everything after
-/// the magic — the same envelope discipline as the posterior entries.
+/// bit patterns), and a trailing [`checksum`] over everything after the
+/// magic — the same envelope discipline as the posterior entries.
 fn encode_kernels(config: u64, kernels: &[(u32, TransitionMatrix)]) -> Vec<u8> {
     let num_states = kernels.first().map_or(0, |(_, matrix)| matrix.num_states());
     let mut buf = Vec::with_capacity(48 + kernels.len() * (8 + num_states * num_states * 8));
@@ -410,8 +443,8 @@ fn encode_kernels(config: u64, kernels: &[(u32, TransitionMatrix)]) -> Vec<u8> {
             }
         }
     }
-    let checksum = fnv_checksum(&buf[KERNEL_MAGIC.len()..]);
-    put_u64(&mut buf, checksum);
+    let sum = checksum(&buf[KERNEL_MAGIC.len()..]);
+    put_u64(&mut buf, sum);
     buf
 }
 
@@ -430,7 +463,7 @@ fn decode_kernels(bytes: &[u8]) -> Option<KernelTable> {
     }
     let payload = &bytes[KERNEL_MAGIC.len()..bytes.len() - 8];
     let stored_checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-    if fnv_checksum(payload) != stored_checksum {
+    if checksum(payload) != stored_checksum {
         return None;
     }
     let mut reader = Reader::new(payload);
@@ -479,24 +512,35 @@ fn decode_kernels(bytes: &[u8]) -> Option<KernelTable> {
     Some((config, num_states, kernels))
 }
 
-/// FNV-1a over a byte slice, word-at-a-time via the fingerprint mixer so
-/// the store and the cache can never disagree on the hash function.
-fn fnv_checksum(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        fnv_mix(
-            &mut hash,
-            u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")),
-        );
+/// The integrity checksum of `.vpost` and `.vkern` payloads (see the
+/// module doc's "File format"): [`LANES`] lanes over the little-endian
+/// 8-byte words, the last word zero-padded, then a fold of the lanes and
+/// the byte length. Every step is a bijection of the running state.
+fn checksum(bytes: &[u8]) -> u64 {
+    /// Xor the word in, multiply by an odd constant, xor-shift: a
+    /// bijection of `state` for a fixed word, and of the word for a fixed
+    /// `state`.
+    fn step(state: u64, word: u64) -> u64 {
+        let state = (state ^ word).wrapping_mul(CHECKSUM_MUL);
+        state ^ (state >> 29)
     }
-    let remainder = chunks.remainder();
-    if !remainder.is_empty() {
-        let mut word = [0u8; 8];
-        word[..remainder.len()].copy_from_slice(remainder);
-        fnv_mix(&mut hash, u64::from_le_bytes(word));
+    let word = |bytes: &[u8]| {
+        let mut padded = [0u8; 8];
+        padded[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(padded)
+    };
+    let mut lanes = LANE_SEEDS;
+    let mut blocks = bytes.chunks_exact(8 * LANES);
+    for block in &mut blocks {
+        for (lane, bytes) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, word(bytes));
+        }
     }
-    hash
+    for (lane, bytes) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        *lane = step(*lane, word(bytes));
+    }
+    let folded = lanes.into_iter().fold(bytes.len() as u64, step);
+    step(folded, 0)
 }
 
 /// A bounds-checked little-endian reader; every take returns `None` past
@@ -541,15 +585,13 @@ impl<'a> Reader<'a> {
     }
 
     fn take_f64s(&mut self, count: usize) -> Option<Vec<f64>> {
-        let end = self.pos.checked_add(count.checked_mul(8)?)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let mut values = Vec::with_capacity(count);
-        for _ in 0..count {
-            values.push(self.take_f64().expect("length checked above"));
-        }
-        Some(values)
+        let bytes = self.take_bytes(count.checked_mul(8)?)?;
+        Some(
+            bytes
+                .chunks_exact(8)
+                .map(|word| f64::from_le_bytes(word.try_into().expect("8-byte word")))
+                .collect(),
+        )
     }
 }
 
@@ -562,13 +604,10 @@ fn decode(bytes: &[u8]) -> Option<(PersistKey, ViterbiResult, Posteriors)> {
     }
     let payload = &bytes[MAGIC.len()..bytes.len() - 8];
     let stored_checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-    if fnv_checksum(payload) != stored_checksum {
+    if checksum(payload) != stored_checksum {
         return None;
     }
-    let mut reader = Reader {
-        buf: payload,
-        pos: 0,
-    };
+    let mut reader = Reader::new(payload);
     if reader.take_u64()? != FORMAT_VERSION {
         return None;
     }
@@ -592,7 +631,7 @@ fn decode(bytes: &[u8]) -> Option<(PersistKey, ViterbiResult, Posteriors)> {
         .checked_add(num_obs - 1)? // pairwise totals
         .checked_add(num_obs)? // gaps
         .checked_add(1)?; // posterior log-likelihood
-    if payload.len() - reader.pos != expected_words.checked_mul(8)? {
+    if payload.len() - reader.pos() != expected_words.checked_mul(8)? {
         return None;
     }
     let mut path = Vec::with_capacity(num_obs);
@@ -771,9 +810,64 @@ mod tests {
         }
     }
 
-    /// One short session, its config and key, and the entry a fresh
-    /// inference encodes for it: the raw material the hostile-input cases
-    /// below mangle.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Over arbitrary payloads of any length (not only whole words),
+        /// changing one word, flipping one bit, and adding or removing
+        /// trailing bytes (zeros included) each change the checksum.
+        #[test]
+        fn checksum_sees_word_bit_and_length_changes(
+            (payload, seed) in (prop::collection::vec(any::<u8>(), 0..4096), any::<u64>()),
+        ) {
+            let sum = checksum(&payload);
+            let mut words = Words::new(seed);
+            let mut byte = || if words.range(0, 2) == 0 { 0 } else { words.next() as u8 };
+            let longer: Vec<u8> = payload
+                .iter()
+                .copied()
+                .chain((0..1 + seed as usize % 16).map(|_| byte()))
+                .collect();
+            prop_assert_ne!(checksum(&longer), sum, "bytes appended");
+            if !payload.is_empty() {
+                let cut = words.range(0, payload.len());
+                prop_assert_ne!(checksum(&payload[..cut]), sum, "bytes removed");
+
+                let mut flipped = payload.clone();
+                let bit = words.range(0, 8 * payload.len());
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                prop_assert_ne!(checksum(&flipped), sum, "bit {} flipped", bit);
+
+                // One word (the last may be partial) given another value.
+                let at = 8 * words.range(0, payload.len().div_ceil(8));
+                let end = payload.len().min(at + 8);
+                let mut changed = payload.clone();
+                while changed[at..end] == payload[at..end] {
+                    changed[at..end].copy_from_slice(&words.next().to_le_bytes()[..end - at]);
+                }
+                prop_assert_ne!(checksum(&changed), sum, "word at byte {} changed", at);
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_sees_trailing_zero_bytes() {
+        let payload = [7u8, 0, 3];
+        for len in 0..payload.len() {
+            assert_ne!(checksum(&payload[..len]), checksum(&payload[..len + 1]));
+        }
+        for len in 0..40 {
+            let zeros = vec![0u8; len];
+            assert_ne!(
+                checksum(&zeros),
+                checksum(&[zeros.as_slice(), &[0]].concat())
+            );
+        }
+    }
+
+    /// One session, its config and key, and the entry a fresh inference
+    /// encodes for it: the raw material the hostile-input cases below
+    /// mangle.
     struct Fixture {
         log: SessionLog,
         config: VeritasConfig,
@@ -781,12 +875,13 @@ mod tests {
         entry: Vec<u8>,
     }
 
-    fn fixture() -> &'static Fixture {
-        static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
-        FIXTURE.get_or_init(|| {
+    impl Fixture {
+        /// One `video_duration_s` session (two-second chunks) under the
+        /// paper's config (K = 21 capacity states).
+        fn build(video_duration_s: f64) -> Self {
             let corpus = crate::SyntheticSpec {
                 sessions: 1,
-                video_duration_s: 40.0,
+                video_duration_s,
                 seed: 5,
                 ..crate::SyntheticSpec::default()
             }
@@ -806,7 +901,19 @@ mod tests {
                 key,
                 entry,
             }
-        })
+        }
+    }
+
+    /// A short (20-chunk) session, cheap enough for hundreds of cases.
+    fn fixture() -> &'static Fixture {
+        static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| Fixture::build(40.0))
+    }
+
+    /// A real serving-size posterior: 120 chunks, K = 21.
+    fn fixture_120() -> &'static Fixture {
+        static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| Fixture::build(240.0))
     }
 
     /// A file under `magic` whose checksum matches `payload` (everything
@@ -814,7 +921,7 @@ mod tests {
     fn seal(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
         let mut bytes = magic.to_vec();
         bytes.extend_from_slice(payload);
-        put_u64(&mut bytes, fnv_checksum(payload));
+        put_u64(&mut bytes, checksum(payload));
         bytes
     }
 
@@ -928,6 +1035,121 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// A real 120-chunk, K = 21 posterior with any one byte flipped is
+        /// rejected. Half the flips land in the α/β bulk.
+        #[test]
+        fn a_real_posterior_with_any_byte_flipped_is_rejected(
+            (position, in_bulk, flip) in (any::<usize>(), any::<bool>(), 1u8..=255),
+        ) {
+            let fx = fixture_120();
+            let num_obs = fx.log.records.len();
+            let cells = num_obs * fx.config.capacity_grid().len();
+            let position = if in_bulk {
+                alpha_offset(num_obs) + position % (16 * cells)
+            } else {
+                position % fx.entry.len()
+            };
+            let mut bytes = fx.entry.clone();
+            bytes[position] ^= flip;
+            prop_assert!(decode(&bytes).is_none(), "flip at byte {}", position);
+        }
+    }
+
+    /// The file offset of α: past the magic, the version, the 5-word key
+    /// and shape header, the Viterbi path and its log-likelihood.
+    fn alpha_offset(num_obs: usize) -> usize {
+        MAGIC.len() + 8 * (1 + 5 + num_obs + 1)
+    }
+
+    #[test]
+    fn a_real_posterior_heals_when_its_bulk_is_flipped() {
+        let fx = fixture_120();
+        let num_obs = fx.log.records.len();
+        assert_eq!((num_obs, fx.config.capacity_grid().len()), (120, 21));
+        assert_eq!(fx.entry.len(), 63_432);
+        let dir = std::env::temp_dir().join("veritas_persist_real_120");
+        let _ = fs::remove_dir_all(&dir);
+        let store = DiskStore::open(&dir).unwrap();
+        let path = store.path_for(&fx.key);
+        let load = || store.load_classified(&fx.key, &fx.log, &fx.config, workspace(&fx.config));
+        fs::write(&path, &fx.entry).unwrap();
+        assert!(matches!(load(), DiskLoadOutcome::Restored(_)));
+        // The last byte of α's first cell, and a byte in the middle of β.
+        let cells = num_obs * 21;
+        for position in [
+            alpha_offset(num_obs) + 7,
+            alpha_offset(num_obs) + 12 * cells,
+        ] {
+            let mut bytes = fx.entry.clone();
+            bytes[position] ^= 0x01;
+            fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(load(), DiskLoadOutcome::Healed),
+                "flip at byte {position}"
+            );
+            assert!(!path.exists());
+        }
+    }
+
+    /// The fixture's payload (everything between the magic and the
+    /// checksum) relabelled as format version 2.
+    fn version_2_payload(fx: &Fixture) -> Vec<u8> {
+        let mut payload = fx.entry[MAGIC.len()..fx.entry.len() - 8].to_vec();
+        payload[..8].copy_from_slice(&2u64.to_le_bytes());
+        payload
+    }
+
+    #[test]
+    fn a_version_2_entry_resealed_under_the_v3_name_heals() {
+        let fx = fixture();
+        let dir = std::env::temp_dir().join("veritas_persist_resealed_v2");
+        let _ = fs::remove_dir_all(&dir);
+        let store = DiskStore::open(&dir).unwrap();
+        let path = store.path_for(&fx.key);
+        assert!(path.ends_with(format!(
+            "ab-v3-{:016x}-{:016x}-{:x}.vpost",
+            fx.key.log, fx.key.config, fx.key.horizon
+        )));
+        fs::write(&path, seal(&MAGIC, &version_2_payload(fx))).unwrap();
+        let outcome = store.load_classified(&fx.key, &fx.log, &fx.config, workspace(&fx.config));
+        assert!(matches!(outcome, DiskLoadOutcome::Healed), "{outcome:?}");
+        assert!(!path.exists());
+    }
+
+    #[test]
+    fn version_2_files_are_never_read_or_deleted() {
+        // A genuine version-2 file: the byte-serial FNV-1a seal of its
+        // (whole-word) payload, under its own name.
+        let fx = fixture();
+        let payload = version_2_payload(fx);
+        let mut fnv = crate::cache::FNV_OFFSET;
+        for word in payload.chunks_exact(8) {
+            crate::cache::fnv_mix(&mut fnv, u64::from_le_bytes(word.try_into().unwrap()));
+        }
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&payload);
+        put_u64(&mut bytes, fnv);
+
+        let dir = std::env::temp_dir().join("veritas_persist_old_v2");
+        let _ = fs::remove_dir_all(&dir);
+        let store = DiskStore::open(&dir).unwrap();
+        let old = dir.join(format!(
+            "ab-v2-{:016x}-{:016x}-{:x}.vpost",
+            fx.key.log, fx.key.config, fx.key.horizon
+        ));
+        fs::write(&old, &bytes).unwrap();
+        let outcome = store.load_classified(&fx.key, &fx.log, &fx.config, workspace(&fx.config));
+        assert!(matches!(outcome, DiskLoadOutcome::Missing), "{outcome:?}");
+        assert_eq!(
+            fs::read(&old).unwrap(),
+            bytes,
+            "the old file is left in place"
+        );
+    }
+
     #[test]
     fn garbage_and_empty_buffers_are_rejected() {
         assert!(decode(&[]).is_none());
@@ -956,8 +1178,8 @@ mod tests {
         put_u64(&mut buf, key.horizon as u64);
         put_u64(&mut buf, u64::MAX); // num_obs
         put_u64(&mut buf, 4); // num_states
-        let checksum = fnv_checksum(&buf[MAGIC.len()..]);
-        put_u64(&mut buf, checksum);
+        let sum = checksum(&buf[MAGIC.len()..]);
+        put_u64(&mut buf, sum);
         assert!(decode(&buf).is_none());
     }
 
@@ -1071,8 +1293,8 @@ mod tests {
                     put_f64(&mut buf, p);
                 }
             }
-            let checksum = fnv_checksum(&buf[KERNEL_MAGIC.len()..]);
-            put_u64(&mut buf, checksum);
+            let sum = checksum(&buf[KERNEL_MAGIC.len()..]);
+            put_u64(&mut buf, sum);
             buf
         };
         let identity = vec![1.0, 0.0, 0.0, 1.0];

@@ -16,8 +16,10 @@
 //!
 //! # Protocol
 //!
-//! Each request is one JSON object on one line; a connection may carry
-//! any number of requests, answered in order:
+//! Each request is one JSON object on one line of at most
+//! [`MAX_REQUEST_LINE_BYTES`] bytes (a longer line is answered with a
+//! typed `"protocol"` error and the connection is closed); a connection
+//! may carry any number of requests, answered in order:
 //!
 //! * `{"query": <QuerySet>}` — compile and run a query set against the
 //!   resident corpus. Optional `"stream": true` switches the record feed
@@ -99,7 +101,7 @@
 //! shard.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -128,6 +130,14 @@ pub const DEFAULT_ADMISSION_BOUND: usize = 4;
 /// Default per-connection read/write deadline in seconds
 /// (`--io-timeout`); `0` disables the deadlines.
 pub const DEFAULT_IO_TIMEOUT_S: u64 = 30;
+
+/// Longest request line, newline included, a connection may send: 1 MiB.
+/// A longer line is answered with a typed `"protocol"` error and the
+/// connection is closed, so no client can make the daemon buffer an
+/// unbounded line (before auth, too). Real requests are far smaller: the
+/// largest the test suites and the benchmark send is 1,299 bytes (a
+/// six-query next-chunk request).
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 
 /// Per-query unit latencies retained for the metrics percentiles — a
 /// bounded sliding window so a long-lived daemon's memory stays flat.
@@ -902,15 +912,26 @@ fn handle_connection(state: &Arc<ServiceState>, stream: TcpStream) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // Bytes, not a `String`: the cap may cut a multi-byte character.
+        let mut cap = (&mut reader).take(MAX_REQUEST_LINE_BYTES as u64);
+        match cap.read_until(b'\n', &mut line) {
             // EOF or a dead socket: the client is done.
             Ok(0) | Err(_) => return,
+            Ok(read) if read == MAX_REQUEST_LINE_BYTES && line.last() != Some(&b'\n') => {
+                let detail = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
+                let _ = state.refuse(&mut writer, &EngineError::Protocol(detail));
+                return;
+            }
             Ok(_) => {}
         }
-        let trimmed = line.trim();
+        // A line that is not UTF-8 ends the connection, like a dead socket.
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }

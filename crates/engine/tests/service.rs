@@ -11,7 +11,7 @@ use veritas::VeritasConfig;
 use veritas_engine::{
     ingest_dir, Engine, EngineFlags, ErrorEnvelope, MetricsEnvelope, MetricsSnapshot, Query,
     QueryRecord, QuerySet, RunSummary, ScenarioSpec, Service, ServiceConfig, SessionCorpus,
-    SummaryEnvelope, WireError,
+    SummaryEnvelope, WireError, MAX_REQUEST_LINE_BYTES,
 };
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -363,21 +363,43 @@ fn connections_past_the_bound_are_shed_with_a_typed_error() {
     assert_eq!(metrics.connections_shed, 1);
     assert_eq!(metrics.connections_active, 1);
 
-    // The slot frees when A hangs up; a later client is admitted.
+    // The slot frees when A hangs up; a later client is admitted. Until
+    // then every attempt is shed: it gets the envelope, or the daemon has
+    // already closed it by the time the request goes out or the answer is
+    // read (a broken pipe or reset on write, EOF or a reset on read).
     drop(holder);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
-        let mut client = Client::connect(&handle.addr());
-        client.send(r#"{"metrics": true}"#);
-        let line = client.read_line();
-        if serde_json::from_str::<MetricsEnvelope>(&line).is_ok() {
-            break;
+        if let Some(line) = metrics_unless_closed(&handle.addr()) {
+            if serde_json::from_str::<MetricsEnvelope>(&line).is_ok() {
+                break;
+            }
+            assert_eq!(ErrorEnvelope::parse(&line).unwrap().kind, "overloaded");
         }
-        assert_eq!(ErrorEnvelope::parse(&line).unwrap().kind, "overloaded");
         assert!(std::time::Instant::now() < deadline, "the slot never freed");
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     handle.stop();
+}
+
+/// Sends a metrics request on a fresh connection and returns the first
+/// answer line, or `None` if the daemon closed the connection first.
+fn metrics_unless_closed(addr: &std::net::SocketAddr) -> Option<String> {
+    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset};
+    let closed = |e: std::io::Error| match e.kind() {
+        BrokenPipe | ConnectionReset | ConnectionAborted => None,
+        _ => panic!("unexpected I/O error on a shed connection: {e}"),
+    };
+    let mut stream = TcpStream::connect(addr).expect("the service must accept connections");
+    if let Err(e) = writeln!(stream, r#"{{"metrics": true}}"#) {
+        return closed(e);
+    }
+    let mut line = String::new();
+    match BufReader::new(stream).read_line(&mut line) {
+        Ok(0) => None,
+        Ok(_) => Some(line.trim().to_string()),
+        Err(e) => closed(e),
+    }
 }
 
 #[test]
@@ -555,6 +577,47 @@ fn a_deeply_nested_request_line_cannot_abort_the_daemon() {
     let metrics = serde_json::from_str::<MetricsEnvelope>(&line)
         .unwrap_or_else(|e| panic!("metrics must still be served ({e}): {line}"))
         .metrics;
+    assert_eq!(metrics.sessions, 2);
+    assert!(
+        child.try_wait().unwrap().is_none(),
+        "the daemon must keep running"
+    );
+    child.kill().unwrap();
+    let _ = child.wait();
+}
+
+#[test]
+fn an_over_long_request_line_gets_a_typed_error_and_the_daemon_keeps_serving() {
+    let (mut child, addr) = spawn_veritasd(&["--synthetic", "2", "--seed", "9", "--threads", "1"]);
+    let mut client = Client::connect(&addr);
+    // A request of exactly the cap, newline included, is served.
+    let request = r#"{"metrics": true}"#;
+    let padded = format!(
+        "{}{request}",
+        " ".repeat(MAX_REQUEST_LINE_BYTES - request.len() - 1)
+    );
+    client.send(&padded);
+    let line = client.read_line();
+    assert!(
+        serde_json::from_str::<MetricsEnvelope>(&line).is_ok(),
+        "a line at the cap must be served, got: {line}"
+    );
+    // One byte more: a line that has not ended after the cap gets a
+    // typed error, and the connection is closed. This one ends inside a
+    // two-byte UTF-8 character, as a cap can cut one.
+    let mut long = vec![b'x'; MAX_REQUEST_LINE_BYTES - 1];
+    long.push("é".as_bytes()[0]);
+    client.writer.write_all(&long).unwrap();
+    let line = client.read_line();
+    let error = ErrorEnvelope::parse(&line)
+        .unwrap_or_else(|| panic!("the long line must get a typed error, got: {line}"));
+    assert_eq!(error.kind, "protocol");
+    assert!(error.detail.contains("exceeds"), "{}", error.detail);
+    let mut rest = String::new();
+    assert_eq!(client.reader.read_line(&mut rest).unwrap_or(0), 0);
+
+    // A second connection is served normally.
+    let metrics = Client::connect(&addr).metrics();
     assert_eq!(metrics.sessions, 2);
     assert!(
         child.try_wait().unwrap().is_none(),
