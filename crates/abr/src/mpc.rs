@@ -38,13 +38,26 @@ impl Default for QoeWeights {
 ///
 /// The search walks the lookahead tree depth first. Each plan prefix's
 /// buffer, QoE and previous bitrate are extended one step at a time, so
-/// every prefix is scored exactly once: a decision over `q` rungs and
-/// horizon `h` costs Σ_{k=1..h} q^k step evaluations (3,905 at the default
-/// `h = 5` on a 5-rung ladder). Every complete plan still gets the same
-/// floating-point operations in the same order as a plan-by-plan rescore,
-/// and an exact tie goes to the plan with the smallest index when the plan
-/// is read as a base-`q` number with step 0 least significant. A NaN score
-/// never wins; if no plan scores above −∞, the answer is rung 0.
+/// every prefix is scored at most once: a decision over `q` rungs and
+/// horizon `h` costs at most Σ_{k=1..h} q^k step evaluations (3,905 at the
+/// default `h = 5` on a 5-rung ladder). Every complete plan it scores gets
+/// the same floating-point operations in the same order as a plan-by-plan
+/// rescore, and an exact tie goes to the plan with the smallest index when
+/// the plan is read as a base-`q` number with step 0 least significant. A
+/// NaN score never wins; if no plan scores above −∞, the answer is rung 0.
+///
+/// The walk prunes with an exact bound. A step subtracts
+/// `λ·|rate − prev|` and `μ·rebuffer` from `qoe + rate`, and when λ ≥ 0
+/// and μ ≥ 0 both terms are ≥ 0 or NaN. Rounding is monotone, so no
+/// completion of a prefix that scores `qoe` with `d` steps to go can score
+/// above `qoe` plus the top rung's bitrate added `d` times, one `f64`
+/// addition at a time (a single `qoe + d·max` is not guaranteed to bound
+/// it). A prefix is skipped only when that bound is strictly below the
+/// best score so far, so a plan that would tie the winner is still scored
+/// and the tie rule above still holds. A greedy plan (the best one-step
+/// rung at every step) is offered first, so there is a score to prune
+/// against. With a negative or NaN weight the bound does not hold, and
+/// the search scores every prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Mpc {
     /// Number of future chunks considered in the lookahead.
@@ -77,10 +90,11 @@ impl Mpc {
         }
     }
 
-    /// Overrides the lookahead horizon (must be ≥ 1). The search is
-    /// exhaustive, so a decision scores Σ_{k=1..h} q^k plan prefixes on a
-    /// `q`-rung ladder: 3,905 at `h = 5`, `q = 5`, and about `q` times more
-    /// for each step added.
+    /// Overrides the lookahead horizon (must be ≥ 1). A decision scores at
+    /// most Σ_{k=1..h} q^k plan prefixes on a `q`-rung ladder: 3,905 at
+    /// `h = 5`, `q = 5`, and about `q` times more for each step added. The
+    /// QoE bound (see [`Mpc`]) skips most of them when λ, μ ≥ 0; with a
+    /// negative or NaN weight every one is scored.
     pub fn with_horizon(mut self, horizon: usize) -> Self {
         assert!(horizon >= 1);
         self.horizon = horizon;
@@ -145,11 +159,14 @@ impl Abr for Mpc {
             buffer_capacity_s: ctx.buffer_capacity_s,
             bitrates: &bitrates,
             download_s: &download_s,
+            max_rate: (self.weights.smoothness_lambda >= 0.0 && self.weights.rebuffer_mu >= 0.0)
+                .then(|| bitrates.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
             plan: vec![0; horizon],
             best_plan: vec![0; horizon],
             best_score: f64::NEG_INFINITY,
         };
         let prev_rate = ctx.last_quality.map(|q| bitrates[q]);
+        search.offer_greedy(ctx.buffer_s, prev_rate);
         search.extend(0, ctx.buffer_s, 0.0, prev_rate);
         clamp_quality(search.best_plan[0], num_q)
     }
@@ -165,6 +182,9 @@ struct Lookahead<'a> {
     /// Predicted download time (s) of each step's chunk at each rung,
     /// `horizon × rungs`, row-major.
     download_s: &'a [f64],
+    /// The top rung's bitrate when the weights make the QoE bound hold
+    /// (λ, μ ≥ 0), or `None` to score every prefix.
+    max_rate: Option<f64>,
     /// Rungs of the plan being extended.
     plan: Vec<usize>,
     /// The best complete plan so far and its score.
@@ -173,8 +193,29 @@ struct Lookahead<'a> {
 }
 
 impl<'a> Lookahead<'a> {
+    /// Offers the greedy plan, which takes the best one-step rung at every
+    /// step, so the bound has a score to prune against from the first
+    /// prefix on. An exhaustive search has no use for it.
+    fn offer_greedy(&mut self, mut buffer: f64, mut prev_rate: Option<f64>) {
+        if self.max_rate.is_none() {
+            return;
+        }
+        let mut qoe = 0.0;
+        for step in 0..self.plan.len() {
+            let q = self
+                .best_last_rung(step, buffer, qoe, prev_rate)
+                .map_or(0, |(q, _)| q);
+            let rate = self.bitrates[q];
+            (buffer, qoe) = self.advance(buffer, qoe, prev_rate, self.download_row(step)[q], rate);
+            self.plan[step] = q;
+            prev_rate = Some(rate);
+        }
+        self.offer(qoe);
+    }
+
     /// Scores every plan extending `plan[..step]`, whose state after `step`
-    /// chunks is (`buffer`, `qoe`, `prev_rate`).
+    /// chunks is (`buffer`, `qoe`, `prev_rate`), except those under a
+    /// prefix that [`cannot_win`](Self::cannot_win).
     fn extend(&mut self, step: usize, buffer: f64, qoe: f64, prev_rate: Option<f64>) {
         if step + 1 == self.plan.len() {
             // Only a one-step horizon gets here: deeper searches finish
@@ -189,6 +230,9 @@ impl<'a> Lookahead<'a> {
             .enumerate()
         {
             let (buffer, qoe) = self.advance(buffer, qoe, prev_rate, dt, rate);
+            if self.cannot_win(qoe, self.plan.len() - step - 1) {
+                continue;
+            }
             self.plan[step] = q;
             // The last step, where most of the work is, runs inline here
             // rather than in one more call of `extend`.
@@ -198,6 +242,22 @@ impl<'a> Lookahead<'a> {
                 self.extend(step + 1, buffer, qoe, Some(rate));
             }
         }
+    }
+
+    /// Whether the QoE bound (see [`Mpc`]) puts every plan extending a
+    /// prefix that scores `qoe`, with `left` steps to go, strictly below
+    /// the best so far. A prefix whose bound only ties the best is kept:
+    /// it may hold a plan with a smaller index.
+    #[inline(always)]
+    fn cannot_win(&self, qoe: f64, left: usize) -> bool {
+        let Some(max_rate) = self.max_rate else {
+            return false;
+        };
+        let mut bound = qoe;
+        for _ in 0..left {
+            bound += max_rate;
+        }
+        bound < self.best_score
     }
 
     /// Scores the last step of every plan extending `plan[..step]` and
@@ -214,7 +274,8 @@ impl<'a> Lookahead<'a> {
     /// the plan's score, or `None` if no score beats −∞. These plans differ
     /// only in their last rung, the most significant base-`q` digit, so
     /// among equal scores the first is the one an index-order enumeration
-    /// meets first.
+    /// meets first. [`offer_greedy`](Self::offer_greedy) calls it at every
+    /// step.
     #[inline]
     fn best_last_rung(
         &self,
@@ -241,7 +302,8 @@ impl<'a> Lookahead<'a> {
     }
 
     /// Keeps the complete `plan` if it beats the best so far; an exact tie
-    /// goes to the smaller base-`q` index. `best_plan` starts as plan 0,
+    /// goes to the smaller base-`q` index, whatever order plans are offered
+    /// in (the greedy plan comes first). `best_plan` starts as plan 0,
     /// which no plan precedes, so if nothing beats −∞ (or every score is
     /// NaN) the answer stays rung 0.
     fn offer(&mut self, score: f64) {
@@ -418,6 +480,14 @@ mod tests {
     /// duplicated rungs (and exact score ties with them) are common.
     const RUNG_MBPS: [f64; 4] = [0.3, 1.0, 2.5, 6.0];
 
+    /// Smoothness weights the differential test draws from. A negative or
+    /// NaN weight turns the QoE bound off; an infinite one keeps it on but
+    /// drives scores to −∞ or NaN.
+    const LAMBDAS: [f64; 6] = [0.0, 1.0, 100.0, -1.0, f64::NAN, f64::INFINITY];
+
+    /// Rebuffering weights the differential test draws from, likewise.
+    const MUS: [f64; 5] = [0.0, 8.0, -1.0, f64::NAN, f64::INFINITY];
+
     /// The rung the depth-first search picks, after checking that the
     /// enumeration it replaced picks the same one. The enumeration cannot
     /// run at horizon 0 (it indexes an empty plan), where the answer is
@@ -446,7 +516,7 @@ mod tests {
                 0u64..1_000,
             ),
             (horizon, robust, lambda_pick, mu_pick, window) in
-                (0usize..=6, any::<bool>(), 0usize..3, 0usize..2, 0usize..=6),
+                (0usize..=6, any::<bool>(), 0usize..6, 0usize..5, 0usize..=6),
             (capacity_pick, buffer_pick, buffer_frac, chunk_pick, last_pick) in
                 (0usize..2, 0usize..3, 0.0f64..1.0, 0usize..1_000, 0usize..8),
             history in prop::collection::vec(
@@ -469,8 +539,8 @@ mod tests {
                 horizon,
                 prediction_window: window,
                 weights: QoeWeights {
-                    smoothness_lambda: [0.0, 1.0, 100.0][lambda_pick],
-                    rebuffer_mu: [0.0, 8.0][mu_pick],
+                    smoothness_lambda: LAMBDAS[lambda_pick],
+                    rebuffer_mu: MUS[mu_pick],
                 },
                 robust,
             };
@@ -518,6 +588,39 @@ mod tests {
             last_quality: Some(0),
         };
         assert_eq!(choose_checked(mpc, &c), 1);
+    }
+
+    #[test]
+    fn a_prefix_whose_bound_only_ties_the_best_is_still_searched() {
+        // A decision from a 5 s-buffer MPC session on the paper ladder
+        // (0.1, 0.4, 1.0, 2.5, 4.0 Mbps), after rung 2. The walk meets
+        // (2, 3, 4, 4, 4) at 12.5 first. The prefix (3, 3, 3, 4) then
+        // scores 8.5, so its bound is 8.5 + 4 = 12.5 exactly, and
+        // (3, 3, 3, 4, 4) ties at 12.5 with a smaller index, so it wins.
+        // Pruning on `<=` instead of `<` would answer rung 2.
+        let asset = VideoAsset::generate(
+            QualityLadder::paper_default(),
+            80.0,
+            2.0,
+            VbrParams::default(),
+            3,
+        );
+        let c = AbrContext {
+            asset: &asset,
+            next_chunk: 6,
+            buffer_s: 3.0,
+            buffer_capacity_s: 5.0,
+            throughput_history_mbps: &[
+                2.149096229098269,
+                2.7168778413632753,
+                2.9700423003040815,
+                4.030914721725616,
+                3.8912258610284165,
+            ],
+            download_time_history_s: &[],
+            last_quality: Some(2),
+        };
+        assert_eq!(choose_checked(Mpc::new(), &c), 3);
     }
 
     #[test]

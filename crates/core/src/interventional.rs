@@ -56,11 +56,7 @@ impl InterventionalPredictor {
     ) -> DownloadTimePrediction {
         assert!(next_index >= 1, "need at least one observed chunk");
         assert!(next_index <= log.records.len(), "next_index out of range");
-        let prefix = SessionLog {
-            records: log.records[..next_index].to_vec(),
-            ..log.clone()
-        };
-        let abduction = Abduction::infer(&prefix, &self.config);
+        let abduction = Abduction::infer(&log.prefix(next_index), &self.config);
         self.predict_from_abduction(&abduction, log, next_index, candidate_size_bytes, tcp_info)
     }
 

@@ -166,10 +166,7 @@ fn prefix_view(log: &SessionLog, horizon: usize) -> std::borrow::Cow<'_, Session
     if horizon == log.records.len() {
         std::borrow::Cow::Borrowed(log)
     } else {
-        std::borrow::Cow::Owned(SessionLog {
-            records: log.records[..horizon].to_vec(),
-            ..log.clone()
-        })
+        std::borrow::Cow::Owned(log.prefix(horizon))
     }
 }
 

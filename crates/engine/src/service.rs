@@ -100,7 +100,7 @@
 //! worker connections carry no deadline, so a hung worker stalls its
 //! shard.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -421,7 +421,7 @@ struct ServiceState {
     retries_total: AtomicU64,
     quarantined_total: AtomicU64,
     shard_retries_total: AtomicU64,
-    latencies: Mutex<HashMap<String, Vec<u64>>>,
+    latencies: Mutex<HashMap<String, VecDeque<u64>>>,
     /// The worker-pool coordinator when the daemon fronts `--workers N`
     /// executor processes; `None` serves every plan in-process.
     dist: Option<Coordinator>,
@@ -466,9 +466,9 @@ impl ServiceState {
         let mut latencies = self.latencies.lock();
         let window = latencies.entry(record.query_id.clone()).or_default();
         if window.len() == LATENCY_WINDOW {
-            window.remove(0);
+            window.pop_front();
         }
-        window.push(record.elapsed_us);
+        window.push_back(record.elapsed_us);
     }
 
     fn snapshot(&self) -> MetricsSnapshot {
@@ -477,7 +477,7 @@ impl ServiceState {
             let mut per_query: Vec<QueryLatency> = latencies
                 .iter()
                 .map(|(id, elapsed)| {
-                    let mut sorted = elapsed.clone();
+                    let mut sorted: Vec<u64> = elapsed.iter().copied().collect();
                     sorted.sort_unstable();
                     QueryLatency {
                         id: id.clone(),
@@ -1010,6 +1010,8 @@ pub fn run_cli(args: &[String]) -> Result<(), EngineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::QueryKind;
+    use proptest::prelude::*;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -1152,6 +1154,148 @@ mod tests {
         .is_err());
     }
 
+    /// A request line that parses and validates, one JSON token per word:
+    /// the token-soup proptest edits these tokens.
+    const REQUEST_TEMPLATE: &str = r#"{ "query" : { "name" : "n" , "queries" : [
+        { "id" : "c" , "kind" : "counterfactual" , "sessions" : [ 0 , 1 ] ,
+          "scenario" : { "abr" : "mpc" , "buffer_capacity_s" : 30 , "ladder" : "higher" } ,
+          "samples" : 3 , "seed" : 1 } ,
+        { "id" : "s" , "kind" : "sweep" , "sweep" : { "sigma_mbps" : [ 0.25 , 0.5 ] } } ,
+        { "id" : "i" , "kind" : "interventional" , "chunk_index" : 3 ,
+          "candidate_size_bytes" : 1e6 } ,
+        { "id" : "g" , "kind" : "aggregate" ,
+          "aggregate" : { "metric" : "mean_ssim" , "scenario" : { "abr" : "bba" } } } ] } ,
+      "shard" : { "index" : 0 , "of" : 2 } , "columns" : 8 , "stream" : true ,
+      "auth" : "t" }"#;
+
+    /// A query set that parses and validates, tokenised the same way.
+    const QUERY_SET_TEMPLATE: &str = r#"{ "name" : "n" , "queries" : [
+        { "id" : "a" , "kind" : "abduction" , "sessions" : [ 2 ] } ,
+        { "id" : "c" , "kind" : "counterfactual" , "scenario" : { "abr" : "robust_mpc" } ,
+          "samples" : 2 , "seed" : 7 } ] }"#;
+
+    /// Member names the request and query-set decoders know, with kinds,
+    /// scenario names and a metric. Each goes into the soup quoted.
+    const SOUP_NAMES: &str = "query stream metrics shutdown auth shard index of columns name
+        config queries id kind sessions scenario chunk_index candidate_size_bytes samples seed
+        sweep aggregate metric abr buffer_capacity_s ladder sigma_mbps stay_probability
+        num_samples epsilon_mbps max_capacity_mbps delta_s abduction interventional
+        counterfactual mpc bba higher mean_ssim";
+
+    /// Whole JSON values: numbers past the f64 and u64 ranges, negative
+    /// zero, strings with bad escapes, and empty containers.
+    const SOUP_LITERALS: &str = r#"true false null 0 1 -1 -0 -0.0 0.5 1e309 -1e309 1e-400
+        18446744073709551615 18446744073709551616 -9223372036854775809 4294967296
+        9007199254740993 "\ud800" "\udc00\ud800" "\u12" "\uZZZZ" "\x41" "" [] {}"#;
+
+    /// Fragments that are not whole values: structure, and malformed
+    /// numbers and strings.
+    const SOUP_JUNK: &str = r#"{ } [ ] , : " \ 1. .5 01 +1 NaN Infinity "\"#;
+
+    /// The soup's whole values (the names quoted, then the literals) and
+    /// all its fragments: those values, the junk, stray whitespace and
+    /// bytes, a value nested 129 arrays deep, and runs of openers nested
+    /// past the parser's 128 limit.
+    fn soup() -> (Vec<String>, Vec<String>) {
+        let values: Vec<String> = SOUP_NAMES
+            .split_whitespace()
+            .map(|name| format!("\"{name}\""))
+            .chain(SOUP_LITERALS.split_whitespace().map(str::to_string))
+            .chain(["\"é\u{0}\"".to_string()])
+            .collect();
+        let mut fragments = values.clone();
+        fragments.extend(SOUP_JUNK.split_whitespace().map(str::to_string));
+        fragments.extend([" ", "\n", "\u{0}", "\u{feff}", "\u{fffd}"].map(str::to_string));
+        fragments.push(format!("{}{}", "[".repeat(129), "]".repeat(129)));
+        fragments.push("[".repeat(129));
+        fragments.push("{\"query\":".repeat(200));
+        fragments.push("[{\"queries\":".repeat(70));
+        (values, fragments)
+    }
+
+    /// Parses `line` as a request and as a query set, and validates any
+    /// query set that comes out. Each step must return `Ok` or a typed
+    /// error; a panic fails the calling test.
+    fn parse_hostile(line: &str) {
+        match serde_json::from_str::<Request>(line) {
+            Ok(request) => {
+                if let Some(set) = request.query {
+                    let _ = set.validate();
+                }
+            }
+            Err(error) => assert!(!error.to_string().is_empty()),
+        }
+        match QuerySet::from_json(line) {
+            Ok(set) => {
+                let _ = set.validate();
+            }
+            Err(error) => assert!(!error.to_string().is_empty()),
+        }
+    }
+
+    #[test]
+    fn the_soup_templates_parse_and_validate() {
+        let request: Request = serde_json::from_str(REQUEST_TEMPLATE).unwrap();
+        request
+            .query
+            .expect("the template carries a query")
+            .validate()
+            .unwrap();
+        QuerySet::from_json(QUERY_SET_TEMPLATE)
+            .unwrap()
+            .validate()
+            .unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(5000))]
+
+        /// Arbitrary bytes, read as lossy UTF-8 the way a connection turns
+        /// a line into text.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_parsers(
+            bytes in prop::collection::vec(any::<u8>(), 0..512),
+        ) {
+            parse_hostile(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// A template (a request, a query set, or nothing) with one to
+        /// five edits. Five in eight put a soup value in place of one of
+        /// the template's values or member names, which keeps the JSON
+        /// well-formed, so the member decoders meet the hostile values.
+        /// The rest replace, delete or insert any token or fragment.
+        #[test]
+        fn token_soups_never_panic_the_parsers(
+            (template, edits) in (
+                0usize..3,
+                prop::collection::vec((0usize..8, any::<usize>(), any::<usize>()), 1..6),
+            ),
+        ) {
+            let (values, fragments) = soup();
+            let template = ["", REQUEST_TEMPLATE, QUERY_SET_TEMPLATE][template];
+            let mut tokens: Vec<&str> = template.split_whitespace().collect();
+            for (op, at, pick) in edits {
+                let value_slots: Vec<usize> = (0..tokens.len())
+                    .filter(|&i| !matches!(tokens[i], "{" | "}" | "[" | "]" | "," | ":"))
+                    .collect();
+                let at_token = at % (tokens.len() + 1);
+                match op {
+                    0 if at_token < tokens.len() => {
+                        tokens[at_token] = &fragments[pick % fragments.len()]
+                    }
+                    1 if at_token < tokens.len() => {
+                        tokens.remove(at_token);
+                    }
+                    3.. if !value_slots.is_empty() => {
+                        tokens[value_slots[at % value_slots.len()]] = &values[pick % values.len()]
+                    }
+                    _ => tokens.insert(at_token, &fragments[pick % fragments.len()]),
+                }
+            }
+            parse_hostile(&tokens.concat());
+        }
+    }
+
     #[test]
     fn token_comparison_matches_only_exact_secrets() {
         assert!(constant_time_eq("", ""));
@@ -1160,6 +1304,44 @@ mod tests {
         assert!(!constant_time_eq("hunter2", "hunter2 "));
         assert!(!constant_time_eq("hunter2", ""));
         assert!(!constant_time_eq("", "hunter2"));
+    }
+
+    #[test]
+    fn the_latency_window_keeps_the_last_units_of_a_query() {
+        let service = Service::bind(ServiceConfig {
+            addr: "127.0.0.1:0".to_string(),
+            engine: EngineFlags {
+                synthetic: Some(1),
+                ..EngineFlags::default()
+            },
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        // Latencies 1..=total: the window must drop the first 10 and keep
+        // the last LATENCY_WINDOW, 11..=total.
+        let total = LATENCY_WINDOW + 10;
+        for elapsed_us in 1..=total as u64 {
+            service.state.observe(&QueryRecord {
+                query_id: "q".to_string(),
+                kind: QueryKind::Abduction,
+                session: "s0".to_string(),
+                variant: None,
+                status: "ok".to_string(),
+                error: None,
+                cache: None,
+                elapsed_us,
+                output: None,
+                attempts: None,
+            });
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.records_streamed, total as u64);
+        let [latency] = metrics.per_query.as_slice() else {
+            panic!("one query id, got {:?}", metrics.per_query);
+        };
+        assert_eq!(latency.units, LATENCY_WINDOW);
+        assert_eq!(latency.p50_us, 10 + LATENCY_WINDOW as u64 / 2);
+        assert_eq!(latency.max_us, total as u64);
     }
 
     #[test]

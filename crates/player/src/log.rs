@@ -109,6 +109,24 @@ impl SessionLog {
         100.0 * self.total_rebuffer_s / self.session_duration_s
     }
 
+    /// The log of the first `len` chunks: those records and the
+    /// session-level fields as they are. Only the kept records are copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the record count.
+    pub fn prefix(&self, len: usize) -> SessionLog {
+        SessionLog {
+            abr_name: self.abr_name.clone(),
+            buffer_capacity_s: self.buffer_capacity_s,
+            chunk_duration_s: self.chunk_duration_s,
+            records: self.records[..len].to_vec(),
+            startup_delay_s: self.startup_delay_s,
+            total_rebuffer_s: self.total_rebuffer_s,
+            session_duration_s: self.session_duration_s,
+        }
+    }
+
     /// Observed throughput sequence, one value per chunk (Mbps).
     pub fn observed_throughputs(&self) -> Vec<f64> {
         self.records.iter().map(|r| r.throughput_mbps).collect()
@@ -249,6 +267,20 @@ mod tests {
         assert_eq!(l.download_times(), vec![1.0, 2.0, 0.5]);
         assert_eq!(l.chunk_sizes(), vec![500_000.0; 3]);
         assert_eq!(l.ground_truth_bandwidths(), vec![4.0; 3]);
+    }
+
+    #[test]
+    fn prefix_keeps_the_first_records_and_the_session_fields() {
+        let full = log();
+        assert_eq!(
+            full.prefix(2),
+            SessionLog {
+                records: full.records[..2].to_vec(),
+                ..full.clone()
+            }
+        );
+        assert_eq!(full.prefix(3), full);
+        assert!(full.prefix(0).records.is_empty());
     }
 
     #[test]
