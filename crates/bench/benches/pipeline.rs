@@ -1,7 +1,7 @@
 //! Criterion benchmarks of the end-to-end pipelines: session emulation,
 //! full abduction on a recorded session, a complete counterfactual
 //! comparison (abduction + K replays + baseline + oracle), and the query
-//! engine (cached vs uncached execution of a shared-session query set).
+//! engine over a shared-session query set.
 
 use std::sync::Arc;
 
@@ -53,9 +53,7 @@ fn bench_pipeline(c: &mut Criterion) {
 
 fn bench_engine(c: &mut Criterion) {
     // The acceptance workload: a 10-query set over a 4-session corpus
-    // where every query touches every session. Cached execution abduces
-    // once per session; uncached once per (query, session) unit — the
-    // ratio of these two benches is the cache's speedup (>= 2x expected).
+    // where every query touches every session, abduced once per session.
     let corpus: Arc<dyn Corpus> = Arc::new(
         SyntheticSpec {
             sessions: 4,
@@ -67,14 +65,6 @@ fn bench_engine(c: &mut Criterion) {
     let set = QuerySet::cache_stress(10);
     let engine = |threads| Engine::builder().threads(threads);
 
-    c.bench_function("engine/queryset_10q4s_uncached", |b| {
-        b.iter(|| {
-            let engine = engine(1).no_cache().build().unwrap();
-            engine
-                .run(black_box(Arc::clone(&corpus)), black_box(&set))
-                .unwrap()
-        })
-    });
     c.bench_function("engine/queryset_10q4s_cached", |b| {
         b.iter(|| {
             let engine = engine(1).build().unwrap();

@@ -74,7 +74,7 @@ pub(crate) fn fnv_mix_f64(hash: &mut u64, value: f64) {
 /// posterior *sampling* (see [`Abduction::sample_traces_with_seed`]), so
 /// queries that differ only in sampling still share one cache entry.
 /// Equal-valued configs always share a fingerprint (zeros and NaNs are
-/// canonicalized, see [`fnv_mix_f64`]).
+/// canonicalized).
 pub fn config_fingerprint(config: &VeritasConfig) -> u64 {
     let mut hash = FNV_OFFSET;
     fnv_mix_f64(&mut hash, config.delta_s);
@@ -109,12 +109,12 @@ pub fn log_fingerprint(log: &SessionLog) -> u64 {
     hash
 }
 
-/// Infers an abduction over the first `horizon` records of `log` —
-/// the one shared implementation behind both the cached and uncached
-/// execution paths. Emission rows for large logs are computed through the
-/// batch executor; the caller may supply a shared [`EhmmWorkspace`] (see
-/// [`AbductionCache::workspace_for`]) so sessions inferred under one
-/// configuration reuse the same transition/log-power kernels.
+/// Infers an abduction over the first `horizon` records of `log` with a
+/// fresh [`EhmmWorkspace`]. A cache miss runs the same inference through
+/// the cache's shared workspace for its config (see
+/// [`AbductionCache::workspace_for`]), so sessions inferred under one
+/// configuration reuse the same transition/log-power kernels. Emission
+/// rows for large logs are computed through the batch executor.
 ///
 /// # Panics
 ///
@@ -275,7 +275,7 @@ pub struct CacheStats {
 /// tier: an in-memory miss first tries to restore the posterior from the
 /// store (counted as a *disk hit*), and a genuinely inferred posterior is
 /// written through so the next process warm-starts. Disk problems are
-/// silent misses by design ([`crate::persist`]); a *corrupt* entry is
+/// silent misses by design ([`DiskStore`]); a *corrupt* entry is
 /// additionally deleted so the re-inference + write-through repairs it in
 /// place, counted in [`CacheStats::healed`].
 #[derive(Debug, Default)]

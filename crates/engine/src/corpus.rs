@@ -22,7 +22,7 @@ use veritas_player::{run_session, PlayerConfig, SessionLog};
 use veritas_trace::generators::{FccLike, TraceGenerator};
 use veritas_trace::BandwidthTrace;
 
-use crate::cache::{combine_fingerprints, log_fingerprint};
+use crate::cache::{combine_fingerprints, fnv_mix, fnv_mix_f64, log_fingerprint, FNV_OFFSET};
 use crate::error::EngineError;
 use crate::store::ColumnSet;
 
@@ -114,10 +114,38 @@ pub trait Corpus: Send + Sync {
     /// Name of the deployed ABR.
     fn deployed_abr(&self) -> &str;
 
-    /// Fingerprint of the deployed setting (ABR, player, asset); see
-    /// [`SessionCorpus::deployed_fingerprint`].
+    /// Fingerprints the deployed setting — the ABR name, player
+    /// configuration (buffer, startup threshold, link), and the full
+    /// video asset (ladder bitrates, per-chunk sizes and SSIMs).
+    /// Combined with the per-session log fingerprints into the
+    /// [`crate::QueryPlan`] corpus fingerprint: counterfactual scenarios
+    /// are materialized *from* this setting at compile time, so a corpus
+    /// with identical logs but a different deployed setting must not
+    /// accept a stale plan. Every corpus kind uses this one default, so a
+    /// directory and its ingested `.vcorp` never hash the setting
+    /// differently.
     fn deployed_fingerprint(&self) -> u64 {
-        deployed_fingerprint_of(self.deployed_abr(), self.player(), self.asset())
+        let (abr, player, asset) = (self.deployed_abr(), self.player(), self.asset());
+        let mut hash = FNV_OFFSET;
+        fnv_mix(&mut hash, abr.len() as u64);
+        for byte in abr.bytes() {
+            fnv_mix(&mut hash, u64::from(byte));
+        }
+        fnv_mix_f64(&mut hash, player.buffer_capacity_s);
+        fnv_mix(&mut hash, player.startup_chunks as u64);
+        fnv_mix_f64(&mut hash, player.link.one_way_delay_s);
+        fnv_mix_f64(&mut hash, player.link.mss_bytes);
+        fnv_mix_f64(&mut hash, player.link.queue_segments);
+        fnv_mix(&mut hash, asset.num_chunks() as u64);
+        fnv_mix(&mut hash, asset.num_qualities() as u64);
+        fnv_mix_f64(&mut hash, asset.chunk_duration_s());
+        for chunk in 0..asset.num_chunks() {
+            for quality in 0..asset.num_qualities() {
+                fnv_mix_f64(&mut hash, asset.size_bytes(chunk, quality));
+                fnv_mix_f64(&mut hash, asset.ssim(chunk, quality));
+            }
+        }
+        hash
     }
 
     /// Fingerprint of the corpus *content*: every session's log
@@ -133,17 +161,42 @@ pub trait Corpus: Send + Sync {
     }
 
     /// Splits the corpus into at most `shards` contiguous, balanced
-    /// session groups; see [`SessionCorpus::shard`].
+    /// session groups. Shard sizes differ by at most one session, no
+    /// shard is empty (so `shards` is clamped to the session count, and
+    /// an empty corpus yields no shards at all), and every session
+    /// appears in exactly one shard.
+    ///
+    /// Shards are views (session index lists), so one corpus can be
+    /// divided across engine instances — the partition a distributed
+    /// [`crate::Coordinator`] farms to its worker processes.
     fn shard(&self, shards: usize) -> Vec<CorpusShard> {
-        shard_indices(self.len(), shards)
+        let len = self.len();
+        if len == 0 {
+            return Vec::new();
+        }
+        let shards = shards.clamp(1, len);
+        let base = len / shards;
+        let extra = len % shards;
+        let mut start = 0;
+        (0..shards)
+            .map(|index| {
+                let size = base + usize::from(index < extra);
+                let shard = CorpusShard {
+                    index,
+                    of: shards,
+                    sessions: (start..start + size).collect(),
+                };
+                start += size;
+                shard
+            })
+            .collect()
     }
 
     /// Point-in-time residency and decode counters, for corpora that
     /// stream sessions through a bounded resident set. Eager corpora
     /// (everything resident, nothing decoded on demand) return `None`;
     /// [`crate::LazyCorpus`] reports its resident window, high-water
-    /// marks, and cumulative decode volume — surfaced by
-    /// `veritas bench --load-sessions` and the daemon's
+    /// marks, and cumulative decode volume — surfaced by the daemon's
     /// `{"metrics": true}` snapshot.
     fn residency(&self) -> Option<ResidencyStats> {
         None
@@ -220,8 +273,8 @@ pub struct SessionCorpus {
 }
 
 /// One shard of a corpus: a view over a subset of its sessions, produced
-/// by [`SessionCorpus::shard`]. Holds indices, not copies — the sessions
-/// stay in the corpus.
+/// by [`Corpus::shard`]. Holds indices, not copies — the sessions stay in
+/// the corpus.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorpusShard {
     /// This shard's position in `0..of`.
@@ -390,37 +443,6 @@ impl SessionCorpus {
     pub fn is_empty(&self) -> bool {
         self.sessions.is_empty()
     }
-
-    /// Fingerprints the deployed setting — the ABR name, player
-    /// configuration (buffer, startup threshold, link), and the full
-    /// video asset (ladder bitrates, per-chunk sizes and SSIMs).
-    /// Combined with the per-session log fingerprints into the
-    /// [`crate::QueryPlan`] corpus fingerprint: counterfactual scenarios
-    /// are materialized *from* this setting at compile time, so a corpus
-    /// with identical logs but a different deployed setting must not
-    /// accept a stale plan.
-    pub fn deployed_fingerprint(&self) -> u64 {
-        deployed_fingerprint_of(&self.deployed_abr, &self.player, &self.asset)
-    }
-
-    /// Splits the corpus into at most `shards` contiguous, balanced
-    /// session groups. Shard sizes differ by at most one session, no
-    /// shard is empty (so `shards` is clamped to the session count, and
-    /// an empty corpus yields no shards at all), and every session
-    /// appears in exactly one shard.
-    ///
-    /// Shards are views (session index lists), so one corpus can be
-    /// divided across engine instances — the partition a distributed
-    /// [`crate::Coordinator`] farms to its worker processes.
-    pub fn shard(&self, shards: usize) -> Vec<CorpusShard> {
-        shard_indices(self.len(), shards)
-    }
-
-    /// Resolves a query's session selector against this corpus: `None`
-    /// selects every session, `Some(indices)` is validated to be in range.
-    pub fn select(&self, sessions: &Option<Vec<usize>>) -> Result<Vec<usize>, String> {
-        Corpus::select(self, sessions)
-    }
 }
 
 impl Corpus for SessionCorpus {
@@ -455,61 +477,6 @@ impl Corpus for SessionCorpus {
     fn deployed_abr(&self) -> &str {
         &self.deployed_abr
     }
-}
-
-/// Fingerprints a deployed setting — the ABR name, player configuration
-/// (buffer, startup threshold, link), and the full video asset (ladder
-/// bitrates, per-chunk sizes and SSIMs). The one implementation behind
-/// [`Corpus::deployed_fingerprint`] for every corpus kind, so an eager
-/// corpus and its ingested `.vcorp` can never hash the setting
-/// differently.
-pub(crate) fn deployed_fingerprint_of(abr: &str, player: &PlayerConfig, asset: &VideoAsset) -> u64 {
-    use crate::cache::{fnv_mix, fnv_mix_f64, FNV_OFFSET};
-    let mut hash = FNV_OFFSET;
-    fnv_mix(&mut hash, abr.len() as u64);
-    for byte in abr.bytes() {
-        fnv_mix(&mut hash, u64::from(byte));
-    }
-    fnv_mix_f64(&mut hash, player.buffer_capacity_s);
-    fnv_mix(&mut hash, player.startup_chunks as u64);
-    fnv_mix_f64(&mut hash, player.link.one_way_delay_s);
-    fnv_mix_f64(&mut hash, player.link.mss_bytes);
-    fnv_mix_f64(&mut hash, player.link.queue_segments);
-    fnv_mix(&mut hash, asset.num_chunks() as u64);
-    fnv_mix(&mut hash, asset.num_qualities() as u64);
-    fnv_mix_f64(&mut hash, asset.chunk_duration_s());
-    for chunk in 0..asset.num_chunks() {
-        for quality in 0..asset.num_qualities() {
-            fnv_mix_f64(&mut hash, asset.size_bytes(chunk, quality));
-            fnv_mix_f64(&mut hash, asset.ssim(chunk, quality));
-        }
-    }
-    hash
-}
-
-/// Contiguous balanced sharding over `len` sessions — the one
-/// implementation behind [`Corpus::shard`]. Shard sizes differ by at most
-/// one, no shard is empty, every session appears exactly once.
-fn shard_indices(len: usize, shards: usize) -> Vec<CorpusShard> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let shards = shards.clamp(1, len);
-    let base = len / shards;
-    let extra = len % shards;
-    let mut start = 0;
-    (0..shards)
-        .map(|index| {
-            let size = base + usize::from(index < extra);
-            let shard = CorpusShard {
-                index,
-                of: shards,
-                sessions: (start..start + size).collect(),
-            };
-            start += size;
-            shard
-        })
-        .collect()
 }
 
 /// Lists every `*.json` file in `dir` in the numeric-aware name order

@@ -43,8 +43,9 @@ pub enum EngineError {
     /// The query set is inconsistent (duplicate ids, bad selectors, ...)
     /// or cannot be compiled into a plan.
     Query(String),
-    /// The engine was configured inconsistently (e.g. a persistent cache
-    /// directory combined with caching disabled).
+    /// The engine was configured inconsistently (e.g. `--corpus`
+    /// combined with `--synthetic`, or a shard index past the partition
+    /// width).
     Config(String),
     /// The corpus has no sessions to run over.
     EmptyCorpus,

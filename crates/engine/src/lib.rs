@@ -34,8 +34,8 @@
 //! end to end: `veritas run queries.json --corpus DIR` (or
 //! `--synthetic N`), with `--stream` for record-at-a-time JSONL and
 //! `--cache-dir DIR` for the persistent abduction store; plus
-//! `veritas bench`, `veritas example-queries`, `veritas validate`, and
-//! `veritas serve`. Both binaries parse their shared engine flags with
+//! `veritas ingest`, `veritas synth`, `veritas example-queries`,
+//! `veritas validate`, and `veritas serve`. Both binaries parse their shared engine flags with
 //! one parser, [`EngineFlags`].
 //!
 //! # Running as a service
@@ -123,8 +123,8 @@
 //! block. Projection never changes answers or cache keys (the
 //! [`log_fingerprint`] is precomputed in the index); observe it via
 //! [`Corpus::residency`] ([`ResidencyStats`]: bytes/columns decoded,
-//! peak resident bytes — surfaced by `veritas bench --json` and the
-//! service's `{"metrics": true}`).
+//! peak resident bytes — surfaced by the service's
+//! `{"metrics": true}`).
 //!
 //! # Example: streaming consumption
 //!

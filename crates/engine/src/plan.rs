@@ -653,7 +653,7 @@ impl QueryPlan {
     /// Content fingerprint of the corpus the plan was compiled against:
     /// the per-session log fingerprints (in session order) folded with
     /// the deployed-setting fingerprint
-    /// ([`crate::SessionCorpus::deployed_fingerprint`]).
+    /// ([`crate::Corpus::deployed_fingerprint`]).
     /// [`crate::Engine::submit_shared`] rejects a corpus whose content differs —
     /// the plan's scenarios and selectors are resolved against one
     /// specific corpus, and a same-sized impostor (different logs *or* a
@@ -688,12 +688,10 @@ impl QueryPlan {
     }
 
     /// The per-chunk columns the plan's units read from session
-    /// `session`: the union of [the demand] of every query that selected
-    /// it. Empty for sessions no query selected. The executor passes this
-    /// to [`crate::Corpus::log`] so a columnar store decodes
-    /// only what the plan will touch.
-    ///
-    /// [the demand]: query_column_demand
+    /// `session`: the union of the columns every query that selected it
+    /// reads. Empty for sessions no query selected. The executor passes
+    /// this to [`crate::Corpus::log`] so a columnar store decodes only
+    /// what the plan will touch.
     pub fn column_demand(&self, session: usize) -> ColumnSet {
         self.column_demand[session]
     }

@@ -469,12 +469,11 @@ impl QuerySet {
 
     /// A `queries`-query cache-stress set: a rotation of abduction,
     /// counterfactual, and next-chunk interventional queries, every one
-    /// over every session, so that cached execution performs exactly one
-    /// abduction per session while uncached execution performs one per
-    /// (query, session) unit. Used by `veritas bench` and the
-    /// `engine_queryset` criterion benchmarks. Scenarios are replay-light
-    /// (no MPC lookahead) so the comparison isolates the abduction cost
-    /// the cache saves.
+    /// over every session, so that execution performs exactly one
+    /// abduction per session and serves every other unit from the cache.
+    /// Used by the `engine/queryset_10q4s_cached` criterion benchmark.
+    /// Scenarios are replay-light (no MPC lookahead) so the abduction
+    /// cost stays a large share of the run.
     pub fn cache_stress(queries: usize) -> Self {
         let scenarios = [
             ScenarioSpec::abr("bba"),

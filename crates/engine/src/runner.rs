@@ -41,7 +41,7 @@ use veritas_media::QualityLadder;
 use veritas_player::QoeSummary;
 use veritas_trace::stats::trace_mae;
 
-use crate::cache::{infer_prefix, AbductionCache, CacheSource};
+use crate::cache::{AbductionCache, CacheSource};
 use crate::corpus::{Corpus, LogRef};
 use crate::error::EngineError;
 use crate::executor;
@@ -163,8 +163,7 @@ pub struct QueryRecord {
     pub error: Option<String>,
     /// `"hit"` (in-memory) / `"disk"` (restored from the persistent
     /// store) / `"miss"` (inferred) when the unit consulted the abduction
-    /// cache, `"off"` when caching was disabled, `null` when the unit
-    /// failed before inference.
+    /// cache, `null` when the unit failed before inference.
     pub cache: Option<String>,
     /// Wall-clock time this unit took, in microseconds.
     pub elapsed_us: u64,
@@ -444,9 +443,8 @@ impl RetryPolicy {
 /// the `veritas` CLI and the `veritasd` service go through (via
 /// [`crate::EngineFlags::engine_builder`]).
 ///
-/// [`Self::build`] validates the combination (e.g. a cache directory
-/// with caching disabled is an [`EngineError::Config`], not a silent
-/// no-op).
+/// [`Self::build`] fails only when a configured cache directory cannot
+/// be created ([`EngineError::Io`]).
 ///
 /// ```
 /// use veritas_engine::Engine;
@@ -456,7 +454,6 @@ impl RetryPolicy {
 #[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
     threads: Option<usize>,
-    cache_disabled: bool,
     cache_dir: Option<PathBuf>,
     admission: Option<usize>,
     retry: Option<RetryPolicy>,
@@ -464,8 +461,8 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// A builder with every knob at its default: caching on, default
-    /// thread count, no persistent store, no admission bound.
+    /// A builder with every knob at its default: default thread count,
+    /// no persistent store, no admission bound.
     pub fn new() -> Self {
         Self::default()
     }
@@ -475,14 +472,6 @@ impl EngineBuilder {
     /// owns that convention, so a summary always reports the real count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Disables the abduction cache — every unit re-infers. Exists for
-    /// the `veritas bench` comparison; incompatible with
-    /// [`Self::cache_dir`].
-    pub fn no_cache(mut self) -> Self {
-        self.cache_disabled = true;
         self
     }
 
@@ -518,14 +507,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Validates the configuration and builds the engine.
+    /// Builds the engine, opening the persistent store when one is
+    /// configured.
     pub fn build(self) -> Result<Engine, EngineError> {
-        if self.cache_disabled && self.cache_dir.is_some() {
-            return Err(EngineError::Config(
-                "a persistent cache directory requires the cache; drop no_cache/--no-cache"
-                    .to_string(),
-            ));
-        }
         let mut cache = AbductionCache::new();
         if let Some(dir) = self.cache_dir {
             let mut store = DiskStore::open(dir)?;
@@ -541,7 +525,6 @@ impl EngineBuilder {
                 None | Some(0) => executor::default_threads(),
                 Some(threads) => threads,
             },
-            cache_enabled: !self.cache_disabled,
             cache: Arc::new(cache),
             admission: self.admission.map(|bound| {
                 Arc::new(AdmissionGate {
@@ -564,7 +547,6 @@ impl EngineBuilder {
 #[derive(Debug)]
 pub struct Engine {
     threads: usize,
-    cache_enabled: bool,
     cache: Arc<AbductionCache>,
     admission: Option<Arc<AdmissionGate>>,
     retry: Option<RetryPolicy>,
@@ -588,7 +570,7 @@ pub(crate) enum Scope {
 }
 
 impl Engine {
-    /// An engine with caching enabled and the default thread count.
+    /// An engine with the default thread count and no persistent store.
     pub fn new() -> Self {
         EngineBuilder::new()
             .build()
@@ -731,7 +713,7 @@ impl Engine {
             }
         };
         let ctx = Arc::new(ExecCtx {
-            cache: self.cache_enabled.then(|| Arc::clone(&self.cache)),
+            cache: Some(Arc::clone(&self.cache)),
             log_fps,
             retry: self.retry,
             fault: self.fault.clone(),
@@ -1043,7 +1025,9 @@ impl Drop for RunHandle {
 pub(crate) struct ExecCtx {
     corpus: Arc<dyn Corpus>,
     plan: Arc<QueryPlan>,
-    /// `None` when caching is disabled — units infer directly.
+    /// The engine's abduction cache, through which every unit resolves
+    /// its posterior. `None` only in a coordinator's context
+    /// ([`ExecCtx::new`]), which runs no units: its workers do.
     cache: Option<Arc<AbductionCache>>,
     /// Per-session log fingerprints, precomputed at submit.
     log_fps: Vec<u64>,
@@ -1247,9 +1231,8 @@ impl ExecCtx {
         }
     }
 
-    /// Resolves a unit's abduction — through the cache when enabled —
-    /// using the fingerprints precomputed at compile (config) and submit
-    /// (log) time.
+    /// Resolves a unit's abduction through the cache, using the
+    /// fingerprints precomputed at compile (config) and submit (log) time.
     fn abduce(
         &self,
         si: usize,
@@ -1268,31 +1251,25 @@ impl ExecCtx {
         // session block here; a load failure surfaces as this unit's
         // per-record error, like any other per-unit failure.
         let log = self.load_log(si)?;
-        match &self.cache {
-            Some(cache) => {
-                let (abduction, source) = cache
-                    .get_or_infer_keyed(
-                        self.corpus.session_id(si),
-                        &log,
-                        self.log_fps[si],
-                        horizon,
-                        &planned.config,
-                        planned.fingerprint,
-                    )
-                    .map_err(|e| e.to_string())?;
-                match source {
-                    CacheSource::Memory => self.run_hits.fetch_add(1, Ordering::Relaxed),
-                    CacheSource::Disk => self.run_disk_hits.fetch_add(1, Ordering::Relaxed),
-                    CacheSource::Inferred => self.run_misses.fetch_add(1, Ordering::Relaxed),
-                };
-                Ok((abduction, Some(source.label().to_string())))
-            }
-            None => {
-                let abduction =
-                    infer_prefix(&log, horizon, &planned.config).map_err(|e| e.to_string())?;
-                Ok((Arc::new(abduction), Some("off".to_string())))
-            }
-        }
+        let Some(cache) = &self.cache else {
+            return Err("a coordinator's context runs no units".to_string());
+        };
+        let (abduction, source) = cache
+            .get_or_infer_keyed(
+                self.corpus.session_id(si),
+                &log,
+                self.log_fps[si],
+                horizon,
+                &planned.config,
+                planned.fingerprint,
+            )
+            .map_err(|e| e.to_string())?;
+        match source {
+            CacheSource::Memory => self.run_hits.fetch_add(1, Ordering::Relaxed),
+            CacheSource::Disk => self.run_disk_hits.fetch_add(1, Ordering::Relaxed),
+            CacheSource::Inferred => self.run_misses.fetch_add(1, Ordering::Relaxed),
+        };
+        Ok((abduction, Some(source.label().to_string())))
     }
 
     fn answer_abduction(
@@ -1683,23 +1660,30 @@ mod tests {
     }
 
     #[test]
-    fn disabling_the_cache_re_infers_every_unit() {
+    fn a_cached_posterior_answers_exactly_as_a_fresh_inference() {
         let corpus = tiny_corpus();
-        let set = QuerySet::new("t", config())
+        // One thread runs the units in plan order, so query "a" infers
+        // each session's posterior before any "b" unit asks for it.
+        let run = |set: &QuerySet| {
+            let engine = Engine::builder().threads(1).build().unwrap();
+            engine.run(corpus.clone(), set).unwrap()
+        };
+        let counterfactual = Query::counterfactual("b", ScenarioSpec::abr("bba"));
+        let hits = run(&QuerySet::new("t", config())
             .with_query(Query::abduction("a"))
-            .with_query(Query::counterfactual("b", ScenarioSpec::abr("bba")));
-        let engine = Engine::builder().no_cache().build().unwrap();
-        let report = engine.run(corpus.clone(), &set).unwrap();
-        assert_eq!(report.summary.cache_hits, 0);
-        assert_eq!(report.summary.cache_misses, 0);
-        assert!(report
-            .records
-            .iter()
-            .all(|r| r.cache.as_deref() == Some("off")));
-        // Identical results either way.
-        let cached = Engine::new().run(corpus.clone(), &set).unwrap();
-        for (a, b) in report.records.iter().zip(&cached.records) {
-            assert_eq!(a.output, b.output);
+            .with_query(counterfactual.clone()));
+        // Alone on a fresh engine, every "b" unit infers its own.
+        let misses = run(&QuerySet::new("t", config()).with_query(counterfactual));
+        let hits = hits.records_for("b");
+        let misses = misses.records_for("b");
+        assert_eq!(hits.len(), corpus.len());
+        assert_eq!(misses.len(), corpus.len());
+        for (hit, miss) in hits.iter().zip(&misses) {
+            assert_eq!(hit.cache.as_deref(), Some("hit"));
+            assert_eq!(miss.cache.as_deref(), Some("miss"));
+            assert_eq!(hit.session, miss.session);
+            assert!(hit.output.is_some());
+            assert_eq!(hit.output, miss.output);
         }
     }
 
@@ -1888,14 +1872,6 @@ mod tests {
             r#"{"query_id":"q","kind":"abduction","session":"s","status":"ok","elapsed_us":1,"varient":"x"}"#
         )
         .is_err());
-    }
-
-    #[test]
-    fn builder_rejects_inconsistent_cache_combinations() {
-        assert!(matches!(
-            Engine::builder().no_cache().cache_dir("/tmp/never").build(),
-            Err(EngineError::Config(_))
-        ));
     }
 
     #[test]

@@ -384,7 +384,7 @@ pub struct MetricsSnapshot {
     /// resident set make decode volume worth watching.
     pub residency: Option<crate::ResidencyStats>,
     /// Per-query-id p50/p95/max unit latency over a sliding window of
-    /// the last [`LATENCY_WINDOW`] units, sorted by id.
+    /// the last 4096 units, sorted by id.
     pub per_query: Vec<QueryLatency>,
 }
 

@@ -131,8 +131,9 @@ pub struct LazyCorpus {
 }
 
 impl LazyCorpus {
-    /// Opens and verifies `path` (see [`super::open_parts`]), retaining
-    /// only the header and index in memory.
+    /// Opens and verifies `path` (magic, version, whole-file checksum,
+    /// header and index bounds), retaining only the header and index in
+    /// memory.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, VcorpError> {
         let parts = open_parts(path.as_ref())?;
         let asset = VideoAsset::generate(
@@ -193,30 +194,8 @@ impl LazyCorpus {
         self.index.is_empty()
     }
 
-    /// The id of session `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn session_id_at(&self, index: usize) -> &str {
-        &self.index[index].id
-    }
-
-    /// Decoded logs currently resident.
-    pub fn resident_sessions(&self) -> usize {
-        self.resident.lock().expect("resident lock").map.len()
-    }
-
-    /// High-water mark of concurrently resident decoded logs — the
-    /// observable bound on lazy streaming memory (reported by
-    /// `veritas bench --load-sessions`).
-    pub fn peak_resident(&self) -> usize {
-        self.peak_resident.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of resident projected log bytes — the
-    /// size-aware companion of [`LazyCorpus::peak_resident`], which
-    /// counts sessions regardless of their size.
+    /// High-water mark of resident projected log bytes — the observable
+    /// bound on lazy streaming memory.
     pub fn peak_resident_bytes(&self) -> usize {
         self.peak_resident_bytes.load(Ordering::Relaxed)
     }
@@ -414,7 +393,7 @@ impl Corpus for LazyCorpus {
         Some(ResidencyStats {
             resident_sessions,
             resident_bytes,
-            peak_resident_sessions: self.peak_resident(),
+            peak_resident_sessions: self.peak_resident.load(Ordering::Relaxed),
             peak_resident_bytes: self.peak_resident_bytes(),
             bytes_decoded: self.bytes_decoded(),
             columns_decoded: self.columns_decoded(),

@@ -13,7 +13,7 @@
 //!   raw little-endian IEEE-754 bits, so a reloaded log is *bit-equal*),
 //!   and a trailing session index with byte offsets, per-column FNV
 //!   digests, and each session's precomputed
-//!   [`log_fingerprint`](crate::log_fingerprint).
+//!   [`log_fingerprint`].
 //! * **[`LazyCorpus`]** — opens a `.vcorp` by verifying the whole-file
 //!   checksum and reading only the header + index; session logs are
 //!   decoded on demand per work unit and kept in a bounded FIFO resident
@@ -46,10 +46,9 @@
 //!
 //! The trailing checksum covers every byte between the magic and itself,
 //! mixed word-at-a-time through the same FNV-1a primitive as the cache
-//! fingerprints and [`crate::persist`] entries. Writes go through a temp
-//! file in the destination directory and an atomic rename
-//! ([`VcorpWriter`]), so a crash mid-ingest never leaves a half-written
-//! corpus under the live name.
+//! fingerprints. Writes go through a temp file in the destination
+//! directory and an atomic rename ([`VcorpWriter`]), so a crash
+//! mid-ingest never leaves a half-written corpus under the live name.
 //!
 //! # Versioning & failure philosophy
 //!
@@ -257,7 +256,7 @@ use veritas_net::TcpInfo;
 use veritas_player::{ChunkRecord, SessionLog};
 
 use crate::cache::{fnv_mix, fnv_mix_f64, log_fingerprint, FNV_OFFSET};
-use crate::corpus::{natural_cmp, sorted_json_paths, SyntheticSpec};
+use crate::corpus::{natural_cmp, sorted_json_paths, Corpus, SyntheticSpec};
 use crate::error::EngineError;
 use crate::persist::{put_f64, put_u64, Reader};
 
@@ -1089,7 +1088,7 @@ pub fn append_dir(dir: &Path, out: &Path) -> Result<IngestReport, EngineError> {
         New(PathBuf),
     }
     let mut merged: Vec<(String, Source)> = (0..existing.len())
-        .map(|i| (existing.session_id_at(i).to_string(), Source::Existing(i)))
+        .map(|i| (existing.session_id(i).to_string(), Source::Existing(i)))
         .collect();
     let mut replaced = 0usize;
     for path in new_paths {

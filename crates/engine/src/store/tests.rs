@@ -1,7 +1,7 @@
 //! Codec tests: bit-exact round-trips over arbitrary bit patterns,
 //! rejection of every truncation and byte flip at open, typed failure on
-//! future schema versions, lazy-load bounds, and cross-source equivalence
-//! with [`SessionCorpus::from_dir`].
+//! future schema versions, lazy-load bounds, the column-projection byte
+//! pin, and cross-source equivalence with [`SessionCorpus::from_dir`].
 
 use std::fs;
 use std::path::PathBuf;
@@ -153,7 +153,7 @@ proptest! {
         prop_assert_eq!(corpus.len(), logs.len());
         prop_assert_eq!(corpus.meta(), &meta());
         for (i, log) in logs.iter().enumerate() {
-            prop_assert_eq!(corpus.session_id_at(i), format!("s{i}").as_str());
+            prop_assert_eq!(corpus.session_id(i), format!("s{i}").as_str());
             prop_assert_eq!(Corpus::log_fingerprint(&corpus, i), log_fingerprint(log));
             let loaded = corpus.load_log(i).expect("decode a just-written block");
             prop_assert_eq!(&loaded.abr_name, &log.abr_name);
@@ -497,15 +497,53 @@ fn lazy_loading_bounds_the_resident_set() {
     writer.finish().expect("finish");
 
     let corpus = LazyCorpus::open(&path).expect("open").with_max_resident(2);
-    assert_eq!(corpus.resident_sessions(), 0, "open must decode nothing");
+    let residency = || corpus.residency().expect("a lazy corpus reports residency");
+    assert_eq!(residency().resident_sessions, 0, "open must decode nothing");
     for i in 0..corpus.len() {
         corpus.load_log(i).expect("load");
-        assert!(corpus.resident_sessions() <= 2);
+        assert!(residency().resident_sessions <= 2);
     }
-    assert_eq!(corpus.peak_resident(), 2);
+    assert_eq!(residency().peak_resident_sessions, 2);
     // An evicted session reloads bit-identically.
     let reloaded = corpus.load_log(0).expect("reload evicted session");
     assert_eq!(log_bits(&reloaded), log_bits(&logs[0]));
+}
+
+/// The column-projection byte pin: a 3-of-18-column pass over a
+/// 1,000-session, 120 s corpus decodes at most a quarter of the block
+/// bytes a full pass decodes. Each 60-chunk block is a 64-byte header
+/// plus 480 bytes per column, so a projected decode is 1,504 bytes and a
+/// full one 8,704.
+#[test]
+fn a_three_column_projection_decodes_at_most_a_quarter_of_the_bytes() {
+    let dir = temp_dir("projection_pin");
+    let path = dir.join("corpus.vcorp");
+    let corpus = SyntheticSpec {
+        sessions: 1000,
+        video_duration_s: 120.0,
+        ..SyntheticSpec::default()
+    }
+    .build();
+    let meta = CorpusMeta::for_log(&corpus.sessions[0].log);
+    let mut writer = VcorpWriter::create(&path, &meta).expect("create writer");
+    for session in &corpus.sessions {
+        writer.append(&session.id, &session.log).expect("append");
+    }
+    writer.finish().expect("finish");
+
+    let cols = ColumnSet::of(&[columns::SSIM, columns::SIZE_BYTES, columns::REBUFFER_S]);
+    let projected = LazyCorpus::open(&path).expect("open");
+    let full = LazyCorpus::open(&path).expect("open");
+    for index in 0..projected.len() {
+        projected
+            .load_log_projected(index, cols)
+            .expect("projected decode");
+        full.load_log(index).expect("full decode");
+    }
+    let _ = fs::remove_dir_all(&dir);
+    assert!(projected.bytes_decoded() * 4 <= full.bytes_decoded());
+    assert_eq!(projected.bytes_decoded(), 1_504_000);
+    assert_eq!(full.bytes_decoded(), 8_704_000);
 }
 
 #[test]
@@ -603,7 +641,7 @@ fn append_merges_replaces_and_keeps_natural_order() {
     assert_eq!(report.replaced, 1);
 
     let merged = LazyCorpus::open(&out).expect("open merged corpus");
-    let ids: Vec<&str> = (0..merged.len()).map(|i| merged.session_id_at(i)).collect();
+    let ids: Vec<&str> = (0..merged.len()).map(|i| merged.session_id(i)).collect();
     assert_eq!(ids, ["s1", "s2", "s3"], "merge keeps natural id order");
     assert_eq!(log_bits(&merged.load_log(0).expect("s1")), log_bits(&s1));
     assert_eq!(log_bits(&merged.load_log(1).expect("s2")), log_bits(&s2));

@@ -1,6 +1,6 @@
 //! CLI-level tests of the `veritas` binary: exit-status behavior on
-//! per-unit errors (`--allow-errors`), the streaming path, and flag
-//! usage errors.
+//! per-unit errors (`--allow-errors`), the streaming path, flag usage
+//! errors, and file-system failures.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -135,8 +135,7 @@ fn flags_a_run_cannot_honor_are_usage_errors() {
     .unwrap();
     for (flags, complaint) in [
         (&["--shards", "2"][..], "--workers"),
-        (&["--no-cache", "--min-cache-hits", "1"][..], "--no-cache"),
-        (&["--no-cache", "--workers", "2"][..], "--no-cache"),
+        (&["--no-cache"][..], "unknown flag `--no-cache`"),
     ] {
         let mut args = vec!["run", "queries.json", "--synthetic", "2"];
         args.extend_from_slice(flags);
@@ -144,6 +143,51 @@ fn flags_a_run_cannot_honor_are_usage_errors() {
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "{flags:?}: {stderr}");
         assert!(stderr.contains(complaint), "{flags:?}: {stderr}");
+    }
+    let bench = veritas(&["bench"], &dir);
+    let stderr = String::from_utf8_lossy(&bench.stderr);
+    assert_eq!(bench.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown subcommand"), "{stderr}");
+}
+
+#[test]
+fn file_system_failures_exit_3_and_name_the_path() {
+    let dir = temp_dir("io_failures");
+    // Every unit fails before inference, so the runs are cheap.
+    std::fs::write(
+        dir.join("bad.json"),
+        r#"{"queries": [{"id": "bad", "kind": "interventional", "chunk_index": 100000}]}"#,
+    )
+    .unwrap();
+    std::fs::write(dir.join("plain"), "a regular file").unwrap();
+    let run = |flag, path| {
+        vec![
+            "run",
+            "bad.json",
+            "--synthetic",
+            "2",
+            "--allow-errors",
+            flag,
+            path,
+        ]
+    };
+    for (args, path) in [
+        (run("--out", "missing/r.jsonl"), "missing/r.jsonl"),
+        (run("--summary", "missing/s.json"), "missing/s.json"),
+        (
+            vec!["run", "missing.json", "--synthetic", "2"],
+            "missing.json",
+        ),
+        (
+            vec!["synth", "--out", "plain/sessions", "--sessions", "1"],
+            "plain/sessions",
+        ),
+        (vec!["validate", "missing.jsonl"], "missing.jsonl"),
+    ] {
+        let output = veritas(&args, &dir);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(3), "{args:?}: {stderr}");
+        assert!(stderr.contains(path), "{args:?}: {stderr}");
     }
 }
 
@@ -375,19 +419,4 @@ fn cache_dir_warm_starts_a_second_run_without_inference() {
             .collect()
     };
     assert_eq!(normalize("cold.jsonl"), normalize("warm.jsonl"));
-
-    // --no-cache cannot honor a cache dir.
-    let conflict = veritas(
-        &[
-            "run",
-            "queries.json",
-            "--synthetic",
-            "2",
-            "--no-cache",
-            "--cache-dir",
-            "store",
-        ],
-        &dir,
-    );
-    assert!(!conflict.status.success());
 }

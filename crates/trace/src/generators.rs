@@ -50,7 +50,7 @@ impl TraceGenerator for ConstantTrace {
 
 /// A square wave alternating between two bandwidth levels — the bandwidth
 /// process assumed by the preliminary workshop paper the authors cite
-/// ([39] in the paper), kept here as a stress test and ablation workload.
+/// (\[39\] in the paper), kept here as a stress test and ablation workload.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SquareWave {
     /// Low level in Mbps.
