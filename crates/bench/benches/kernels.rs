@@ -79,7 +79,9 @@ fn bench_ehmm(c: &mut Criterion) {
 
 /// Full-abduction scaling cases: 600- and 1200-chunk session logs (the
 /// serving-scale shapes the engine sees), complementing the 120-chunk case
-/// tracked by the pipeline bench.
+/// tracked by the pipeline bench. `Abduction::infer` decodes Viterbi only
+/// and smooths on the first posterior read, so each iteration also reads
+/// `.posteriors()`: the ids keep timing Viterbi plus forward–backward.
 fn bench_abduction_scaling(c: &mut Criterion) {
     let config = VeritasConfig::paper_default();
     for &chunks in &[600usize, 1200] {
@@ -101,9 +103,66 @@ fn bench_abduction_scaling(c: &mut Criterion) {
             log.records.len()
         );
         c.bench_function(&format!("abduction_{chunks}_chunks"), |b| {
-            b.iter(|| Abduction::infer(black_box(&log), black_box(&config)))
+            b.iter(|| {
+                let abduction = Abduction::infer(black_box(&log), black_box(&config));
+                black_box(abduction.posteriors());
+                abduction
+            })
         });
     }
+}
+
+/// A next-chunk prefix abduction: `try_infer_prepared` on the first 60
+/// chunks of a 120-chunk MPC session over a warm workspace, as an
+/// interventional unit runs it (`prefix_60_viterbi`), and the same call
+/// followed by the first `.posteriors()` read, which runs forward–backward
+/// (`prefix_60_smoothed`). CI fails unless the first median is below 0.5×
+/// the second, i.e. if inference starts smoothing eagerly again.
+fn bench_prefix_abduction(c: &mut Criterion) {
+    use std::sync::Arc;
+
+    let config = VeritasConfig::paper_default();
+    let asset = VideoAsset::generate(
+        QualityLadder::paper_default(),
+        240.0,
+        2.0,
+        VbrParams::default(),
+        1,
+    );
+    let truth = FccLike::new(3.0, 8.0).generate(1200.0, 9);
+    let mut abr = Mpc::new();
+    let session = run_session(&asset, &mut abr, &truth, &PlayerConfig::paper_default());
+    assert_eq!(session.records.len(), 120);
+    let log = session.prefix(60);
+    let capacities = config.capacity_grid();
+    let rows: Vec<Vec<f64>> = log
+        .records
+        .iter()
+        .map(|r| Abduction::emission_row(r, &capacities, config.sigma_mbps))
+        .collect();
+    let workspace = Arc::new(EhmmWorkspace::new(Abduction::spec_for(&config)));
+    let infer = || {
+        Abduction::try_infer_prepared(
+            black_box(&log),
+            &config,
+            rows.clone(),
+            Arc::clone(&workspace),
+        )
+        .expect("inference")
+    };
+    // Build the transition kernels first, as the engine's shared
+    // workspace has by the time it serves requests.
+    black_box(infer().posteriors());
+    let mut group = c.benchmark_group("abduction");
+    group.bench_function("prefix_60_viterbi", |b| b.iter(infer));
+    group.bench_function("prefix_60_smoothed", |b| {
+        b.iter(|| {
+            let abduction = infer();
+            black_box(abduction.posteriors());
+            abduction
+        })
+    });
+    group.finish();
 }
 
 fn bench_tcp(c: &mut Criterion) {
@@ -255,6 +314,7 @@ criterion_group!(
     benches,
     bench_ehmm,
     bench_abduction_scaling,
+    bench_prefix_abduction,
     bench_tcp,
     bench_abr,
     bench_store,

@@ -1,7 +1,7 @@
 //! The Veritas abduction step: inverting observed chunk downloads into a
 //! posterior over the latent GTBW time series (paper §3.2–§3.3).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -10,7 +10,7 @@ use veritas_ehmm::{
     interpolate_full_path, states_to_values, EhmmSpec, EhmmWorkspace, EmissionTable, Posteriors,
     TransitionMatrix, ViterbiResult,
 };
-use veritas_net::emission_log_density;
+use veritas_net::{estimate_throughput, gaussian_log_pdf};
 use veritas_player::{ChunkRecord, SessionLog};
 use veritas_trace::{BandwidthTrace, Quantizer};
 
@@ -26,22 +26,30 @@ use crate::{AbductionError, VeritasConfig};
 /// all reuse them), and batch executors can pass one workspace per
 /// configuration to share the kernels across *sessions* too (see
 /// [`Self::try_infer_prepared`]).
-#[derive(Debug, Clone)]
+///
+/// Inference decodes the Viterbi path and keeps the emission table;
+/// forward–backward runs once, on the first call to [`Self::posteriors`],
+/// and the table is dropped when it has run. Consumers that read only the
+/// Viterbi path (interventional prediction, Viterbi traces) never pay for
+/// smoothing. A posterior restored by [`Self::from_parts`] is complete
+/// from the start and holds no table.
+#[derive(Debug)]
 pub struct Abduction {
     config: VeritasConfig,
     quantizer: Quantizer,
     workspace: Arc<EhmmWorkspace>,
-    /// Number of chunk observations conditioned on. The emission table
-    /// itself is consumed by inference and not retained, so a posterior
-    /// restored from a persistent store is indistinguishable from a
-    /// freshly inferred one.
+    /// Number of chunk observations conditioned on.
     num_obs: usize,
     /// δ-interval index in which each chunk download starts.
     start_intervals: Vec<usize>,
     /// Total number of δ-intervals spanned by the session.
     total_intervals: usize,
     viterbi: ViterbiResult,
-    posteriors: Posteriors,
+    /// The smoothed posteriors, set on first use (or at restore).
+    posteriors: OnceLock<Posteriors>,
+    /// The emission table inference conditioned on, kept until
+    /// forward–backward has run over it; `None` afterwards.
+    emissions: Mutex<Option<EmissionTable>>,
 }
 
 impl Abduction {
@@ -103,30 +111,59 @@ impl Abduction {
     ///
     /// Exposed so batch executors can build large emission tables in
     /// parallel (one independent row per chunk) and hand them to
-    /// [`Self::try_infer_prepared`].
+    /// [`Self::try_infer_prepared`]. It is the composition of
+    /// [`Self::predicted_throughput_row`] and
+    /// [`Self::emission_row_from_predicted`], so a row derived from a
+    /// stored predicted-throughput row is bit-identical to it.
     pub fn emission_row(record: &ChunkRecord, capacities: &[f64], sigma_mbps: f64) -> Vec<f64> {
+        let predicted = Self::predicted_throughput_row(record, capacities);
+        Self::emission_row_from_predicted(record, &predicted, sigma_mbps)
+    }
+
+    /// The estimator half of an emission row: `f(c, W_n, S_n)`, the
+    /// throughput the TCP model predicts for this record's chunk size and
+    /// TCP state at each grid capacity `c`. It depends on neither σ nor
+    /// the stay probability, so one row serves every configuration that
+    /// shares the capacity grid.
+    pub fn predicted_throughput_row(record: &ChunkRecord, capacities: &[f64]) -> Vec<f64> {
         capacities
             .iter()
-            .map(|&c| {
-                emission_log_density(
-                    record.throughput_mbps,
-                    c,
-                    &record.tcp_info,
-                    record.size_bytes,
-                    sigma_mbps,
-                )
-            })
+            .map(|&c| estimate_throughput(c, &record.tcp_info, record.size_bytes))
+            .collect()
+    }
+
+    /// The noise half of an emission row: the Gaussian log-density of the
+    /// record's observed throughput around each predicted throughput of
+    /// `predicted` (a [`Self::predicted_throughput_row`] of this record),
+    /// with standard deviation `sigma_mbps`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sigma_mbps > 0`.
+    pub fn emission_row_from_predicted(
+        record: &ChunkRecord,
+        predicted: &[f64],
+        sigma_mbps: f64,
+    ) -> Vec<f64> {
+        assert!(sigma_mbps > 0.0);
+        predicted
+            .iter()
+            .map(|&mean| gaussian_log_pdf(record.throughput_mbps, mean, sigma_mbps))
             .collect()
     }
 
     /// Runs abduction with precomputed emission rows and a caller-supplied
     /// inference workspace.
     ///
-    /// This is the batch entry point: the engine computes `rows` through
-    /// its executor for large logs (they are embarrassingly parallel) and
-    /// passes one [`EhmmWorkspace`] per configuration fingerprint, so every
-    /// session inferred under the same config shares the same memoized
-    /// `A^Δ` / `ln A^Δ` kernels.
+    /// This is the batch entry point: the engine derives `rows` from its
+    /// per-log predicted-throughput tables and passes one
+    /// [`EhmmWorkspace`] per configuration fingerprint, so every session
+    /// inferred under the same config shares the same memoized `A^Δ` /
+    /// `ln A^Δ` kernels.
+    ///
+    /// Only the Viterbi decode runs here. The emission table is kept, and
+    /// forward–backward runs over it on the first call to
+    /// [`Self::posteriors`].
     ///
     /// # Panics
     ///
@@ -155,9 +192,7 @@ impl Abduction {
         let quantizer = Quantizer::new(config.epsilon_mbps, config.max_capacity_mbps);
         let (start_intervals, gaps, total_intervals) = interval_layout(log, config)?;
         let emissions = EmissionTable::new(rows, gaps);
-
         let viterbi = workspace.viterbi(&emissions);
-        let posteriors = workspace.forward_backward(&emissions);
 
         Ok(Self {
             config: *config,
@@ -167,7 +202,8 @@ impl Abduction {
             start_intervals,
             total_intervals,
             viterbi,
-            posteriors,
+            posteriors: OnceLock::new(),
+            emissions: Mutex::new(Some(emissions)),
         })
     }
 
@@ -256,7 +292,8 @@ impl Abduction {
             start_intervals,
             total_intervals,
             viterbi,
-            posteriors,
+            posteriors: OnceLock::from(posteriors),
+            emissions: Mutex::new(None),
         })
     }
 
@@ -284,8 +321,30 @@ impl Abduction {
     }
 
     /// The smoothed posteriors over chunk capacities.
+    ///
+    /// The first call on a freshly inferred abduction runs
+    /// forward–backward over the kept emission table and then drops the
+    /// table; later calls, and racing calls from other threads (which wait
+    /// for the first), return the same posteriors. A restored abduction
+    /// ([`Self::from_parts`]) returns its stored posteriors at once.
+    /// Sampling, posterior means and persistence all read through here.
     pub fn posteriors(&self) -> &Posteriors {
-        &self.posteriors
+        self.posteriors.get_or_init(|| {
+            let emissions = self
+                .emissions
+                .lock()
+                .expect("the table lock is held only by `take`, which cannot panic")
+                .take()
+                .expect("an unsmoothed abduction keeps its emission table");
+            self.workspace.forward_backward(&emissions)
+        })
+    }
+
+    /// Whether the posteriors are available without running
+    /// forward–backward: smoothing has run, or the abduction was restored
+    /// complete.
+    pub fn is_smoothed(&self) -> bool {
+        self.posteriors.get().is_some()
     }
 
     /// The Viterbi decode (path plus its log-likelihood) — exposed whole,
@@ -313,8 +372,9 @@ impl Abduction {
     /// Per-chunk posterior-mean capacity in Mbps.
     pub fn posterior_mean_chunk_capacities(&self) -> Vec<f64> {
         let grid = self.capacity_grid();
+        let posteriors = self.posteriors();
         (0..self.num_obs)
-            .map(|n| self.posteriors.posterior_mean(n, &grid))
+            .map(|n| posteriors.posterior_mean(n, &grid))
             .collect()
     }
 
@@ -348,7 +408,7 @@ impl Abduction {
     pub fn sample_traces_with_seed(&self, k: usize, seed: u64) -> Vec<BandwidthTrace> {
         let mut rng = StdRng::seed_from_u64(seed);
         self.workspace
-            .sample_paths(&self.posteriors, &self.viterbi, k, &mut rng)
+            .sample_paths(self.posteriors(), &self.viterbi, k, &mut rng)
             .iter()
             .map(|states| self.states_to_trace(states))
             .collect()
@@ -765,6 +825,129 @@ mod tests {
         }));
         // The untouched parts still restore.
         assert!(!rejects(&|_| {}));
+    }
+
+    #[test]
+    fn inference_decodes_viterbi_only_and_smooths_once_on_first_use() {
+        let truth = FccLike::new(3.0, 8.0).generate(600.0, 21);
+        let log = logged_session(&truth);
+        let config = VeritasConfig::paper_default();
+        let ab = Abduction::infer(&log, &config);
+        assert!(!ab.is_smoothed(), "inference must not run forward-backward");
+        // Viterbi-only consumers leave the posterior unsmoothed.
+        let _ = ab.viterbi_trace();
+        assert!(!ab.is_smoothed());
+
+        let capacities = config.capacity_grid();
+        let rows = log
+            .records
+            .iter()
+            .map(|r| Abduction::emission_row(r, &capacities, config.sigma_mbps))
+            .collect();
+        let (_, gaps, _) = interval_layout(&log, &config).unwrap();
+        let eager = ab
+            .workspace()
+            .forward_backward(&EmissionTable::new(rows, gaps));
+        assert_eq!(ab.posteriors(), &eager);
+        assert!(ab.is_smoothed());
+        assert!(
+            ab.emissions.lock().unwrap().is_none(),
+            "the emission table is dropped once smoothing has run"
+        );
+        assert!(std::ptr::eq(ab.posteriors(), ab.posteriors()));
+
+        // A restored abduction is complete at construction.
+        let restored = Abduction::from_parts(
+            &log,
+            &config,
+            ab.workspace().clone(),
+            ab.viterbi().clone(),
+            eager,
+        )
+        .unwrap();
+        assert!(restored.is_smoothed());
+    }
+
+    proptest::proptest! {
+        /// A table of predicted-throughput rows, turned into emission rows
+        /// through the Gaussian half, reproduces `emission_row` and the
+        /// estimator's own `emission_log_density` bit for bit, whatever
+        /// the record, grid and σ.
+        #[test]
+        fn rows_derived_from_a_throughput_table_are_bit_identical(
+            records in proptest::collection::vec(
+                (
+                    (0.0f64..=7.0, 0.0f64..60.0),
+                    (1.0f64..300.0, 1.0f64..3000.0),
+                    (0.2f64..2.0, 0.005f64..0.4, 1.0f64..2.0),
+                    (0u8..3, 0.0f64..1.0, 1.0f64..20.0),
+                ),
+                1..8,
+            ),
+            (epsilon, ceiling, sigma) in (0.05f64..1.0, 1.0f64..80.0, 0.01f64..5.0),
+            cut in 0.0f64..1.0,
+        ) {
+            let records: Vec<ChunkRecord> = records
+                .into_iter()
+                .map(|(size, (cwnd, ssthresh), (rto, min_rtt, srtt_scale), gap)| {
+                    let ((size_exp, observed), (gap_kind, below, past)) = (size, gap);
+                    let last_send_gap_s = match gap_kind {
+                        0 => below * rto,
+                        1 => past * rto,
+                        _ => f64::INFINITY,
+                    };
+                    ChunkRecord {
+                        index: 0,
+                        quality: 0,
+                        // 1 B to 10 MB, log-uniform.
+                        size_bytes: 10f64.powf(size_exp),
+                        ssim: 0.9,
+                        wait_before_request_s: 0.0,
+                        start_time_s: 0.0,
+                        end_time_s: 1.0,
+                        download_time_s: 1.0,
+                        throughput_mbps: observed,
+                        buffer_at_request_s: 0.0,
+                        rebuffer_s: 0.0,
+                        tcp_info: veritas_net::TcpInfo {
+                            cwnd_segments: cwnd,
+                            ssthresh_segments: ssthresh,
+                            rto_s: rto,
+                            srtt_s: min_rtt * srtt_scale,
+                            min_rtt_s: min_rtt,
+                            last_send_gap_s,
+                        },
+                        gtbw_at_request_mbps: 0.0,
+                    }
+                })
+                .collect();
+            // Ceilings that are and are not multiples of ε.
+            let capacities = Quantizer::new(epsilon, epsilon * ceiling).values();
+            let table: Vec<Vec<f64>> = records
+                .iter()
+                .map(|r| Abduction::predicted_throughput_row(r, &capacities))
+                .collect();
+            let horizon = 1 + (cut * (records.len() - 1) as f64) as usize;
+            let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            for (record, predicted) in records[..horizon].iter().zip(&table) {
+                let derived = Abduction::emission_row_from_predicted(record, predicted, sigma);
+                let direct = Abduction::emission_row(record, &capacities, sigma);
+                let density: Vec<f64> = capacities
+                    .iter()
+                    .map(|&c| {
+                        veritas_net::emission_log_density(
+                            record.throughput_mbps,
+                            c,
+                            &record.tcp_info,
+                            record.size_bytes,
+                            sigma,
+                        )
+                    })
+                    .collect();
+                proptest::prop_assert_eq!(bits(&derived), bits(&direct));
+                proptest::prop_assert_eq!(bits(&derived), bits(&density));
+            }
+        }
     }
 
     #[test]

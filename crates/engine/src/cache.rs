@@ -1,15 +1,23 @@
 //! The abduction cache: one EHMM posterior per (session, config, horizon).
 //!
-//! Abduction — building the emission table and running forward–backward and
-//! Viterbi — is the expensive step of every causal query. Interventional
-//! and counterfactual queries over the same session under the same
-//! configuration need the *same* posterior, so the engine computes it once
-//! and shares it. Entries are keyed by the session id, fingerprints of the
-//! posterior-relevant [`VeritasConfig`] fields and of the log's observed
-//! variables (so a reused id never aliases a different corpus's session),
-//! and the observation horizon (number of chunk records conditioned on;
-//! interventional queries at an explicit decision point condition on a
-//! prefix).
+//! Abduction — building the emission table and running Viterbi and
+//! forward–backward — is the expensive step of every causal query.
+//! Interventional and counterfactual queries over the same session under
+//! the same configuration need the *same* posterior, so the engine computes
+//! it once and shares it. Entries are keyed by the session id, fingerprints
+//! of the posterior-relevant [`VeritasConfig`] fields and of the log's
+//! observed variables (so a reused id never aliases a different corpus's
+//! session), and the observation horizon (number of chunk records
+//! conditioned on; interventional queries at an explicit decision point
+//! condition on a prefix).
+//!
+//! An inferred entry holds its Viterbi decode; forward–backward runs on
+//! the entry's first posterior read (see [`Abduction::posteriors`]), so
+//! interventional units, which read only the last Viterbi state, never
+//! smooth. The costly half of the emission rows, the estimator's predicted
+//! throughput `f(c, W_n, S_n)`, depends on neither σ nor the horizon: the
+//! cache keeps one such table per (log, capacity grid) and derives every
+//! entry's rows from it.
 //!
 //! Concurrency: the map itself is only locked long enough to find or insert
 //! an entry slot; inference runs under the slot's own lock, so two workers
@@ -24,17 +32,17 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use veritas::{Abduction, AbductionError, VeritasConfig};
 use veritas_ehmm::EhmmWorkspace;
-use veritas_player::SessionLog;
+use veritas_player::{ChunkRecord, SessionLog};
 
 use crate::executor;
 use crate::persist::{DiskStore, PersistKey};
 
-/// Logs with at least this many chunk records get their emission table
-/// built through the batch executor — the rows are embarrassingly parallel
-/// and, for long sessions, dominate the non-kernel part of inference.
-/// Shorter logs are built inline: thread-scope setup would cost more than
-/// it saves.
-const PARALLEL_EMISSION_THRESHOLD: usize = 512;
+/// Logs with at least this many chunk records get their predicted-throughput
+/// table built through the batch executor — the rows are embarrassingly
+/// parallel and, for long sessions, dominate the non-kernel part of
+/// inference. Shorter logs are built inline: thread-scope setup would cost
+/// more than it saves.
+const PARALLEL_TABLE_THRESHOLD: usize = 512;
 
 /// FNV-1a offset basis — the seed of every fingerprint in this module.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -85,6 +93,17 @@ pub fn config_fingerprint(config: &VeritasConfig) -> u64 {
     hash
 }
 
+/// Fingerprints a capacity grid, the part of a configuration a
+/// predicted-throughput table depends on.
+fn grid_fingerprint(capacities: &[f64]) -> u64 {
+    let mut hash = FNV_OFFSET;
+    fnv_mix(&mut hash, capacities.len() as u64);
+    for &c in capacities {
+        fnv_mix_f64(&mut hash, c);
+    }
+    hash
+}
+
 /// Fingerprints every observed variable of a log that abduction conditions
 /// on: the session duration (sizes the δ-interval grid), and each record's
 /// start time, size, throughput, and TCP snapshot (the emission's control
@@ -125,18 +144,25 @@ pub fn infer_prefix(
     horizon: usize,
     config: &VeritasConfig,
 ) -> Result<Abduction, AbductionError> {
-    infer_prefix_with(log, horizon, config, |spec| {
-        Arc::new(EhmmWorkspace::new(spec))
-    })
+    infer_prefix_with(
+        log,
+        horizon,
+        config,
+        |capacities| Arc::new(predicted_throughputs(&log.records[..horizon], capacities)),
+        |spec| Arc::new(EhmmWorkspace::new(spec)),
+    )
 }
 
-/// [`infer_prefix`] with an explicit workspace provider. The provider is
-/// only invoked after the config validates, so it may build the spec-derived
-/// workspace without re-checking.
+/// [`infer_prefix`] with explicit providers of the predicted-throughput
+/// table (at least `horizon` rows over the config's capacity grid) and of
+/// the workspace. Both are only invoked after the config validates and
+/// the horizon is checked, so they may build grid- and spec-derived state
+/// without re-checking.
 fn infer_prefix_with(
     log: &SessionLog,
     horizon: usize,
     config: &VeritasConfig,
+    table: impl FnOnce(&[f64]) -> Arc<ThroughputTable>,
     workspace: impl FnOnce(veritas_ehmm::EhmmSpec) -> Arc<EhmmWorkspace>,
 ) -> Result<Abduction, AbductionError> {
     config.validate().map_err(AbductionError::InvalidConfig)?;
@@ -144,7 +170,15 @@ fn infer_prefix_with(
     if view.records.is_empty() {
         return Err(AbductionError::EmptySession);
     }
-    let rows = emission_rows(&view, config);
+    let table = table(&config.capacity_grid());
+    let rows = view
+        .records
+        .iter()
+        .zip(table.iter())
+        .map(|(record, predicted)| {
+            Abduction::emission_row_from_predicted(record, predicted, config.sigma_mbps)
+        })
+        .collect();
     Abduction::try_infer_prepared(&view, config, rows, workspace(Abduction::spec_for(config)))
 }
 
@@ -170,23 +204,25 @@ fn prefix_view(log: &SessionLog, horizon: usize) -> std::borrow::Cow<'_, Session
     }
 }
 
-/// Builds the per-(chunk, capacity) emission log-density table for a log,
+/// Predicted throughputs `f(c, W_n, S_n)`: one row per chunk record, one
+/// column per capacity-grid value ([`Abduction::predicted_throughput_row`]).
+type ThroughputTable = Vec<Vec<f64>>;
+
+/// Builds the predicted-throughput table of `records` over `capacities`,
 /// fanning the rows out across the batch executor once the log is large
 /// enough for the parallelism to pay for itself. Inferences already running
 /// on an executor worker (the engine's normal batch path) stay serial —
 /// the cores are busy with other sessions, and nesting pools would spawn
 /// up to `threads²` threads.
-fn emission_rows(log: &SessionLog, config: &VeritasConfig) -> Vec<Vec<f64>> {
-    let capacities = config.capacity_grid();
-    let records = &log.records;
-    if records.len() >= PARALLEL_EMISSION_THRESHOLD && !executor::on_worker_thread() {
+fn predicted_throughputs(records: &[ChunkRecord], capacities: &[f64]) -> ThroughputTable {
+    if records.len() >= PARALLEL_TABLE_THRESHOLD && !executor::on_worker_thread() {
         executor::execute_indexed(records.len(), executor::default_threads(), |n| {
-            Abduction::emission_row(&records[n], &capacities, config.sigma_mbps)
+            Abduction::predicted_throughput_row(&records[n], capacities)
         })
     } else {
         records
             .iter()
-            .map(|r| Abduction::emission_row(r, &capacities, config.sigma_mbps))
+            .map(|r| Abduction::predicted_throughput_row(r, capacities))
             .collect()
     }
 }
@@ -215,6 +251,9 @@ struct CacheKey {
 
 type Slot = Arc<Mutex<Option<Arc<Abduction>>>>;
 
+/// A compute-once slot holding one log's predicted-throughput table.
+type TableSlot = Arc<Mutex<Option<Arc<ThroughputTable>>>>;
+
 /// Where a cache lookup's posterior came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheSource {
@@ -223,7 +262,8 @@ pub enum CacheSource {
     /// Restored from the persistent store ([`crate::persist::DiskStore`])
     /// — a file read and shape validation, but zero EHMM inference.
     Disk,
-    /// Computed by running forward–backward and Viterbi.
+    /// Computed by running Viterbi (forward–backward follows on the
+    /// entry's first posterior read).
     Inferred,
 }
 
@@ -269,19 +309,27 @@ pub struct CacheStats {
 /// Besides the posterior slots, the cache keeps one shared
 /// [`EhmmWorkspace`] per configuration fingerprint: every session inferred
 /// under the same config reuses the same memoized `A^Δ` / `ln A^Δ`
-/// transition kernels, across the whole batch executor.
+/// transition kernels, across the whole batch executor. It also keeps one
+/// predicted-throughput table (N×K) per (log fingerprint, capacity grid)
+/// that some posterior slot was inferred from, built over the whole log on
+/// its first inference: every horizon of that log, and every config that
+/// differs only in σ or the stay probability, derives its emission rows
+/// from the one table through the Gaussian noise model.
 ///
 /// With [`Self::with_disk_store`] the in-memory slots gain a persistent
 /// tier: an in-memory miss first tries to restore the posterior from the
 /// store (counted as a *disk hit*), and a genuinely inferred posterior is
-/// written through so the next process warm-starts. Disk problems are
-/// silent misses by design ([`DiskStore`]); a *corrupt* entry is
-/// additionally deleted so the re-inference + write-through repairs it in
-/// place, counted in [`CacheStats::healed`].
+/// smoothed and written through so the next process warm-starts. Disk
+/// problems are silent misses by design ([`DiskStore`]); a *corrupt* entry
+/// is additionally deleted so the re-inference + write-through repairs it
+/// in place, counted in [`CacheStats::healed`].
 #[derive(Debug, Default)]
 pub struct AbductionCache {
     slots: Mutex<HashMap<CacheKey, Slot>>,
     workspaces: Mutex<HashMap<u64, Arc<EhmmWorkspace>>>,
+    /// Predicted-throughput tables keyed by (log fingerprint, grid
+    /// fingerprint).
+    tables: Mutex<HashMap<(u64, u64), TableSlot>>,
     /// Kernel count last written through to the store per config
     /// fingerprint, so the kernel table is only rewritten when the
     /// workspace has actually grown new gaps.
@@ -401,15 +449,20 @@ impl AbductionCache {
             return Ok((abduction, CacheSource::Disk));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let abduction = Arc::new(infer_prefix_with(log, horizon, config, |spec| {
-            self.workspace_for_spec(fingerprint, spec)
-        })?);
+        let abduction = Arc::new(infer_prefix_with(
+            log,
+            horizon,
+            config,
+            |capacities| self.throughput_table(log_fp, log, capacities),
+            |spec| self.workspace_for_spec(fingerprint, spec),
+        )?);
         *guard = Some(abduction.clone());
         self.entries.fetch_add(1, Ordering::Relaxed);
         if let Some(disk) = &self.disk {
             // Write-through is best-effort: a full or read-only cache
             // directory degrades to memory-only caching, it never fails
-            // the query.
+            // the query. Saving reads the posteriors, so it smooths the
+            // entry first.
             let _ = disk.save(&persist_key, &abduction);
             // Piggyback the kernel table: the inference above may have
             // materialized new gaps worth warm-starting the next process
@@ -451,6 +504,27 @@ impl AbductionCache {
                 None
             }
         }
+    }
+
+    /// The predicted-throughput table of `log` (whose fingerprint is
+    /// `log_fp`) over the capacity grid `capacities`: built over the whole
+    /// log on first use, then shared by every horizon and every config
+    /// with the same grid. Concurrent first uses build it once.
+    fn throughput_table(
+        &self,
+        log_fp: u64,
+        log: &SessionLog,
+        capacities: &[f64],
+    ) -> Arc<ThroughputTable> {
+        let slot: TableSlot = {
+            let mut tables = self.tables.lock();
+            let key = (log_fp, grid_fingerprint(capacities));
+            tables.entry(key).or_default().clone()
+        };
+        let mut table = slot.lock();
+        table
+            .get_or_insert_with(|| Arc::new(predicted_throughputs(&log.records, capacities)))
+            .clone()
     }
 
     /// The shared inference workspace for `config`, created on first use
@@ -563,12 +637,14 @@ impl AbductionCache {
         }
     }
 
-    /// Drops every cached posterior *and* every per-config kernel
-    /// workspace, keeping the hit/miss counters (and any attached disk
-    /// store — clearing memory does not delete persisted entries). The
-    /// workspace table must go too: sweep queries register up to
-    /// [`crate::MAX_SWEEP_VARIANTS`] configs, and a `clear()` that kept
-    /// their `A^Δ` kernel tables would leak them for the cache's lifetime.
+    /// Drops every cached posterior, every per-config kernel workspace and
+    /// every predicted-throughput table, keeping the hit/miss counters
+    /// (and any attached disk store — clearing memory does not delete
+    /// persisted entries). The workspace table must go too: sweep queries
+    /// register up to [`crate::MAX_SWEEP_VARIANTS`] configs, and a
+    /// `clear()` that kept their `A^Δ` kernel tables would leak them for
+    /// the cache's lifetime; the throughput tables exist only for logs
+    /// that have slots.
     ///
     /// Not meant to race in-flight inferences: a posterior stored into an
     /// already-evicted slot survives only with its holder and is not
@@ -576,6 +652,7 @@ impl AbductionCache {
     pub fn clear(&self) {
         self.slots.lock().clear();
         self.workspaces.lock().clear();
+        self.tables.lock().clear();
         self.kernel_saves.lock().clear();
         self.entries.store(0, Ordering::Relaxed);
     }
@@ -694,7 +771,8 @@ mod tests {
         // Regression: `clear()` used to drop posterior slots but leave the
         // per-config `EhmmWorkspace` kernel tables, so sweep-heavy callers
         // (up to MAX_SWEEP_VARIANTS configs per sweep) accumulated tables
-        // that survived every clear.
+        // that survived every clear. The per-log throughput tables go with
+        // them.
         let cache = AbductionCache::new();
         let log = log();
         let config = VeritasConfig::paper_default();
@@ -703,11 +781,111 @@ mod tests {
             before.workspace(),
             &cache.workspace_for(&config)
         ));
+        let table = |cache: &AbductionCache| {
+            cache.throughput_table(log_fingerprint(&log), &log, &config.capacity_grid())
+        };
+        let table_before = table(&cache);
+        assert_eq!(cache.tables.lock().len(), 1);
         cache.clear();
         assert!(
             !Arc::ptr_eq(before.workspace(), &cache.workspace_for(&config)),
             "clear() must drop the kernel workspaces, not just the posteriors"
         );
+        assert!(
+            cache.tables.lock().is_empty(),
+            "clear() must drop the throughput tables too"
+        );
+        assert!(!Arc::ptr_eq(&table_before, &table(&cache)));
+    }
+
+    #[test]
+    fn horizons_and_noise_variants_share_one_throughput_table() {
+        let cache = AbductionCache::new();
+        let log = log();
+        let config = VeritasConfig::paper_default();
+        let n = log.records.len();
+        let variants = [
+            (n / 3, config),
+            (n, config),
+            (n / 2, config.with_sigma(1.0)),
+            (n / 2, config.with_stay_probability(0.9)),
+        ];
+        for (horizon, variant) in variants {
+            let (cached, source) = cache
+                .get_or_infer_prefix("s", &log, horizon, &variant)
+                .unwrap();
+            assert_eq!(source, CacheSource::Inferred);
+            assert!(!cached.is_smoothed(), "a memory-only miss must not smooth");
+            // Rows derived from the shared table give the posterior a
+            // standalone inference over the prefix gives.
+            let direct = Abduction::try_infer(&log.prefix(horizon), &variant).unwrap();
+            assert_eq!(cached.viterbi(), direct.viterbi());
+            assert_eq!(cached.posteriors(), direct.posteriors());
+        }
+        assert_eq!(cache.tables.lock().len(), 1, "one table per (log, grid)");
+        // A different grid gets its own table.
+        let mut coarse = config;
+        coarse.epsilon_mbps = 1.0;
+        cache.get_or_infer("s", &log, &coarse).unwrap();
+        assert_eq!(cache.tables.lock().len(), 2);
+    }
+
+    #[test]
+    fn racing_posterior_reads_smooth_once_and_match_an_eager_pass() {
+        let cache = AbductionCache::new();
+        let log = log();
+        let config = VeritasConfig::paper_default();
+        let horizon = log.records.len() / 2;
+        let (abduction, _) = cache
+            .get_or_infer_prefix("s", &log, horizon, &config)
+            .unwrap();
+        assert!(!abduction.is_smoothed());
+
+        // The eager reference: forward–backward over the rows the cache
+        // derives from its table, through the same workspace.
+        let table = cache.throughput_table(log_fingerprint(&log), &log, &config.capacity_grid());
+        let rows = log.records[..horizon]
+            .iter()
+            .zip(table.iter())
+            .map(|(r, p)| Abduction::emission_row_from_predicted(r, p, config.sigma_mbps))
+            .collect();
+        let starts = abduction.start_intervals();
+        let gaps = std::iter::once(0)
+            .chain(starts.windows(2).map(|w| (w[1] - w[0]) as u32))
+            .collect();
+        let eager = cache
+            .workspace_for(&config)
+            .forward_backward(&veritas_ehmm::EmissionTable::new(rows, gaps));
+
+        let bits = |p: &veritas_ehmm::Posteriors| -> Vec<u64> {
+            [&p.gamma, &p.alpha, &p.beta, &p.emissions]
+                .iter()
+                .flat_map(|m| m.as_slice())
+                .chain(&p.totals)
+                .chain([&p.log_likelihood])
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let barrier = std::sync::Barrier::new(8);
+        let seen: Vec<usize> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let posteriors = abduction.posteriors();
+                        assert_eq!(bits(posteriors), bits(&eager));
+                        assert_eq!(posteriors.gaps, eager.gaps);
+                        posteriors as *const _ as usize
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(
+            seen.windows(2).all(|w| w[0] == w[1]),
+            "every thread must read the one smoothed posterior"
+        );
+        assert!(abduction.is_smoothed());
     }
 
     #[test]
@@ -926,6 +1104,10 @@ mod tests {
         let (inferred, source) = cold.get_or_infer("s", &log, &config).unwrap();
         assert_eq!(source, CacheSource::Inferred);
         assert_eq!(cold.disk_hits(), 0);
+        assert!(
+            inferred.is_smoothed(),
+            "the write-through smooths the entry"
+        );
 
         // A fresh cache (fresh process, in effect) over the same directory
         // restores the posterior without inference.

@@ -30,9 +30,9 @@ pub fn default_threads() -> usize {
 
 /// Whether the current thread is an executor worker. Nested parallelism
 /// guards check this: a job that would itself fan out (e.g. building a
-/// large emission table) must fall back to serial execution when it is
-/// already running inside the pool, or a batch of such jobs would spawn
-/// up to `threads²` threads.
+/// large predicted-throughput table) must fall back to serial execution
+/// when it is already running inside the pool, or a batch of such jobs
+/// would spawn up to `threads²` threads.
 pub fn on_worker_thread() -> bool {
     IN_WORKER.with(Cell::get)
 }

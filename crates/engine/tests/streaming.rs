@@ -73,6 +73,58 @@ fn streamed_records_match_the_batch_run_exactly() {
 }
 
 #[test]
+fn entries_left_unsmoothed_by_interventional_units_answer_later_queries_identically() {
+    // Interventional units run Viterbi only. An abduction, a counterfactual
+    // (whose sampling smooths) and an aggregate over the same full-horizon
+    // keys then reuse those entries and must answer exactly as a fresh
+    // engine that infers them does.
+    let corpus = corpus(2);
+    let chunks = corpus
+        .sessions
+        .iter()
+        .map(|s| s.log.records.len())
+        .min()
+        .unwrap();
+    let next_chunk = QuerySet::new("next-chunk", config())
+        .with_query(Query::interventional("iv-early").with_chunk_index(5))
+        .with_query(Query::interventional("iv-mid").with_chunk_index(chunks / 2))
+        .with_query(Query::interventional("iv-last"));
+    let later = QuerySet::new("later", config())
+        .with_query(Query::abduction("ab"))
+        .with_query(Query::counterfactual("cf", ScenarioSpec::abr("bba")))
+        .with_query(Query::aggregate(
+            "agg",
+            AggregateSpec::of(AggregateMetric::MeanCapacityMbps),
+        ));
+
+    let engine = Engine::builder().threads(2).build().unwrap();
+    let first = engine.run(corpus.clone(), &next_chunk).unwrap();
+    assert_eq!(first.summary.errors, 0);
+    assert_eq!(
+        first.summary.cache_misses, 6,
+        "two sessions at three horizons"
+    );
+    let reused = engine.run(corpus.clone(), &later).unwrap();
+    assert_eq!(reused.summary.errors, 0);
+    assert_eq!(
+        reused.summary.cache_misses, 0,
+        "the later queries read the interventional units' entries"
+    );
+    let fresh = Engine::builder()
+        .threads(2)
+        .build()
+        .unwrap()
+        .run(corpus.clone(), &later)
+        .unwrap();
+    assert_eq!(fresh.summary.cache_misses, 2);
+    let normalize = |records: &[QueryRecord]| {
+        let records: Vec<QueryRecord> = records.iter().cloned().map(normalized).collect();
+        sorted(records)
+    };
+    assert_eq!(normalize(&reused.records), normalize(&fresh.records));
+}
+
+#[test]
 fn run_is_submit_then_wait() {
     let corpus = corpus(2);
     let set = QuerySet::new("wrap", config())
