@@ -209,8 +209,9 @@ fn bench_abr(c: &mut Criterion) {
 
 /// The storage-layer projection pin: a 3-column aggregate pass over a
 /// 1000-session `.vcorp`, re-decoding every block each iteration (the
-/// resident bound of 1 defeats the cache). The companion full-decode
-/// bench gives the ratio projection is expected to beat.
+/// corpus exceeds the resident bound, so only the last decode stays
+/// resident). The companion full-decode bench gives the ratio projection
+/// is expected to beat.
 fn bench_store(c: &mut Criterion) {
     use veritas_engine::{columns, ColumnSet, LazyCorpus, SyntheticSpec, VcorpWriter};
     use veritas_engine::{CorpusMeta, SessionCorpus};
@@ -235,7 +236,7 @@ fn bench_store(c: &mut Criterion) {
     let cols = ColumnSet::of(&[columns::SSIM, columns::SIZE_BYTES, columns::REBUFFER_S]);
     let mut group = c.benchmark_group("store");
     group.bench_function("projected_aggregate_1000", |b| {
-        let lazy = LazyCorpus::open(&path).expect("open").with_max_resident(1);
+        let lazy = LazyCorpus::open(&path).expect("open");
         b.iter(|| {
             let mut acc = 0.0_f64;
             for index in 0..lazy.len() {
@@ -250,7 +251,7 @@ fn bench_store(c: &mut Criterion) {
         })
     });
     group.bench_function("full_aggregate_1000", |b| {
-        let lazy = LazyCorpus::open(&path).expect("open").with_max_resident(1);
+        let lazy = LazyCorpus::open(&path).expect("open");
         b.iter(|| {
             let mut acc = 0.0_f64;
             for index in 0..lazy.len() {

@@ -34,15 +34,7 @@ use veritas::{Abduction, AbductionError, VeritasConfig};
 use veritas_ehmm::EhmmWorkspace;
 use veritas_player::{ChunkRecord, SessionLog};
 
-use crate::executor;
 use crate::persist::{DiskStore, PersistKey};
-
-/// Logs with at least this many chunk records get their predicted-throughput
-/// table built through the batch executor — the rows are embarrassingly
-/// parallel and, for long sessions, dominate the non-kernel part of
-/// inference. Shorter logs are built inline: thread-scope setup would cost
-/// more than it saves.
-const PARALLEL_TABLE_THRESHOLD: usize = 512;
 
 /// FNV-1a offset basis — the seed of every fingerprint in this module.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -132,8 +124,7 @@ pub fn log_fingerprint(log: &SessionLog) -> u64 {
 /// fresh [`EhmmWorkspace`]. A cache miss runs the same inference through
 /// the cache's shared workspace for its config (see
 /// [`AbductionCache::workspace_for`]), so sessions inferred under one
-/// configuration reuse the same transition/log-power kernels. Emission
-/// rows for large logs are computed through the batch executor.
+/// configuration reuse the same transition/log-power kernels.
 ///
 /// # Panics
 ///
@@ -209,22 +200,12 @@ fn prefix_view(log: &SessionLog, horizon: usize) -> std::borrow::Cow<'_, Session
 type ThroughputTable = Vec<Vec<f64>>;
 
 /// Builds the predicted-throughput table of `records` over `capacities`,
-/// fanning the rows out across the batch executor once the log is large
-/// enough for the parallelism to pay for itself. Inferences already running
-/// on an executor worker (the engine's normal batch path) stay serial —
-/// the cores are busy with other sessions, and nesting pools would spawn
-/// up to `threads²` threads.
+/// serially: the engine already runs one unit per executor worker.
 fn predicted_throughputs(records: &[ChunkRecord], capacities: &[f64]) -> ThroughputTable {
-    if records.len() >= PARALLEL_TABLE_THRESHOLD && !executor::on_worker_thread() {
-        executor::execute_indexed(records.len(), executor::default_threads(), |n| {
-            Abduction::predicted_throughput_row(&records[n], capacities)
-        })
-    } else {
-        records
-            .iter()
-            .map(|r| Abduction::predicted_throughput_row(r, capacities))
-            .collect()
-    }
+    records
+        .iter()
+        .map(|r| Abduction::predicted_throughput_row(r, capacities))
+        .collect()
 }
 
 /// Order-sensitive fold of fingerprints (per-session [`log_fingerprint`]s

@@ -57,10 +57,9 @@ impl Deref for LogRef<'_> {
 ///
 /// Everything except [`Corpus::log`] must be served from resident
 /// metadata (ids, fingerprints, the deployed setting): plan compilation
-/// and fingerprint checks never force a session load. Only the executor,
-/// per work unit, calls `log` — with the plan's column demand for that
-/// session — which is where a lazy implementation pays its decode,
-/// bounded by its resident set.
+/// and fingerprint checks never force a session load. Only the executor
+/// calls `log`, once per work unit, with the plan's column demand for
+/// that session; that is where a lazy implementation pays its decode.
 pub trait Corpus: Send + Sync {
     /// Number of sessions.
     fn len(&self) -> usize;
@@ -94,7 +93,10 @@ pub trait Corpus: Send + Sync {
     ///
     /// Eager corpora (JSON directories, synthetic) already hold complete
     /// logs and ignore `columns`; [`crate::LazyCorpus`] decodes only the
-    /// selected column ranges.
+    /// selected column ranges. It keeps every decoded log when the corpus
+    /// has at most [`crate::DEFAULT_MAX_RESIDENT`] sessions, and only the
+    /// most recent decode otherwise. The executor fetches each unit's log
+    /// once and passes it to every step of the unit's answer.
     fn log(&self, index: usize, columns: ColumnSet) -> Result<LogRef<'_>, String>;
 
     /// The [`crate::log_fingerprint`] of session `index`, without
@@ -193,11 +195,10 @@ pub trait Corpus: Send + Sync {
     }
 
     /// Point-in-time residency and decode counters, for corpora that
-    /// stream sessions through a bounded resident set. Eager corpora
-    /// (everything resident, nothing decoded on demand) return `None`;
-    /// [`crate::LazyCorpus`] reports its resident window, high-water
-    /// marks, and cumulative decode volume — surfaced by the daemon's
-    /// `{"metrics": true}` snapshot.
+    /// decode sessions on demand. Eager corpora (everything resident,
+    /// nothing decoded on demand) return `None`; [`crate::LazyCorpus`]
+    /// reports its resident set, high-water marks, and cumulative decode
+    /// volume — surfaced by the daemon's `{"metrics": true}` snapshot.
     fn residency(&self) -> Option<ResidencyStats> {
         None
     }
@@ -226,7 +227,10 @@ pub trait Corpus: Send + Sync {
 /// Point-in-time residency counters of a lazily backed corpus (see
 /// [`Corpus::residency`]): how much of it is decoded right now, the
 /// high-water marks, and the cumulative decode volume — the numbers that
-/// make column projection's I/O pruning observable.
+/// make column projection's I/O pruning observable. A
+/// [`crate::LazyCorpus`] of at most [`crate::DEFAULT_MAX_RESIDENT`]
+/// sessions keeps every decoded log resident; a larger one keeps only its
+/// most recent decode, so its session counts never exceed 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct ResidencyStats {
     /// Decoded logs currently resident.

@@ -12,13 +12,8 @@
 //! workers, so the caller can consume incrementally while execution
 //! continues.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-
-std::thread_local! {
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
 
 /// Number of worker threads to use by default: the available parallelism
 /// minus one (leaving a core for the coordinating thread), at least one.
@@ -28,20 +23,12 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Whether the current thread is an executor worker. Nested parallelism
-/// guards check this: a job that would itself fan out (e.g. building a
-/// large predicted-throughput table) must fall back to serial execution
-/// when it is already running inside the pool, or a batch of such jobs
-/// would spawn up to `threads²` threads.
-pub fn on_worker_thread() -> bool {
-    IN_WORKER.with(Cell::get)
-}
-
 /// Runs `f(0..count)` across up to `threads` workers, returning the results
 /// in index order.
 ///
-/// This is the primitive the engine fans query batches out with; it is also
-/// what `veritas_bench::parallel_map` delegates to. Jobs are claimed with a
+/// The paper-figure experiments fan out with it, and
+/// `veritas_bench::parallel_map` delegates to it; the engine streams its
+/// units through [`stream`] instead. Jobs are claimed with a
 /// single relaxed `fetch_add` on a shared cursor, so scheduling is
 /// lock-free and naturally load-balanced: a worker that lands a cheap job
 /// immediately claims the next one.
@@ -60,7 +47,6 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    IN_WORKER.with(|flag| flag.set(true));
                     let mut local = Vec::new();
                     loop {
                         let index = cursor.fetch_add(1, Ordering::Relaxed);
@@ -120,7 +106,6 @@ where
             let shared = Arc::clone(&shared);
             let tx = tx.clone();
             std::thread::spawn(move || {
-                IN_WORKER.with(|flag| flag.set(true));
                 let (jobs, cursor, job) = &*shared;
                 while let Some(&index) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                     if tx.send((index, job(index))).is_err() {
@@ -224,16 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_workers_are_marked_as_workers() {
-        let (rx, workers) = stream(vec![0, 1], 2, 4, |_| on_worker_thread());
-        let flags: Vec<bool> = rx.iter().map(|(_, f)| f).collect();
-        for handle in workers {
-            handle.join().unwrap();
-        }
-        assert!(flags.iter().all(|&f| f));
-    }
-
-    #[test]
     fn run_isolated_catches_panics_and_extracts_the_message() {
         assert_eq!(run_isolated(|| 42), Ok(42));
         let err = run_isolated(|| -> u32 { panic!("static str payload") }).unwrap_err();
@@ -242,22 +217,5 @@ mod tests {
         assert_eq!(err, "formatted payload");
         let err = run_isolated(|| -> u32 { std::panic::panic_any(7u8) }).unwrap_err();
         assert!(err.contains("non-string payload"));
-    }
-
-    #[test]
-    fn worker_threads_are_marked_for_nested_parallelism_guards() {
-        assert!(
-            !on_worker_thread(),
-            "the coordinating thread is not a worker"
-        );
-        let flags = execute_indexed(16, 4, |_| on_worker_thread());
-        assert!(
-            flags.iter().all(|&in_worker| in_worker),
-            "every job must observe that it runs on a pool worker"
-        );
-        assert!(
-            !on_worker_thread(),
-            "the marker must not leak to the caller"
-        );
     }
 }

@@ -109,9 +109,10 @@
 //! with `--append`); opening a `.vcorp` verifies a whole-file checksum
 //! and reads only the session index — ids, offsets, and precomputed
 //! [`log_fingerprint`]s — so a daemon restart or a cold run parses zero
-//! JSON and re-hashes zero floats. Session logs decode on demand per
-//! work unit, digest-verified, into a bounded resident set
-//! ([`LazyCorpus::with_max_resident`]), so corpora larger than RAM
+//! JSON and re-hashes zero floats. Each work unit fetches its session's
+//! log once, decoded on demand and digest-verified. A corpus of at most
+//! [`DEFAULT_MAX_RESIDENT`] sessions keeps every decoded log; a larger
+//! one keeps only its most recent decode, so corpora larger than RAM
 //! stream through a run. See the [`store`] module docs for the file
 //! layout and versioning rules.
 //!

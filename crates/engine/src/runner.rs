@@ -38,16 +38,16 @@ use veritas::{
 };
 use veritas_abr::abr_by_name;
 use veritas_media::QualityLadder;
-use veritas_player::QoeSummary;
+use veritas_player::{QoeSummary, SessionLog};
 use veritas_trace::stats::trace_mae;
 
 use crate::cache::{AbductionCache, CacheSource};
-use crate::corpus::{Corpus, LogRef};
+use crate::corpus::Corpus;
 use crate::error::EngineError;
 use crate::executor;
 use crate::fault::{FaultPlan, FaultSite};
 use crate::persist::DiskStore;
-use crate::plan::{percentile_u64, AggregateSummary, PlannedConfig, QueryPlan};
+use crate::plan::{percentile_u64, AggregateSummary, PlannedConfig, QueryPlan, WorkUnit};
 use crate::query::{
     object_fields, opt, reject_unknown, req, Query, QueryKind, QuerySet, ScenarioSpec,
 };
@@ -1087,15 +1087,6 @@ impl ExecCtx {
         self.quarantined.lock().extend(summary.quarantined);
     }
 
-    /// Loads a session log for unit execution, asking the corpus to
-    /// decode only the columns the plan's queries will read.
-    /// [`Corpus::log`] guarantees the selected fields are bit-identical
-    /// to a full decode, so answers — and through the precomputed
-    /// fingerprints, cache keys — do not depend on the projection.
-    fn load_log(&self, si: usize) -> Result<LogRef<'_>, String> {
-        self.corpus.log(si, self.plan.column_demand(si))
-    }
-
     /// The supervised unit path every worker goes through: quarantine
     /// short-circuit, panic isolation, and (under a [`RetryPolicy`])
     /// bounded retry with deterministic backoff.
@@ -1181,27 +1172,7 @@ impl ExecCtx {
         let planned = &self.plan.configs()[unit.config];
         let session_id = self.corpus.session_id(unit.session).to_string();
         let started = Instant::now();
-        let answered = match query.kind {
-            QueryKind::Abduction => self.answer_abduction(planned, unit.session),
-            QueryKind::Interventional => self.answer_interventional(planned, query, unit.session),
-            QueryKind::Counterfactual => match self.plan.scenario_for(unit.query) {
-                Some(Ok(scenario)) => {
-                    self.answer_counterfactual(planned, query, unit.session, scenario)
-                }
-                Some(Err(error)) => Err(error.clone()),
-                None => unreachable!("scenarios are materialized for every counterfactual query"),
-            },
-            QueryKind::Sweep => match self.plan.scenario_for(unit.query) {
-                // A sweep with a scenario replays the counterfactual under
-                // every config variant; without one it is abduction-shaped.
-                Some(Ok(scenario)) => {
-                    self.answer_counterfactual(planned, query, unit.session, scenario)
-                }
-                Some(Err(error)) => Err(error.clone()),
-                None => self.answer_abduction(planned, unit.session),
-            },
-            QueryKind::Aggregate => self.answer_aggregate(planned, query, unit.query, unit.session),
-        };
+        let answered = self.answer(planned, query, unit);
         let elapsed_us = started.elapsed().as_micros() as u64;
         match answered {
             Ok((output, cache)) => QueryRecord {
@@ -1231,11 +1202,52 @@ impl ExecCtx {
         }
     }
 
+    /// Answers one unit: a scenario that failed to materialize is its
+    /// error; otherwise it fetches the session's log once and hands it to
+    /// every step of the answer.
+    fn answer(
+        &self,
+        planned: &PlannedConfig,
+        query: &Query,
+        unit: WorkUnit,
+    ) -> Result<(QueryOutput, Option<String>), String> {
+        let scenario = match self.plan.scenario_for(unit.query) {
+            Some(Ok(scenario)) => Some(scenario),
+            Some(Err(error)) => return Err(error.clone()),
+            None => None,
+        };
+        let si = unit.session;
+        // The corpus decodes only the columns the plan's queries read.
+        // `Corpus::log` guarantees the selected fields are bit-identical
+        // to a full decode, so answers — and through the precomputed
+        // fingerprints, cache keys — do not depend on the projection. A
+        // load failure is this unit's error, like any other.
+        let log = self.corpus.log(si, self.plan.column_demand(si))?;
+        match (query.kind, scenario) {
+            (QueryKind::Abduction, _) | (QueryKind::Sweep, None) => {
+                self.answer_abduction(planned, si, &log)
+            }
+            (QueryKind::Interventional, _) => self.answer_interventional(planned, query, si, &log),
+            // A sweep with a scenario replays the counterfactual under
+            // every config variant; without one it is abduction-shaped.
+            (QueryKind::Counterfactual | QueryKind::Sweep, Some(scenario)) => {
+                self.answer_counterfactual(planned, query, si, &log, scenario)
+            }
+            (QueryKind::Aggregate, scenario) => {
+                self.answer_aggregate(planned, query, si, &log, scenario)
+            }
+            (QueryKind::Counterfactual, None) => {
+                unreachable!("scenarios are materialized for every counterfactual query")
+            }
+        }
+    }
+
     /// Resolves a unit's abduction through the cache, using the
     /// fingerprints precomputed at compile (config) and submit (log) time.
     fn abduce(
         &self,
         si: usize,
+        log: &SessionLog,
         horizon: usize,
         planned: &PlannedConfig,
     ) -> Result<(Arc<Abduction>, Option<String>), String> {
@@ -1247,17 +1259,13 @@ impl ExecCtx {
                 return Err("injected compute fault (fault plan)".to_string());
             }
         }
-        // A lazy corpus decodes (or returns the resident copy of) the
-        // session block here; a load failure surfaces as this unit's
-        // per-record error, like any other per-unit failure.
-        let log = self.load_log(si)?;
         let Some(cache) = &self.cache else {
             return Err("a coordinator's context runs no units".to_string());
         };
         let (abduction, source) = cache
             .get_or_infer_keyed(
                 self.corpus.session_id(si),
-                &log,
+                log,
                 self.log_fps[si],
                 horizon,
                 &planned.config,
@@ -1276,9 +1284,9 @@ impl ExecCtx {
         &self,
         planned: &PlannedConfig,
         si: usize,
+        log: &SessionLog,
     ) -> Result<(QueryOutput, Option<String>), String> {
-        let log = self.load_log(si)?;
-        let (abduction, cache) = self.abduce(si, log.records.len(), planned)?;
+        let (abduction, cache) = self.abduce(si, log, log.records.len(), planned)?;
         let viterbi = abduction.viterbi_trace();
         let mae = self.corpus.truth(si).map(|truth| {
             let horizon = log.session_duration_s.min(truth.duration());
@@ -1304,8 +1312,8 @@ impl ExecCtx {
         planned: &PlannedConfig,
         query: &Query,
         si: usize,
+        log: &SessionLog,
     ) -> Result<(QueryOutput, Option<String>), String> {
-        let log = self.load_log(si)?;
         let next_index = query.chunk_index.unwrap_or(log.records.len());
         if next_index == 0 || next_index > log.records.len() {
             return Err(format!(
@@ -1313,7 +1321,7 @@ impl ExecCtx {
                 log.records.len()
             ));
         }
-        let (abduction, cache) = self.abduce(si, next_index, planned)?;
+        let (abduction, cache) = self.abduce(si, log, next_index, planned)?;
         // At decision time the TCP state and (for replayed decisions) the
         // logged size of the next chunk are observable.
         let (tcp_info, logged) = if next_index < log.records.len() {
@@ -1330,7 +1338,7 @@ impl ExecCtx {
             .expect("non-empty log");
         let prediction = InterventionalPredictor::new(planned.config).predict_from_abduction(
             &abduction,
-            &log,
+            log,
             next_index,
             candidate_size,
             &tcp_info,
@@ -1353,10 +1361,10 @@ impl ExecCtx {
         planned: &PlannedConfig,
         query: &Query,
         si: usize,
+        log: &SessionLog,
         scenario: &Scenario,
-    ) -> Result<(Arc<Abduction>, RangePrediction, Option<String>), String> {
-        let horizon = self.load_log(si)?.records.len();
-        let (abduction, cache) = self.abduce(si, horizon, planned)?;
+    ) -> Result<(RangePrediction, Option<String>), String> {
+        let (abduction, cache) = self.abduce(si, log, log.records.len(), planned)?;
         let samples = query.samples.unwrap_or(planned.config.num_samples).max(1);
         let seed = query.seed.unwrap_or(planned.config.seed);
         let prediction = RangePrediction {
@@ -1366,7 +1374,7 @@ impl ExecCtx {
                 .map(|trace| scenario.replay(trace))
                 .collect(),
         };
-        Ok((abduction, prediction, cache))
+        Ok((prediction, cache))
     }
 
     fn answer_counterfactual(
@@ -1374,15 +1382,15 @@ impl ExecCtx {
         planned: &PlannedConfig,
         query: &Query,
         si: usize,
+        log: &SessionLog,
         scenario: &Scenario,
     ) -> Result<(QueryOutput, Option<String>), String> {
-        let log = self.load_log(si)?;
-        let (_, prediction, cache) = self.replay_prediction(planned, query, si, scenario)?;
-        let baseline = scenario.replay(&baseline_trace(&log, planned.config.delta_s));
+        let (prediction, cache) = self.replay_prediction(planned, query, si, log, scenario)?;
+        let baseline = scenario.replay(&baseline_trace(log, planned.config.delta_s));
         let oracle = self
             .corpus
             .truth(si)
-            .map(|truth| scenario.replay(&oracle_trace(truth, &log)));
+            .map(|truth| scenario.replay(&oracle_trace(truth, log)));
         Ok((
             QueryOutput {
                 veritas: Some(RangeSummary::of(&prediction)),
@@ -1394,28 +1402,30 @@ impl ExecCtx {
         ))
     }
 
+    /// `scenario` is the one the plan materializes for a replay metric,
+    /// and `None` for a metric read off the posterior.
     fn answer_aggregate(
         &self,
         planned: &PlannedConfig,
         query: &Query,
-        qi: usize,
         si: usize,
+        log: &SessionLog,
+        scenario: Option<&Scenario>,
     ) -> Result<(QueryOutput, Option<String>), String> {
         let spec = query.aggregate.as_ref().expect("validated aggregate query");
-        let (value, cache) = if spec.metric.needs_replay() {
-            let scenario = match self.plan.scenario_for(qi) {
-                Some(Ok(scenario)) => scenario,
-                Some(Err(error)) => return Err(error.clone()),
-                None => unreachable!("replay metrics materialize a scenario at compile time"),
-            };
-            let (_, prediction, cache) = self.replay_prediction(planned, query, si, scenario)?;
-            // The per-session contribution is the Veritas-median outcome
-            // of the metric across posterior samples (paper §4.3).
-            (prediction.median_of(|q| spec.metric.of_qoe(q)), cache)
-        } else {
-            let horizon = self.load_log(si)?.records.len();
-            let (abduction, cache) = self.abduce(si, horizon, planned)?;
-            (abduction.viterbi_trace().mean(), cache)
+        let (value, cache) = match scenario {
+            Some(scenario) => {
+                let (prediction, cache) =
+                    self.replay_prediction(planned, query, si, log, scenario)?;
+                // The per-session contribution is the Veritas-median
+                // outcome of the metric across posterior samples (paper
+                // §4.3).
+                (prediction.median_of(|q| spec.metric.of_qoe(q)), cache)
+            }
+            None => {
+                let (abduction, cache) = self.abduce(si, log, log.records.len(), planned)?;
+                (abduction.viterbi_trace().mean(), cache)
+            }
         };
         Ok((
             QueryOutput {
@@ -1497,9 +1507,14 @@ pub fn materialize_scenario(corpus: &dyn Corpus, spec: &ScenarioSpec) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{SessionCorpus, SyntheticSpec};
+    use crate::corpus::{LogRef, SessionCorpus, SyntheticSpec};
+    use crate::plan::{AggregateMetric, AggregateSpec, ConfigSweep};
     use crate::query::QuerySet;
+    use crate::store::ColumnSet;
     use veritas::{CounterfactualEngine, VeritasConfig};
+    use veritas_media::VideoAsset;
+    use veritas_player::PlayerConfig;
+    use veritas_trace::BandwidthTrace;
 
     fn tiny_corpus() -> Arc<SessionCorpus> {
         Arc::new(
@@ -1529,6 +1544,81 @@ mod tests {
             .unwrap_err()
             .contains("unknown ladder"));
         assert!(materialize_scenario(&*corpus, &ScenarioSpec::buffer(-1.0)).is_err());
+    }
+
+    /// A corpus that counts its [`Corpus::log`] calls.
+    struct CountingCorpus {
+        inner: Arc<SessionCorpus>,
+        logs: AtomicUsize,
+    }
+
+    impl Corpus for CountingCorpus {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn session_id(&self, index: usize) -> &str {
+            self.inner.session_id(index)
+        }
+
+        fn log(&self, index: usize, columns: ColumnSet) -> Result<LogRef<'_>, String> {
+            self.logs.fetch_add(1, Ordering::Relaxed);
+            self.inner.log(index, columns)
+        }
+
+        fn log_fingerprint(&self, index: usize) -> u64 {
+            self.inner.log_fingerprint(index)
+        }
+
+        fn truth(&self, index: usize) -> Option<&BandwidthTrace> {
+            self.inner.truth(index)
+        }
+
+        fn asset(&self) -> &VideoAsset {
+            self.inner.asset()
+        }
+
+        fn player(&self) -> &PlayerConfig {
+            self.inner.player()
+        }
+
+        fn deployed_abr(&self) -> &str {
+            self.inner.deployed_abr()
+        }
+    }
+
+    #[test]
+    fn every_unit_fetches_its_log_exactly_once() {
+        let corpus = Arc::new(CountingCorpus {
+            inner: tiny_corpus(),
+            logs: AtomicUsize::new(0),
+        });
+        let set = QuerySet::new("t", config())
+            .with_query(Query::abduction("ab"))
+            .with_query(Query::interventional("iv").with_chunk_index(10))
+            .with_query(Query::counterfactual("cf", ScenarioSpec::abr("bba")))
+            .with_query(
+                Query::sweep("sweep-cf", ConfigSweep::new().over_sigma(vec![0.5, 1.0]))
+                    .with_scenario(ScenarioSpec::buffer(30.0)),
+            )
+            .with_query(Query::sweep(
+                "sweep-ab",
+                ConfigSweep::new().over_stay_probability(vec![0.9]),
+            ))
+            .with_query(Query::aggregate(
+                "agg-replay",
+                AggregateSpec::of(AggregateMetric::MeanSsim),
+            ))
+            .with_query(Query::aggregate(
+                "agg-posterior",
+                AggregateSpec::of(AggregateMetric::MeanCapacityMbps),
+            ));
+        let report = Engine::new().run(corpus.clone(), &set).unwrap();
+        assert_eq!(report.summary.errors, 0);
+        // 2 sessions × 8 units (the σ sweep has two variants), plus the
+        // two folded aggregate records, which fetch nothing.
+        assert_eq!(report.records.len(), 18);
+        assert_eq!(corpus.logs.load(Ordering::Relaxed), 16);
     }
 
     #[test]

@@ -380,8 +380,9 @@ pub struct MetricsSnapshot {
     pub cache: CacheStats,
     /// The resident corpus's decode/residency counters
     /// ([`crate::Corpus::residency`]) — present only for lazily backed
-    /// corpora (`.vcorp`), where column projection and the bounded
-    /// resident set make decode volume worth watching.
+    /// corpora (`.vcorp`), where column projection and, over more than
+    /// [`crate::DEFAULT_MAX_RESIDENT`] sessions, a decode per unit make
+    /// decode volume worth watching.
     pub residency: Option<crate::ResidencyStats>,
     /// Per-query-id p50/p95/max unit latency over a sliding window of
     /// the last 4096 units, sorted by id.

@@ -1,8 +1,9 @@
 //! [`LazyCorpus`]: a `.vcorp`-backed [`Corpus`] that decodes session
-//! logs on demand — only the *columns* a query plan demands — and keeps a
-//! bounded resident set in memory.
+//! logs on demand — only the *columns* a query plan demands — and keeps
+//! them all resident when the corpus fits under [`DEFAULT_MAX_RESIDENT`],
+//! or only the most recent decode when it does not.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs::File;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -19,7 +20,9 @@ use super::{
 use crate::corpus::{Corpus, LogRef, ResidencyStats};
 use crate::fault::{FaultPlan, FaultSite};
 
-/// Default ceiling on concurrently resident decoded session logs.
+/// The resident bound, in sessions: a [`LazyCorpus`] of at most this many
+/// sessions keeps every log it decodes, and a larger one keeps only its
+/// most recent decode.
 pub const DEFAULT_MAX_RESIDENT: usize = 256;
 
 /// Positioned reads over the backing file. On unix every block read is
@@ -79,9 +82,6 @@ struct ResidentEntry {
 #[derive(Debug, Default)]
 struct Resident {
     map: HashMap<usize, ResidentEntry>,
-    /// Decode order, for FIFO eviction: every resident session exactly
-    /// once (a widening re-decode moves its session to the back).
-    order: VecDeque<usize>,
     /// Sum of resident entry sizes.
     bytes: usize,
 }
@@ -94,9 +94,11 @@ struct Resident {
 /// independent of corpus size beyond the linear checksum scan, and
 /// [`Corpus::log_fingerprint`] / [`Corpus::content_fingerprint`] never
 /// touch a session block. Logs are decoded (and digest-verified) on
-/// first access per session and cached in a FIFO resident set bounded by
-/// [`LazyCorpus::with_max_resident`] sessions, so a streaming run over a
-/// corpus larger than RAM holds only a window of it.
+/// first access. A corpus of at most [`DEFAULT_MAX_RESIDENT`] sessions
+/// keeps every decoded log, so each session decodes once per process. A
+/// larger one keeps only its most recent decode: a streaming run over a
+/// corpus larger than RAM holds one log at a time, each work unit decodes
+/// its own session, and back-to-back fetches of one session decode once.
 ///
 /// Every block read goes through [`LazyCorpus::load_log_projected`],
 /// which decodes only the columns in a [`ColumnSet`]: it issues one
@@ -121,7 +123,6 @@ pub struct LazyCorpus {
     player: PlayerConfig,
     index: Vec<IndexEntry>,
     resident: Mutex<Resident>,
-    max_resident: usize,
     peak_resident: AtomicUsize,
     peak_resident_bytes: AtomicUsize,
     bytes_decoded: AtomicU64,
@@ -152,20 +153,12 @@ impl LazyCorpus {
             player,
             index: parts.index,
             resident: Mutex::new(Resident::default()),
-            max_resident: DEFAULT_MAX_RESIDENT,
             peak_resident: AtomicUsize::new(0),
             peak_resident_bytes: AtomicUsize::new(0),
             bytes_decoded: AtomicU64::new(0),
             columns_decoded: AtomicU64::new(0),
             fault: None,
         })
-    }
-
-    /// Caps the resident decoded-log set at `max` sessions (at least 1;
-    /// default [`DEFAULT_MAX_RESIDENT`]).
-    pub fn with_max_resident(mut self, max: usize) -> Self {
-        self.max_resident = max.max(1);
-        self
     }
 
     /// Attaches a fault plan: block decodes consult it and fail
@@ -275,32 +268,20 @@ impl LazyCorpus {
                 Some(raced) if !want.is_superset_of(raced.columns) => continue,
                 _ => {}
             }
-            if let Some(old) = resident.map.remove(&index) {
-                // The replaced copy gives up its FIFO slot; the widened
-                // one re-enters at the back.
-                resident.bytes -= old.bytes;
-                resident.order.retain(|&i| i != index);
+            if self.index.len() > DEFAULT_MAX_RESIDENT {
+                // Over the bound, only the most recent decode stays.
+                resident.map.clear();
+                resident.bytes = 0;
             }
-            while resident.map.len() >= self.max_resident {
-                let evict = resident
-                    .order
-                    .pop_front()
-                    .expect("order lists every resident session");
-                let old = resident
-                    .map
-                    .remove(&evict)
-                    .expect("order lists only resident sessions");
+            let entry = ResidentEntry {
+                log: Arc::clone(&log),
+                columns: want,
+                bytes: decoded_bytes,
+            };
+            // A widened copy replaces its narrower one in place.
+            if let Some(old) = resident.map.insert(index, entry) {
                 resident.bytes -= old.bytes;
             }
-            resident.map.insert(
-                index,
-                ResidentEntry {
-                    log: Arc::clone(&log),
-                    columns: want,
-                    bytes: decoded_bytes,
-                },
-            );
-            resident.order.push_back(index);
             resident.bytes += decoded_bytes;
             self.peak_resident
                 .fetch_max(resident.map.len(), Ordering::Relaxed);

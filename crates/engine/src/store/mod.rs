@@ -16,9 +16,11 @@
 //!   [`log_fingerprint`].
 //! * **[`LazyCorpus`]** — opens a `.vcorp` by verifying the whole-file
 //!   checksum and reading only the header + index; session logs are
-//!   decoded on demand per work unit and kept in a bounded FIFO resident
-//!   set, so corpora larger than RAM stream through a run. Cache
-//!   fingerprints are served from the index — no float re-hashing.
+//!   decoded on demand per work unit. A corpus of at most
+//!   [`DEFAULT_MAX_RESIDENT`] sessions keeps every decoded log; a larger
+//!   one keeps only its most recent decode, so corpora larger than RAM
+//!   stream through a run. Cache fingerprints are served from the index
+//!   — no float re-hashing.
 //! * **[`ingest_dir`] / [`append_dir`]** — convert a directory of JSON
 //!   session logs into a `.vcorp` (or merge newly arrived logs into an
 //!   existing one, then compact), behind `veritas ingest`.

@@ -427,43 +427,6 @@ fn full_decodes_check_the_stored_log_fingerprint() {
     }
 }
 
-/// A widened session gives up its old FIFO slot: the next eviction drops
-/// the oldest decode, not the freshly widened copy.
-#[test]
-fn widened_sessions_are_not_evicted_from_their_stale_fifo_slot() {
-    let dir = temp_dir("widen_eviction");
-    let path = dir.join("corpus.vcorp");
-    let mut values = finite_source(0.0);
-    let mut writer = VcorpWriter::create(&path, &meta()).expect("create writer");
-    for i in 0..3 {
-        writer
-            .append(&format!("s{i}"), &synth_log("mpc", 3, &mut values))
-            .expect("append");
-    }
-    writer.finish().expect("finish");
-
-    let corpus = LazyCorpus::open(&path).expect("open").with_max_resident(2);
-    let narrow = ColumnSet::of(&[columns::SIZE_BYTES]);
-    corpus.load_log_projected(0, narrow).expect("load s0");
-    let narrow_bytes = corpus.bytes_decoded() as usize;
-    corpus.load_log_projected(1, narrow).expect("load s1");
-    corpus.load_log(0).expect("widen s0");
-    let full_bytes = corpus.bytes_decoded() as usize - 2 * narrow_bytes;
-    corpus.load_log_projected(2, narrow).expect("load s2");
-
-    // s1 is the oldest decode, so it is the one evicted.
-    let residency = Corpus::residency(&corpus).expect("a lazy corpus reports residency");
-    assert_eq!(residency.resident_sessions, 2);
-    assert_eq!(residency.resident_bytes, full_bytes + narrow_bytes);
-    let before = corpus.bytes_decoded();
-    corpus.load_log(0).expect("reload s0");
-    assert_eq!(
-        corpus.bytes_decoded(),
-        before,
-        "the widened s0 must still be resident"
-    );
-}
-
 #[test]
 fn future_schema_versions_fail_typed_before_the_checksum() {
     let dir = temp_dir("future_version");
@@ -484,29 +447,112 @@ fn future_schema_versions_fail_typed_before_the_checksum() {
     }
 }
 
-#[test]
-fn lazy_loading_bounds_the_resident_set() {
-    let dir = temp_dir("resident_bound");
-    let path = dir.join("corpus.vcorp");
-    let mut values = bit_source(42);
-    let logs: Vec<SessionLog> = (0..5).map(|_| synth_log("mpc", 3, &mut values)).collect();
+/// Writes `sessions` three-chunk `mpc` logs drawn from `values` and
+/// returns the corpus path and the logs.
+fn write_three_chunk_corpus(
+    name: &str,
+    sessions: usize,
+    values: &mut impl FnMut() -> f64,
+) -> (PathBuf, Vec<SessionLog>) {
+    let path = temp_dir(name).join("corpus.vcorp");
+    let logs: Vec<SessionLog> = (0..sessions).map(|_| synth_log("mpc", 3, values)).collect();
     let mut writer = VcorpWriter::create(&path, &meta()).expect("create writer");
     for (i, log) in logs.iter().enumerate() {
         writer.append(&format!("s{i}"), log).expect("append");
     }
     writer.finish().expect("finish");
+    (path, logs)
+}
 
-    let corpus = LazyCorpus::open(&path).expect("open").with_max_resident(2);
+/// Bytes one decode of a three-chunk `mpc` block reads under `cols`: a
+/// 64-byte header (ABR name, five `f64`s, chunk count) plus 8 bytes per
+/// chunk per selected column.
+fn three_chunk_block_bytes(cols: ColumnSet) -> usize {
+    64 + cols.len() * 3 * 8
+}
+
+/// Over the resident bound only the most recent decode stays resident:
+/// re-fetching it decodes nothing, and fetching any other session decodes
+/// its projected bytes again.
+#[test]
+fn lazy_loading_bounds_the_resident_set() {
+    let (path, logs) = write_three_chunk_corpus(
+        "resident_bound",
+        DEFAULT_MAX_RESIDENT + 1,
+        &mut bit_source(42),
+    );
+    let corpus = LazyCorpus::open(&path).expect("open");
     let residency = || corpus.residency().expect("a lazy corpus reports residency");
     assert_eq!(residency().resident_sessions, 0, "open must decode nothing");
-    for i in 0..corpus.len() {
-        corpus.load_log(i).expect("load");
-        assert!(residency().resident_sessions <= 2);
+    let cols = ColumnSet::of(&[columns::SIZE_BYTES, columns::SSIM]);
+    let block = three_chunk_block_bytes(cols);
+    // Two passes: the second starts on a session the first evicted.
+    for _ in 0..2 {
+        for i in 0..corpus.len() {
+            let before = corpus.bytes_decoded();
+            corpus.load_log_projected(i, cols).expect("load");
+            assert_eq!(corpus.bytes_decoded() - before, block as u64);
+            corpus.load_log_projected(i, cols).expect("re-fetch");
+            assert_eq!(
+                corpus.bytes_decoded() - before,
+                block as u64,
+                "re-fetching the last decode must decode nothing"
+            );
+            assert_eq!(
+                (residency().resident_sessions, residency().resident_bytes),
+                (1, block)
+            );
+        }
     }
-    assert_eq!(residency().peak_resident_sessions, 2);
+    assert_eq!(residency().peak_resident_sessions, 1);
+    assert_eq!(residency().peak_resident_bytes, block);
     // An evicted session reloads bit-identically.
     let reloaded = corpus.load_log(0).expect("reload evicted session");
     assert_eq!(log_bits(&reloaded), log_bits(&logs[0]));
+}
+
+/// A corpus within the resident bound keeps every decoded session; a
+/// widened session replaces its narrow copy in place, and re-fetches
+/// decode nothing.
+#[test]
+fn a_fitting_corpus_keeps_every_session_and_widens_in_place() {
+    let (path, _) = write_three_chunk_corpus(
+        "resident_fit",
+        DEFAULT_MAX_RESIDENT,
+        &mut finite_source(0.0),
+    );
+    let corpus = LazyCorpus::open(&path).expect("open");
+    let residency = || corpus.residency().expect("a lazy corpus reports residency");
+    let narrow = ColumnSet::of(&[columns::SIZE_BYTES]);
+    let (narrow_bytes, full_bytes) = (
+        three_chunk_block_bytes(narrow),
+        three_chunk_block_bytes(ColumnSet::all()),
+    );
+    for i in 0..corpus.len() {
+        corpus.load_log_projected(i, narrow).expect("load");
+    }
+    corpus.load_log(1).expect("widen s1");
+    assert_eq!(
+        corpus.bytes_decoded() as usize,
+        DEFAULT_MAX_RESIDENT * narrow_bytes + full_bytes
+    );
+    assert_eq!(residency().resident_sessions, DEFAULT_MAX_RESIDENT);
+    assert_eq!(
+        residency().resident_bytes,
+        full_bytes + (DEFAULT_MAX_RESIDENT - 1) * narrow_bytes,
+        "the wide copy must replace the narrow one"
+    );
+    let before = corpus.bytes_decoded();
+    for i in 0..corpus.len() {
+        corpus.load_log_projected(i, narrow).expect("re-fetch");
+    }
+    corpus.load_log(1).expect("re-fetch the wide copy");
+    assert_eq!(
+        corpus.bytes_decoded(),
+        before,
+        "every session stays resident"
+    );
+    assert_eq!(residency().peak_resident_sessions, DEFAULT_MAX_RESIDENT);
 }
 
 /// The column-projection byte pin: a 3-of-18-column pass over a
