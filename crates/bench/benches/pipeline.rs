@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the end-to-end pipelines: session emulation,
 //! full abduction on a recorded session, a complete counterfactual
-//! comparison (abduction + K replays + baseline + oracle), and the query
-//! engine over a shared-session query set.
+//! comparison (abduction + K replays + baseline + oracle), the query
+//! engine over a shared-session query set, and one warm next-chunk
+//! request.
 
 use std::sync::Arc;
 
@@ -9,7 +10,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use veritas::{Abduction, CounterfactualEngine, Scenario, VeritasConfig};
 use veritas_abr::Mpc;
-use veritas_engine::{Corpus, Engine, QuerySet, SyntheticSpec};
+use veritas_engine::{
+    Corpus, CorpusMeta, Engine, LazyCorpus, Query, QueryPlan, QuerySet, SyntheticSpec, VcorpWriter,
+};
 use veritas_media::{QualityLadder, VbrParams, VideoAsset};
 use veritas_player::{run_session, PlayerConfig};
 use veritas_trace::generators::{FccLike, TraceGenerator};
@@ -104,9 +107,70 @@ fn bench_engine(c: &mut Criterion) {
     });
 }
 
+/// The fixed cost of one next-chunk request on a warm engine: compile,
+/// submit and wait of a six-query interventional set (the logged chunk
+/// and every ladder rung) on one session of a 200-session `.vcorp`. The
+/// engine runs one thread and one earlier run left the prefix posterior
+/// and the session's log resident, so every unit is a memory hit and the
+/// request machinery is all that is timed. CI fails it above 0.5× of the
+/// committed median recorded while every run spawned a worker thread and
+/// every compile and submit re-hashed the asset.
+fn bench_nextchunk(c: &mut Criterion) {
+    c.bench_function("engine/nextchunk_request_warm", |b| {
+        let synthetic = SyntheticSpec {
+            sessions: 200,
+            ..SyntheticSpec::default()
+        }
+        .try_build()
+        .expect("synthetic corpus");
+        let path = std::env::temp_dir().join(format!(
+            "veritas_bench_nextchunk_{}.vcorp",
+            std::process::id()
+        ));
+        let mut writer =
+            VcorpWriter::create(&path, &CorpusMeta::for_log(&synthetic.sessions[0].log))
+                .expect("create .vcorp");
+        for session in &synthetic.sessions {
+            writer.append(&session.id, &session.log).expect("append");
+        }
+        writer.finish().expect("finish .vcorp");
+        let corpus: Arc<dyn Corpus> = Arc::new(LazyCorpus::open(&path).expect("open"));
+        let (session, chunk) = (0, 60);
+        let query = |id: &str| {
+            Query::interventional(id)
+                .with_sessions(vec![session])
+                .with_chunk_index(chunk)
+        };
+        let asset = corpus.asset();
+        let set = (0..asset.num_qualities()).fold(
+            QuerySet::new("nextchunk", VeritasConfig::paper_default()).with_query(query("logged")),
+            |set, rung| {
+                set.with_query(
+                    query(&format!("rung-{rung}"))
+                        .with_candidate_size(asset.size_bytes(chunk, rung)),
+                )
+            },
+        );
+        assert_eq!(set.queries.len(), 6);
+        let engine = Engine::builder().threads(1).build().unwrap();
+        let warm = engine.run(Arc::clone(&corpus), &set).unwrap();
+        assert_eq!(warm.summary.errors, 0);
+        b.iter(|| {
+            let plan = QueryPlan::compile(black_box(&set), corpus.as_ref()).unwrap();
+            let report = engine
+                .submit_shared(Arc::clone(&corpus), Arc::new(plan))
+                .unwrap()
+                .wait();
+            assert_eq!(report.summary.cache_misses, 0);
+            report
+        });
+        let _ = std::fs::remove_file(&path);
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_pipeline, bench_engine
+    targets = bench_pipeline, bench_engine, bench_nextchunk
 }
 criterion_main!(benches);

@@ -123,31 +123,13 @@ pub trait Corpus: Send + Sync {
     /// [`crate::QueryPlan`] corpus fingerprint: counterfactual scenarios
     /// are materialized *from* this setting at compile time, so a corpus
     /// with identical logs but a different deployed setting must not
-    /// accept a stale plan. Every corpus kind uses this one default, so a
-    /// directory and its ingested `.vcorp` never hash the setting
-    /// differently.
+    /// accept a stale plan. The default hashes the setting on every call;
+    /// [`crate::LazyCorpus`] hashes it once at open with the same
+    /// function, so a directory and its ingested `.vcorp` never hash the
+    /// setting differently. An override must return what the default
+    /// returns.
     fn deployed_fingerprint(&self) -> u64 {
-        let (abr, player, asset) = (self.deployed_abr(), self.player(), self.asset());
-        let mut hash = FNV_OFFSET;
-        fnv_mix(&mut hash, abr.len() as u64);
-        for byte in abr.bytes() {
-            fnv_mix(&mut hash, u64::from(byte));
-        }
-        fnv_mix_f64(&mut hash, player.buffer_capacity_s);
-        fnv_mix(&mut hash, player.startup_chunks as u64);
-        fnv_mix_f64(&mut hash, player.link.one_way_delay_s);
-        fnv_mix_f64(&mut hash, player.link.mss_bytes);
-        fnv_mix_f64(&mut hash, player.link.queue_segments);
-        fnv_mix(&mut hash, asset.num_chunks() as u64);
-        fnv_mix(&mut hash, asset.num_qualities() as u64);
-        fnv_mix_f64(&mut hash, asset.chunk_duration_s());
-        for chunk in 0..asset.num_chunks() {
-            for quality in 0..asset.num_qualities() {
-                fnv_mix_f64(&mut hash, asset.size_bytes(chunk, quality));
-                fnv_mix_f64(&mut hash, asset.ssim(chunk, quality));
-            }
-        }
-        hash
+        deployed_setting_fingerprint(self.deployed_abr(), self.player(), self.asset())
     }
 
     /// Fingerprint of the corpus *content*: every session's log
@@ -222,6 +204,36 @@ pub trait Corpus: Send + Sync {
             }
         }
     }
+}
+
+/// The [`Corpus::deployed_fingerprint`] of a deployed setting: the ABR
+/// name, the player configuration and every chunk size and SSIM of the
+/// asset.
+pub(crate) fn deployed_setting_fingerprint(
+    abr: &str,
+    player: &PlayerConfig,
+    asset: &VideoAsset,
+) -> u64 {
+    let mut hash = FNV_OFFSET;
+    fnv_mix(&mut hash, abr.len() as u64);
+    for byte in abr.bytes() {
+        fnv_mix(&mut hash, u64::from(byte));
+    }
+    fnv_mix_f64(&mut hash, player.buffer_capacity_s);
+    fnv_mix(&mut hash, player.startup_chunks as u64);
+    fnv_mix_f64(&mut hash, player.link.one_way_delay_s);
+    fnv_mix_f64(&mut hash, player.link.mss_bytes);
+    fnv_mix_f64(&mut hash, player.link.queue_segments);
+    fnv_mix(&mut hash, asset.num_chunks() as u64);
+    fnv_mix(&mut hash, asset.num_qualities() as u64);
+    fnv_mix_f64(&mut hash, asset.chunk_duration_s());
+    for chunk in 0..asset.num_chunks() {
+        for quality in 0..asset.num_qualities() {
+            fnv_mix_f64(&mut hash, asset.size_bytes(chunk, quality));
+            fnv_mix_f64(&mut hash, asset.ssim(chunk, quality));
+        }
+    }
+    hash
 }
 
 /// Point-in-time residency counters of a lazily backed corpus (see

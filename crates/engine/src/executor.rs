@@ -9,14 +9,19 @@
 //! deterministic regardless of which worker ran which job. The streaming
 //! [`stream`] instead sends each `(index, result)` pair through a bounded
 //! [`mpsc::sync_channel`] the moment it completes and detaches its
-//! workers, so the caller can consume incrementally while execution
-//! continues.
+//! helper workers, so the caller can consume incrementally while
+//! execution continues. The consuming thread is one of the stream's
+//! workers: its [`Claim`] runs unclaimed jobs on that thread, so a
+//! one-thread stream spawns nothing.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
 /// Number of worker threads to use by default: the available parallelism
-/// minus one (leaving a core for the coordinating thread), at least one.
+/// minus one, at least one. The count includes the thread that consumes
+/// a run (see [`stream`]), so one core stays free for the rest of the
+/// process: a daemon's accept loop and other connections, or a client on
+/// the same host.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get().saturating_sub(1).max(1))
@@ -75,47 +80,94 @@ where
     merged.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Runs `job` over every index in `jobs` across detached workers,
-/// streaming each completed `(job index, result)` pair through a bounded
-/// channel.
+/// Runs `job` over every index in `jobs` on `threads` workers: the
+/// calling thread, through the returned [`Stream::claim`], and
+/// `threads − 1` detached helpers (none when `threads == 1`), which send
+/// each completed `(job index, result)` pair through a bounded channel.
 ///
-/// The workers share one atomic cursor over `jobs`, so they claim
-/// indices in list order and never idle while any job remains. The
-/// channel holds at most `capacity` undelivered results: when the
-/// consumer falls behind, workers block on `send`, bounding memory by
-/// `capacity` records instead of the whole result set. Dropping the
-/// receiver shuts the pool down: every subsequent `send` fails and the
-/// workers exit. A panicking job poisons nothing — the worker unwinds,
-/// its channel handle drops, and the caller observes the panic by joining
-/// the returned handles.
-pub fn stream<R, F>(
-    jobs: Vec<usize>,
-    threads: usize,
-    capacity: usize,
-    job: F,
-) -> (mpsc::Receiver<(usize, R)>, Vec<std::thread::JoinHandle<()>>)
+/// Every worker claims indices from one atomic cursor over `jobs`, so
+/// jobs start in list order and no worker idles while any job remains.
+/// The channel holds at most `capacity` undelivered helper results: when
+/// the consumer falls behind, helpers block on `send`, bounding memory by
+/// `capacity` records instead of the whole result set. The consumer
+/// drains both sources: a ready helper result, else [`Claim::run_next`]
+/// on its own thread, and a blocking `recv` only once the claim is
+/// exhausted (the channel then closes when the last helper exits).
+/// Dropping the receiver shuts the helpers down: every subsequent `send`
+/// fails and they exit. A panicking helper job poisons nothing — the
+/// helper unwinds, its channel handle drops, and the caller observes the
+/// panic by joining [`Stream::helpers`]; a panicking claimed job unwinds
+/// through the caller.
+pub fn stream<R, F>(jobs: Vec<usize>, threads: usize, capacity: usize, job: F) -> Stream<R>
 where
     R: Send + 'static,
     F: Fn(usize) -> R + Send + Sync + 'static,
 {
     let threads = threads.max(1).min(jobs.len().max(1));
-    let shared = Arc::new((jobs, AtomicUsize::new(0), job));
-    let (tx, rx) = mpsc::sync_channel(capacity.max(1));
-    let workers = (0..threads)
+    let shared = Arc::new(Shared {
+        jobs,
+        cursor: AtomicUsize::new(0),
+        job,
+    });
+    let (tx, results) = mpsc::sync_channel(capacity.max(1));
+    let helpers = (1..threads)
         .map(|_| {
             let shared = Arc::clone(&shared);
             let tx = tx.clone();
             std::thread::spawn(move || {
-                let (jobs, cursor, job) = &*shared;
-                while let Some(&index) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                    if tx.send((index, job(index))).is_err() {
+                while let Some(completed) = shared.run_next() {
+                    if tx.send(completed).is_err() {
                         return; // receiver gone — the run was abandoned
                     }
                 }
             })
         })
         .collect();
-    (rx, workers)
+    Stream {
+        results,
+        helpers,
+        claim: Claim { shared },
+    }
+}
+
+/// A started [`stream`], as its consumer holds it.
+pub struct Stream<R> {
+    /// The helpers' completed `(job index, result)` pairs.
+    pub results: mpsc::Receiver<(usize, R)>,
+    /// The helpers' join handles, `threads − 1` of them.
+    pub helpers: Vec<std::thread::JoinHandle<()>>,
+    /// The consuming thread's claim on the helpers' cursor.
+    pub claim: Claim<R>,
+}
+
+/// What a stream's workers share: the job list, the cursor into it, and
+/// the job itself.
+struct Shared<F: ?Sized> {
+    jobs: Vec<usize>,
+    cursor: AtomicUsize,
+    job: F,
+}
+
+impl<R, F: Fn(usize) -> R + ?Sized> Shared<F> {
+    fn run_next(&self) -> Option<(usize, R)> {
+        let &index = self.jobs.get(self.cursor.fetch_add(1, Ordering::Relaxed))?;
+        Some((index, (self.job)(index)))
+    }
+}
+
+/// The consuming thread's claim on a [`stream`]'s cursor: the same
+/// cursor its helpers claim from.
+pub struct Claim<R> {
+    shared: Arc<Shared<dyn Fn(usize) -> R + Send + Sync>>,
+}
+
+impl<R> Claim<R> {
+    /// Claims the next unclaimed job and runs it on the calling thread,
+    /// returning `(job index, result)`; `None` once every job has been
+    /// claimed (by this claim or a helper).
+    pub fn run_next(&self) -> Option<(usize, R)> {
+        self.shared.run_next()
+    }
 }
 
 /// Runs `job` with panic isolation: a panic is caught and rendered as an
@@ -180,30 +232,69 @@ mod tests {
         assert!(default_threads() >= 1);
     }
 
+    /// Drains a stream the way a run's consumer does: a ready helper
+    /// result first, else a job on this thread, and a blocking `recv`
+    /// only once the claim is exhausted.
+    fn drain<R>(stream: &Stream<R>) -> Vec<(usize, R)> {
+        let mut received = Vec::new();
+        loop {
+            let next = match stream.results.try_recv() {
+                Ok(pair) => Some(pair),
+                Err(_) => stream
+                    .claim
+                    .run_next()
+                    .or_else(|| stream.results.recv().ok()),
+            };
+            match next {
+                Some(pair) => received.push(pair),
+                None => return received,
+            }
+        }
+    }
+
     #[test]
     fn stream_delivers_every_job_exactly_once() {
-        let (rx, workers) = stream(vec![5, 0, 3, 1, 4, 2], 4, 2, |i| i * 10);
-        let mut received: Vec<(usize, usize)> = rx.iter().collect();
-        for handle in workers {
-            handle.join().unwrap();
+        for threads in [1, 2, 4] {
+            let stream = stream(vec![5, 0, 3, 1, 4, 2], threads, 2, |i| i * 10);
+            assert_eq!(stream.helpers.len(), threads - 1);
+            let mut received = drain(&stream);
+            for handle in stream.helpers {
+                handle.join().unwrap();
+            }
+            received.sort_unstable();
+            assert_eq!(
+                received,
+                (0..6).map(|i| (i, i * 10)).collect::<Vec<_>>(),
+                "every job must arrive exactly once ({threads} threads)"
+            );
         }
-        received.sort_unstable();
+    }
+
+    #[test]
+    fn a_one_thread_stream_runs_every_job_on_the_calling_thread() {
+        let stream = stream(vec![2, 0, 1], 1, 4, |i| (i, std::thread::current().id()));
+        assert!(stream.helpers.is_empty(), "one thread spawns no helper");
+        let received = drain(&stream);
+        let me = std::thread::current().id();
         assert_eq!(
             received,
-            (0..6).map(|i| (i, i * 10)).collect::<Vec<_>>(),
-            "every job must arrive exactly once"
+            vec![(2, (2, me)), (0, (0, me)), (1, (1, me))],
+            "the claim runs jobs in list order on the caller's thread"
         );
     }
 
     #[test]
     fn stream_workers_stop_when_the_receiver_is_dropped() {
-        // 64 jobs, capacity 1: dropping the receiver after one result must
-        // still let every worker terminate.
-        let (rx, workers) = stream((0..64).collect(), 2, 1, |i| i);
-        let first = rx.recv().unwrap();
+        // 64 jobs, capacity 1: dropping the receiver after one helper
+        // result must still let every helper terminate.
+        let Stream {
+            results, helpers, ..
+        } = stream((0..64).collect(), 3, 1, |i| i);
+        assert_eq!(helpers.len(), 2);
+        let first = results.recv().unwrap();
         assert!(first.0 < 64);
-        drop(rx);
-        for handle in workers {
+        drop(results);
+        for handle in helpers {
             handle.join().unwrap();
         }
     }

@@ -46,7 +46,9 @@ pub struct EngineFlags {
     pub synthetic: Option<usize>,
     /// `--seed`: the synthetic corpus seed (default 7).
     pub seed: Option<u64>,
-    /// `--threads`: worker threads per plan (default: available
+    /// `--threads`: threads per plan, counting the thread that consumes
+    /// it (a `veritasd` connection thread, or the CLI's main thread):
+    /// each plan spawns `threads − 1` helpers (default: available
     /// parallelism minus one, at least one).
     pub threads: Option<usize>,
     /// `--shards`: the partition width of a `--workers` run (default one

@@ -10,13 +10,14 @@
 //!    trace-level reductions) into a flat, validated list of
 //!    [`WorkUnit`]s with per-config cache fingerprints precomputed and
 //!    counterfactual scenarios materialized once per distinct spec.
-//! 2. **Execute** — [`Engine::submit_shared`] fans units out across
-//!    atomic-cursor workers, resolves every abduction through the shared
+//! 2. **Execute** — [`Engine::submit_shared`] hands units to
+//!    atomic-cursor workers (the consuming thread and `threads − 1`
+//!    helpers), resolves every abduction through the shared
 //!    [`AbductionCache`] (one EHMM posterior per session × config ×
-//!    horizon), and pushes each completed [`QueryRecord`] through a
-//!    bounded channel. Engines are configured with [`EngineBuilder`]
-//!    (threads, persistent cache tier, admission bound, retry policy,
-//!    fault plan) via [`Engine::builder`].
+//!    horizon), and pushes each helper's completed [`QueryRecord`]
+//!    through a bounded channel. Engines are configured with
+//!    [`EngineBuilder`] (threads, persistent cache tier, admission bound,
+//!    retry policy, fault plan) via [`Engine::builder`].
 //! 3. **Consume** — the returned [`RunHandle`] is an
 //!    `Iterator<Item = QueryRecord>` for incremental consumption
 //!    (aggregations fold from the stream without buffering records), and

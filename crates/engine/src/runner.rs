@@ -3,13 +3,15 @@
 //! view of every run, in-process or distributed.
 //!
 //! Execution model: every [`crate::WorkUnit`] (query × session × config)
-//! is independent. Units are claimed by atomic-cursor workers
-//! ([`crate::executor::stream`]); each unit resolves its abduction
-//! through the shared [`AbductionCache`] using the plan's precomputed
-//! config fingerprints, so a batch of N queries touching the same
-//! session runs forward–backward once, not N times. Completed
-//! [`QueryRecord`]s flow through a bounded channel the moment they
-//! finish:
+//! is independent. Units are claimed from one atomic cursor
+//! ([`crate::executor::stream`]) by the run's `threads` workers: the
+//! thread consuming the [`RunHandle`] and `threads − 1` helper threads.
+//! Each unit resolves its abduction through the shared [`AbductionCache`]
+//! using the plan's precomputed config fingerprints, so a batch of N
+//! queries touching the same session runs forward–backward once, not N
+//! times. Helpers push completed [`QueryRecord`]s through a bounded
+//! channel the moment they finish, and the consumer yields its own the
+//! same way:
 //!
 //! * **incremental** — `RunHandle` implements
 //!   `Iterator<Item = QueryRecord>`, yielding records in completion
@@ -286,7 +288,8 @@ pub struct RunSummary {
     /// nonzero on a warm start, and together with `cache_misses == 0` the
     /// proof that the run performed no EHMM inference at all.
     pub disk_hits: u64,
-    /// Worker threads used (worker processes, for a distributed run).
+    /// Threads that ran units, the consuming thread included (worker
+    /// processes, for a distributed run).
     pub threads: usize,
     /// Corpus shards the run was partitioned into: the coordinator's
     /// partition width for a distributed run, the partition a
@@ -467,9 +470,12 @@ impl EngineBuilder {
         Self::default()
     }
 
-    /// Worker-thread count. `0` means "pick the default"
-    /// ([`executor::default_threads`]); the builder, not the executor,
-    /// owns that convention, so a summary always reports the real count.
+    /// Threads per run, counting the thread that consumes its
+    /// [`RunHandle`]: a run spawns `threads − 1` helper workers, so one
+    /// thread spawns none and runs every unit as the handle is consumed.
+    /// `0` means "pick the default" ([`executor::default_threads`]); the
+    /// builder, not the executor, owns that convention, so a summary
+    /// always reports the real count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -648,11 +654,14 @@ impl Engine {
     /// [`Corpus`] — eager [`crate::SessionCorpus`] values and lazy
     /// [`crate::LazyCorpus`] views alike, shared rather than copied.
     ///
-    /// Returns immediately with a [`RunHandle`]; workers push each
-    /// completed [`QueryRecord`] through a bounded channel as it
-    /// finishes. Fails fast when the corpus is empty or is not the one
-    /// the plan was compiled against (plans resolve session selectors
-    /// and deployed-setting scenarios at compile time, so they are
+    /// Returns immediately with a [`RunHandle`]. The run advances as the
+    /// handle is consumed: the consuming thread runs units itself, while
+    /// `threads − 1` helper workers push each completed [`QueryRecord`]
+    /// through a bounded channel as it finishes. A one-thread run spawns
+    /// no helper, so it advances only as the handle is consumed. Fails
+    /// fast when the corpus is empty or is not the one the plan was
+    /// compiled against (plans resolve session selectors and
+    /// deployed-setting scenarios at compile time, so they are
     /// corpus-shaped).
     pub fn submit_shared(
         &self,
@@ -721,18 +730,20 @@ impl Engine {
         });
         let worker_ctx = Arc::clone(&ctx);
         let capacity = self.threads.saturating_mul(2).clamp(4, 1024);
-        let (rx, workers) = executor::stream(units, self.threads, capacity, move |index| {
+        let stream = executor::stream(units, self.threads, capacity, move |index| {
             worker_ctx.supervised_run(index)
         });
-        Ok(RunHandle::new(
+        let mut handle = RunHandle::new(
             ctx,
-            rx,
-            workers,
+            stream.results,
+            stream.helpers,
             self.threads,
             shards,
             matches!(scope, Scope::All),
             started,
-        ))
+        );
+        handle.claim = Some(stream.claim);
+        Ok(handle)
     }
 }
 
@@ -785,16 +796,20 @@ struct AggregateFold {
 /// A live streaming run: the **consume** stage, for in-process and
 /// distributed runs alike.
 ///
-/// Its producers — in-process workers ([`Engine::submit_shared`]) or a
-/// coordinator's per-shard dispatch threads
+/// Its producers — in-process helper workers ([`Engine::submit_shared`])
+/// or a coordinator's per-shard dispatch threads
 /// ([`crate::dist::Coordinator::submit`]) — push `(plan position,
 /// record)` pairs through one bounded channel and fold their counters
-/// into the run's shared context. Iterate the handle for records in
-/// completion order (each `next()` blocks until a producer delivers
-/// one), then call [`RunHandle::into_summary`]; or call
-/// [`RunHandle::wait`] for the deterministic batch report. Dropping the
-/// handle abandons the run: producers observe the closed channel and
-/// stop after their in-flight unit or shard.
+/// into the run's shared context. An in-process run also advances on
+/// the consuming thread: each `next()` returns a helper's finished
+/// record when one is ready, otherwise runs the next unclaimed unit
+/// itself, and blocks on the channel only once every unit is claimed. A
+/// one-thread run has no helper, so it advances only as the handle is
+/// consumed. Iterate the handle for records in completion order, then
+/// call [`RunHandle::into_summary`]; or call [`RunHandle::wait`] for the
+/// deterministic batch report. Dropping the handle abandons the run:
+/// producers observe the closed channel and stop after their in-flight
+/// unit or shard.
 ///
 /// Unit panics are *isolated*: a panicking unit becomes a typed error
 /// record (via [`crate::executor::run_isolated`]), so the only panics
@@ -803,6 +818,10 @@ struct AggregateFold {
 pub struct RunHandle {
     rx: Option<mpsc::Receiver<(usize, QueryRecord)>>,
     producers: Vec<std::thread::JoinHandle<()>>,
+    /// An in-process run's claim on its unit cursor: the consuming thread
+    /// runs unclaimed units itself. `None` for a coordinator's run, whose
+    /// units run in worker processes.
+    claim: Option<executor::Claim<QueryRecord>>,
     /// Shared with the producers; carries this run's own counters so
     /// concurrent submits on one engine never pollute each other's
     /// summaries.
@@ -852,6 +871,7 @@ impl RunHandle {
         Self {
             rx: Some(rx),
             producers,
+            claim: None,
             ctx,
             pending: None,
             folds,
@@ -865,18 +885,29 @@ impl RunHandle {
     }
 
     /// Yields the next record with its deterministic sort key (units
-    /// sort by plan position; aggregation folds after all units).
+    /// sort by plan position; aggregation folds after all units): a
+    /// producer's finished record when one is ready, else the next
+    /// unclaimed unit run on this thread, and a blocking receive only
+    /// once every unit has been claimed.
     fn next_keyed(&mut self) -> Option<(usize, QueryRecord)> {
         if let Some(keyed) = self.pending.take() {
             return Some(keyed);
         }
         let rx = self.rx.as_ref()?;
-        match rx.recv() {
-            Ok((key, record)) => {
+        let next = match rx.try_recv() {
+            Ok(keyed) => Some(keyed),
+            Err(_) => self
+                .claim
+                .as_ref()
+                .and_then(executor::Claim::run_next)
+                .or_else(|| rx.recv().ok()),
+        };
+        match next {
+            Some((key, record)) => {
                 self.absorb_unit(key, &record);
                 Some((key, record))
             }
-            Err(_) => {
+            None => {
                 self.rx = None;
                 self.join_producers();
                 None
@@ -1546,10 +1577,24 @@ mod tests {
         assert!(materialize_scenario(&*corpus, &ScenarioSpec::buffer(-1.0)).is_err());
     }
 
-    /// A corpus that counts its [`Corpus::log`] calls.
+    /// A corpus that records the thread of each of its [`Corpus::log`]
+    /// calls.
     struct CountingCorpus {
         inner: Arc<SessionCorpus>,
-        logs: AtomicUsize,
+        fetches: Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl CountingCorpus {
+        fn new() -> Arc<Self> {
+            Arc::new(Self {
+                inner: tiny_corpus(),
+                fetches: Mutex::new(Vec::new()),
+            })
+        }
+
+        fn logs(&self) -> usize {
+            self.fetches.lock().len()
+        }
     }
 
     impl Corpus for CountingCorpus {
@@ -1562,7 +1607,7 @@ mod tests {
         }
 
         fn log(&self, index: usize, columns: ColumnSet) -> Result<LogRef<'_>, String> {
-            self.logs.fetch_add(1, Ordering::Relaxed);
+            self.fetches.lock().push(std::thread::current().id());
             self.inner.log(index, columns)
         }
 
@@ -1589,10 +1634,7 @@ mod tests {
 
     #[test]
     fn every_unit_fetches_its_log_exactly_once() {
-        let corpus = Arc::new(CountingCorpus {
-            inner: tiny_corpus(),
-            logs: AtomicUsize::new(0),
-        });
+        let corpus = CountingCorpus::new();
         let set = QuerySet::new("t", config())
             .with_query(Query::abduction("ab"))
             .with_query(Query::interventional("iv").with_chunk_index(10))
@@ -1618,7 +1660,62 @@ mod tests {
         // 2 sessions × 8 units (the σ sweep has two variants), plus the
         // two folded aggregate records, which fetch nothing.
         assert_eq!(report.records.len(), 18);
-        assert_eq!(corpus.logs.load(Ordering::Relaxed), 16);
+        assert_eq!(corpus.logs(), 16);
+    }
+
+    #[test]
+    fn a_one_thread_run_answers_every_unit_on_the_consuming_thread() {
+        let corpus = CountingCorpus::new();
+        let set = QuerySet::new("t", config())
+            .with_query(Query::abduction("ab"))
+            .with_query(Query::interventional("iv").with_chunk_index(10))
+            .with_query(Query::counterfactual("cf", ScenarioSpec::abr("bba")));
+        let engine = Engine::builder().threads(1).build().unwrap();
+        let report = engine.run(corpus.clone(), &set).unwrap();
+        assert_eq!(report.summary.errors, 0);
+        assert_eq!(report.summary.threads, 1);
+        let me = std::thread::current().id();
+        let fetches = corpus.fetches.lock();
+        assert_eq!(fetches.len(), 6, "2 sessions × 3 queries");
+        assert!(
+            fetches.iter().all(|&thread| thread == me),
+            "a one-thread run spawns no worker: every unit runs on the consuming thread"
+        );
+    }
+
+    #[test]
+    fn a_one_thread_run_advances_only_as_its_handle_is_consumed() {
+        let corpus = CountingCorpus::new();
+        let set = QuerySet::new("t", config())
+            .with_query(Query::abduction("ab"))
+            .with_query(
+                Query::counterfactual("cf", ScenarioSpec::abr("bba")).with_sessions(vec![1]),
+            );
+        let plan = Arc::new(QueryPlan::compile(&set, &*corpus).unwrap());
+        assert_eq!(plan.units().len(), 3);
+        let engine = Engine::builder().threads(1).build().unwrap();
+        // On its own thread, so a drop that hangs fails the test instead
+        // of stalling it.
+        let (done, finished) = mpsc::channel();
+        let consumer = {
+            let corpus = Arc::clone(&corpus);
+            std::thread::spawn(move || {
+                let mut handle = engine.submit_shared(corpus, plan).unwrap();
+                let first = handle.next().expect("a record");
+                assert!(first.is_ok());
+                drop(handle);
+                done.send(()).unwrap();
+            })
+        };
+        finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("dropping a partly consumed run must not hang");
+        consumer.join().unwrap();
+        assert_eq!(
+            corpus.logs(),
+            1,
+            "one record taken: exactly one unit ran, and the drop ran no more"
+        );
     }
 
     #[test]

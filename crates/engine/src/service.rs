@@ -161,8 +161,9 @@ OPTIONS:
                          `veritas ingest`)
     --synthetic N        Serve an N-session synthetic corpus (default: 4 sessions)
     --seed S             Synthetic corpus seed (default 7)
-    --threads N          Worker threads per plan (default: available cores
-                         minus one, at least 1)
+    --threads N          Threads per plan, counting the connection thread,
+                         which runs units too: a plan spawns N - 1 helpers
+                         (default: available cores minus one, at least 1)
     --cache-dir DIR      Persistent abduction store (warm restarts)
     --admission N        Max concurrent plans before shedding (default 4)
     --io-timeout SECS    Per-connection read/write deadline (default 30; 0 = none)
@@ -465,7 +466,12 @@ impl ServiceState {
             return;
         }
         let mut latencies = self.latencies.lock();
-        let window = latencies.entry(record.query_id.clone()).or_default();
+        // Looked up by `&str`: the id is copied only the first time it
+        // is seen, not once per record.
+        let window = match latencies.get_mut(record.query_id.as_str()) {
+            Some(window) => window,
+            None => latencies.entry(record.query_id.clone()).or_default(),
+        };
         if window.len() == LATENCY_WINDOW {
             window.pop_front();
         }

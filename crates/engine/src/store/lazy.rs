@@ -17,7 +17,7 @@ use super::{
     block_header_len, decode_block, open_parts, projected_ranges, ColumnSet, CorpusMeta,
     IndexEntry, VcorpError,
 };
-use crate::corpus::{Corpus, LogRef, ResidencyStats};
+use crate::corpus::{deployed_setting_fingerprint, Corpus, LogRef, ResidencyStats};
 use crate::fault::{FaultPlan, FaultSite};
 
 /// The resident bound, in sessions: a [`LazyCorpus`] of at most this many
@@ -114,13 +114,17 @@ struct Resident {
 /// The deployed setting (asset, player, ABR) is reconstructed from the
 /// header exactly as [`crate::SessionCorpus::from_dir`] reconstructs it
 /// from the first JSON log, so plans, cache keys, and records are
-/// interchangeable between a directory and its ingested `.vcorp`.
+/// interchangeable between a directory and its ingested `.vcorp`. Its
+/// [`Corpus::deployed_fingerprint`] is hashed once, at open, so neither
+/// [`crate::QueryPlan::compile`] nor a submit re-hashes the asset.
 #[derive(Debug)]
 pub struct LazyCorpus {
     file: PositionedFile,
     meta: CorpusMeta,
     asset: VideoAsset,
     player: PlayerConfig,
+    /// [`Corpus::deployed_fingerprint`], hashed at open.
+    deployed_fingerprint: u64,
     index: Vec<IndexEntry>,
     resident: Mutex<Resident>,
     peak_resident: AtomicUsize,
@@ -146,11 +150,14 @@ impl LazyCorpus {
         );
         let player =
             PlayerConfig::paper_default().with_buffer_capacity(parts.meta.buffer_capacity_s);
+        let deployed_fingerprint =
+            deployed_setting_fingerprint(&parts.meta.deployed_abr, &player, &asset);
         Ok(Self {
             file: PositionedFile::new(parts.file),
             meta: parts.meta,
             asset,
             player,
+            deployed_fingerprint,
             index: parts.index,
             resident: Mutex::new(Resident::default()),
             peak_resident: AtomicUsize::new(0),
@@ -364,6 +371,10 @@ impl Corpus for LazyCorpus {
 
     fn deployed_abr(&self) -> &str {
         &self.meta.deployed_abr
+    }
+
+    fn deployed_fingerprint(&self) -> u64 {
+        self.deployed_fingerprint
     }
 
     fn residency(&self) -> Option<ResidencyStats> {

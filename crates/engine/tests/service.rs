@@ -134,21 +134,36 @@ fn small_set(name: &str) -> QuerySet {
 
 #[test]
 fn concurrent_clients_see_batch_identical_records() {
+    // One thread per plan runs every unit on its connection thread; two
+    // add one helper worker per plan.
+    for threads in [1, 2] {
+        clients_see_batch_identical_records(threads);
+    }
+}
+
+fn clients_see_batch_identical_records(threads: usize) {
     let sessions = 3;
     let seed = 11;
-    let handle = Service::bind(config(sessions, seed))
-        .unwrap()
-        .spawn()
-        .unwrap();
+    let mut cfg = config(sessions, seed);
+    cfg.engine.threads = Some(threads);
+    let handle = Service::bind(cfg).unwrap().spawn().unwrap();
     let addr = handle.addr();
 
     // The ground truth each client must receive: the batch pipeline run
-    // in-process over an identical corpus and engine configuration.
+    // in-process over an identical corpus and engine configuration. Both
+    // clients ask for the next chunk of the same session at the same
+    // position, so their connection threads share one prefix posterior.
     let corpus = Arc::new(SessionCorpus::synthetic(sessions, seed));
-    let engine = Engine::builder().threads(2).build().unwrap();
-    let set_a = small_set("client-a");
+    let engine = Engine::builder().threads(threads).build().unwrap();
+    let next_chunk = || {
+        Query::interventional("next-chunk")
+            .with_sessions(vec![1])
+            .with_chunk_index(10)
+    };
+    let set_a = small_set("client-a").with_query(next_chunk());
     let set_b = QuerySet::new("client-b", VeritasConfig::paper_default().with_samples(2))
-        .with_query(Query::abduction("only-posterior"));
+        .with_query(Query::abduction("only-posterior"))
+        .with_query(next_chunk());
     let expect_a: Vec<QueryRecord> = engine
         .run(corpus.clone(), &set_a)
         .unwrap()
@@ -163,17 +178,26 @@ fn concurrent_clients_see_batch_identical_records() {
         .into_iter()
         .map(normalize)
         .collect();
+    // One inference per distinct posterior: each session's full log and
+    // the one shared prefix.
+    let distinct_posteriors = engine.cache().stats().misses;
+    assert_eq!(distinct_posteriors, sessions as u64 + 1);
 
     let expected_stream_total = (2 * expect_a.len() + expect_b.len()) as u64;
+    // Both clients connect, then send together.
+    let start = Arc::new(std::sync::Barrier::new(2));
     let run_client = |set: QuerySet, expected: Vec<QueryRecord>| {
+        let start = Arc::clone(&start);
         std::thread::spawn(move || {
             let mut client = Client::connect(&addr);
+            start.wait();
             let response = client.query(&set, false);
             let got: Vec<QueryRecord> = response.records.into_iter().map(normalize).collect();
             assert_eq!(got, expected, "wire records must equal batch records");
             let summary = response.summary.expect("the feed must end with a summary");
             assert_eq!(summary.units, expected.len());
             assert_eq!(summary.errors, 0);
+            assert_eq!(summary.threads, threads);
         })
     };
     let thread_a = run_client(set_a.clone(), expect_a.clone());
@@ -203,6 +227,13 @@ fn concurrent_clients_see_batch_identical_records() {
     assert_eq!(metrics.plans_shed, 0);
     assert_eq!(metrics.records_streamed, expected_stream_total);
     assert!(metrics.per_query.iter().any(|q| q.id == "posterior"));
+    // Units of the two clients ran against the cache's compute-once
+    // slots from two connection threads: each posterior, the shared
+    // prefix included, was inferred once.
+    assert_eq!(
+        metrics.cache.misses, distinct_posteriors,
+        "concurrent clients must share every posterior ({threads} threads)"
+    );
     // Supervision counters ride in the same snapshot; a fault-free
     // in-process daemon has absorbed nothing.
     assert_eq!(metrics.retries, 0);
