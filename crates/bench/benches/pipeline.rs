@@ -1,8 +1,8 @@
 //! Criterion benchmarks of the end-to-end pipelines: session emulation,
 //! full abduction on a recorded session, a complete counterfactual
 //! comparison (abduction + K replays + baseline + oracle), the query
-//! engine over a shared-session query set, and one warm next-chunk
-//! request.
+//! engine over a shared-session query set, one warm next-chunk request,
+//! and the JSONL bytes of its response.
 
 use std::sync::Arc;
 
@@ -11,7 +11,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use veritas::{Abduction, CounterfactualEngine, Scenario, VeritasConfig};
 use veritas_abr::Mpc;
 use veritas_engine::{
-    Corpus, CorpusMeta, Engine, LazyCorpus, Query, QueryPlan, QuerySet, SyntheticSpec, VcorpWriter,
+    Corpus, CorpusMeta, Engine, LazyCorpus, Query, QueryPlan, QuerySet, SummaryEnvelope,
+    SyntheticSpec, VcorpWriter,
 };
 use veritas_media::{QualityLadder, VbrParams, VideoAsset};
 use veritas_player::{run_session, PlayerConfig};
@@ -135,23 +136,7 @@ fn bench_nextchunk(c: &mut Criterion) {
         }
         writer.finish().expect("finish .vcorp");
         let corpus: Arc<dyn Corpus> = Arc::new(LazyCorpus::open(&path).expect("open"));
-        let (session, chunk) = (0, 60);
-        let query = |id: &str| {
-            Query::interventional(id)
-                .with_sessions(vec![session])
-                .with_chunk_index(chunk)
-        };
-        let asset = corpus.asset();
-        let set = (0..asset.num_qualities()).fold(
-            QuerySet::new("nextchunk", VeritasConfig::paper_default()).with_query(query("logged")),
-            |set, rung| {
-                set.with_query(
-                    query(&format!("rung-{rung}"))
-                        .with_candidate_size(asset.size_bytes(chunk, rung)),
-                )
-            },
-        );
-        assert_eq!(set.queries.len(), 6);
+        let set = nextchunk_set(corpus.as_ref());
         let engine = Engine::builder().threads(1).build().unwrap();
         let warm = engine.run(Arc::clone(&corpus), &set).unwrap();
         assert_eq!(warm.summary.errors, 0);
@@ -168,9 +153,64 @@ fn bench_nextchunk(c: &mut Criterion) {
     });
 }
 
+/// A next-chunk request: the logged chunk 60 of session 0 and every
+/// ladder rung in its place, six interventional queries.
+fn nextchunk_set(corpus: &dyn Corpus) -> QuerySet {
+    let (session, chunk) = (0, 60);
+    let query = |id: &str| {
+        Query::interventional(id)
+            .with_sessions(vec![session])
+            .with_chunk_index(chunk)
+    };
+    let asset = corpus.asset();
+    let set = (0..asset.num_qualities()).fold(
+        QuerySet::new("nextchunk", VeritasConfig::paper_default()).with_query(query("logged")),
+        |set, rung| {
+            set.with_query(
+                query(&format!("rung-{rung}")).with_candidate_size(asset.size_bytes(chunk, rung)),
+            )
+        },
+    );
+    assert_eq!(set.queries.len(), 6);
+    set
+}
+
+/// The bytes of one next-chunk response: its six interventional records
+/// (`EngineReport::write_jsonl`) and the summary envelope, written into
+/// a reused buffer as the daemon writes them into a connection's. CI
+/// fails it above 0.6× of the committed median recorded while the JSON
+/// writer lowered every value to a tree before rendering it.
+fn bench_wire(c: &mut Criterion) {
+    c.bench_function("wire/nextchunk_response_6_records", |b| {
+        let corpus: Arc<dyn Corpus> = Arc::new(
+            SyntheticSpec {
+                sessions: 1,
+                ..SyntheticSpec::default()
+            }
+            .build(),
+        );
+        let set = nextchunk_set(corpus.as_ref());
+        let engine = Engine::builder().threads(1).build().unwrap();
+        let report = engine.run(corpus, &set).unwrap();
+        assert_eq!(report.summary.errors, 0);
+        let envelope = SummaryEnvelope {
+            summary: report.summary.clone(),
+            req_id: Some(600),
+        };
+        let mut out = Vec::with_capacity(8192);
+        b.iter(|| {
+            out.clear();
+            report.write_jsonl(&mut out).unwrap();
+            serde_json::to_writer(&mut out, black_box(&envelope)).unwrap();
+            out.push(b'\n');
+            black_box(out.len())
+        });
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_pipeline, bench_engine, bench_nextchunk
+    targets = bench_pipeline, bench_engine, bench_nextchunk, bench_wire
 }
 criterion_main!(benches);

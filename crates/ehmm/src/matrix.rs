@@ -30,18 +30,7 @@ impl TransitionMatrix {
         let mut data = Vec::with_capacity(n * n);
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row.len(), n, "row {i} has wrong length");
-            let mut sum = 0.0;
-            for &p in row {
-                assert!(
-                    p.is_finite() && p >= 0.0,
-                    "row {i} has invalid probability {p}"
-                );
-                sum += p;
-            }
-            assert!(
-                (sum - 1.0).abs() < 1e-6,
-                "row {i} sums to {sum}, expected 1.0"
-            );
+            check_row(i, row);
             data.extend_from_slice(row);
         }
         Self { n, data }
@@ -76,8 +65,8 @@ impl TransitionMatrix {
             return Self::identity(1);
         }
         let move_p = 1.0 - stay;
-        let mut rows = vec![vec![0.0; n]; n];
-        for (i, row) in rows.iter_mut().enumerate() {
+        let mut data = vec![0.0; n * n];
+        for (i, row) in data.chunks_exact_mut(n).enumerate() {
             row[i] = stay;
             if i == 0 {
                 row[1] += move_p;
@@ -87,8 +76,9 @@ impl TransitionMatrix {
                 row[i - 1] += move_p / 2.0;
                 row[i + 1] += move_p / 2.0;
             }
+            check_row(i, row);
         }
-        Self::from_rows(rows)
+        Self { n, data }
     }
 
     /// Number of states.
@@ -147,6 +137,23 @@ impl TransitionMatrix {
     pub fn is_row_stochastic(&self, tol: f64) -> bool {
         (0..self.n).all(|i| (self.row(i).iter().sum::<f64>() - 1.0).abs() <= tol)
     }
+}
+
+/// Asserts that row `i` of a transition matrix holds finite, non-negative
+/// probabilities summing to 1 (±1e-6).
+fn check_row(i: usize, row: &[f64]) {
+    let mut sum = 0.0;
+    for &p in row {
+        assert!(
+            p.is_finite() && p >= 0.0,
+            "row {i} has invalid probability {p}"
+        );
+        sum += p;
+    }
+    assert!(
+        (sum - 1.0).abs() < 1e-6,
+        "row {i} sums to {sum}, expected 1.0"
+    );
 }
 
 /// Memo cache of integer powers of a transition matrix.
@@ -253,6 +260,36 @@ mod tests {
         // Boundary rows push all movement inward.
         assert!((m.get(0, 1) - 0.2).abs() < 1e-12);
         assert!((m.get(4, 3) - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tridiagonal_is_bit_identical_to_its_row_built_form() {
+        // The nested-rows construction the flat buffer replaced.
+        fn row_built(n: usize, stay: f64) -> TransitionMatrix {
+            let move_p = 1.0 - stay;
+            let mut rows = vec![vec![0.0; n]; n];
+            for (i, row) in rows.iter_mut().enumerate() {
+                row[i] = stay;
+                if i == 0 {
+                    row[1] += move_p;
+                } else if i == n - 1 {
+                    row[n - 2] += move_p;
+                } else {
+                    row[i - 1] += move_p / 2.0;
+                    row[i + 1] += move_p / 2.0;
+                }
+            }
+            TransitionMatrix::from_rows(rows)
+        }
+        for n in [2, 3, 5, 21, 41, 63] {
+            for stay in [0.0, 1.0 / 3.0, 0.5, 0.8, 0.85, 0.999, 1.0] {
+                let flat = TransitionMatrix::tridiagonal(n, stay);
+                let rows = row_built(n, stay);
+                let bits =
+                    |m: &TransitionMatrix| m.data.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&flat), bits(&rows), "n = {n}, stay = {stay}");
+            }
+        }
     }
 
     #[test]

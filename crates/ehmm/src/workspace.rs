@@ -188,12 +188,28 @@ impl EhmmWorkspace {
             .clone()
     }
 
-    /// Resolves the kernel of every step's gap once, so the passes below
-    /// index an `Arc` slice instead of hitting the shared map per step.
-    /// `gaps` holds one gap per observation (`gaps[0]` is unused), and
+    /// Resolves the kernel of every step's gap, so the passes below index
+    /// an `Arc` slice instead of hitting the shared map per step. Each
+    /// distinct gap is looked up once: a session's gaps repeat heavily, so
+    /// a pass makes a handful of lookups instead of one per chunk. `gaps`
+    /// holds one gap per observation (`gaps[0]` is unused), and
     /// `step_kernels[n - 1]` transports observation `n − 1` to `n`.
     fn step_kernels(&self, gaps: &[u32]) -> Vec<Arc<GapKernel>> {
-        gaps.iter().skip(1).map(|&gap| self.kernel(gap)).collect()
+        // Sorted by gap.
+        let mut distinct: Vec<(u32, Arc<GapKernel>)> = Vec::new();
+        gaps.iter()
+            .skip(1)
+            .map(
+                |&gap| match distinct.binary_search_by_key(&gap, |&(known, _)| known) {
+                    Ok(at) => Arc::clone(&distinct[at].1),
+                    Err(at) => {
+                        let kernel = self.kernel(gap);
+                        distinct.insert(at, (gap, Arc::clone(&kernel)));
+                        kernel
+                    }
+                },
+            )
+            .collect()
     }
 
     fn check_states(&self, obs: &EmissionTable) {

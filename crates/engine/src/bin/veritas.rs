@@ -237,7 +237,9 @@ fn record_writer(out: &Option<PathBuf>) -> Result<Box<dyn Write>, CliError> {
                 .map_err(|e| io_error(format_args!("cannot create {}", path.display()), e))?;
             Ok(Box::new(std::io::BufWriter::new(file)))
         }
-        None => Ok(Box::new(std::io::stdout().lock())),
+        // Buffered here too: records are written piece by piece, and
+        // stdout's line buffering would make one `write` per record.
+        None => Ok(Box::new(std::io::BufWriter::new(std::io::stdout().lock()))),
     }
 }
 
@@ -301,8 +303,9 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         // Incremental consumption: each record is written (and flushed)
         // the moment its unit completes, in completion order.
         for record in &mut handle {
-            let line = serde_json::to_string(&record).expect("record serialization cannot fail");
-            writeln!(writer, "{line}").map_err(|e| io_error("cannot write record", e))?;
+            record
+                .write_line(&mut writer)
+                .map_err(|e| io_error("cannot write record", e))?;
             writer
                 .flush()
                 .map_err(|e| io_error("cannot flush record", e))?;
@@ -310,7 +313,8 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         handle.into_summary()
     } else {
         let report = handle.wait();
-        write!(writer, "{}", report.to_jsonl())
+        report
+            .write_jsonl(&mut writer)
             .and_then(|()| writer.flush())
             .map_err(|e| io_error("cannot write records", e))?;
         report.summary

@@ -140,21 +140,21 @@ pub fn infer_prefix(
         horizon,
         config,
         |capacities| Arc::new(predicted_throughputs(&log.records[..horizon], capacities)),
-        |spec| Arc::new(EhmmWorkspace::new(spec)),
+        || Arc::new(EhmmWorkspace::new(Abduction::spec_for(config))),
     )
 }
 
 /// [`infer_prefix`] with explicit providers of the predicted-throughput
 /// table (at least `horizon` rows over the config's capacity grid) and of
-/// the workspace. Both are only invoked after the config validates and
-/// the horizon is checked, so they may build grid- and spec-derived state
-/// without re-checking.
+/// the workspace for `config`. Both are only invoked after the config
+/// validates and the horizon is checked, so they may build grid- and
+/// spec-derived state without re-checking.
 fn infer_prefix_with(
     log: &SessionLog,
     horizon: usize,
     config: &VeritasConfig,
     table: impl FnOnce(&[f64]) -> Arc<ThroughputTable>,
-    workspace: impl FnOnce(veritas_ehmm::EhmmSpec) -> Arc<EhmmWorkspace>,
+    workspace: impl FnOnce() -> Arc<EhmmWorkspace>,
 ) -> Result<Abduction, AbductionError> {
     config.validate().map_err(AbductionError::InvalidConfig)?;
     let view = prefix_view(log, horizon);
@@ -170,7 +170,7 @@ fn infer_prefix_with(
             Abduction::emission_row_from_predicted(record, predicted, config.sigma_mbps)
         })
         .collect();
-    Abduction::try_infer_prepared(&view, config, rows, workspace(Abduction::spec_for(config)))
+    Abduction::try_infer_prepared(&view, config, rows, workspace())
 }
 
 /// The first `horizon` records of `log` as a borrowed view when the
@@ -435,7 +435,7 @@ impl AbductionCache {
             horizon,
             config,
             |capacities| self.throughput_table(log_fp, log, capacities),
-            |spec| self.workspace_for_spec(fingerprint, spec),
+            || self.workspace_keyed(fingerprint, config),
         )?);
         *guard = Some(abduction.clone());
         self.entries.fetch_add(1, Ordering::Relaxed);
@@ -473,7 +473,7 @@ impl AbductionCache {
         if view.records.is_empty() {
             return None;
         }
-        let workspace = self.workspace_for_spec(key.config, Abduction::spec_for(config));
+        let workspace = self.workspace_keyed(key.config, config);
         match disk.load_classified(key, &view, config, workspace) {
             crate::persist::DiskLoadOutcome::Restored(abduction) => Some(*abduction),
             crate::persist::DiskLoadOutcome::Missing => None,
@@ -517,19 +517,17 @@ impl AbductionCache {
     /// Panics on an invalid grid configuration; the inference entry points
     /// validate before calling this.
     pub fn workspace_for(&self, config: &VeritasConfig) -> Arc<EhmmWorkspace> {
-        self.workspace_for_spec(config_fingerprint(config), Abduction::spec_for(config))
+        self.workspace_keyed(config_fingerprint(config), config)
     }
 
-    fn workspace_for_spec(
-        &self,
-        fingerprint: u64,
-        spec: veritas_ehmm::EhmmSpec,
-    ) -> Arc<EhmmWorkspace> {
+    /// [`Self::workspace_for`] under `config`'s known fingerprint. The
+    /// model spec is built only when the workspace is created.
+    fn workspace_keyed(&self, fingerprint: u64, config: &VeritasConfig) -> Arc<EhmmWorkspace> {
         let mut workspaces = self.workspaces.lock();
         if let Some(workspace) = workspaces.get(&fingerprint) {
             return workspace.clone();
         }
-        let workspace = Arc::new(EhmmWorkspace::new(spec));
+        let workspace = Arc::new(EhmmWorkspace::new(Abduction::spec_for(config)));
         // A fresh workspace warm-starts from the persisted kernel table
         // of its config, skipping the repeated-squaring matrix powers a
         // cold process would otherwise recompute per distinct gap. Like

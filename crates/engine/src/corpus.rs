@@ -135,12 +135,18 @@ pub trait Corpus: Send + Sync {
     /// Fingerprint of the corpus *content*: every session's log
     /// fingerprint chained with the deployed fingerprint. This is what
     /// binds a compiled [`crate::QueryPlan`] to the corpus it was
-    /// compiled against.
+    /// compiled against: [`crate::QueryPlan::compile`] records it and
+    /// every submit checks it. The default folds every session's
+    /// fingerprint on every call; [`crate::LazyCorpus`] folds its index
+    /// once at open with the same function, so neither a compile nor a
+    /// submit over a `.vcorp` touches per-session fingerprints.
+    /// [`SessionCorpus`] keeps the default, since its fields are public
+    /// and may change after construction. An override must return what
+    /// the default returns.
     fn content_fingerprint(&self) -> u64 {
-        combine_fingerprints(
-            (0..self.len())
-                .map(|index| self.log_fingerprint(index))
-                .chain(std::iter::once(self.deployed_fingerprint())),
+        content_fingerprint_of(
+            (0..self.len()).map(|index| self.log_fingerprint(index)),
+            self.deployed_fingerprint(),
         )
     }
 
@@ -234,6 +240,15 @@ pub(crate) fn deployed_setting_fingerprint(
         }
     }
     hash
+}
+
+/// The [`Corpus::content_fingerprint`] of a corpus with these per-session
+/// log fingerprints, in session order, and this deployed fingerprint.
+pub(crate) fn content_fingerprint_of(
+    log_fingerprints: impl Iterator<Item = u64>,
+    deployed: u64,
+) -> u64 {
+    combine_fingerprints(log_fingerprints.chain(std::iter::once(deployed)))
 }
 
 /// Point-in-time residency counters of a lazily backed corpus (see

@@ -641,6 +641,17 @@ mod tests {
     }
 
     #[test]
+    fn an_id_with_an_escaped_surrogate_pair_parses() {
+        // What Python's default `json.dumps` writes for "café 😀".
+        let set = QuerySet::from_json(
+            r#"{"queries": [{"id": "caf\u00e9 \ud83d\ude00", "kind": "abduction"}]}"#,
+        )
+        .unwrap();
+        assert_eq!(set.queries[0].id, "café \u{1F600}");
+        assert_eq!(QuerySet::from_json(&set.to_json()).unwrap(), set);
+    }
+
+    #[test]
     fn unknown_fields_are_rejected() {
         let err = QuerySet::from_json(
             r#"{"queries": [{"id": "a", "kind": "abduction", "sesions": [1]}]}"#,

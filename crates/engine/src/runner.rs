@@ -27,6 +27,7 @@
 //! last unit completes.
 
 use std::collections::BTreeSet;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -204,6 +205,13 @@ impl QueryRecord {
     pub fn is_ok(&self) -> bool {
         self.status == "ok"
     }
+
+    /// Writes the record as one JSONL line, newline included, straight
+    /// into `out`.
+    pub fn write_line(&self, out: &mut impl Write) -> io::Result<()> {
+        serde_json::to_writer(&mut *out, self)?;
+        out.write_all(b"\n")
+    }
 }
 
 impl<'de> Deserialize<'de> for QueryOutput {
@@ -323,14 +331,23 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
-    /// Renders the records as JSON Lines (one record per line).
+    /// Renders the records as JSON Lines (one record per line): the bytes
+    /// [`EngineReport::write_jsonl`] writes.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for record in &self.records {
-            out.push_str(&serde_json::to_string(record).expect("record serialization cannot fail"));
-            out.push('\n');
-        }
-        out
+        let mut out = Vec::new();
+        self.write_jsonl(&mut out)
+            .expect("writing records to memory cannot fail");
+        String::from_utf8(out).expect("JSON text is UTF-8")
+    }
+
+    /// Writes the records as JSON Lines, one [`QueryRecord::write_line`]
+    /// each, straight into `out`: the one JSONL writer behind
+    /// [`EngineReport::to_jsonl`], `veritas run` and the daemon's batch
+    /// responses.
+    pub fn write_jsonl(&self, out: &mut impl Write) -> io::Result<()> {
+        self.records
+            .iter()
+            .try_for_each(|record| record.write_line(out))
     }
 
     /// The summary as a JSON object.
@@ -686,21 +703,10 @@ impl Engine {
         scope: Scope,
     ) -> Result<RunHandle, EngineError> {
         check_plan_fits(corpus.as_ref(), &plan)?;
-        // Per-session log fingerprints, resolved once here instead of
-        // once per cache lookup (a `.vcorp` corpus serves them from its
-        // index without touching a session block), folded with the
-        // deployed setting to verify this is the *same* corpus the plan's
-        // scenarios and selectors were resolved against.
-        let log_fps: Vec<u64> = (0..corpus.len())
-            .map(|i| corpus.log_fingerprint(i))
-            .collect();
-        let content = crate::cache::combine_fingerprints(
-            log_fps
-                .iter()
-                .copied()
-                .chain(std::iter::once(corpus.deployed_fingerprint())),
-        );
-        if content != plan.corpus_fingerprint() {
+        // This must be the *same* corpus the plan's scenarios and
+        // selectors were resolved against (a `.vcorp` corpus stores its
+        // content fingerprint, so the check folds nothing).
+        if corpus.content_fingerprint() != plan.corpus_fingerprint() {
             return Err(EngineError::CorpusMismatch(
                 "plan was compiled against a different corpus (content fingerprints \
                  differ); recompile the plan for this corpus"
@@ -721,6 +727,17 @@ impl Engine {
                 (groups.swap_remove(index), shards)
             }
         };
+        // The log fingerprints of the sessions the run's units read,
+        // resolved once per session here instead of once per cache
+        // lookup; no other session's is resolved. A session whose
+        // fingerprint happens to be 0 is merely resolved again.
+        let mut log_fps = vec![0; corpus.len()];
+        for &unit in &units {
+            let session = plan.units()[unit].session;
+            if log_fps[session] == 0 {
+                log_fps[session] = corpus.log_fingerprint(session);
+            }
+        }
         let ctx = Arc::new(ExecCtx {
             cache: Some(Arc::clone(&self.cache)),
             log_fps,
@@ -1060,7 +1077,8 @@ pub(crate) struct ExecCtx {
     /// its posterior. `None` only in a coordinator's context
     /// ([`ExecCtx::new`]), which runs no units: its workers do.
     cache: Option<Arc<AbductionCache>>,
-    /// Per-session log fingerprints, precomputed at submit.
+    /// Log fingerprints by session index, resolved at submit for the
+    /// sessions this run's units read (0 for every other session).
     log_fps: Vec<u64>,
     /// Cache hits observed by *this run's* units. Kept per run (not as a
     /// delta of the shared cache's global counters) so concurrent submits
@@ -1578,17 +1596,26 @@ mod tests {
     }
 
     /// A corpus that records the thread of each of its [`Corpus::log`]
-    /// calls.
+    /// calls and counts its [`Corpus::log_fingerprint`] calls. Like a
+    /// `LazyCorpus`, it stores its content fingerprint.
     struct CountingCorpus {
         inner: Arc<SessionCorpus>,
+        content: u64,
         fetches: Mutex<Vec<std::thread::ThreadId>>,
+        fingerprints: AtomicUsize,
     }
 
     impl CountingCorpus {
         fn new() -> Arc<Self> {
+            Self::over(tiny_corpus())
+        }
+
+        fn over(inner: Arc<SessionCorpus>) -> Arc<Self> {
             Arc::new(Self {
-                inner: tiny_corpus(),
+                content: inner.content_fingerprint(),
+                inner,
                 fetches: Mutex::new(Vec::new()),
+                fingerprints: AtomicUsize::new(0),
             })
         }
 
@@ -1612,7 +1639,12 @@ mod tests {
         }
 
         fn log_fingerprint(&self, index: usize) -> u64 {
+            self.fingerprints.fetch_add(1, Ordering::Relaxed);
             self.inner.log_fingerprint(index)
+        }
+
+        fn content_fingerprint(&self) -> u64 {
+            self.content
         }
 
         fn truth(&self, index: usize) -> Option<&BandwidthTrace> {
@@ -1661,6 +1693,33 @@ mod tests {
         // two folded aggregate records, which fetch nothing.
         assert_eq!(report.records.len(), 18);
         assert_eq!(corpus.logs(), 16);
+    }
+
+    #[test]
+    fn a_submit_resolves_only_the_fingerprints_of_the_sessions_it_reads() {
+        let corpus = CountingCorpus::over(Arc::new(
+            SyntheticSpec {
+                sessions: 20,
+                video_duration_s: 30.0,
+                ..SyntheticSpec::default()
+            }
+            .build(),
+        ));
+        let next_chunk = |id: &str| {
+            Query::interventional(id)
+                .with_sessions(vec![7])
+                .with_chunk_index(5)
+        };
+        let set = QuerySet::new("t", config())
+            .with_query(next_chunk("logged"))
+            .with_query(next_chunk("rung-0").with_candidate_size(100_000.0));
+        let plan = Arc::new(QueryPlan::compile(&set, &*corpus).unwrap());
+        let engine = Engine::builder().threads(1).build().unwrap();
+        let report = engine.submit_shared(corpus.clone(), plan).unwrap().wait();
+        assert_eq!(report.summary.errors, 0);
+        assert_eq!(report.records.len(), 2);
+        // One session read: one fingerprint, not one per corpus session.
+        assert_eq!(corpus.fingerprints.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -40,10 +40,13 @@
 //! mismatched token is answered with a typed `"unauthorized"` envelope
 //! and the connection is closed. The comparison is constant-time.
 //!
-//! Responses are newline-delimited JSON too:
+//! Responses are newline-delimited JSON too, serialized straight into
+//! the connection's write buffer (no per-line `String`):
 //!
 //! * Each [`QueryRecord`] is one raw line — byte-identical to the lines
-//!   of [`crate::EngineReport::to_jsonl`].
+//!   of [`crate::EngineReport::to_jsonl`]: a batch response is written
+//!   by [`crate::EngineReport::write_jsonl`] and a streamed record by
+//!   [`QueryRecord::write_line`], the writer behind both.
 //! * The terminal line of a query is `{"summary": <RunSummary>,
 //!   "req_id": N}` — `req_id` is a per-daemon monotonic plan id, echoed
 //!   in the structured stderr log so wire responses and log lines can
@@ -54,8 +57,8 @@
 //!   survives a bad request.
 //!
 //! Every served (or refused) plan also emits one structured JSONL line
-//! to stderr: `{"ts_ms", "req_id", "peer", "records", "elapsed_us",
-//! "status"}`, where `status` is one of:
+//! to stderr, in one `write`: `{"ts_ms", "req_id", "peer", "records",
+//! "elapsed_us", "status"}`, where `status` is one of:
 //!
 //! * `"ok"` — the plan ran and its summary is on the wire;
 //! * `"shed"` — refused by admission control;
@@ -557,11 +560,11 @@ impl ServiceState {
         }
         match (request.query, request.metrics, request.shutdown) {
             (None, true, false) => {
-                let line = serde_json::to_string(&MetricsEnvelope {
+                let envelope = MetricsEnvelope {
                     metrics: self.snapshot(),
-                })
-                .expect("metrics serialization cannot fail");
-                writeln!(writer, "{line}")?;
+                };
+                serde_json::to_writer(&mut *writer, &envelope)?;
+                writer.write_all(b"\n")?;
                 writer.flush()
             }
             (None, false, true) => self.begin_drain(writer),
@@ -590,7 +593,9 @@ impl ServiceState {
 
     /// One structured JSONL line per plan (or refusal) on stderr, so an
     /// operator can join wire responses (`req_id` in the summary
-    /// envelope) against the daemon's log.
+    /// envelope) against the daemon's log. The line, newline included,
+    /// is serialized into one buffer and goes out in one `write`; a
+    /// failed write to stderr drops the line.
     fn log_plan(
         &self,
         req_id: Option<u64>,
@@ -610,10 +615,11 @@ impl ServiceState {
             elapsed_us,
             status: status.to_string(),
         };
-        eprintln!(
-            "{}",
-            serde_json::to_string(&line).expect("log serialization cannot fail")
-        );
+        let mut bytes = Vec::with_capacity(128);
+        if serde_json::to_writer(&mut bytes, &line).is_ok() {
+            bytes.push(b'\n');
+            let _ = io::stderr().write_all(&bytes);
+        }
     }
 
     /// Handles a `shutdown` request: flip the drain gate, acknowledge,
@@ -685,21 +691,20 @@ impl ServiceState {
             for record in &mut handle {
                 self.observe(&record);
                 records += 1;
-                let line =
-                    serde_json::to_string(&record).expect("record serialization cannot fail");
-                writeln!(writer, "{line}")?;
+                record.write_line(writer)?;
                 writer.flush()?;
             }
             handle.into_summary()
         } else {
             // Deterministic batch order — the wire lines are exactly
-            // `EngineReport::to_jsonl`'s lines.
+            // `EngineReport::to_jsonl`'s lines, written by the same
+            // writer straight into the connection's buffer.
             let report = handle.wait();
             for record in &report.records {
                 self.observe(record);
             }
             records = report.records.len() as u64;
-            writer.write_all(report.to_jsonl().as_bytes())?;
+            report.write_jsonl(writer)?;
             report.summary
         };
         self.retries_total
@@ -708,12 +713,12 @@ impl ServiceState {
             .fetch_add(summary.quarantined.len() as u64, Ordering::Relaxed);
         self.shard_retries_total
             .fetch_add(summary.shard_retries, Ordering::Relaxed);
-        let line = serde_json::to_string(&SummaryEnvelope {
+        let envelope = SummaryEnvelope {
             summary,
             req_id: Some(req_id),
-        })
-        .expect("summary serialization cannot fail");
-        writeln!(writer, "{line}")?;
+        };
+        serde_json::to_writer(&mut *writer, &envelope)?;
+        writer.write_all(b"\n")?;
         writer.flush()?;
         self.plans_served.fetch_add(1, Ordering::Relaxed);
         self.log_plan(

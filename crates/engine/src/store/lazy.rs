@@ -17,7 +17,9 @@ use super::{
     block_header_len, decode_block, open_parts, projected_ranges, ColumnSet, CorpusMeta,
     IndexEntry, VcorpError,
 };
-use crate::corpus::{deployed_setting_fingerprint, Corpus, LogRef, ResidencyStats};
+use crate::corpus::{
+    content_fingerprint_of, deployed_setting_fingerprint, Corpus, LogRef, ResidencyStats,
+};
 use crate::fault::{FaultPlan, FaultSite};
 
 /// The resident bound, in sessions: a [`LazyCorpus`] of at most this many
@@ -115,8 +117,10 @@ struct Resident {
 /// header exactly as [`crate::SessionCorpus::from_dir`] reconstructs it
 /// from the first JSON log, so plans, cache keys, and records are
 /// interchangeable between a directory and its ingested `.vcorp`. Its
-/// [`Corpus::deployed_fingerprint`] is hashed once, at open, so neither
-/// [`crate::QueryPlan::compile`] nor a submit re-hashes the asset.
+/// [`Corpus::deployed_fingerprint`] and [`Corpus::content_fingerprint`]
+/// are computed once, at open, by the functions the trait defaults call,
+/// so neither [`crate::QueryPlan::compile`] nor a submit re-hashes the
+/// asset or re-folds the index.
 #[derive(Debug)]
 pub struct LazyCorpus {
     file: PositionedFile,
@@ -125,6 +129,8 @@ pub struct LazyCorpus {
     player: PlayerConfig,
     /// [`Corpus::deployed_fingerprint`], hashed at open.
     deployed_fingerprint: u64,
+    /// [`Corpus::content_fingerprint`], folded at open.
+    content_fingerprint: u64,
     index: Vec<IndexEntry>,
     resident: Mutex<Resident>,
     peak_resident: AtomicUsize,
@@ -152,12 +158,17 @@ impl LazyCorpus {
             PlayerConfig::paper_default().with_buffer_capacity(parts.meta.buffer_capacity_s);
         let deployed_fingerprint =
             deployed_setting_fingerprint(&parts.meta.deployed_abr, &player, &asset);
+        let content_fingerprint = content_fingerprint_of(
+            parts.index.iter().map(|entry| entry.log_fingerprint),
+            deployed_fingerprint,
+        );
         Ok(Self {
             file: PositionedFile::new(parts.file),
             meta: parts.meta,
             asset,
             player,
             deployed_fingerprint,
+            content_fingerprint,
             index: parts.index,
             resident: Mutex::new(Resident::default()),
             peak_resident: AtomicUsize::new(0),
@@ -375,6 +386,10 @@ impl Corpus for LazyCorpus {
 
     fn deployed_fingerprint(&self) -> u64 {
         self.deployed_fingerprint
+    }
+
+    fn content_fingerprint(&self) -> u64 {
+        self.content_fingerprint
     }
 
     fn residency(&self) -> Option<ResidencyStats> {

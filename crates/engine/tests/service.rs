@@ -9,9 +9,9 @@ use std::sync::Arc;
 
 use veritas::VeritasConfig;
 use veritas_engine::{
-    ingest_dir, Engine, EngineFlags, ErrorEnvelope, MetricsEnvelope, MetricsSnapshot, Query,
-    QueryRecord, QuerySet, RunSummary, ScenarioSpec, Service, ServiceConfig, SessionCorpus,
-    SummaryEnvelope, WireError, MAX_REQUEST_LINE_BYTES,
+    ingest_dir, AggregateMetric, AggregateSpec, Engine, EngineFlags, ErrorEnvelope,
+    MetricsEnvelope, MetricsSnapshot, Query, QueryRecord, QuerySet, RunSummary, ScenarioSpec,
+    Service, ServiceConfig, SessionCorpus, SummaryEnvelope, WireError, MAX_REQUEST_LINE_BYTES,
 };
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -76,6 +76,32 @@ impl Client {
     /// Sends a query request and reads until its terminal line (summary
     /// or error envelope).
     fn query(&mut self, set: &QuerySet, stream: bool) -> Response {
+        let (lines, terminal) = self.query_lines(set, stream);
+        let records = lines
+            .iter()
+            .map(|line| serde_json::from_str(line).expect("a record line must parse"))
+            .collect();
+        match ErrorEnvelope::parse(&terminal) {
+            Some(error) => Response {
+                records,
+                summary: None,
+                error: Some(error),
+            },
+            None => Response {
+                records,
+                summary: Some(
+                    serde_json::from_str::<SummaryEnvelope>(&terminal)
+                        .unwrap()
+                        .summary,
+                ),
+                error: None,
+            },
+        }
+    }
+
+    /// Sends a query request and returns its raw record lines and its
+    /// terminal line (summary or error envelope), unparsed.
+    fn query_lines(&mut self, set: &QuerySet, stream: bool) -> (Vec<String>, String) {
         let set_json = serde_json::to_string(set).unwrap();
         let request = if stream {
             format!(r#"{{"query": {set_json}, "stream": true}}"#)
@@ -86,21 +112,12 @@ impl Client {
         let mut records = Vec::new();
         loop {
             let line = self.read_line();
-            if let Some(error) = ErrorEnvelope::parse(&line) {
-                return Response {
-                    records,
-                    summary: None,
-                    error: Some(error),
-                };
+            if ErrorEnvelope::parse(&line).is_some()
+                || serde_json::from_str::<SummaryEnvelope>(&line).is_ok()
+            {
+                return (records, line);
             }
-            if let Ok(envelope) = serde_json::from_str::<SummaryEnvelope>(&line) {
-                return Response {
-                    records,
-                    summary: Some(envelope.summary),
-                    error: None,
-                };
-            }
-            records.push(serde_json::from_str(&line).expect("a record line must parse"));
+            records.push(line);
         }
     }
 
@@ -240,6 +257,64 @@ fn clients_see_batch_identical_records(threads: usize) {
     assert_eq!(metrics.shard_retries, 0);
     assert_eq!(metrics.healed, 0);
     assert_eq!(metrics.quarantined, 0);
+    handle.stop();
+}
+
+/// A record line with its `elapsed_us` value, the one field two runs of
+/// one plan on one thread disagree on, replaced by 0.
+fn mask_elapsed(line: &str) -> String {
+    let key = r#""elapsed_us":"#;
+    let start = line.find(key).expect("a record line carries elapsed_us") + key.len();
+    let digits = line[start..].bytes().take_while(u8::is_ascii_digit).count();
+    format!("{}0{}", &line[..start], &line[start + digits..])
+}
+
+#[test]
+fn wire_lines_are_the_in_process_jsonl_bytes() {
+    // One thread on both sides: every unit meets its cache in the same
+    // order, so even the `cache` labels agree.
+    let (sessions, seed) = (3, 5);
+    let mut cfg = config(sessions, seed);
+    cfg.engine.threads = Some(1);
+    let handle = Service::bind(cfg).unwrap().spawn().unwrap();
+    let corpus = Arc::new(SessionCorpus::synthetic(sessions, seed));
+    let engine = Engine::builder().threads(1).build().unwrap();
+    let set = small_set("bytes")
+        .with_query(
+            Query::interventional("next-chunk")
+                .with_sessions(vec![2])
+                .with_chunk_index(10),
+        )
+        .with_query(Query::aggregate(
+            "mean-capacity",
+            AggregateSpec::of(AggregateMetric::MeanCapacityMbps),
+        ));
+    let mut client = Client::connect(&handle.addr());
+    // The first request of each side infers, the second is served warm.
+    for stream in [false, true] {
+        let mut expected: Vec<String> = engine
+            .run(corpus.clone(), &set)
+            .unwrap()
+            .to_jsonl()
+            .lines()
+            .map(mask_elapsed)
+            .collect();
+        let (lines, terminal) = client.query_lines(&set, stream);
+        for line in &lines {
+            let record: QueryRecord = serde_json::from_str(line).unwrap();
+            assert_eq!(&serde_json::to_string(&record).unwrap(), line);
+        }
+        let envelope: SummaryEnvelope = serde_json::from_str(&terminal).unwrap();
+        assert_eq!(serde_json::to_string(&envelope).unwrap(), terminal);
+        let mut got: Vec<String> = lines.iter().map(|line| mask_elapsed(line)).collect();
+        if stream {
+            // Completion order: the aggregation's fold record follows the
+            // unit that completed it.
+            expected.sort();
+            got.sort();
+        }
+        assert_eq!(got, expected, "stream: {stream}");
+    }
     handle.stop();
 }
 

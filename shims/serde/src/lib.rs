@@ -8,13 +8,16 @@
 //! supporting the `#[serde(skip)]` and `#[serde(with = "module")]` field
 //! attributes.
 //!
-//! Unlike real serde's visitor-driven data model, this shim is **value
-//! based**: serialization lowers everything to the JSON-like [`Value`] tree
-//! and deserialization lifts from it. That is a deliberate simplification —
-//! the only wire format the workspace uses is JSON (via the `serde_json`
-//! shim), and a value tree keeps the derive macro and the format crate tiny
-//! while preserving serde's public trait signatures, so swapping the real
-//! crates back in later is a manifest change, not a source change.
+//! Serialization streams as in real serde: a `Serialize` impl drives the
+//! format's [`Serializer`] call by call, so the `serde_json` shim writes
+//! JSON text straight into its output. Deserialization is **value based**,
+//! unlike real serde's visitor-driven data model: a [`Deserializer`]
+//! yields one JSON-like [`Value`] tree and typed values lift from it. That
+//! is a deliberate simplification — the only wire format the workspace
+//! uses is JSON, and a value tree keeps the derive macro and the format
+//! crate tiny while preserving serde's public trait signatures, so
+//! swapping the real crates back in later is a manifest change, not a
+//! source change.
 
 #![deny(missing_docs)]
 
@@ -27,8 +30,7 @@ pub mod ser;
 
 mod impls;
 
-/// A JSON-like tree: the common data model this shim serializes into and
-/// deserializes out of.
+/// A JSON-like tree: the data model this shim deserializes out of.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -110,125 +112,6 @@ pub trait Deserializer<'de>: Sized {
     fn deserialize_value(self) -> Result<Value, Self::Error>;
 }
 
-/// A [`Serializer`] that lowers any `Serialize` type into a [`Value`] tree,
-/// parameterized over the caller's error type.
-pub struct ValueSerializer<E> {
-    _marker: PhantomData<fn() -> E>,
-}
-
-impl<E> ValueSerializer<E> {
-    /// Creates a value serializer.
-    pub fn new() -> Self {
-        Self {
-            _marker: PhantomData,
-        }
-    }
-}
-
-impl<E> Default for ValueSerializer<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E: ser::Error> Serializer for ValueSerializer<E> {
-    type Ok = Value;
-    type Error = E;
-    type SerializeSeq = SeqBuilder<E>;
-    type SerializeStruct = StructBuilder<E>;
-
-    fn serialize_bool(self, v: bool) -> Result<Value, E> {
-        Ok(Value::Bool(v))
-    }
-
-    fn serialize_i64(self, v: i64) -> Result<Value, E> {
-        Ok(Value::Number(v as f64))
-    }
-
-    fn serialize_u64(self, v: u64) -> Result<Value, E> {
-        Ok(Value::Number(v as f64))
-    }
-
-    fn serialize_f64(self, v: f64) -> Result<Value, E> {
-        Ok(Value::Number(v))
-    }
-
-    fn serialize_str(self, v: &str) -> Result<Value, E> {
-        Ok(Value::String(v.to_owned()))
-    }
-
-    fn serialize_unit(self) -> Result<Value, E> {
-        Ok(Value::Null)
-    }
-
-    fn serialize_none(self) -> Result<Value, E> {
-        Ok(Value::Null)
-    }
-
-    fn serialize_some<T: ?Sized + Serialize>(self, value: &T) -> Result<Value, E> {
-        value.serialize(self)
-    }
-
-    fn serialize_seq(self, len: Option<usize>) -> Result<SeqBuilder<E>, E> {
-        Ok(SeqBuilder {
-            items: Vec::with_capacity(len.unwrap_or(0)),
-            _marker: PhantomData,
-        })
-    }
-
-    fn serialize_struct(self, _name: &'static str, len: usize) -> Result<StructBuilder<E>, E> {
-        Ok(StructBuilder {
-            fields: Vec::with_capacity(len),
-            _marker: PhantomData,
-        })
-    }
-}
-
-/// Accumulates sequence elements into a [`Value::Array`].
-pub struct SeqBuilder<E> {
-    items: Vec<Value>,
-    _marker: PhantomData<fn() -> E>,
-}
-
-impl<E: ser::Error> ser::SerializeSeq for SeqBuilder<E> {
-    type Ok = Value;
-    type Error = E;
-
-    fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), E> {
-        self.items.push(value.serialize(ValueSerializer::new())?);
-        Ok(())
-    }
-
-    fn end(self) -> Result<Value, E> {
-        Ok(Value::Array(self.items))
-    }
-}
-
-/// Accumulates struct fields into a [`Value::Object`].
-pub struct StructBuilder<E> {
-    fields: Vec<(String, Value)>,
-    _marker: PhantomData<fn() -> E>,
-}
-
-impl<E: ser::Error> ser::SerializeStruct for StructBuilder<E> {
-    type Ok = Value;
-    type Error = E;
-
-    fn serialize_field<T: ?Sized + Serialize>(
-        &mut self,
-        name: &'static str,
-        value: &T,
-    ) -> Result<(), E> {
-        self.fields
-            .push((name.to_owned(), value.serialize(ValueSerializer::new())?));
-        Ok(())
-    }
-
-    fn end(self) -> Result<Value, E> {
-        Ok(Value::Object(self.fields))
-    }
-}
-
 /// A [`Deserializer`] over an in-memory [`Value`], parameterized over the
 /// caller's error type so derive-generated code can thread `D::Error`
 /// through nested field deserialization.
@@ -253,11 +136,6 @@ impl<'de, E: de::Error> Deserializer<'de> for ValueDeserializer<E> {
     fn deserialize_value(self) -> Result<Value, E> {
         Ok(self.value)
     }
-}
-
-/// Lowers any serializable value to a [`Value`] tree.
-pub fn to_value<T: Serialize + ?Sized, E: ser::Error>(value: &T) -> Result<Value, E> {
-    value.serialize(ValueSerializer::new())
 }
 
 /// Lifts a typed value out of a [`Value`] tree.

@@ -1,16 +1,26 @@
 //! Vendored minimal stand-in for `serde_json`.
 //!
 //! Implements the slice of the serde_json API the workspace uses —
-//! [`to_string`], [`to_string_pretty`], [`from_str`], and an [`Error`] type
-//! that satisfies the serde shim's error traits — over the shim's
-//! [`Value`] tree. The parser handles the full JSON grammar (strings with
-//! escapes, nested arrays/objects, scientific-notation numbers, booleans,
-//! null); the writer emits integers without a trailing `.0` so that
-//! integer-typed fields round-trip cleanly.
+//! [`to_writer`], [`to_string`], [`to_string_pretty`], [`from_str`], and
+//! an [`Error`] type that satisfies the serde shim's error traits.
+//!
+//! Serialization streams: one serializer writes each `serialize_*` call a
+//! `Serialize` impl makes straight into the output, compact or two-space
+//! indented, with no intermediate tree. Integer-valued numbers below 2^53
+//! print without a trailing `.0` (so integer-typed fields round-trip
+//! cleanly), integers of every width go through `f64` like any other
+//! number, non-finite numbers print as `null`, and control characters
+//! other than `\n`, `\r` and `\t` print as `\u00XX`.
+//!
+//! Deserialization parses into the shim's [`Value`] tree and lifts typed
+//! values out of it. The parser handles the full JSON grammar (strings
+//! with escapes, including UTF-16 surrogate pairs; nested arrays and
+//! objects; scientific-notation numbers; booleans; null).
 
 #![deny(missing_docs)]
 
 use std::fmt;
+use std::io;
 
 pub use serde::Value;
 
@@ -18,12 +28,23 @@ pub use serde::Value;
 #[derive(Debug, Clone)]
 pub struct Error {
     message: String,
+    /// The kind of the I/O error a failed write raised, so
+    /// `io::Error::from` gives it back.
+    io: Option<io::ErrorKind>,
 }
 
 impl Error {
     fn new(message: impl Into<String>) -> Self {
         Self {
             message: message.into(),
+            io: None,
+        }
+    }
+
+    fn io(error: io::Error) -> Self {
+        Self {
+            message: error.to_string(),
+            io: Some(error.kind()),
         }
     }
 }
@@ -48,20 +69,43 @@ impl serde::de::Error for Error {
     }
 }
 
+impl From<Error> for io::Error {
+    /// A failed write converts back to an error of its own kind; any
+    /// other error is `InvalidData`, as upstream.
+    fn from(error: Error) -> Self {
+        io::Error::new(
+            error.io.unwrap_or(io::ErrorKind::InvalidData),
+            error.message,
+        )
+    }
+}
+
+/// Serializes `value` as compact JSON into `writer`.
+pub fn to_writer<W: io::Write, T: serde::Serialize + ?Sized>(
+    writer: W,
+    value: &T,
+) -> Result<(), Error> {
+    value.serialize(&mut Serializer::new(writer))
+}
+
 /// Serializes `value` to a compact JSON string.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let tree: Value = serde::to_value::<T, Error>(value)?;
-    let mut out = String::new();
-    write_value(&tree, None, 0, &mut out);
-    Ok(out)
+    let mut out = Vec::with_capacity(128);
+    value.serialize(&mut Serializer::new(&mut out))?;
+    into_string(out)
 }
 
 /// Serializes `value` to a human-readable, two-space-indented JSON string.
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let tree: Value = serde::to_value::<T, Error>(value)?;
-    let mut out = String::new();
-    write_value(&tree, Some(2), 0, &mut out);
-    Ok(out)
+    let mut out = Vec::with_capacity(128);
+    value.serialize(&mut Serializer::pretty(&mut out))?;
+    into_string(out)
+}
+
+/// The serializer writes only `&str` pieces and ASCII, so its output is
+/// always UTF-8.
+fn into_string(bytes: Vec<u8>) -> Result<String, Error> {
+    String::from_utf8(bytes).map_err(|e| Error::new(e.to_string()))
 }
 
 /// Deserializes a value from a JSON string.
@@ -83,100 +127,247 @@ pub fn from_str<'de, T: serde::Deserialize<'de>>(input: &str) -> Result<T, Error
 // Writer
 // ---------------------------------------------------------------------------
 
-fn write_value(value: &Value, indent: Option<usize>, depth: usize, out: &mut String) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => write_number(*n, out),
-        Value::String(s) => write_string(s, out),
-        Value::Array(items) => write_compound(
-            items.iter().map(|v| (None, v)),
-            indent,
-            depth,
-            out,
-            '[',
-            ']',
-        ),
-        Value::Object(fields) => write_compound(
-            fields.iter().map(|(k, v)| (Some(k.as_str()), v)),
-            indent,
-            depth,
-            out,
-            '{',
-            '}',
-        ),
-    }
+/// A JSON serializer that writes each `serialize_*` call straight into
+/// `W`: compact ([`Serializer::new`]) or with every array element and
+/// object member on its own two-space-indented line
+/// ([`Serializer::pretty`]). Empty arrays and objects print as `[]` and
+/// `{}` in both forms.
+struct Serializer<W> {
+    writer: W,
+    pretty: bool,
+    /// Arrays and objects open around the next value.
+    depth: usize,
 }
 
-fn write_compound<'a, I>(
-    items: I,
-    indent: Option<usize>,
-    depth: usize,
-    out: &mut String,
-    open: char,
-    close: char,
-) where
-    I: ExactSizeIterator<Item = (Option<&'a str>, &'a Value)>,
-{
-    out.push(open);
-    let len = items.len();
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for (i, (key, value)) in items.enumerate() {
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (depth + 1)));
+impl<W: io::Write> Serializer<W> {
+    /// A serializer writing compact JSON.
+    fn new(writer: W) -> Self {
+        Self {
+            writer,
+            pretty: false,
+            depth: 0,
         }
-        if let Some(key) = key {
-            write_string(key, out);
-            out.push(':');
-            if indent.is_some() {
-                out.push(' ');
+    }
+
+    /// A serializer writing two-space-indented JSON.
+    fn pretty(writer: W) -> Self {
+        Self {
+            writer,
+            pretty: true,
+            depth: 0,
+        }
+    }
+
+    fn write(&mut self, bytes: &[u8]) -> Result<(), Error> {
+        self.writer.write_all(bytes).map_err(Error::io)
+    }
+
+    /// A line break and the indentation of the current depth.
+    fn newline(&mut self) -> Result<(), Error> {
+        const SPACES: [u8; 64] = [b' '; 64];
+        self.write(b"\n")?;
+        let mut width = 2 * self.depth;
+        while width > 0 {
+            let run = width.min(SPACES.len());
+            self.write(&SPACES[..run])?;
+            width -= run;
+        }
+        Ok(())
+    }
+
+    fn write_number(&mut self, n: f64) -> Result<(), Error> {
+        if !n.is_finite() {
+            // JSON has no Infinity/NaN; emit null exactly as real serde_json
+            // does. Note this makes non-finite floats one-way: null does not
+            // parse back into f64, so values that must round-trip need a
+            // `#[serde(with = ...)]` sentinel (see TcpInfo::last_send_gap_s).
+            self.write(b"null")
+        } else if n == n.trunc() && n.abs() < 9.007_199_254_740_992e15 {
+            self.write_integer(n as i64)
+        } else {
+            write!(self.writer, "{n}").map_err(Error::io)
+        }
+    }
+
+    /// Decimal digits of `v`, most significant first, without `format!`.
+    fn write_integer(&mut self, v: i64) -> Result<(), Error> {
+        let mut buf = [0u8; 20];
+        let mut pos = buf.len();
+        let mut rest = v.unsigned_abs();
+        loop {
+            pos -= 1;
+            buf[pos] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
             }
         }
-        write_value(value, indent, depth + 1, out);
-        if i + 1 < len {
-            out.push(',');
+        if v < 0 {
+            pos -= 1;
+            buf[pos] = b'-';
         }
+        self.write(&buf[pos..])
     }
-    if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * depth));
+
+    /// `s` quoted, written in runs between the bytes that need escaping.
+    /// Every byte of a multi-byte UTF-8 character is at least 0x80, so a
+    /// run never ends inside a character.
+    fn write_string(&mut self, s: &str) -> Result<(), Error> {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.write(b"\"")?;
+        let bytes = s.as_bytes();
+        let mut run = 0;
+        for (i, &byte) in bytes.iter().enumerate() {
+            let short: &[u8] = match byte {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                b'\n' => b"\\n",
+                b'\r' => b"\\r",
+                b'\t' => b"\\t",
+                0x00..=0x1f => b"",
+                _ => continue,
+            };
+            self.write(&bytes[run..i])?;
+            if short.is_empty() {
+                let hex = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[usize::from(byte >> 4)],
+                    HEX[usize::from(byte & 0xf)],
+                ];
+                self.write(&hex)?;
+            } else {
+                self.write(short)?;
+            }
+            run = i + 1;
+        }
+        self.write(&bytes[run..])?;
+        self.write(b"\"")
     }
-    out.push(close);
+
+    fn begin(&mut self, open: u8, close: u8) -> Result<Compound<'_, W>, Error> {
+        self.write(&[open])?;
+        self.depth += 1;
+        Ok(Compound {
+            ser: self,
+            close,
+            empty: true,
+        })
+    }
 }
 
-fn write_number(n: f64, out: &mut String) {
-    if !n.is_finite() {
-        // JSON has no Infinity/NaN; emit null exactly as real serde_json
-        // does. Note this makes non-finite floats one-way: null does not
-        // parse back into f64, so values that must round-trip need a
-        // `#[serde(with = ...)]` sentinel (see TcpInfo::last_send_gap_s).
-        out.push_str("null");
-    } else if n == n.trunc() && n.abs() < 9.007_199_254_740_992e15 {
-        out.push_str(&format!("{}", n as i64));
-    } else {
-        out.push_str(&format!("{n}"));
+impl<'a, W: io::Write> serde::Serializer for &'a mut Serializer<W> {
+    type Ok = ();
+    type Error = Error;
+    type SerializeSeq = Compound<'a, W>;
+    type SerializeStruct = Compound<'a, W>;
+
+    fn serialize_bool(self, v: bool) -> Result<(), Error> {
+        self.write(if v { b"true" } else { b"false" })
+    }
+
+    fn serialize_i64(self, v: i64) -> Result<(), Error> {
+        self.write_number(v as f64)
+    }
+
+    fn serialize_u64(self, v: u64) -> Result<(), Error> {
+        self.write_number(v as f64)
+    }
+
+    fn serialize_f64(self, v: f64) -> Result<(), Error> {
+        self.write_number(v)
+    }
+
+    fn serialize_str(self, v: &str) -> Result<(), Error> {
+        self.write_string(v)
+    }
+
+    fn serialize_unit(self) -> Result<(), Error> {
+        self.write(b"null")
+    }
+
+    fn serialize_none(self) -> Result<(), Error> {
+        self.write(b"null")
+    }
+
+    fn serialize_some<T: ?Sized + serde::Serialize>(self, value: &T) -> Result<(), Error> {
+        value.serialize(self)
+    }
+
+    fn serialize_seq(self, _len: Option<usize>) -> Result<Compound<'a, W>, Error> {
+        self.begin(b'[', b']')
+    }
+
+    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Compound<'a, W>, Error> {
+        self.begin(b'{', b'}')
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// An open array or object of a [`Serializer`]: writes the separator
+/// before each item and the closing bracket at the end.
+struct Compound<'a, W> {
+    ser: &'a mut Serializer<W>,
+    close: u8,
+    empty: bool,
+}
+
+impl<W: io::Write> Compound<'_, W> {
+    /// The separator before the next item: a comma after the first item,
+    /// and in pretty output a new indented line.
+    fn next_item(&mut self) -> Result<(), Error> {
+        if !self.empty {
+            self.ser.write(b",")?;
         }
+        self.empty = false;
+        if self.ser.pretty {
+            self.ser.newline()?;
+        }
+        Ok(())
     }
-    out.push('"');
+
+    fn finish(self) -> Result<(), Error> {
+        self.ser.depth -= 1;
+        if self.ser.pretty && !self.empty {
+            self.ser.newline()?;
+        }
+        self.ser.write(&[self.close])
+    }
+}
+
+impl<W: io::Write> serde::ser::SerializeSeq for Compound<'_, W> {
+    type Ok = ();
+    type Error = Error;
+
+    fn serialize_element<T: ?Sized + serde::Serialize>(&mut self, value: &T) -> Result<(), Error> {
+        self.next_item()?;
+        value.serialize(&mut *self.ser)
+    }
+
+    fn end(self) -> Result<(), Error> {
+        self.finish()
+    }
+}
+
+impl<W: io::Write> serde::ser::SerializeStruct for Compound<'_, W> {
+    type Ok = ();
+    type Error = Error;
+
+    fn serialize_field<T: ?Sized + serde::Serialize>(
+        &mut self,
+        name: &'static str,
+        value: &T,
+    ) -> Result<(), Error> {
+        self.next_item()?;
+        self.ser.write_string(name)?;
+        self.ser.write(if self.ser.pretty { b": " } else { b":" })?;
+        value.serialize(&mut *self.ser)
+    }
+
+    fn end(self) -> Result<(), Error> {
+        self.finish()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -331,21 +522,29 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{0008}'),
                         Some(b'f') => out.push('\u{000C}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::new("invalid \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::new("invalid \\u escape"))?;
+                            let mut code = self.hex4(self.pos + 1)?;
+                            self.pos += 4;
+                            // An astral character travels as a UTF-16
+                            // surrogate pair: a high surrogate escape
+                            // directly followed by a low surrogate one.
+                            if (0xD800..0xDC00).contains(&code) {
+                                let low = match self.bytes.get(self.pos + 1..self.pos + 3) {
+                                    Some(b"\\u") => self.hex4(self.pos + 3)?,
+                                    _ => {
+                                        return Err(Error::new("unpaired surrogate in \\u escape"))
+                                    }
+                                };
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(Error::new("unpaired surrogate in \\u escape"));
+                                }
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                self.pos += 6;
+                            }
+                            // A lone low surrogate is no scalar value.
                             out.push(
                                 char::from_u32(code)
                                     .ok_or_else(|| Error::new("invalid \\u code point"))?,
                             );
-                            self.pos += 4;
                         }
                         other => {
                             return Err(Error::new(format!("invalid escape {other:?}")));
@@ -356,6 +555,21 @@ impl<'a> Parser<'a> {
                 _ => return Err(Error::new("unterminated string")),
             }
         }
+    }
+
+    /// The code unit of the four hex digits at `at`, the body of a `\u`
+    /// escape.
+    fn hex4(&self, at: usize) -> Result<u32, Error> {
+        let digits = self
+            .bytes
+            .get(at..at + 4)
+            .ok_or_else(|| Error::new("truncated \\u escape"))?;
+        digits.iter().try_fold(0, |code, &digit| {
+            let value = char::from(digit)
+                .to_digit(16)
+                .ok_or_else(|| Error::new("invalid \\u escape"))?;
+            Ok(code << 4 | value)
+        })
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -439,19 +653,78 @@ mod tests {
 
     #[test]
     fn pretty_output_is_reparsable() {
-        let value = Value::Object(vec![
-            ("name".to_owned(), Value::String("x".to_owned())),
-            (
-                "xs".to_owned(),
-                Value::Array(vec![Value::Number(1.0), Value::Number(2.25)]),
-            ),
-            ("flag".to_owned(), Value::Bool(true)),
-        ]);
-        let mut out = String::new();
-        write_value(&value, Some(2), 0, &mut out);
-        let mut parser = Parser::new(out.as_bytes());
-        let back = parser.parse_value().unwrap();
-        assert_eq!(back, value);
+        struct Doc;
+        impl serde::Serialize for Doc {
+            fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+                use serde::ser::SerializeStruct;
+                let mut state = serializer.serialize_struct("Doc", 4)?;
+                state.serialize_field("name", "x")?;
+                state.serialize_field("xs", &[1.0, 2.25])?;
+                state.serialize_field("none", &Vec::<f64>::new())?;
+                state.serialize_field("flag", &true)?;
+                state.end()
+            }
+        }
+        let out = to_string_pretty(&Doc).unwrap();
+        assert_eq!(
+            out,
+            "{\n  \"name\": \"x\",\n  \"xs\": [\n    1,\n    2.25\n  ],\n  \"none\": [],\n  \"flag\": true\n}"
+        );
+        let back: Value = from_str(&out).unwrap();
+        assert_eq!(
+            back,
+            Value::Object(vec![
+                ("name".to_owned(), Value::String("x".to_owned())),
+                (
+                    "xs".to_owned(),
+                    Value::Array(vec![Value::Number(1.0), Value::Number(2.25)]),
+                ),
+                ("none".to_owned(), Value::Array(Vec::new())),
+                ("flag".to_owned(), Value::Bool(true)),
+            ])
+        );
+    }
+
+    #[test]
+    fn to_writer_streams_into_the_writer_and_reports_its_failures() {
+        let mut out = b"> ".to_vec();
+        to_writer(&mut out, &vec![Some(1.5), None]).unwrap();
+        assert_eq!(out, b"> [1.5,null]");
+
+        struct Full;
+        impl io::Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = to_writer(Full, &"x").unwrap_err();
+        assert_eq!(io::Error::from(err).kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    #[test]
+    fn a_surrogate_pair_decodes_to_its_astral_character() {
+        let s: String = from_str(r#""caf\u00e9 \ud83d\ude00""#).unwrap();
+        assert_eq!(s, "café \u{1F600}");
+        let upper: String = from_str(r#""\uD83D\uDE00!""#).unwrap();
+        assert_eq!(upper, "\u{1F600}!");
+        // Lone, reversed and unpaired surrogates stay typed errors.
+        for bad in [
+            r#""\ud800""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            r#""\ud83d x""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83d\n""#,
+            r#""\ud83d\ude0""#,
+        ] {
+            assert!(from_str::<String>(bad).is_err(), "{bad} must not parse");
+        }
+        // Four hex digits, no sign.
+        assert!(from_str::<String>(r#""\u+041""#).is_err());
     }
 
     #[test]
@@ -479,11 +752,8 @@ mod tests {
 
     #[test]
     fn integers_print_without_decimal_point() {
-        let mut out = String::new();
-        write_number(42.0, &mut out);
-        assert_eq!(out, "42");
-        out.clear();
-        write_number(0.5, &mut out);
-        assert_eq!(out, "0.5");
+        assert_eq!(to_string(&42.0).unwrap(), "42");
+        assert_eq!(to_string(&-7i64).unwrap(), "-7");
+        assert_eq!(to_string(&0.5).unwrap(), "0.5");
     }
 }
