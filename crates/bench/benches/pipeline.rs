@@ -2,7 +2,7 @@
 //! full abduction on a recorded session, a complete counterfactual
 //! comparison (abduction + K replays + baseline + oracle), the query
 //! engine over a shared-session query set, one warm next-chunk request,
-//! and the JSONL bytes of its response.
+//! the parse of its query set, and the JSONL bytes of its response.
 
 use std::sync::Arc;
 
@@ -208,9 +208,24 @@ fn bench_wire(c: &mut Criterion) {
     });
 }
 
+/// Parsing the query set of one next-chunk request:
+/// `QuerySet::from_json` of the compact six-query set that a
+/// `nextchunk_serve` request carries as its `query` member.
+fn bench_wire_parse(c: &mut Criterion) {
+    c.bench_function("wire/nextchunk_queryset_parse", |b| {
+        let corpus = SyntheticSpec {
+            sessions: 1,
+            ..SyntheticSpec::default()
+        }
+        .build();
+        let json = serde_json::to_string(&nextchunk_set(&corpus)).unwrap();
+        b.iter(|| QuerySet::from_json(black_box(&json)).unwrap());
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_pipeline, bench_engine, bench_nextchunk, bench_wire
+    targets = bench_pipeline, bench_engine, bench_nextchunk, bench_wire, bench_wire_parse
 }
 criterion_main!(benches);

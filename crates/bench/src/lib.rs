@@ -18,52 +18,11 @@ pub mod experiments;
 pub mod report;
 pub mod workload;
 
-use parking_lot::Mutex;
-
 pub use veritas_engine::executor::default_threads;
-
-/// Maps `f` over `items` using up to `threads` worker threads, preserving
-/// input order in the output.
-///
-/// Kept as a convenience wrapper over
-/// [`veritas_engine::executor::execute`]: jobs are claimed through the
-/// executor's lock-free atomic cursor rather than a shared locked queue,
-/// so wide corpora no longer contend on a single `Mutex<Vec>`. The
-/// per-item mutex below only exists to move each owned item out of the
-/// shared slice; it is touched exactly once per item, by the worker that
-/// claimed it, and is never contended. Call sites that already work with
-/// indices should prefer [`veritas_engine::executor::execute_indexed`].
-pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    veritas_engine::executor::execute(&slots, threads, |slot| {
-        let item = slot
-            .lock()
-            .take()
-            .expect("each job slot is claimed exactly once");
-        f(item)
-    })
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect(), 4, |x: i32| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_single_thread_works() {
-        let out = parallel_map(vec!["a", "bb", "ccc"], 1, |s: &str| s.len());
-        assert_eq!(out, vec![1, 2, 3]);
-    }
 
     #[test]
     fn default_threads_is_positive() {

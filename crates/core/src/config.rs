@@ -28,6 +28,19 @@ pub struct VeritasConfig {
 }
 
 impl VeritasConfig {
+    /// Most capacity states a valid grid may have. The paper's grid (ε =
+    /// 0.5 Mbps up to 10 Mbps) has 21 and the largest any benchmark uses
+    /// has 63 (`forward_backward_largek`); a 256-state transition kernel is
+    /// 512 KiB of `f64`s. Without a bound one request's ceiling or ε could
+    /// ask for a K × K kernel of terabytes, and the failed allocation
+    /// aborts the process.
+    pub const MAX_STATES: usize = 256;
+
+    /// Most posterior samples a valid config may draw. The largest count
+    /// any test uses is 192; each sample is one full state path and one
+    /// QoE replay, so an unbounded count is unbounded memory and time.
+    pub const MAX_SAMPLES: usize = 4_096;
+
     /// The paper's default configuration.
     pub fn paper_default() -> Self {
         Self {
@@ -87,8 +100,26 @@ impl VeritasConfig {
                 self.epsilon_mbps
             ));
         }
+        if !self.max_capacity_mbps.is_finite() {
+            return Err(format!(
+                "max_capacity_mbps must be finite, got {}",
+                self.max_capacity_mbps
+            ));
+        }
         if self.max_capacity_mbps < self.epsilon_mbps {
             return Err("max_capacity_mbps must be at least epsilon_mbps".to_string());
+        }
+        // Counted in f64: `num_states`' `as usize + 1` overflows for a
+        // huge ceiling over a tiny ε.
+        let states = (self.max_capacity_mbps / self.epsilon_mbps).floor() + 1.0;
+        if states > Self::MAX_STATES as f64 {
+            return Err(format!(
+                "a grid of max_capacity_mbps {} at epsilon_mbps {} has {states} states \
+                 (limit {})",
+                self.max_capacity_mbps,
+                self.epsilon_mbps,
+                Self::MAX_STATES
+            ));
         }
         if !(self.sigma_mbps.is_finite() && self.sigma_mbps > 0.0) {
             return Err(format!(
@@ -104,6 +135,13 @@ impl VeritasConfig {
         }
         if self.num_samples == 0 {
             return Err("num_samples must be at least 1".to_string());
+        }
+        if self.num_samples > Self::MAX_SAMPLES {
+            return Err(format!(
+                "num_samples {} exceeds the limit of {}",
+                self.num_samples,
+                Self::MAX_SAMPLES
+            ));
         }
         Ok(())
     }
@@ -179,5 +217,27 @@ mod tests {
         let mut c = VeritasConfig::paper_default();
         c.num_samples = 0;
         assert!(c.validate().is_err());
+        // Unbounded grids and sample counts are refused before anything
+        // is allocated for them.
+        for ceiling in [f64::INFINITY, f64::NAN, 1e6] {
+            let mut c = VeritasConfig::paper_default();
+            c.max_capacity_mbps = ceiling;
+            assert!(c.validate().is_err(), "ceiling {ceiling}");
+        }
+        let mut c = VeritasConfig::paper_default();
+        c.epsilon_mbps = 1e-6;
+        assert!(c.validate().is_err());
+        let mut c = VeritasConfig::paper_default();
+        c.num_samples = VeritasConfig::MAX_SAMPLES + 1;
+        assert!(c.validate().unwrap_err().contains("4096"));
+        // The bounds themselves pass: 256 states, 4,096 samples.
+        let c = VeritasConfig::paper_default()
+            .with_max_capacity(127.5)
+            .with_samples(VeritasConfig::MAX_SAMPLES);
+        assert_eq!(c.num_states(), VeritasConfig::MAX_STATES);
+        assert!(c.validate().is_ok());
+        let c = c.with_max_capacity(128.0);
+        assert_eq!(c.num_states(), VeritasConfig::MAX_STATES + 1);
+        assert!(c.validate().unwrap_err().contains("257 states"));
     }
 }

@@ -31,8 +31,7 @@ pub fn default_threads() -> usize {
 /// Runs `f(0..count)` across up to `threads` workers, returning the results
 /// in index order.
 ///
-/// The paper-figure experiments fan out with it, and
-/// `veritas_bench::parallel_map` delegates to it; the engine streams its
+/// The paper-figure experiments fan out with it; the engine streams its
 /// units through [`stream`] instead. Jobs are claimed with a
 /// single relaxed `fetch_add` on a shared cursor, so scheduling is
 /// lock-free and naturally load-balanced: a worker that lands a cheap job
@@ -190,17 +189,6 @@ pub fn run_isolated<R>(job: impl FnOnce() -> R) -> Result<R, String> {
     })
 }
 
-/// Maps `f` over a shared slice with the atomic-cursor worker pool,
-/// preserving input order in the output.
-pub fn execute<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    execute_indexed(items.len(), threads, |i| f(&items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,7 +211,8 @@ mod tests {
     fn handles_empty_and_single_thread() {
         let empty: Vec<usize> = execute_indexed(0, 4, |i| i);
         assert!(empty.is_empty());
-        let out = execute(&["a", "bb", "ccc"], 1, |s| s.len());
+        let words = ["a", "bb", "ccc"];
+        let out = execute_indexed(words.len(), 1, |i| words[i].len());
         assert_eq!(out, vec![1, 2, 3]);
     }
 

@@ -29,9 +29,7 @@ use veritas_player::QoeSummary;
 use crate::cache::config_fingerprint;
 use crate::corpus::Corpus;
 use crate::error::EngineError;
-use crate::query::{
-    object_fields, opt, reject_unknown, req, Query, QueryKind, QuerySet, ScenarioSpec,
-};
+use crate::query::{Query, QueryKind, QuerySet, ScenarioSpec};
 use crate::runner::materialize_scenario;
 use crate::store::{columns, ColumnSet};
 
@@ -47,7 +45,8 @@ pub const MAX_SWEEP_VARIANTS: usize = 256;
 /// present axes, in a fixed axis order (σ, stay probability, samples, ε,
 /// grid ceiling), and every variant carries a stable human-readable label
 /// (e.g. `sigma=0.25,stay=0.9`) echoed in result records.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ConfigSweep {
     /// Emission noise values (σ, Mbps) to sweep.
     pub sigma_mbps: Option<Vec<f64>>,
@@ -231,21 +230,6 @@ fn cross_axis<T: Copy + std::fmt::Display>(
     next
 }
 
-impl<'de> Deserialize<'de> for ConfigSweep {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut fields = object_fields(deserializer, "sweep")?;
-        let sweep = ConfigSweep {
-            sigma_mbps: opt(&mut fields, "sigma_mbps")?,
-            stay_probability: opt(&mut fields, "stay_probability")?,
-            num_samples: opt(&mut fields, "num_samples")?,
-            epsilon_mbps: opt(&mut fields, "epsilon_mbps")?,
-            max_capacity_mbps: opt(&mut fields, "max_capacity_mbps")?,
-        };
-        reject_unknown(&fields, "sweep")?;
-        Ok(sweep)
-    }
-}
-
 /// The per-session scalar an aggregation query reduces.
 ///
 /// `mean_capacity_mbps` comes straight from the abducted posterior (the
@@ -318,22 +302,19 @@ impl Serialize for AggregateMetric {
 
 impl<'de> Deserialize<'de> for AggregateMetric {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.deserialize_value()? {
-            serde::Value::String(s) => AggregateMetric::parse(&s).ok_or_else(|| {
-                de::Error::custom(format!(
-                    "unknown aggregate metric `{s}` (expected mean_capacity_mbps | mean_ssim | \
-                     rebuffer_ratio_percent | avg_bitrate_mbps | startup_delay_s)"
-                ))
-            }),
-            other => Err(de::Error::custom(format!(
-                "aggregate metric must be a string, got {other:?}"
-            ))),
-        }
+        let name = String::deserialize(deserializer)?;
+        AggregateMetric::parse(&name).ok_or_else(|| {
+            de::Error::custom(format!(
+                "unknown aggregate metric `{name}` (expected mean_capacity_mbps | mean_ssim | \
+                 rebuffer_ratio_percent | avg_bitrate_mbps | startup_delay_s)"
+            ))
+        })
     }
 }
 
 /// A declarative trace-level reduction for an aggregation query.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AggregateSpec {
     /// The per-session scalar to reduce.
     pub metric: AggregateMetric,
@@ -366,18 +347,6 @@ impl AggregateSpec {
             ));
         }
         Ok(())
-    }
-}
-
-impl<'de> Deserialize<'de> for AggregateSpec {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut fields = object_fields(deserializer, "aggregate")?;
-        let spec = AggregateSpec {
-            metric: req(&mut fields, "aggregate", "metric")?,
-            scenario: opt(&mut fields, "scenario")?,
-        };
-        reject_unknown(&fields, "aggregate")?;
-        Ok(spec)
     }
 }
 

@@ -13,13 +13,15 @@
 //! wrapper), reusing one abduction per (session, config) through the
 //! [`crate::AbductionCache`].
 //!
-//! Serialization note: [`Query`], [`ScenarioSpec`], [`QuerySet`], and the
-//! plan-level specs implement `Deserialize` by hand so that hand-authored
-//! query files may omit optional fields entirely (the derive shim
-//! requires every field to be present) and so that unknown fields are
-//! rejected with a pointed error instead of being silently ignored.
+//! Serialization note: [`Query`], [`ScenarioSpec`], [`QuerySet`] and the
+//! plan-level specs derive `Deserialize` with
+//! `#[serde(deny_unknown_fields)]`, so a misspelt member is refused with an
+//! error that names it instead of being ignored. Hand-authored query files
+//! may omit any optional member or set it to `null`: an `Option` member
+//! reads as `None`, and a query set's `name` and `config` default to
+//! `"queryset"` and [`VeritasConfig::paper_default`].
 
-use serde::{de, Deserialize, Deserializer, Serialize, Serializer, Value, ValueDeserializer};
+use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use veritas::VeritasConfig;
 
 use crate::plan::{AggregateSpec, ConfigSweep};
@@ -82,24 +84,21 @@ impl Serialize for QueryKind {
 
 impl<'de> Deserialize<'de> for QueryKind {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.deserialize_value()? {
-            Value::String(s) => QueryKind::parse(&s).ok_or_else(|| {
-                de::Error::custom(format!(
-                    "unknown query kind `{s}` (expected abduction | interventional | \
-                     counterfactual | sweep | aggregate)"
-                ))
-            }),
-            other => Err(de::Error::custom(format!(
-                "query kind must be a string, got {other:?}"
-            ))),
-        }
+        let name = String::deserialize(deserializer)?;
+        QueryKind::parse(&name).ok_or_else(|| {
+            de::Error::custom(format!(
+                "unknown query kind `{name}` (expected abduction | interventional | \
+                 counterfactual | sweep | aggregate)"
+            ))
+        })
     }
 }
 
 /// Declarative intervention parameters for a counterfactual query, applied
 /// on top of the corpus's deployed setting. Fields left unset keep the
 /// deployed value.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioSpec {
     /// ABR algorithm to swap in (resolved via [`veritas_abr::abr_by_name`]).
     pub abr: Option<String>,
@@ -137,7 +136,8 @@ impl ScenarioSpec {
 }
 
 /// One causal query over a corpus.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Query {
     /// Caller-chosen identifier, echoed in every result record.
     pub id: String,
@@ -264,11 +264,16 @@ impl Query {
 }
 
 /// A named batch of queries sharing one Veritas configuration.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct QuerySet {
-    /// Name of the batch, echoed in reports.
+    /// Name of the batch, echoed in reports (`"queryset"` when the JSON
+    /// omits it).
+    #[serde(default = "default_set_name")]
     pub name: String,
-    /// The abduction hyper-parameters every query runs under.
+    /// The abduction hyper-parameters every query runs under (the paper's
+    /// when the JSON omits them).
+    #[serde(default = "VeritasConfig::paper_default")]
     pub config: VeritasConfig,
     /// The queries, executed fanned out over (query, session) pairs.
     pub queries: Vec<Query>,
@@ -319,6 +324,13 @@ impl QuerySet {
             }
             if query.samples == Some(0) {
                 return Err(format!("query `{}`: samples must be at least 1", query.id));
+            }
+            if let Some(samples) = query.samples.filter(|&n| n > VeritasConfig::MAX_SAMPLES) {
+                return Err(format!(
+                    "query `{}`: samples {samples} exceeds the limit of {}",
+                    query.id,
+                    VeritasConfig::MAX_SAMPLES
+                ));
             }
             if query.sessions.as_deref() == Some(&[]) {
                 return Err(format!(
@@ -508,115 +520,9 @@ impl QuerySet {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Hand-written deserialization (optional-field-friendly, strict on typos)
-// ---------------------------------------------------------------------------
-
-/// Removes `name` from a decoded object's field list, treating JSON `null`
-/// the same as an absent field.
-pub(crate) fn take_field(fields: &mut Vec<(String, Value)>, name: &str) -> Option<Value> {
-    let index = fields.iter().position(|(key, _)| key == name)?;
-    match fields.remove(index).1 {
-        Value::Null => None,
-        value => Some(value),
-    }
-}
-
-/// Lifts an optional typed field out of a decoded object.
-pub(crate) fn opt<'de, T: Deserialize<'de>, E: de::Error>(
-    fields: &mut Vec<(String, Value)>,
-    name: &str,
-) -> Result<Option<T>, E> {
-    match take_field(fields, name) {
-        None => Ok(None),
-        Some(value) => Ok(Some(T::deserialize(ValueDeserializer::<E>::new(value))?)),
-    }
-}
-
-/// Lifts a required typed field out of a decoded object.
-pub(crate) fn req<'de, T: Deserialize<'de>, E: de::Error>(
-    fields: &mut Vec<(String, Value)>,
-    context: &str,
-    name: &str,
-) -> Result<T, E> {
-    match take_field(fields, name) {
-        None => Err(de::Error::custom(format!(
-            "{context}: missing required field `{name}`"
-        ))),
-        Some(value) => T::deserialize(ValueDeserializer::<E>::new(value)),
-    }
-}
-
-/// Errors on any fields left over after the known ones were consumed.
-pub(crate) fn reject_unknown<E: de::Error>(
-    fields: &[(String, Value)],
-    context: &str,
-) -> Result<(), E> {
-    if let Some((name, _)) = fields.first() {
-        return Err(de::Error::custom(format!(
-            "{context}: unknown field `{name}`"
-        )));
-    }
-    Ok(())
-}
-
-/// Decodes an object's field list out of a deserializer.
-pub(crate) fn object_fields<'de, D: Deserializer<'de>>(
-    deserializer: D,
-    context: &str,
-) -> Result<Vec<(String, Value)>, D::Error> {
-    match deserializer.deserialize_value()? {
-        Value::Object(fields) => Ok(fields),
-        other => Err(de::Error::custom(format!(
-            "{context}: expected a JSON object, got {other:?}"
-        ))),
-    }
-}
-
-impl<'de> Deserialize<'de> for ScenarioSpec {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut fields = object_fields(deserializer, "scenario")?;
-        let spec = ScenarioSpec {
-            abr: opt(&mut fields, "abr")?,
-            buffer_capacity_s: opt(&mut fields, "buffer_capacity_s")?,
-            ladder: opt(&mut fields, "ladder")?,
-        };
-        reject_unknown(&fields, "scenario")?;
-        Ok(spec)
-    }
-}
-
-impl<'de> Deserialize<'de> for Query {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut fields = object_fields(deserializer, "query")?;
-        let query = Query {
-            id: req(&mut fields, "query", "id")?,
-            kind: req(&mut fields, "query", "kind")?,
-            sessions: opt(&mut fields, "sessions")?,
-            scenario: opt(&mut fields, "scenario")?,
-            chunk_index: opt(&mut fields, "chunk_index")?,
-            candidate_size_bytes: opt(&mut fields, "candidate_size_bytes")?,
-            samples: opt(&mut fields, "samples")?,
-            seed: opt(&mut fields, "seed")?,
-            sweep: opt(&mut fields, "sweep")?,
-            aggregate: opt(&mut fields, "aggregate")?,
-        };
-        reject_unknown(&fields, &format!("query `{}`", query.id))?;
-        Ok(query)
-    }
-}
-
-impl<'de> Deserialize<'de> for QuerySet {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut fields = object_fields(deserializer, "query set")?;
-        let set = QuerySet {
-            name: opt(&mut fields, "name")?.unwrap_or_else(|| "queryset".to_string()),
-            config: opt(&mut fields, "config")?.unwrap_or_else(VeritasConfig::paper_default),
-            queries: req(&mut fields, "query set", "queries")?,
-        };
-        reject_unknown(&fields, "query set")?;
-        Ok(set)
-    }
+/// The name of a query set whose JSON omits one.
+fn default_set_name() -> String {
+    "queryset".to_string()
 }
 
 #[cfg(test)]
@@ -728,6 +634,27 @@ mod tests {
             .validate()
             .unwrap_err()
             .contains("chunk_index/candidate_size_bytes"));
+        // Sample counts and grids are bounded: by the query's override and
+        // by every sweep variant's config.
+        let counterfactual = Query::counterfactual("c", ScenarioSpec::abr("bba"));
+        let many_samples = QuerySet::new("s", VeritasConfig::paper_default()).with_query(
+            counterfactual
+                .clone()
+                .with_samples(VeritasConfig::MAX_SAMPLES + 1),
+        );
+        assert!(many_samples.validate().unwrap_err().contains("4096"));
+        let at_the_bound = QuerySet::new("s", VeritasConfig::paper_default())
+            .with_query(counterfactual.with_samples(VeritasConfig::MAX_SAMPLES));
+        assert!(at_the_bound.validate().is_ok());
+        let huge_grid =
+            QuerySet::new("s", VeritasConfig::paper_default()).with_query(Query::sweep(
+                "sw",
+                crate::plan::ConfigSweep {
+                    max_capacity_mbps: Some(vec![1e6]),
+                    ..crate::plan::ConfigSweep::default()
+                },
+            ));
+        assert!(huge_grid.validate().unwrap_err().contains("states"));
     }
 
     #[test]

@@ -51,9 +51,7 @@ use crate::executor;
 use crate::fault::{FaultPlan, FaultSite};
 use crate::persist::DiskStore;
 use crate::plan::{percentile_u64, AggregateSummary, PlannedConfig, QueryPlan, WorkUnit};
-use crate::query::{
-    object_fields, opt, reject_unknown, req, Query, QueryKind, QuerySet, ScenarioSpec,
-};
+use crate::query::{Query, QueryKind, QuerySet, ScenarioSpec};
 
 /// The session id carried by an aggregation's final folded record.
 pub const AGGREGATE_SESSION: &str = "*";
@@ -108,11 +106,12 @@ impl RangeSummary {
 /// The kind-specific payload of a successful query; fields irrelevant to
 /// the query's kind are `null` in the JSONL output.
 ///
-/// `Deserialize` is hand-written (like the query spec types) so that
-/// every field is absent-tolerant: reports written by earlier engine
-/// versions — before `variant`, `metric_value`, or `aggregate` existed —
-/// still validate, while unknown fields are rejected.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+/// Every member is an `Option`, so each may be absent or `null` on input:
+/// reports written by earlier engine versions, before `metric_value` or
+/// `aggregate` existed, still validate. Unknown members are refused
+/// (`deny_unknown_fields`).
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct QueryOutput {
     /// Abduction: number of chunks conditioned on.
     pub chunks: Option<usize>,
@@ -143,13 +142,15 @@ pub struct QueryOutput {
 
 /// One line of the engine's JSONL result stream.
 ///
-/// `Deserialize` is hand-written so optional fields (including the
-/// PR-4-era `variant`) may be absent, keeping old reports readable by
-/// `veritas validate`. `Serialize` is hand-written too: `attempts` is
-/// *omitted* (not `null`) when unset, so records from runs without a
-/// [`RetryPolicy`] — and every successful record — keep their exact
-/// pre-supervision byte shape.
-#[derive(Debug, Clone, PartialEq)]
+/// The `Option` members may be absent or `null` on input, so reports
+/// written before `variant` or `attempts` existed stay readable by
+/// `veritas validate`; the other members are required and unknown ones
+/// are refused (`deny_unknown_fields`). On output `attempts` is
+/// *omitted* (not `null`) when unset (`skip_serializing_if`), so records
+/// from runs without a [`RetryPolicy`], and every successful record,
+/// keep their exact pre-supervision byte shape.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct QueryRecord {
     /// Id of the query this record answers.
     pub query_id: String,
@@ -176,28 +177,8 @@ pub struct QueryRecord {
     /// records produced under a [`RetryPolicy`]. Successful records —
     /// including success-after-retry — leave it absent, so a retried
     /// run's output stays identical to the fault-free run.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub attempts: Option<u64>,
-}
-
-impl Serialize for QueryRecord {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let fields = 9 + usize::from(self.attempts.is_some());
-        let mut state = serializer.serialize_struct("QueryRecord", fields)?;
-        state.serialize_field("query_id", &self.query_id)?;
-        state.serialize_field("kind", &self.kind)?;
-        state.serialize_field("session", &self.session)?;
-        state.serialize_field("variant", &self.variant)?;
-        state.serialize_field("status", &self.status)?;
-        state.serialize_field("error", &self.error)?;
-        state.serialize_field("cache", &self.cache)?;
-        state.serialize_field("elapsed_us", &self.elapsed_us)?;
-        state.serialize_field("output", &self.output)?;
-        if let Some(attempts) = &self.attempts {
-            state.serialize_field("attempts", attempts)?;
-        }
-        state.end()
-    }
 }
 
 impl QueryRecord {
@@ -211,47 +192,6 @@ impl QueryRecord {
     pub fn write_line(&self, out: &mut impl Write) -> io::Result<()> {
         serde_json::to_writer(&mut *out, self)?;
         out.write_all(b"\n")
-    }
-}
-
-impl<'de> Deserialize<'de> for QueryOutput {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut fields = object_fields(deserializer, "query output")?;
-        let output = QueryOutput {
-            chunks: opt(&mut fields, "chunks")?,
-            mean_capacity_mbps: opt(&mut fields, "mean_capacity_mbps")?,
-            viterbi_mae_vs_truth_mbps: opt(&mut fields, "viterbi_mae_vs_truth_mbps")?,
-            expected_capacity_mbps: opt(&mut fields, "expected_capacity_mbps")?,
-            predicted_download_time_s: opt(&mut fields, "predicted_download_time_s")?,
-            actual_download_time_s: opt(&mut fields, "actual_download_time_s")?,
-            veritas: opt(&mut fields, "veritas")?,
-            baseline: opt(&mut fields, "baseline")?,
-            oracle: opt(&mut fields, "oracle")?,
-            metric_value: opt(&mut fields, "metric_value")?,
-            aggregate: opt(&mut fields, "aggregate")?,
-        };
-        reject_unknown(&fields, "query output")?;
-        Ok(output)
-    }
-}
-
-impl<'de> Deserialize<'de> for QueryRecord {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut fields = object_fields(deserializer, "query record")?;
-        let record = QueryRecord {
-            query_id: req(&mut fields, "query record", "query_id")?,
-            kind: req(&mut fields, "query record", "kind")?,
-            session: req(&mut fields, "query record", "session")?,
-            variant: opt(&mut fields, "variant")?,
-            status: req(&mut fields, "query record", "status")?,
-            error: opt(&mut fields, "error")?,
-            cache: opt(&mut fields, "cache")?,
-            elapsed_us: req(&mut fields, "query record", "elapsed_us")?,
-            output: opt(&mut fields, "output")?,
-            attempts: opt(&mut fields, "attempts")?,
-        };
-        reject_unknown(&fields, "query record")?;
-        Ok(record)
     }
 }
 

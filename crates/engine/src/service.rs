@@ -120,7 +120,7 @@ use crate::error::EngineError;
 use crate::fault::{FaultPlan, FaultSite};
 use crate::flags::{self, EngineFlags};
 use crate::plan::{percentile_u64, QueryPlan};
-use crate::query::{object_fields, opt, reject_unknown, req, QuerySet};
+use crate::query::QuerySet;
 use crate::runner::{
     Engine, QueryLatency, QueryRecord, RetryPolicy, RunHandle, RunSummary, Scope, AGGREGATE_SESSION,
 };
@@ -269,12 +269,18 @@ impl ServiceConfig {
 }
 
 /// One parsed request line. Exactly one of `query` / `metrics` /
-/// `shutdown` must be present; unknown fields are rejected so client
-/// typos fail loudly.
+/// `shutdown` must be present. Every member may be absent or `null` (the
+/// flags then read `false`); unknown members are refused, so client typos
+/// fail loudly.
+#[derive(Deserialize)]
+#[serde(deny_unknown_fields)]
 struct Request {
     query: Option<QuerySet>,
+    #[serde(default)]
     stream: bool,
+    #[serde(default)]
     metrics: bool,
+    #[serde(default)]
     shutdown: bool,
     auth: Option<String>,
     shard: Option<ShardSel>,
@@ -287,39 +293,12 @@ struct Request {
 }
 
 /// The `shard` member of a query request: restrict execution to shard
-/// `index` of an `of`-way corpus partition.
+/// `index` of an `of`-way corpus partition. Both members are required.
+#[derive(Deserialize)]
+#[serde(deny_unknown_fields)]
 struct ShardSel {
     index: usize,
     of: usize,
-}
-
-impl<'de> Deserialize<'de> for Request {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut fields = object_fields(deserializer, "service request")?;
-        let request = Request {
-            query: opt(&mut fields, "query")?,
-            stream: opt(&mut fields, "stream")?.unwrap_or(false),
-            metrics: opt(&mut fields, "metrics")?.unwrap_or(false),
-            shutdown: opt(&mut fields, "shutdown")?.unwrap_or(false),
-            auth: opt(&mut fields, "auth")?,
-            shard: opt(&mut fields, "shard")?,
-            columns: opt(&mut fields, "columns")?,
-        };
-        reject_unknown(&fields, "service request")?;
-        Ok(request)
-    }
-}
-
-impl<'de> Deserialize<'de> for ShardSel {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut fields = object_fields(deserializer, "shard selector")?;
-        let shard = ShardSel {
-            index: req(&mut fields, "shard selector", "index")?,
-            of: req(&mut fields, "shard selector", "of")?,
-        };
-        reject_unknown(&fields, "shard selector")?;
-        Ok(shard)
-    }
 }
 
 /// The terminal response line of a query: `{"summary": <RunSummary>,
@@ -1164,6 +1143,194 @@ mod tests {
             r#"{"query": {"queries": []}, "shard": {"index": 0, "of": 2, "x": 1}}"#
         )
         .is_err());
+    }
+
+    /// The JSON field policy of every struct a request line or a report
+    /// decodes, one row per struct: a minimal object (the required members
+    /// only) parses, an optional member reads the same absent as `null`,
+    /// a required member absent or `null` is an error that names it, an
+    /// unknown member is an error that names it, and a non-object is an
+    /// error.
+    #[test]
+    fn every_wire_struct_follows_one_field_policy() {
+        use crate::plan::{AggregateSpec, ConfigSweep};
+        use crate::query::{Query, ScenarioSpec};
+        use crate::runner::QueryOutput;
+
+        struct Row {
+            name: &'static str,
+            parse: fn(&str) -> Result<String, String>,
+            required: &'static [(&'static str, &'static str)],
+            optional: &'static [&'static str],
+        }
+        fn parse<T: for<'de> Deserialize<'de> + std::fmt::Debug>(
+            json: &str,
+        ) -> Result<String, String> {
+            serde_json::from_str::<T>(json)
+                .map(|value| format!("{value:?}"))
+                .map_err(|error| error.to_string())
+        }
+        fn request(json: &str) -> Result<String, String> {
+            serde_json::from_str::<Request>(json)
+                .map(|r| {
+                    let shard = r.shard.map(|s| (s.index, s.of));
+                    format!(
+                        "{:?} {} {} {} {:?} {shard:?} {:?}",
+                        r.query, r.stream, r.metrics, r.shutdown, r.auth, r.columns
+                    )
+                })
+                .map_err(|error| error.to_string())
+        }
+        fn shard(json: &str) -> Result<String, String> {
+            serde_json::from_str::<ShardSel>(json)
+                .map(|s| format!("{} {}", s.index, s.of))
+                .map_err(|error| error.to_string())
+        }
+        let object = |members: &[(&str, &str)]| {
+            let body: Vec<String> = members
+                .iter()
+                .map(|(name, value)| format!("\"{name}\": {value}"))
+                .collect();
+            format!("{{{}}}", body.join(", "))
+        };
+        let rows = [
+            Row {
+                name: "ScenarioSpec",
+                parse: parse::<ScenarioSpec>,
+                required: &[],
+                optional: &["abr", "buffer_capacity_s", "ladder"],
+            },
+            Row {
+                name: "Query",
+                parse: parse::<Query>,
+                required: &[("id", "\"a\""), ("kind", "\"abduction\"")],
+                optional: &[
+                    "sessions",
+                    "scenario",
+                    "chunk_index",
+                    "candidate_size_bytes",
+                    "samples",
+                    "seed",
+                    "sweep",
+                    "aggregate",
+                ],
+            },
+            Row {
+                name: "ConfigSweep",
+                parse: parse::<ConfigSweep>,
+                required: &[],
+                optional: &[
+                    "sigma_mbps",
+                    "stay_probability",
+                    "num_samples",
+                    "epsilon_mbps",
+                    "max_capacity_mbps",
+                ],
+            },
+            Row {
+                name: "AggregateSpec",
+                parse: parse::<AggregateSpec>,
+                required: &[("metric", "\"mean_ssim\"")],
+                optional: &["scenario"],
+            },
+            Row {
+                name: "QuerySet",
+                parse: parse::<QuerySet>,
+                required: &[("queries", "[]")],
+                optional: &["name", "config"],
+            },
+            Row {
+                name: "QueryOutput",
+                parse: parse::<QueryOutput>,
+                required: &[],
+                optional: &[
+                    "chunks",
+                    "mean_capacity_mbps",
+                    "viterbi_mae_vs_truth_mbps",
+                    "expected_capacity_mbps",
+                    "predicted_download_time_s",
+                    "actual_download_time_s",
+                    "veritas",
+                    "baseline",
+                    "oracle",
+                    "metric_value",
+                    "aggregate",
+                ],
+            },
+            Row {
+                name: "QueryRecord",
+                parse: parse::<QueryRecord>,
+                required: &[
+                    ("query_id", "\"q\""),
+                    ("kind", "\"abduction\""),
+                    ("session", "\"s0\""),
+                    ("status", "\"ok\""),
+                    ("elapsed_us", "41"),
+                ],
+                optional: &["variant", "error", "cache", "output", "attempts"],
+            },
+            Row {
+                name: "Request",
+                parse: request,
+                required: &[],
+                optional: &[
+                    "query", "stream", "metrics", "shutdown", "auth", "shard", "columns",
+                ],
+            },
+            Row {
+                name: "ShardSel",
+                parse: shard,
+                required: &[("index", "0"), ("of", "2")],
+                optional: &[],
+            },
+        ];
+        for Row {
+            name,
+            parse,
+            required,
+            optional,
+        } in rows
+        {
+            let minimal = parse(&object(required))
+                .unwrap_or_else(|error| panic!("{name}: the minimal object must parse: {error}"));
+            for member in optional {
+                let mut members = required.to_vec();
+                members.push((member, "null"));
+                assert_eq!(
+                    parse(&object(&members)),
+                    Ok(minimal.clone()),
+                    "{name}: `{member}: null` must read as an absent member"
+                );
+            }
+            for (index, (member, _)) in required.iter().enumerate() {
+                let mut absent = required.to_vec();
+                absent.remove(index);
+                let mut null = required.to_vec();
+                null[index].1 = "null";
+                for (case, members) in [("absent", absent), ("null", null)] {
+                    let error = parse(&object(&members))
+                        .expect_err(&format!("{name}: an {case} `{member}` must be refused"));
+                    assert!(
+                        error.contains(&format!("`{member}`")),
+                        "{name}: the error for an {case} `{member}` must name it: {error}"
+                    );
+                }
+            }
+            let mut unknown = required.to_vec();
+            unknown.push(("no_such_member", "1"));
+            let error = parse(&object(&unknown))
+                .expect_err(&format!("{name}: an unknown member must be refused"));
+            assert!(
+                error.contains("no_such_member"),
+                "{name}: the error for an unknown member must name it: {error}"
+            );
+            for not_an_object in ["[]", "1", "\"x\"", "null", "true"] {
+                assert!(
+                    parse(not_an_object).is_err(),
+                    "{name}: `{not_an_object}` is not an object"
+                );
+            }
+        }
     }
 
     /// A request line that parses and validates, one JSON token per word:

@@ -734,6 +734,66 @@ fn an_over_long_request_line_gets_a_typed_error_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn a_request_for_unbounded_work_is_refused_and_the_connection_keeps_serving() {
+    // Each set asks for work past `VeritasConfig::MAX_STATES` or
+    // `MAX_SAMPLES`: a 2,000,001-state grid (a 32 TB transition kernel), a
+    // grid 10^7 states fine, or 10^8 posterior samples. A build without
+    // the bounds would attempt the allocation and abort.
+    let (mut child, addr) = spawn_veritasd(&["--synthetic", "2", "--seed", "9", "--threads", "1"]);
+    let mut client = Client::connect(&addr);
+    let base = VeritasConfig::paper_default().with_samples(2);
+    let counterfactual = || Query::counterfactual("c", ScenarioSpec::abr("bba"));
+    let over_bound = [
+        QuerySet::new("ceiling", base.with_max_capacity(1e6)).with_query(counterfactual()),
+        QuerySet::new(
+            "epsilon",
+            VeritasConfig {
+                epsilon_mbps: 1e-6,
+                ..base
+            },
+        )
+        .with_query(counterfactual()),
+        QuerySet::new(
+            "config-samples",
+            VeritasConfig {
+                num_samples: 100_000_000,
+                ..base
+            },
+        )
+        .with_query(counterfactual()),
+        QuerySet::new("query-samples", base).with_query(counterfactual().with_samples(100_000_000)),
+        QuerySet::new("sweep", base).with_query(Query::sweep(
+            "sw",
+            veritas_engine::ConfigSweep {
+                max_capacity_mbps: Some(vec![1e6]),
+                ..Default::default()
+            },
+        )),
+    ];
+    for set in &over_bound {
+        let response = client.query(set, false);
+        let error = response
+            .error
+            .unwrap_or_else(|| panic!("`{}` must be refused", set.name));
+        assert_eq!(
+            error.kind, "invalid_query",
+            "`{}`: {}",
+            set.name, error.detail
+        );
+        assert!(response.records.is_empty());
+    }
+    // The same connection then answers a normal request.
+    let summary = client.summary(&small_set("after"));
+    assert_eq!((summary.ok, summary.errors), (4, 0));
+    assert!(
+        child.try_wait().unwrap().is_none(),
+        "the daemon must keep running"
+    );
+    child.kill().unwrap();
+    let _ = child.wait();
+}
+
+#[test]
 fn an_auth_token_gates_every_request() {
     let mut cfg = config(2, 47);
     cfg.auth_token = Some("hunter2".to_string());

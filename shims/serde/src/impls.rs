@@ -246,33 +246,6 @@ impl<'de, A: Deserialize<'de>, B: Deserialize<'de>, C: Deserialize<'de>> Deseria
     }
 }
 
-impl Serialize for Value {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        match self {
-            Value::Null => serializer.serialize_unit(),
-            Value::Bool(b) => serializer.serialize_bool(*b),
-            Value::Number(n) => serializer.serialize_f64(*n),
-            Value::String(s) => serializer.serialize_str(s),
-            Value::Array(items) => {
-                let mut seq = serializer.serialize_seq(Some(items.len()))?;
-                for item in items {
-                    seq.serialize_element(item)?;
-                }
-                seq.end()
-            }
-            Value::Object(fields) => {
-                // Objects round-trip through the struct machinery only with
-                // static names; emit via the value path instead.
-                let mut seq = serializer.serialize_seq(Some(fields.len()))?;
-                for (k, v) in fields {
-                    seq.serialize_element(&(k.clone(), v.clone()))?;
-                }
-                seq.end()
-            }
-        }
-    }
-}
-
 impl<'de> Deserialize<'de> for Value {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         deserializer.deserialize_value()

@@ -4,20 +4,44 @@
 //! small serde-compatible core: the [`Serialize`] / [`Deserialize`] traits,
 //! a [`Serializer`] / [`Deserializer`] pair narrowed to the operations the
 //! Veritas code uses, and `#[derive(Serialize, Deserialize)]` proc-macros
-//! (from the sibling `serde_derive` shim) for structs with named fields,
-//! supporting the `#[serde(skip)]` and `#[serde(with = "module")]` field
-//! attributes.
+//! (from the sibling `serde_derive` shim) for non-generic structs with
+//! named fields.
 //!
-//! Serialization streams as in real serde: a `Serialize` impl drives the
-//! format's [`Serializer`] call by call, so the `serde_json` shim writes
-//! JSON text straight into its output. Deserialization is **value based**,
-//! unlike real serde's visitor-driven data model: a [`Deserializer`]
-//! yields one JSON-like [`Value`] tree and typed values lift from it. That
-//! is a deliberate simplification — the only wire format the workspace
-//! uses is JSON, and a value tree keeps the derive macro and the format
-//! crate tiny while preserving serde's public trait signatures, so
-//! swapping the real crates back in later is a manifest change, not a
-//! source change.
+//! # Derive attributes
+//!
+//! The derives take the real-serde attributes the workspace uses, with
+//! real serde's meaning:
+//!
+//! * container `#[serde(deny_unknown_fields)]`;
+//! * field `#[serde(default)]` and `#[serde(default = "path")]`;
+//! * field `#[serde(skip)]` and `#[serde(with = "module")]`;
+//! * field `#[serde(skip_serializing_if = "path")]`.
+//!
+//! A derived `Deserialize` has one rule for absent and `null` members:
+//! either reads as the field's default when it has one, and as `None` for
+//! an `Option` field; otherwise it is a `missing field` error that names
+//! the member. Code outside the shims spells its JSON field policy with
+//! these attributes and hand-writes only string-valued impls over
+//! `String::deserialize`, so swapping the real crates back in is a
+//! manifest change, not a source change.
+//!
+//! # Where the shim differs from real serde
+//!
+//! * Serialization streams as in real serde: a `Serialize` impl drives the
+//!   format's [`Serializer`] call by call. Deserialization is **value
+//!   based**, unlike real serde's visitor-driven data model: a
+//!   [`Deserializer`] yields one JSON-like [`Value`] tree and typed values
+//!   lift from it through [`ValueDeserializer`]. The tree is this shim's
+//!   internal data model; it keeps the derive macro and the format crate
+//!   tiny while preserving serde's public trait signatures.
+//! * A `null` member reads as an absent one. Real serde hands `null` to
+//!   the field's own decoder, so there an `Option<Option<T>>` reads
+//!   `Some(None)`, a `with` decoder may map `null` to a value, and a
+//!   defaulted non-`Option` field refuses `null`.
+//! * Without `deny_unknown_fields`, a repeated member is ignored and the
+//!   first occurrence wins; real serde refuses it as a `duplicate field`.
+//!   With the attribute, both refuse it.
+//! * Numbers are `f64`: integers round-trip exactly up to 2^53.
 
 #![deny(missing_docs)]
 
@@ -30,7 +54,8 @@ pub mod ser;
 
 mod impls;
 
-/// A JSON-like tree: the data model this shim deserializes out of.
+/// A JSON-like tree: the data model this shim deserializes out of. Only
+/// the shims name it; typed code lifts from it through [`Deserialize`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -148,11 +173,15 @@ pub fn from_value<'de, T: Deserialize<'de>, E: de::Error>(value: Value) -> Resul
 pub mod __private {
     use super::Value;
 
-    /// Removes and returns the named field from a struct's decoded field
-    /// list, or `None` if absent.
+    /// Removes the first member named `name` from a struct's decoded
+    /// member list and returns its value; `None` when the member is absent
+    /// or `null`, so the derive reads both the same way.
     pub fn take_struct_field(fields: &mut Vec<(String, Value)>, name: &str) -> Option<Value> {
         let idx = fields.iter().position(|(k, _)| k == name)?;
-        Some(fields.swap_remove(idx).1)
+        match fields.swap_remove(idx).1 {
+            Value::Null => None,
+            value => Some(value),
+        }
     }
 
     /// Error text for a struct decoded from a non-object value.
@@ -163,5 +192,16 @@ pub mod __private {
     /// Error text for a missing struct field.
     pub fn missing_field(struct_name: &str, field: &str) -> String {
         format!("missing field `{field}` in struct `{struct_name}`")
+    }
+
+    /// Error text for a member left over after every field took its own:
+    /// a repeat of a `known` field, or a member no field takes.
+    pub fn unknown_field(struct_name: &str, member: &str, known: &[&str]) -> String {
+        let what = if known.contains(&member) {
+            "duplicate"
+        } else {
+            "unknown"
+        };
+        format!("{what} field `{member}` in struct `{struct_name}`")
     }
 }

@@ -2,11 +2,38 @@
 //!
 //! Hand-rolled over `proc_macro` (the build environment has no `syn` /
 //! `quote`), these derives support exactly what the workspace needs:
-//! non-generic structs with named fields, plus the `#[serde(skip)]` and
-//! `#[serde(with = "module")]` field attributes. Anything else is a
+//! non-generic structs with named fields and these real-serde attributes:
+//!
+//! * container `#[serde(deny_unknown_fields)]`: a member no field takes
+//!   is an error that names it (a repeated member is a `duplicate field`
+//!   error); without it, unknown and repeated members are ignored and the
+//!   first occurrence wins;
+//! * field `#[serde(default)]` and `#[serde(default = "path")]`: an absent
+//!   member reads as `Default::default()` or `path()`;
+//! * field `#[serde(skip)]`: never written, always read as
+//!   `Default::default()`;
+//! * field `#[serde(with = "module")]`: written by `module::serialize`,
+//!   read by `module::deserialize`;
+//! * field `#[serde(skip_serializing_if = "path")]`: not written when
+//!   `path(&field)` holds.
+//!
+//! One rule covers absent and `null` members: either reads as the
+//! field's default when it has one, and as `None` for an `Option` field
+//! without `with`; otherwise it is a `missing field` error that names the
+//! member. A `null` never reaches the field's own decoder, so unlike real
+//! serde an `Option<Option<T>>` cannot tell `null` from absent and a
+//! `with` decoder cannot map `null` to a value. Anything else is a
 //! compile error with a pointed message, not a silent misbehavior.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
+
+/// What an absent or `null` member reads as.
+enum FieldDefault {
+    /// `#[serde(default)]`: `Default::default()`.
+    Trait,
+    /// `#[serde(default = "path")]`: `path()`.
+    Path(String),
+}
 
 /// One parsed struct field.
 struct Field {
@@ -14,11 +41,15 @@ struct Field {
     ty: String,
     skip: bool,
     with: Option<String>,
+    default: Option<FieldDefault>,
+    skip_serializing_if: Option<String>,
 }
 
-/// Parsed derive input: a struct name plus its named fields.
+/// Parsed derive input: a struct name, its container attributes and its
+/// named fields.
 struct Input {
     name: String,
+    deny_unknown_fields: bool,
     fields: Vec<Field>,
 }
 
@@ -31,19 +62,18 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     };
     let name = &input.name;
     let active: Vec<&Field> = input.fields.iter().filter(|f| !f.skip).collect();
+    let mut len = active.len().to_string();
     let mut body = String::new();
     for field in &active {
         let fname = &field.name;
-        match &field.with {
-            None => {
-                body.push_str(&format!(
-                    "::serde::ser::SerializeStruct::serialize_field(&mut __state, \
-                     \"{fname}\", &self.{fname})?;\n"
-                ));
-            }
+        let write = match &field.with {
+            None => format!(
+                "::serde::ser::SerializeStruct::serialize_field(&mut __state, \
+                 \"{fname}\", &self.{fname})?;"
+            ),
             Some(path) => {
                 let fty = &field.ty;
-                body.push_str(&format!(
+                format!(
                     "{{
                         struct __SerdeWith<'__a>(&'__a {fty});
                         impl<'__a> ::serde::Serialize for __SerdeWith<'__a> {{
@@ -56,12 +86,19 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         }}
                         ::serde::ser::SerializeStruct::serialize_field(
                             &mut __state, \"{fname}\", &__SerdeWith(&self.{fname}))?;
-                    }}\n"
-                ));
+                    }}"
+                )
+            }
+        };
+        match &field.skip_serializing_if {
+            None => body.push_str(&write),
+            Some(path) => {
+                len = format!("{len} - usize::from({path}(&self.{fname}))");
+                body.push_str(&format!("if !{path}(&self.{fname}) {{ {write} }}"));
             }
         }
+        body.push('\n');
     }
-    let len = active.len();
     let out = format!(
         "#[automatically_derived]
         impl ::serde::Serialize for {name} {{
@@ -87,6 +124,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
         Err(msg) => return compile_error(&msg),
     };
     let name = &input.name;
+    let mut known = String::new();
     let mut body = String::new();
     for field in &input.fields {
         let fname = &field.name;
@@ -94,20 +132,45 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             body.push_str(&format!("{fname}: ::core::default::Default::default(),\n"));
             continue;
         }
+        known.push_str(&format!("\"{fname}\", "));
         let lift = match &field.with {
             None => "::serde::Deserialize::deserialize".to_owned(),
             Some(path) => format!("{path}::deserialize"),
+        };
+        let absent = match (&field.default, &field.with) {
+            (Some(FieldDefault::Trait), _) => "::core::default::Default::default()".to_owned(),
+            (Some(FieldDefault::Path(path)), _) => format!("{path}()"),
+            (None, None) if is_option(&field.ty) => "::core::option::Option::None".to_owned(),
+            (None, _) => format!(
+                "return ::core::result::Result::Err(
+                    <__D::Error as ::serde::de::Error>::custom(
+                        ::serde::__private::missing_field(\"{name}\", \"{fname}\")))"
+            ),
         };
         body.push_str(&format!(
             "{fname}: match ::serde::__private::take_struct_field(&mut __fields, \"{fname}\") {{
                 ::core::option::Option::Some(__v) => {lift}(
                     ::serde::ValueDeserializer::<__D::Error>::new(__v))?,
-                ::core::option::Option::None => return ::core::result::Result::Err(
-                    <__D::Error as ::serde::de::Error>::custom(
-                        ::serde::__private::missing_field(\"{name}\", \"{fname}\"))),
+                ::core::option::Option::None => {absent},
             }},\n"
         ));
     }
+    let binding = if known.is_empty() {
+        "__fields"
+    } else {
+        "mut __fields"
+    };
+    let leftover = if input.deny_unknown_fields {
+        format!(
+            "if let ::core::option::Option::Some((__key, _)) = __fields.first() {{
+                return ::core::result::Result::Err(
+                    <__D::Error as ::serde::de::Error>::custom(
+                        ::serde::__private::unknown_field(\"{name}\", __key, &[{known}])));
+            }}"
+        )
+    } else {
+        String::new()
+    };
     let out = format!(
         "#[automatically_derived]
         impl<'de> ::serde::Deserialize<'de> for {name} {{
@@ -115,19 +178,30 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                 __deserializer: __D,
             ) -> ::core::result::Result<Self, __D::Error> {{
                 let __value = ::serde::Deserializer::deserialize_value(__deserializer)?;
-                let mut __fields = match __value {{
+                let {binding} = match __value {{
                     ::serde::Value::Object(__f) => __f,
                     __other => return ::core::result::Result::Err(
                         <__D::Error as ::serde::de::Error>::custom(
                             ::serde::__private::expected_object(\"{name}\", &__other))),
                 }};
-                ::core::result::Result::Ok({name} {{
+                let __out = {name} {{
                     {body}
-                }})
+                }};
+                {leftover}
+                ::core::result::Result::Ok(__out)
             }}
         }}"
     );
     out.parse().expect("derived Deserialize impl must parse")
+}
+
+/// Whether a field type, as the parser printed it, is an `Option<…>`
+/// (bare or path-qualified).
+fn is_option(ty: &str) -> bool {
+    match ty.split_once('<') {
+        Some((head, _)) => head.split_whitespace().last() == Some("Option"),
+        None => false,
+    }
 }
 
 fn compile_error(msg: &str) -> TokenStream {
@@ -135,16 +209,31 @@ fn compile_error(msg: &str) -> TokenStream {
 }
 
 /// Parses the derive input down to struct name + named fields, collecting
-/// `#[serde(...)]` field attributes along the way.
+/// `#[serde(...)]` container and field attributes along the way.
 fn parse_input(input: TokenStream) -> Result<Input, String> {
     let mut tokens = input.into_iter().peekable();
+    let mut deny_unknown_fields = false;
 
     // Outer attributes and visibility before `struct`.
     loop {
         match tokens.peek() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 tokens.next();
-                tokens.next(); // the [...] group
+                let group = match tokens.next() {
+                    Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => g,
+                    other => return Err(format!("malformed attribute: {other:?}")),
+                };
+                for (key, value) in serde_args(group.stream())? {
+                    match (key.as_str(), value) {
+                        ("deny_unknown_fields", None) => deny_unknown_fields = true,
+                        (unknown, _) => {
+                            return Err(format!(
+                                "serde shim does not support the container attribute \
+                                 `{unknown}` (only `deny_unknown_fields`)"
+                            ))
+                        }
+                    }
+                }
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                 tokens.next();
@@ -187,7 +276,11 @@ fn parse_input(input: TokenStream) -> Result<Input, String> {
     };
 
     let fields = parse_fields(body)?;
-    Ok(Input { name, fields })
+    Ok(Input {
+        name,
+        deny_unknown_fields,
+        fields,
+    })
 }
 
 fn parse_fields(body: TokenStream) -> Result<Vec<Field>, String> {
@@ -197,6 +290,8 @@ fn parse_fields(body: TokenStream) -> Result<Vec<Field>, String> {
         // Field attributes.
         let mut skip = false;
         let mut with = None;
+        let mut default = None;
+        let mut skip_serializing_if = None;
         loop {
             match tokens.peek() {
                 Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
@@ -205,7 +300,23 @@ fn parse_fields(body: TokenStream) -> Result<Vec<Field>, String> {
                         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => g,
                         other => return Err(format!("malformed attribute: {other:?}")),
                     };
-                    parse_field_attr(group.stream(), &mut skip, &mut with)?;
+                    for (key, value) in serde_args(group.stream())? {
+                        match (key.as_str(), value) {
+                            ("skip", None) => skip = true,
+                            ("default", None) => default = Some(FieldDefault::Trait),
+                            ("default", Some(path)) => default = Some(FieldDefault::Path(path)),
+                            ("with", Some(path)) => with = Some(path),
+                            ("skip_serializing_if", Some(path)) => skip_serializing_if = Some(path),
+                            (unknown, _) => {
+                                return Err(format!(
+                                    "serde shim does not support the field attribute \
+                                     `{unknown}` here (only `skip`, `default`, \
+                                     `default = \"path\"`, `with = \"module\"` and \
+                                     `skip_serializing_if = \"path\"`)"
+                                ))
+                            }
+                        }
+                    }
                 }
                 _ => break,
             }
@@ -273,64 +384,58 @@ fn parse_fields(body: TokenStream) -> Result<Vec<Field>, String> {
             ty,
             skip,
             with,
+            default,
+            skip_serializing_if,
         });
     }
     Ok(fields)
 }
 
-/// Interprets one `[...]` attribute body; only `serde(...)` matters.
-fn parse_field_attr(
-    stream: TokenStream,
-    skip: &mut bool,
-    with: &mut Option<String>,
-) -> Result<(), String> {
+/// The `key` or `key = "value"` items of one `[...]` attribute body when
+/// it is `serde(...)`; none for doc comments and other attributes.
+fn serde_args(stream: TokenStream) -> Result<Vec<(String, Option<String>)>, String> {
     let mut tokens = stream.into_iter();
     match tokens.next() {
         Some(TokenTree::Ident(id)) if id.to_string() == "serde" => {}
-        _ => return Ok(()), // doc comments and other attributes
+        _ => return Ok(Vec::new()),
     }
     let args = match tokens.next() {
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => g.stream(),
         other => return Err(format!("malformed #[serde] attribute: {other:?}")),
     };
+    let mut items = Vec::new();
     let mut tokens = args.into_iter().peekable();
     while let Some(tt) = tokens.next() {
-        match tt {
-            TokenTree::Ident(id) => match id.to_string().as_str() {
-                "skip" => *skip = true,
-                "with" => {
-                    match tokens.next() {
-                        Some(TokenTree::Punct(p)) if p.as_char() == '=' => {}
-                        other => {
-                            return Err(format!("expected `=` after serde(with), got {other:?}"))
-                        }
-                    }
-                    match tokens.next() {
-                        Some(TokenTree::Literal(lit)) => {
-                            let raw = lit.to_string();
-                            let path = raw.trim_matches('"').to_owned();
-                            if path.is_empty() {
-                                return Err("empty serde(with = ...) path".to_owned());
-                            }
-                            *with = Some(path);
-                        }
-                        other => {
-                            return Err(format!(
-                                "expected string literal in serde(with = ...), got {other:?}"
-                            ))
-                        }
-                    }
-                }
-                unknown => {
-                    return Err(format!(
-                        "serde shim does not support the `{unknown}` attribute \
-                         (only `skip` and `with = \"module\"`)"
-                    ))
-                }
-            },
-            TokenTree::Punct(p) if p.as_char() == ',' => {}
+        let key = match tt {
+            TokenTree::Ident(id) => id.to_string(),
+            TokenTree::Punct(p) if p.as_char() == ',' => continue,
             other => return Err(format!("malformed #[serde] attribute token: {other:?}")),
-        }
+        };
+        let value = match tokens.peek() {
+            Some(TokenTree::Punct(p)) if p.as_char() == '=' => {
+                tokens.next();
+                match tokens.next() {
+                    Some(TokenTree::Literal(lit)) => {
+                        let raw = lit.to_string();
+                        let value = raw.trim_matches('"');
+                        if value.is_empty() || value.len() + 2 != raw.len() {
+                            return Err(format!(
+                                "expected a non-empty string literal in serde({key} = ...), \
+                                 got {raw}"
+                            ));
+                        }
+                        Some(value.to_owned())
+                    }
+                    other => {
+                        return Err(format!(
+                            "expected a string literal in serde({key} = ...), got {other:?}"
+                        ))
+                    }
+                }
+            }
+            _ => None,
+        };
+        items.push((key, value));
     }
-    Ok(())
+    Ok(items)
 }

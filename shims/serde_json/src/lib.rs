@@ -13,9 +13,12 @@
 //! other than `\n`, `\r` and `\t` print as `\u00XX`.
 //!
 //! Deserialization parses into the shim's [`Value`] tree and lifts typed
-//! values out of it. The parser handles the full JSON grammar (strings
-//! with escapes, including UTF-16 surrogate pairs; nested arrays and
-//! objects; scientific-notation numbers; booleans; null).
+//! values out of it. The parser follows RFC 8259: strings with escapes,
+//! including UTF-16 surrogate pairs; arrays and objects nested at most 128
+//! deep; booleans; null; and numbers by the RFC's grammar, so a leading
+//! zero (`01`), a bare `.` (`1.`, `1.e5`) or an exponent without digits is
+//! an error, and so is a number past the `f64` range (`1e309`), as
+//! upstream.
 
 #![deny(missing_docs)]
 
@@ -462,34 +465,61 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A number by RFC 8259's grammar: an optional `-`, then `0` or a
+    /// nonzero digit and more digits, then optionally `.` and at least one
+    /// digit, then optionally `e`/`E`, a sign and at least one digit. A
+    /// number too large for `f64` is an error, as upstream; one too small
+    /// reads as zero.
     fn parse_number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
+        let invalid = |at: usize| Error::new(format!("invalid number at byte {at}"));
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                    return Err(invalid(self.pos));
+                }
+            }
+            Some(b'1'..=b'9') => self.skip_digits(),
+            _ => return Err(invalid(self.pos)),
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                return Err(invalid(self.pos));
             }
+            self.skip_digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                return Err(invalid(self.pos));
             }
+            self.skip_digits();
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| Error::new(format!("invalid number `{text}` at byte {start}")))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Number(n)),
+            Ok(_) => Err(Error::new(format!(
+                "number out of range `{text}` at byte {start}"
+            ))),
+            Err(_) => Err(Error::new(format!(
+                "invalid number `{text}` at byte {start}"
+            ))),
+        }
+    }
+
+    fn skip_digits(&mut self) {
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
     }
 
     fn parse_string(&mut self) -> Result<String, Error> {
@@ -743,6 +773,75 @@ mod tests {
         let deep = format!("{{\"query\": {}", "[".repeat(100_000));
         assert!(from_str::<Value>(&deep).is_err());
         assert!(from_str::<Value>(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for bad in [
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "1.e5",
+            "-",
+            "-a",
+            "1e",
+            "1e+",
+            "1E-",
+            ".5",
+            "+1",
+            "1e309",
+            "-1e309",
+            "1e400",
+            "[01]",
+            "[1.]",
+            "{\"a\": 00}",
+        ] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad} must not parse");
+        }
+        let err = from_str::<f64>("1e309").unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("0.5", 0.5),
+            ("1E+2", 100.0),
+            ("1e-400", 0.0),
+            ("-2.5e-3", -0.0025),
+            ("10", 10.0),
+            ("1.7976931348623157e308", f64::MAX),
+        ] {
+            let n: f64 = from_str(text).unwrap();
+            assert_eq!(n.to_bits(), value.to_bits(), "{text}");
+        }
+        // Every finite number the golden tests write parses back to itself.
+        let two_53 = 9_007_199_254_740_992.0;
+        for n in [
+            0.0,
+            42.0,
+            -7.0,
+            0.5,
+            1e-7,
+            1e21,
+            two_53 - 1.0,
+            two_53,
+            -two_53,
+            two_53 * 2.0,
+            u64::MAX as f64,
+            i64::MIN as f64,
+            0.1 + 0.2,
+            1.0 / 3.0,
+            -2.5e-10,
+            1.5e300,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::from(0.1f32),
+            123_456.789,
+            std::f64::consts::E,
+        ] {
+            let text = to_string(&n).unwrap();
+            assert_eq!(from_str::<f64>(&text).unwrap(), n, "{text}");
+        }
     }
 
     #[test]

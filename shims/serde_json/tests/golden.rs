@@ -5,7 +5,7 @@
 //! the streaming writer must reproduce them byte for byte.
 
 use serde::ser::SerializeStruct;
-use serde::{Serialize, Serializer, Value};
+use serde::{Serialize, Serializer};
 
 /// The shape of an engine `RangeSummary`.
 #[derive(Serialize)]
@@ -369,18 +369,6 @@ fn empties() -> Empties {
     }
 }
 
-/// A `Value` tree serializes its objects as arrays of `[key, value]`
-/// pairs.
-fn value() -> Value {
-    Value::Object(vec![
-        (
-            "k".to_owned(),
-            Value::Array(vec![Value::Null, Value::Bool(true)]),
-        ),
-        ("n".to_owned(), Value::Number(2.5)),
-    ])
-}
-
 /// Every case as `(name, compact, pretty)`.
 fn cases() -> Vec<(&'static str, String, String)> {
     fn both<T: Serialize + ?Sized>(
@@ -410,7 +398,6 @@ fn cases() -> Vec<(&'static str, String, String)> {
         both("numbers", &numbers()),
         both("integers", &integers()),
         both("empties", &empties()),
-        both("value", &value()),
         both("empty_array", &Vec::<f64>::new()),
         both("bare_string", "é\u{1}"),
         both("bare_number", &-0.0),
@@ -469,11 +456,6 @@ const EXPECTED: &[(&str, &str, &str)] = &[
         "empties",
         "{\"none\":[],\"nested\":[[],[[]],[[],[1]]],\"object\":{},\"objects\":[{},{}],\"pair\":[[],{}]}",
         "{\n  \"none\": [],\n  \"nested\": [\n    [],\n    [\n      []\n    ],\n    [\n      [],\n      [\n        1\n      ]\n    ]\n  ],\n  \"object\": {},\n  \"objects\": [\n    {},\n    {}\n  ],\n  \"pair\": [\n    [],\n    {}\n  ]\n}",
-    ),
-    (
-        "value",
-        "[[\"k\",[null,true]],[\"n\",2.5]]",
-        "[\n  [\n    \"k\",\n    [\n      null,\n      true\n    ]\n  ],\n  [\n    \"n\",\n    2.5\n  ]\n]",
     ),
     (
         "empty_array",
