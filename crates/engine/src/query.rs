@@ -558,6 +558,20 @@ mod tests {
     }
 
     #[test]
+    fn the_first_of_a_repeated_config_member_wins() {
+        // `VeritasConfig` ignores unknown and repeated members, so a set
+        // that names σ twice runs under the first value, as documented.
+        let set = QuerySet::from_json(
+            r#"{"config": {"delta_s": 5, "epsilon_mbps": 0.5, "max_capacity_mbps": 10,
+                "sigma_mbps": 0.5, "stay_probability": 0.8, "num_samples": 5, "seed": 1,
+                "sigma_mbps": 0.25},
+                "queries": [{"id": "a", "kind": "abduction"}]}"#,
+        )
+        .unwrap();
+        assert_eq!(set.config.sigma_mbps, 0.5);
+    }
+
+    #[test]
     fn unknown_fields_are_rejected() {
         let err = QuerySet::from_json(
             r#"{"queries": [{"id": "a", "kind": "abduction", "sesions": [1]}]}"#,

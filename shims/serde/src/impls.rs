@@ -1,7 +1,10 @@
 //! `Serialize` / `Deserialize` implementations for std types.
 
+use std::marker::PhantomData;
+
+use crate::de::{SeqAccess, SeqVisitor};
 use crate::ser::SerializeSeq as _;
-use crate::{de, Deserialize, Deserializer, Serialize, Serializer, Value, ValueDeserializer};
+use crate::{de, Deserialize, Deserializer, Serialize, Serializer, Value};
 
 // ---------------------------------------------------------------------------
 // Serialize
@@ -125,18 +128,11 @@ impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
 // Deserialize
 // ---------------------------------------------------------------------------
 
-fn number<'de, D: Deserializer<'de>>(deserializer: D, what: &str) -> Result<f64, D::Error> {
-    match deserializer.deserialize_value()? {
-        Value::Number(n) => Ok(n),
-        other => Err(de::Error::custom(format!("expected {what}, got {other:?}"))),
-    }
-}
-
 macro_rules! deserialize_int {
     ($($t:ty),*) => {$(
         impl<'de> Deserialize<'de> for $t {
             fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-                let n = number(deserializer, stringify!($t))?;
+                let n = deserializer.deserialize_f64()?;
                 if n.fract() != 0.0 || n < <$t>::MIN as f64 || n > <$t>::MAX as f64 {
                     return Err(de::Error::custom(format!(
                         "number {n} is not a valid {}", stringify!($t)
@@ -151,100 +147,96 @@ deserialize_int!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
 
 impl<'de> Deserialize<'de> for f64 {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        number(deserializer, "f64")
+        deserializer.deserialize_f64()
     }
 }
 
 impl<'de> Deserialize<'de> for f32 {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        Ok(number(deserializer, "f32")? as f32)
+        Ok(deserializer.deserialize_f64()? as f32)
     }
 }
 
 impl<'de> Deserialize<'de> for bool {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.deserialize_value()? {
-            Value::Bool(b) => Ok(b),
-            other => Err(de::Error::custom(format!("expected bool, got {other:?}"))),
-        }
+        deserializer.deserialize_bool()
     }
 }
 
 impl<'de> Deserialize<'de> for String {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.deserialize_value()? {
-            Value::String(s) => Ok(s),
-            other => Err(de::Error::custom(format!("expected string, got {other:?}"))),
-        }
+        deserializer.deserialize_string()
     }
 }
 
 impl<'de> Deserialize<'de> for () {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.deserialize_value()? {
-            Value::Null => Ok(()),
-            other => Err(de::Error::custom(format!("expected null, got {other:?}"))),
-        }
+        deserializer.deserialize_unit()
     }
 }
 
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Option<T> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.deserialize_value()? {
-            Value::Null => Ok(None),
-            value => Ok(Some(T::deserialize(ValueDeserializer::<D::Error>::new(
-                value,
-            ))?)),
+        match deserializer.deserialize_option()? {
+            None => Ok(None),
+            Some(present) => T::deserialize(present).map(Some),
         }
+    }
+}
+
+/// Collects every element of a sequence into a `Vec<T>`.
+struct VecVisitor<T>(PhantomData<T>);
+
+impl<'de, T: Deserialize<'de>> SeqVisitor<'de> for VecVisitor<T> {
+    type Value = Vec<T>;
+
+    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Vec<T>, A::Error> {
+        let mut items = Vec::new();
+        while let Some(item) = seq.next_element()? {
+            items.push(item);
+        }
+        Ok(items)
     }
 }
 
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Vec<T> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.deserialize_value()? {
-            Value::Array(items) => items
-                .into_iter()
-                .map(|v| T::deserialize(ValueDeserializer::<D::Error>::new(v)))
-                .collect(),
-            other => Err(de::Error::custom(format!("expected array, got {other:?}"))),
-        }
+        deserializer.deserialize_seq(VecVisitor(PhantomData))
     }
 }
 
-impl<'de, A: Deserialize<'de>, B: Deserialize<'de>> Deserialize<'de> for (A, B) {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.deserialize_value()? {
-            Value::Array(items) if items.len() == 2 => {
-                let mut it = items.into_iter();
-                let a = A::deserialize(ValueDeserializer::<D::Error>::new(it.next().unwrap()))?;
-                let b = B::deserialize(ValueDeserializer::<D::Error>::new(it.next().unwrap()))?;
-                Ok((a, b))
-            }
-            other => Err(de::Error::custom(format!(
-                "expected 2-element array, got {other:?}"
-            ))),
-        }
-    }
+/// Reads a tuple from a sequence of its length; the format refuses
+/// elements left over.
+struct TupleVisitor<T>(PhantomData<T>);
+
+/// The next element of a tuple of `len` elements.
+fn tuple_element<'de, T: Deserialize<'de>, A: SeqAccess<'de>>(
+    seq: &mut A,
+    len: usize,
+) -> Result<T, A::Error> {
+    seq.next_element()?
+        .ok_or_else(|| de::Error::custom(format!("expected a {len}-element array")))
 }
 
-impl<'de, A: Deserialize<'de>, B: Deserialize<'de>, C: Deserialize<'de>> Deserialize<'de>
-    for (A, B, C)
-{
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.deserialize_value()? {
-            Value::Array(items) if items.len() == 3 => {
-                let mut it = items.into_iter();
-                let a = A::deserialize(ValueDeserializer::<D::Error>::new(it.next().unwrap()))?;
-                let b = B::deserialize(ValueDeserializer::<D::Error>::new(it.next().unwrap()))?;
-                let c = C::deserialize(ValueDeserializer::<D::Error>::new(it.next().unwrap()))?;
-                Ok((a, b, c))
+macro_rules! deserialize_tuple {
+    ($len:literal => $($t:ident)+) => {
+        impl<'de, $($t: Deserialize<'de>),+> SeqVisitor<'de> for TupleVisitor<($($t,)+)> {
+            type Value = ($($t,)+);
+
+            fn visit_seq<S: SeqAccess<'de>>(self, mut seq: S) -> Result<Self::Value, S::Error> {
+                Ok(($(tuple_element::<$t, S>(&mut seq, $len)?,)+))
             }
-            other => Err(de::Error::custom(format!(
-                "expected 3-element array, got {other:?}"
-            ))),
         }
-    }
+
+        impl<'de, $($t: Deserialize<'de>),+> Deserialize<'de> for ($($t,)+) {
+            fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+                deserializer.deserialize_seq(TupleVisitor::<Self>(PhantomData))
+            }
+        }
+    };
 }
+deserialize_tuple!(2 => A B);
+deserialize_tuple!(3 => A B C);
 
 impl<'de> Deserialize<'de> for Value {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {

@@ -28,12 +28,16 @@
 //! # Where the shim differs from real serde
 //!
 //! * Serialization streams as in real serde: a `Serialize` impl drives the
-//!   format's [`Serializer`] call by call. Deserialization is **value
-//!   based**, unlike real serde's visitor-driven data model: a
-//!   [`Deserializer`] yields one JSON-like [`Value`] tree and typed values
-//!   lift from it through [`ValueDeserializer`]. The tree is this shim's
-//!   internal data model; it keeps the derive macro and the format crate
-//!   tiny while preserving serde's public trait signatures.
+//!   format's [`Serializer`] call by call. Deserialization pulls, as the
+//!   format parses: a `Deserialize` impl asks the format's
+//!   [`Deserializer`] for the shape it expects (a bool, a number, a
+//!   string, `null`, an option, a sequence through a
+//!   [`de::SeqVisitor`], a struct through a [`de::StructVisitor`]) and
+//!   the format decodes exactly that, with no intermediate tree. It is a
+//!   narrowed form of real serde's visitor-driven model: the format is
+//!   told the type rather than describing itself, and a struct visitor
+//!   matches each member name in place. [`Value`], the one
+//!   self-describing type, comes from [`Deserializer::deserialize_value`].
 //! * A `null` member reads as an absent one. Real serde hands `null` to
 //!   the field's own decoder, so there an `Option<Option<T>>` reads
 //!   `Some(None)`, a `with` decoder may map `null` to a value, and a
@@ -45,8 +49,6 @@
 
 #![deny(missing_docs)]
 
-use std::marker::PhantomData;
-
 pub use serde_derive::{Deserialize, Serialize};
 
 pub mod de;
@@ -54,8 +56,10 @@ pub mod ser;
 
 mod impls;
 
-/// A JSON-like tree: the data model this shim deserializes out of. Only
-/// the shims name it; typed code lifts from it through [`Deserialize`].
+/// A JSON-like tree: the self-describing type, read by
+/// [`Deserializer::deserialize_value`]. Typed code never goes through it;
+/// a format builds one only when asked for a `Value`, or to skip a member
+/// a struct ignores.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -127,75 +131,48 @@ pub trait Deserialize<'de>: Sized {
 
 /// A deserializer: the source side of the data model.
 ///
-/// In this value-based shim, a deserializer is anything that can yield one
-/// [`Value`] tree; typed deserialization then lifts from the tree.
+/// A typed pull interface: each method is called by the [`Deserialize`]
+/// impl of the type it names, consumes exactly one value of that shape
+/// from the input, and fails with a typed error on anything else.
 pub trait Deserializer<'de>: Sized {
     /// Error type.
     type Error: de::Error;
 
-    /// Consumes the deserializer, yielding its value tree.
+    /// Reads a boolean.
+    fn deserialize_bool(self) -> Result<bool, Self::Error>;
+    /// Reads a number. Integer types read through this and check the
+    /// fraction and range themselves.
+    fn deserialize_f64(self) -> Result<f64, Self::Error>;
+    /// Reads a string.
+    fn deserialize_string(self) -> Result<String, Self::Error>;
+    /// Reads a unit value (`null`).
+    fn deserialize_unit(self) -> Result<(), Self::Error>;
+    /// Reads an option: `None` after consuming a `null`, otherwise the
+    /// deserializer back, positioned at the present value.
+    fn deserialize_option(self) -> Result<Option<Self>, Self::Error>;
+    /// Reads a sequence, handing its elements to `visitor`.
+    fn deserialize_seq<V: de::SeqVisitor<'de>>(self, visitor: V) -> Result<V::Value, Self::Error>;
+    /// Reads a struct named `name` (for errors), handing its members to
+    /// `visitor`.
+    fn deserialize_struct<V: de::StructVisitor<'de>>(
+        self,
+        name: &'static str,
+        visitor: V,
+    ) -> Result<V::Value, Self::Error>;
+    /// Reads any value as a [`Value`] tree.
     fn deserialize_value(self) -> Result<Value, Self::Error>;
-}
-
-/// A [`Deserializer`] over an in-memory [`Value`], parameterized over the
-/// caller's error type so derive-generated code can thread `D::Error`
-/// through nested field deserialization.
-pub struct ValueDeserializer<E> {
-    value: Value,
-    _marker: PhantomData<fn() -> E>,
-}
-
-impl<E> ValueDeserializer<E> {
-    /// Wraps a value tree.
-    pub fn new(value: Value) -> Self {
-        Self {
-            value,
-            _marker: PhantomData,
-        }
-    }
-}
-
-impl<'de, E: de::Error> Deserializer<'de> for ValueDeserializer<E> {
-    type Error = E;
-
-    fn deserialize_value(self) -> Result<Value, E> {
-        Ok(self.value)
-    }
-}
-
-/// Lifts a typed value out of a [`Value`] tree.
-pub fn from_value<'de, T: Deserialize<'de>, E: de::Error>(value: Value) -> Result<T, E> {
-    T::deserialize(ValueDeserializer::<E>::new(value))
 }
 
 /// Support code for derive-generated implementations. Not public API.
 #[doc(hidden)]
 pub mod __private {
-    use super::Value;
-
-    /// Removes the first member named `name` from a struct's decoded
-    /// member list and returns its value; `None` when the member is absent
-    /// or `null`, so the derive reads both the same way.
-    pub fn take_struct_field(fields: &mut Vec<(String, Value)>, name: &str) -> Option<Value> {
-        let idx = fields.iter().position(|(k, _)| k == name)?;
-        match fields.swap_remove(idx).1 {
-            Value::Null => None,
-            value => Some(value),
-        }
-    }
-
-    /// Error text for a struct decoded from a non-object value.
-    pub fn expected_object(struct_name: &str, got: &Value) -> String {
-        format!("expected a JSON object for struct `{struct_name}`, got {got:?}")
-    }
-
     /// Error text for a missing struct field.
     pub fn missing_field(struct_name: &str, field: &str) -> String {
         format!("missing field `{field}` in struct `{struct_name}`")
     }
 
-    /// Error text for a member left over after every field took its own:
-    /// a repeat of a `known` field, or a member no field takes.
+    /// Error text for a member a `deny_unknown_fields` struct refuses: a
+    /// repeat of a `known` field, or a member no field takes.
     pub fn unknown_field(struct_name: &str, member: &str, known: &[&str]) -> String {
         let what = if known.contains(&member) {
             "duplicate"

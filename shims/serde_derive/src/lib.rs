@@ -24,6 +24,16 @@
 //! serde an `Option<Option<T>>` cannot tell `null` from absent and a
 //! `with` decoder cannot map `null` to a value. Anything else is a
 //! compile error with a pointed message, not a silent misbehavior.
+//!
+//! A derived `Deserialize` decodes as the format parses: it hands the
+//! format a struct visitor with one slot per field, which matches each
+//! member name in place against the field names, so member names, `null`s
+//! and numbers allocate nothing. The first occurrence of a member fills
+//! its slot; a repeat, like an unknown member, is parsed and skipped,
+//! never decoded as the field's type, so the first occurrence wins
+//! whatever follows it. Under `deny_unknown_fields` the first such member
+//! is reported once every field has its value or default, so a missing
+//! member is reported first.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -117,6 +127,13 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derives the serde shim's `Deserialize` for a named-field struct.
+///
+/// The generated `StructVisitor` keeps one slot per field, an
+/// `Option<Option<T>>`: unset until the member first appears, then `None`
+/// for a `null` and `Some` for a decoded value. Each member name is matched
+/// in place against the field names; a repeated or unknown member is
+/// skipped, and under `deny_unknown_fields` the first one is remembered and
+/// reported once every field has its value or default.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let input = match parse_input(input) {
@@ -124,52 +141,89 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
         Err(msg) => return compile_error(&msg),
     };
     let name = &input.name;
+    let error = "<__A::Error as ::serde::de::Error>::custom";
     let mut known = String::new();
+    let mut items = String::new();
+    let mut slots = String::new();
+    let mut arms = String::new();
     let mut body = String::new();
-    for field in &input.fields {
+    for (index, field) in input.fields.iter().enumerate() {
         let fname = &field.name;
         if field.skip {
             body.push_str(&format!("{fname}: ::core::default::Default::default(),\n"));
             continue;
         }
         known.push_str(&format!("\"{fname}\", "));
-        let lift = match &field.with {
-            None => "::serde::Deserialize::deserialize".to_owned(),
-            Some(path) => format!("{path}::deserialize"),
+        let fty = &field.ty;
+        let (slot_ty, present) = match &field.with {
+            None => (fty.clone(), "__v".to_owned()),
+            Some(path) => {
+                items.push_str(&format!(
+                    "struct __With{index}({fty});
+                    impl<'de> ::serde::Deserialize<'de> for __With{index} {{
+                        fn deserialize<__D: ::serde::Deserializer<'de>>(
+                            __deserializer: __D,
+                        ) -> ::core::result::Result<Self, __D::Error> {{
+                            {path}::deserialize(__deserializer).map(__With{index})
+                        }}
+                    }}\n"
+                ));
+                (format!("__With{index}"), "__v.0".to_owned())
+            }
         };
+        slots.push_str(&format!(
+            "let mut __slot{index}: ::core::option::Option<::core::option::Option<{slot_ty}>> =
+                ::core::option::Option::None;\n"
+        ));
+        arms.push_str(&format!(
+            "\"{fname}\" if __slot{index}.is_none() => {{
+                __slot{index} = ::core::option::Option::Some(
+                    ::serde::de::StructAccess::member_value(&mut __members)?);
+            }}\n"
+        ));
         let absent = match (&field.default, &field.with) {
             (Some(FieldDefault::Trait), _) => "::core::default::Default::default()".to_owned(),
             (Some(FieldDefault::Path(path)), _) => format!("{path}()"),
-            (None, None) if is_option(&field.ty) => "::core::option::Option::None".to_owned(),
+            (None, None) if is_option(fty) => "::core::option::Option::None".to_owned(),
             (None, _) => format!(
-                "return ::core::result::Result::Err(
-                    <__D::Error as ::serde::de::Error>::custom(
-                        ::serde::__private::missing_field(\"{name}\", \"{fname}\")))"
+                "return ::core::result::Result::Err({error}(
+                    ::serde::__private::missing_field(\"{name}\", \"{fname}\")))"
             ),
         };
         body.push_str(&format!(
-            "{fname}: match ::serde::__private::take_struct_field(&mut __fields, \"{fname}\") {{
-                ::core::option::Option::Some(__v) => {lift}(
-                    ::serde::ValueDeserializer::<__D::Error>::new(__v))?,
-                ::core::option::Option::None => {absent},
+            "{fname}: match __slot{index} {{
+                ::core::option::Option::Some(::core::option::Option::Some(__v)) => {present},
+                _ => {absent},
             }},\n"
         ));
     }
-    let binding = if known.is_empty() {
-        "__fields"
-    } else {
-        "mut __fields"
-    };
-    let leftover = if input.deny_unknown_fields {
-        format!(
-            "if let ::core::option::Option::Some((__key, _)) = __fields.first() {{
-                return ::core::result::Result::Err(
-                    <__D::Error as ::serde::de::Error>::custom(
-                        ::serde::__private::unknown_field(\"{name}\", __key, &[{known}])));
-            }}"
+    // A member no slot takes: skipped, and under `deny_unknown_fields` the
+    // first one is kept for the error.
+    let (leftover_slot, other_arm, leftover_check) = if input.deny_unknown_fields {
+        (
+            "let mut __leftover: ::core::option::Option<::std::string::String> =
+                ::core::option::Option::None;",
+            "__other => {
+                if __leftover.is_none() {
+                    __leftover = ::core::option::Option::Some(::std::borrow::ToOwned::to_owned(__other));
+                }
+                ::serde::de::StructAccess::member_value::<::serde::Value>(&mut __members)?;
+            }",
+            format!(
+                "if let ::core::option::Option::Some(__member) = __leftover {{
+                    return ::core::result::Result::Err({error}(
+                        ::serde::__private::unknown_field(\"{name}\", &__member, &[{known}])));
+                }}"
+            ),
         )
     } else {
-        String::new()
+        (
+            "",
+            "_ => {
+                ::serde::de::StructAccess::member_value::<::serde::Value>(&mut __members)?;
+            }",
+            String::new(),
+        )
     };
     let out = format!(
         "#[automatically_derived]
@@ -177,18 +231,32 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             fn deserialize<__D: ::serde::Deserializer<'de>>(
                 __deserializer: __D,
             ) -> ::core::result::Result<Self, __D::Error> {{
-                let __value = ::serde::Deserializer::deserialize_value(__deserializer)?;
-                let {binding} = match __value {{
-                    ::serde::Value::Object(__f) => __f,
-                    __other => return ::core::result::Result::Err(
-                        <__D::Error as ::serde::de::Error>::custom(
-                            ::serde::__private::expected_object(\"{name}\", &__other))),
-                }};
-                let __out = {name} {{
-                    {body}
-                }};
-                {leftover}
-                ::core::result::Result::Ok(__out)
+                {items}
+                struct __Visitor;
+                impl<'de> ::serde::de::StructVisitor<'de> for __Visitor {{
+                    type Value = {name};
+                    fn visit_struct<__A: ::serde::de::StructAccess<'de>>(
+                        self,
+                        mut __members: __A,
+                    ) -> ::core::result::Result<{name}, __A::Error> {{
+                        {slots}
+                        {leftover_slot}
+                        while let ::core::option::Option::Some(__member) =
+                            ::serde::de::StructAccess::next_member(&mut __members)?
+                        {{
+                            match __member {{
+                                {arms}
+                                {other_arm}
+                            }}
+                        }}
+                        let __out = {name} {{
+                            {body}
+                        }};
+                        {leftover_check}
+                        ::core::result::Result::Ok(__out)
+                    }}
+                }}
+                ::serde::Deserializer::deserialize_struct(__deserializer, \"{name}\", __Visitor)
             }}
         }}"
     );
@@ -350,8 +418,10 @@ fn parse_fields(body: TokenStream) -> Result<Vec<Field>, String> {
             }
         }
 
-        // Type: everything up to a comma at angle-bracket depth zero.
-        let mut ty = String::new();
+        // Type: everything up to a comma at angle-bracket depth zero,
+        // printed through a `TokenStream` so joint punctuation such as
+        // `::` and `'a` keeps its spacing.
+        let mut ty = Vec::new();
         let mut angle_depth: i32 = 0;
         loop {
             match tokens.peek() {
@@ -368,17 +438,14 @@ fn parse_fields(body: TokenStream) -> Result<Vec<Field>, String> {
                             _ => {}
                         }
                     }
-                    if !ty.is_empty() {
-                        ty.push(' ');
-                    }
-                    ty.push_str(&tt.to_string());
-                    tokens.next();
+                    ty.extend(tokens.next());
                 }
             }
         }
         if ty.is_empty() {
             return Err(format!("field `{name}` has an empty type"));
         }
+        let ty = TokenStream::from_iter(ty).to_string();
         fields.push(Field {
             name,
             ty,

@@ -12,18 +12,25 @@
 //! number, non-finite numbers print as `null`, and control characters
 //! other than `\n`, `\r` and `\t` print as `\u00XX`.
 //!
-//! Deserialization parses into the shim's [`Value`] tree and lifts typed
-//! values out of it. The parser follows RFC 8259: strings with escapes,
-//! including UTF-16 surrogate pairs; arrays and objects nested at most 128
-//! deep; booleans; null; and numbers by the RFC's grammar, so a leading
-//! zero (`01`), a bare `.` (`1.`, `1.e5`) or an exponent without digits is
-//! an error, and so is a number past the `f64` range (`1e309`), as
-//! upstream.
+//! Deserialization decodes as it parses, with no intermediate tree: the
+//! parser is the serde shim's pull `Deserializer`, so [`from_str`] reads
+//! each value straight into the type that asks for it and matches struct
+//! member names in place (a name without escapes is borrowed from the
+//! input). It builds a [`Value`] only for `from_str::<Value>`, a `Value`
+//! field, or a member a struct skips. Every path runs the same checks.
+//! The parser follows RFC 8259: strings with escapes, including UTF-16
+//! surrogate pairs; arrays and objects nested at most 128 deep; booleans;
+//! null; and numbers by the RFC's grammar, so a leading zero (`01`), a
+//! bare `.` (`1.`, `1.e5`) or an exponent without digits is an error, and
+//! so is a number past the `f64` range (`1e309`), as upstream.
 
 #![deny(missing_docs)]
 
 use std::fmt;
 use std::io;
+
+use serde::de::{SeqAccess, SeqVisitor, StructAccess, StructVisitor};
+use serde::Deserialize;
 
 pub use serde::Value;
 
@@ -111,11 +118,10 @@ fn into_string(bytes: Vec<u8>) -> Result<String, Error> {
     String::from_utf8(bytes).map_err(|e| Error::new(e.to_string()))
 }
 
-/// Deserializes a value from a JSON string.
-pub fn from_str<'de, T: serde::Deserialize<'de>>(input: &str) -> Result<T, Error> {
+/// Deserializes a value from a JSON string, decoding it as it parses.
+pub fn from_str<'de, T: Deserialize<'de>>(input: &str) -> Result<T, Error> {
     let mut parser = Parser::new(input.as_bytes());
-    parser.skip_whitespace();
-    let value = parser.parse_value()?;
+    let value = T::deserialize(&mut parser)?;
     parser.skip_whitespace();
     if parser.pos != parser.bytes.len() {
         return Err(Error::new(format!(
@@ -123,7 +129,7 @@ pub fn from_str<'de, T: serde::Deserialize<'de>>(input: &str) -> Result<T, Error
             parser.pos
         )));
     }
-    serde::from_value::<T, Error>(value)
+    Ok(value)
 }
 
 // ---------------------------------------------------------------------------
@@ -383,11 +389,16 @@ impl<W: io::Write> serde::ser::SerializeStruct for Compound<'_, W> {
 /// whole process; past the bound it returns an [`Error`] instead.
 const MAX_DEPTH: usize = 128;
 
+/// A JSON parser over one input, and through `&mut Parser` the format's
+/// [`serde::Deserializer`]: each typed read parses exactly the value it
+/// asks for. [`Value`] trees are built only when a `Value` is asked for.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open around `pos`.
     depth: usize,
+    /// The decoded text of the last string literal that had escapes.
+    unescaped: String,
 }
 
 impl<'a> Parser<'a> {
@@ -396,6 +407,7 @@ impl<'a> Parser<'a> {
             bytes,
             pos: 0,
             depth: 0,
+            unescaped: String::new(),
         }
     }
 
@@ -411,6 +423,12 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// The first byte after whitespace, left unread.
+    fn peek_token(&mut self) -> Option<u8> {
+        self.skip_whitespace();
+        self.peek()
+    }
+
     fn expect(&mut self, byte: u8) -> Result<(), Error> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -423,43 +441,91 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        self.skip_whitespace();
+    /// The error for a value that is not `what`.
+    fn invalid(&self, what: &str) -> Error {
         match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                if self.depth == MAX_DEPTH {
-                    return Err(Error::new(format!(
-                        "recursion limit exceeded: more than {MAX_DEPTH} nested arrays or \
-                         objects at byte {}",
-                        self.pos
-                    )));
-                }
-                self.depth += 1;
-                let value = if open == b'{' {
-                    self.parse_object()
-                } else {
-                    self.parse_array()
-                };
-                self.depth -= 1;
-                value
-            }
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => Err(Error::new(format!(
-                "unexpected character `{}` at byte {}",
+            Some(c) => Error::new(format!(
+                "expected {what}, found `{}` at byte {}",
                 c as char, self.pos
-            ))),
-            None => Err(Error::new("unexpected end of input")),
+            )),
+            None => Error::new(format!("expected {what}, found the end of input")),
         }
     }
 
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
+    fn parse_value(&mut self) -> Result<Value, Error> {
+        match self.peek_token() {
+            Some(b'{') => self.nested(b'}', |parser| {
+                let mut members = Members {
+                    parser,
+                    first: true,
+                };
+                let mut fields = Vec::new();
+                while let Some(key) = members.next_member()? {
+                    let key = key.to_owned();
+                    fields.push((key, members.member_value()?));
+                }
+                Ok(Value::Object(fields))
+            }),
+            Some(b'[') => Vec::deserialize(self).map(Value::Array),
+            Some(b'"') => self.parse_string().map(Value::String),
+            Some(b't') => self.parse_keyword("true").map(|()| Value::Bool(true)),
+            Some(b'f') => self.parse_keyword("false").map(|()| Value::Bool(false)),
+            Some(b'n') => self.parse_keyword("null").map(|()| Value::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number().map(Value::Number),
+            _ => Err(self.invalid("a JSON value")),
+        }
+    }
+
+    /// Parses the array or object whose opener is the next byte, inside
+    /// the nesting bound: `visit` reads the items, and the `close` bracket
+    /// must follow them.
+    fn nested<T>(
+        &mut self,
+        close: u8,
+        visit: impl FnOnce(&mut Self) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "recursion limit exceeded: more than {MAX_DEPTH} nested arrays or \
+                 objects at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        let value = visit(self)?;
+        self.skip_whitespace();
+        self.expect(close)?;
+        self.depth -= 1;
+        Ok(value)
+    }
+
+    /// Moves to the next item of the open array or object that `close`
+    /// ends: `false` at the closing bracket, which stays unread; otherwise
+    /// past the `,` that separates the item from the one before (every
+    /// item but the `first`).
+    fn next_item(&mut self, close: u8, first: &mut bool) -> Result<bool, Error> {
+        match self.peek_token() {
+            Some(c) if c == close => Ok(false),
+            _ if *first => {
+                *first = false;
+                Ok(true)
+            }
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(Error::new(format!(
+                "expected `,` or `{}` at byte {}",
+                close as char, self.pos
+            ))),
+        }
+    }
+
+    fn parse_keyword(&mut self, word: &str) -> Result<(), Error> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(Error::new(format!("invalid literal at byte {}", self.pos)))
         }
@@ -470,7 +536,7 @@ impl<'a> Parser<'a> {
     /// digit, then optionally `e`/`E`, a sign and at least one digit. A
     /// number too large for `f64` is an error, as upstream; one too small
     /// reads as zero.
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    fn parse_number(&mut self) -> Result<f64, Error> {
         let start = self.pos;
         let invalid = |at: usize| Error::new(format!("invalid number at byte {at}"));
         if self.peek() == Some(b'-') {
@@ -506,7 +572,7 @@ impl<'a> Parser<'a> {
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
         match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Value::Number(n)),
+            Ok(n) if n.is_finite() => Ok(n),
             Ok(_) => Err(Error::new(format!(
                 "number out of range `{text}` at byte {start}"
             ))),
@@ -523,68 +589,91 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_string(&mut self) -> Result<String, Error> {
+        Ok(match self.parse_str()? {
+            Some(text) => text.to_owned(),
+            None => self.unescaped.clone(),
+        })
+    }
+
+    /// Reads a string literal. Text without escapes is borrowed from the
+    /// input (`Some`); text with escapes is decoded into `unescaped`
+    /// (`None`).
+    fn parse_str(&mut self) -> Result<Option<&'a str>, Error> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let run = self.plain_run()?;
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Some(run));
+        }
+        self.unescaped.clear();
+        self.unescaped.push_str(run);
         loop {
-            let start = self.pos;
-            // Fast path: run of plain bytes.
-            while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::new("invalid utf-8 in string"))?,
-            );
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(None);
                 }
                 Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'u') => {
-                            let mut code = self.hex4(self.pos + 1)?;
-                            self.pos += 4;
-                            // An astral character travels as a UTF-16
-                            // surrogate pair: a high surrogate escape
-                            // directly followed by a low surrogate one.
-                            if (0xD800..0xDC00).contains(&code) {
-                                let low = match self.bytes.get(self.pos + 1..self.pos + 3) {
-                                    Some(b"\\u") => self.hex4(self.pos + 3)?,
-                                    _ => {
-                                        return Err(Error::new("unpaired surrogate in \\u escape"))
-                                    }
-                                };
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(Error::new("unpaired surrogate in \\u escape"));
-                                }
-                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                self.pos += 6;
-                            }
-                            // A lone low surrogate is no scalar value.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("invalid \\u code point"))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error::new(format!("invalid escape {other:?}")));
-                        }
-                    }
-                    self.pos += 1;
+                    let c = self.parse_escape()?;
+                    self.unescaped.push(c);
+                    let run = self.plain_run()?;
+                    self.unescaped.push_str(run);
                 }
                 _ => return Err(Error::new("unterminated string")),
             }
         }
+    }
+
+    /// The bytes up to the next `"` or `\`, which stays unread. Both are
+    /// ASCII, so a run never ends inside a UTF-8 character.
+    fn plain_run(&mut self) -> Result<&'a str, Error> {
+        let bytes: &'a [u8] = self.bytes;
+        let start = self.pos;
+        let len = bytes[start..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .unwrap_or(bytes.len() - start);
+        self.pos += len;
+        std::str::from_utf8(&bytes[start..self.pos])
+            .map_err(|_| Error::new("invalid utf-8 in string"))
+    }
+
+    /// Decodes the escape at `pos` (a backslash) and moves past it.
+    fn parse_escape(&mut self) -> Result<char, Error> {
+        self.pos += 1;
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000C}',
+            Some(b'u') => {
+                let mut code = self.hex4(self.pos + 1)?;
+                self.pos += 4;
+                // An astral character travels as a UTF-16 surrogate pair:
+                // a high surrogate escape directly followed by a low
+                // surrogate one.
+                if (0xD800..0xDC00).contains(&code) {
+                    let low = match self.bytes.get(self.pos + 1..self.pos + 3) {
+                        Some(b"\\u") => self.hex4(self.pos + 3)?,
+                        _ => return Err(Error::new("unpaired surrogate in \\u escape")),
+                    };
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(Error::new("unpaired surrogate in \\u escape"));
+                    }
+                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                    self.pos += 6;
+                }
+                // A lone low surrogate is no scalar value.
+                char::from_u32(code).ok_or_else(|| Error::new("invalid \\u code point"))?
+            }
+            other => return Err(Error::new(format!("invalid escape {other:?}"))),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     /// The code unit of the four hex digits at `at`, the body of a `\u`
@@ -601,68 +690,125 @@ impl<'a> Parser<'a> {
             Ok(code << 4 | value)
         })
     }
+}
 
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
+impl<'de> serde::Deserializer<'de> for &mut Parser<'_> {
+    type Error = Error;
+
+    fn deserialize_bool(self) -> Result<bool, Error> {
+        match self.peek_token() {
+            Some(b't') => self.parse_keyword("true").map(|()| true),
+            Some(b'f') => self.parse_keyword("false").map(|()| false),
+            _ => Err(self.invalid("a bool")),
         }
     }
 
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
+    fn deserialize_f64(self) -> Result<f64, Error> {
+        match self.peek_token() {
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
+            _ => Err(self.invalid("a number")),
         }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
+    }
+
+    fn deserialize_string(self) -> Result<String, Error> {
+        match self.peek_token() {
+            Some(b'"') => self.parse_string(),
+            _ => Err(self.invalid("a string")),
         }
+    }
+
+    fn deserialize_unit(self) -> Result<(), Error> {
+        match self.peek_token() {
+            Some(b'n') => self.parse_keyword("null"),
+            _ => Err(self.invalid("null")),
+        }
+    }
+
+    fn deserialize_option(self) -> Result<Option<Self>, Error> {
+        if self.peek_token() == Some(b'n') {
+            self.parse_keyword("null")?;
+            Ok(None)
+        } else {
+            Ok(Some(self))
+        }
+    }
+
+    fn deserialize_seq<V: SeqVisitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
+        match self.peek_token() {
+            Some(b'[') => self.nested(b']', |parser| {
+                visitor.visit_seq(Elements {
+                    parser,
+                    first: true,
+                })
+            }),
+            _ => Err(self.invalid("an array")),
+        }
+    }
+
+    fn deserialize_struct<V: StructVisitor<'de>>(
+        self,
+        name: &'static str,
+        visitor: V,
+    ) -> Result<V::Value, Error> {
+        match self.peek_token() {
+            Some(b'{') => self.nested(b'}', |parser| {
+                visitor.visit_struct(Members {
+                    parser,
+                    first: true,
+                })
+            }),
+            _ => Err(self.invalid(&format!("a JSON object for struct `{name}`"))),
+        }
+    }
+
+    fn deserialize_value(self) -> Result<Value, Error> {
+        self.parse_value()
+    }
+}
+
+/// The elements of an array open in a [`Parser`].
+struct Elements<'p, 'a> {
+    parser: &'p mut Parser<'a>,
+    first: bool,
+}
+
+impl<'de> SeqAccess<'de> for Elements<'_, '_> {
+    type Error = Error;
+
+    fn next_element<T: Deserialize<'de>>(&mut self) -> Result<Option<T>, Error> {
+        if !self.parser.next_item(b']', &mut self.first)? {
+            return Ok(None);
+        }
+        T::deserialize(&mut *self.parser).map(Some)
+    }
+}
+
+/// The members of an object open in a [`Parser`].
+struct Members<'p, 'a> {
+    parser: &'p mut Parser<'a>,
+    first: bool,
+}
+
+impl<'de> StructAccess<'de> for Members<'_, '_> {
+    type Error = Error;
+
+    /// The name is borrowed from the input, or from the parser's
+    /// `unescaped` buffer when it has escapes.
+    fn next_member(&mut self) -> Result<Option<&str>, Error> {
+        if !self.parser.next_item(b'}', &mut self.first)? {
+            return Ok(None);
+        }
+        self.parser.skip_whitespace();
+        Ok(Some(match self.parser.parse_str()? {
+            Some(text) => text,
+            None => &self.parser.unescaped,
+        }))
+    }
+
+    fn member_value<T: Deserialize<'de>>(&mut self) -> Result<T, Error> {
+        self.parser.skip_whitespace();
+        self.parser.expect(b':')?;
+        T::deserialize(&mut *self.parser)
     }
 }
 
@@ -678,6 +824,12 @@ mod tests {
         assert_eq!(s, "a\nbA");
         let none: Option<f64> = from_str("null").unwrap();
         assert_eq!(none, None);
+        // A tuple reads an array of exactly its length.
+        let pair: (String, u32) = from_str(r#"["a", 1]"#).unwrap();
+        assert_eq!(pair, ("a".to_owned(), 1));
+        for bad in [r#"["a"]"#, r#"["a", 1, 2]"#, r#"["a", 1,]"#, "[]"] {
+            assert!(from_str::<(String, u32)>(bad).is_err(), "{bad}");
+        }
         assert_eq!(to_string(&vec![1.0f64, 2.0]).unwrap(), "[1,2]");
     }
 

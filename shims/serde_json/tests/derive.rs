@@ -112,6 +112,19 @@ fn a_missing_or_null_required_member_is_an_error_that_names_it() {
 }
 
 #[test]
+fn a_member_name_with_escapes_matches_its_field() {
+    assert_eq!(
+        strict(r#"{"\u0069d": "a", "n\u006fte": "n", "\u0069dd": 1}"#).unwrap_err(),
+        "unknown field `idd` in struct `Strict`"
+    );
+    let escaped = strict(r#"{"\u0069d": "a", "n\u006fte": "\"n\""}"#).unwrap();
+    assert_eq!(
+        (escaped.id.as_str(), escaped.note.as_deref()),
+        ("a", Some("\"n\""))
+    );
+}
+
+#[test]
 fn deny_unknown_fields_refuses_unknown_and_repeated_members() {
     assert_eq!(
         strict(r#"{"id": "a", "idd": 1}"#).unwrap_err(),
@@ -137,6 +150,22 @@ fn without_deny_unknown_fields_unknown_members_are_ignored() {
         },
         "unknown members are ignored and the first of a repeated member wins"
     );
+    // The first occurrence wins wherever the repeat sits, and an ignored
+    // repeat is parsed but never decoded as the field's type.
+    for json in [
+        r#"{"id": "a", "note": "x", "note": "y"}"#,
+        r#"{"id": "a", "note": "x", "note": 5}"#,
+    ] {
+        let lenient: Lenient = serde_json::from_str(json).unwrap();
+        assert_eq!(
+            lenient,
+            Lenient {
+                id: "a".to_owned(),
+                note: Some("x".to_owned())
+            },
+            "{json}"
+        );
+    }
 }
 
 #[test]
