@@ -31,8 +31,9 @@ use crate::{AbductionError, VeritasConfig};
 /// forward–backward runs once, on the first call to [`Self::posteriors`],
 /// and the table is dropped when it has run. Consumers that read only the
 /// Viterbi path (interventional prediction, Viterbi traces) never pay for
-/// smoothing. A posterior restored by [`Self::from_parts`] is complete
-/// from the start and holds no table.
+/// smoothing. A posterior restored by [`Self::from_parts`] never smooths:
+/// its stored matrices are parsed, and γ derived, on the first
+/// [`Self::posteriors`] call.
 #[derive(Debug)]
 pub struct Abduction {
     config: VeritasConfig,
@@ -45,11 +46,85 @@ pub struct Abduction {
     /// Total number of δ-intervals spanned by the session.
     total_intervals: usize,
     viterbi: ViterbiResult,
-    /// The smoothed posteriors, set on first use (or at restore).
+    /// The posteriors, set on first use.
     posteriors: OnceLock<Posteriors>,
-    /// The emission table inference conditioned on, kept until
-    /// forward–backward has run over it; `None` afterwards.
-    emissions: Mutex<Option<EmissionTable>>,
+    /// What the first [`Self::posteriors`] call builds the posteriors
+    /// from; `None` once it has.
+    pending: Mutex<Option<Pending>>,
+    /// Whether the abduction was restored ([`Self::from_parts`]), so its
+    /// posteriors are parsed, never smoothed.
+    restored: bool,
+}
+
+/// The source of an abduction's posteriors until the first
+/// [`Abduction::posteriors`] call builds them.
+#[derive(Debug)]
+enum Pending {
+    /// The emission table inference conditioned on: forward–backward runs
+    /// over it.
+    Smooth(EmissionTable),
+    /// A restored store entry: its parse assembles the posteriors.
+    Parse(StoredPosteriors),
+}
+
+/// A stored posterior, as a persistent store hands it to
+/// [`Abduction::from_parts`]: the shape and the gaps that the restore
+/// checks against the log at once, and the parse that assembles α, β, the
+/// emission rows and the totals, which runs on the first
+/// [`Abduction::posteriors`] call.
+pub struct StoredPosteriors {
+    num_obs: usize,
+    num_states: usize,
+    gaps: Vec<u32>,
+    assemble: Box<dyn FnOnce(Vec<u32>) -> Posteriors + Send>,
+}
+
+impl StoredPosteriors {
+    /// A stored posterior of `num_obs` observations over `num_states`
+    /// states, with the embedded `gaps`.
+    ///
+    /// `assemble` receives the gaps back and returns the posteriors they
+    /// belong to: α, β and the emission rows `num_obs × num_states`,
+    /// `num_obs − 1` totals. It runs at most once, on the first
+    /// [`Abduction::posteriors`] call, and cannot report an error, so a
+    /// store verifies every byte it will parse before building this.
+    pub fn new(
+        num_obs: usize,
+        num_states: usize,
+        gaps: Vec<u32>,
+        assemble: impl FnOnce(Vec<u32>) -> Posteriors + Send + 'static,
+    ) -> Self {
+        Self {
+            num_obs,
+            num_states,
+            gaps,
+            assemble: Box::new(assemble),
+        }
+    }
+
+    fn assemble(self) -> Posteriors {
+        let (num_obs, num_states) = (self.num_obs, self.num_states);
+        let posteriors = (self.assemble)(self.gaps);
+        debug_assert!(
+            posteriors.alpha.len() == num_obs
+                && posteriors.alpha.cols() == num_states
+                && posteriors.emissions.len() == num_obs
+                && posteriors.emissions.cols() == num_states
+                && posteriors.totals.len() + 1 == num_obs,
+            "assembled posteriors have the stored shape"
+        );
+        posteriors
+    }
+}
+
+impl std::fmt::Debug for StoredPosteriors {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StoredPosteriors")
+            .field("num_obs", &self.num_obs)
+            .field("num_states", &self.num_states)
+            .field("gaps", &self.gaps)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Abduction {
@@ -100,9 +175,20 @@ impl Abduction {
     pub fn spec_for(config: &VeritasConfig) -> EhmmSpec {
         let quantizer = Quantizer::new(config.epsilon_mbps, config.max_capacity_mbps);
         EhmmSpec::with_uniform_initial(TransitionMatrix::tridiagonal(
-            quantizer.values().len(),
+            quantizer.num_states(),
             config.stay_probability,
         ))
+    }
+
+    /// Panics unless `workspace` was built for [`Self::spec_for`]`(config)`,
+    /// which it checks in place, without building that spec.
+    fn assert_workspace_fits(workspace: &EhmmWorkspace, quantizer: &Quantizer, stay: f64) {
+        assert!(
+            workspace
+                .spec()
+                .is_uniform_tridiagonal(quantizer.num_states(), stay),
+            "workspace spec does not match the configuration"
+        );
     }
 
     /// Emission log-density row for one chunk record over the capacity
@@ -185,11 +271,8 @@ impl Abduction {
             log.records.len(),
             "need one emission row per chunk record"
         );
-        assert!(
-            workspace.spec() == &Self::spec_for(config),
-            "workspace spec does not match the configuration"
-        );
         let quantizer = Quantizer::new(config.epsilon_mbps, config.max_capacity_mbps);
+        Self::assert_workspace_fits(&workspace, &quantizer, config.stay_probability);
         let (start_intervals, gaps, total_intervals) = interval_layout(log, config)?;
         let emissions = EmissionTable::new(rows, gaps);
         let viterbi = workspace.viterbi(&emissions);
@@ -203,21 +286,24 @@ impl Abduction {
             total_intervals,
             viterbi,
             posteriors: OnceLock::new(),
-            emissions: Mutex::new(Some(emissions)),
+            pending: Mutex::new(Some(Pending::Smooth(emissions))),
+            restored: false,
         })
     }
 
-    /// Rebuilds an abduction from previously computed inference results —
-    /// the warm-start path persistent caches use. No forward–backward or
-    /// Viterbi pass runs; only the cheap δ-interval layout is rederived
-    /// from the log.
+    /// Rebuilds an abduction from a stored posterior — the warm-start
+    /// path persistent caches use. No forward–backward or Viterbi pass
+    /// runs; only the cheap δ-interval layout is rederived from the log,
+    /// and the stored matrices are parsed, and γ derived, on the first
+    /// [`Self::posteriors`] call.
     ///
-    /// Every part is revalidated against the log/config pair: a Viterbi
-    /// path or posterior part whose length, state count, or state indices
-    /// do not fit, or stored gaps that differ from the log's δ-interval
-    /// layout, yield [`AbductionError::InconsistentParts`], so a stale or
-    /// truncated store entry can never be served as a plausible-looking
-    /// posterior, nor sampled with the wrong `A^Δ`.
+    /// Every check runs here, before the matrices are parsed: a Viterbi
+    /// path whose length or state indices do not fit, a stored shape other
+    /// than the log's chunk count by the grid's state count, or stored
+    /// gaps that differ from the log's δ-interval layout yield
+    /// [`AbductionError::InconsistentParts`], so a stale or truncated store
+    /// entry can never be served as a plausible-looking posterior, nor
+    /// sampled with the wrong `A^Δ`.
     ///
     /// # Panics
     ///
@@ -228,19 +314,16 @@ impl Abduction {
         config: &VeritasConfig,
         workspace: Arc<EhmmWorkspace>,
         viterbi: ViterbiResult,
-        posteriors: Posteriors,
+        stored: StoredPosteriors,
     ) -> Result<Self, AbductionError> {
         config.validate().map_err(AbductionError::InvalidConfig)?;
         if log.records.is_empty() {
             return Err(AbductionError::EmptySession);
         }
-        assert!(
-            workspace.spec() == &Self::spec_for(config),
-            "workspace spec does not match the configuration"
-        );
         let quantizer = Quantizer::new(config.epsilon_mbps, config.max_capacity_mbps);
+        Self::assert_workspace_fits(&workspace, &quantizer, config.stay_probability);
         let num_obs = log.records.len();
-        let num_states = quantizer.values().len();
+        let num_states = quantizer.num_states();
         let inconsistent = |reason: String| AbductionError::InconsistentParts(reason);
         if viterbi.path.len() != num_obs {
             return Err(inconsistent(format!(
@@ -253,33 +336,16 @@ impl Abduction {
                 "viterbi state {state} exceeds the {num_states}-state capacity grid"
             )));
         }
-        let matrices = [
-            ("gamma", &posteriors.gamma),
-            ("alpha", &posteriors.alpha),
-            ("beta", &posteriors.beta),
-            ("emission rows", &posteriors.emissions),
-        ];
-        if let Some((name, m)) = matrices
-            .iter()
-            .find(|(_, m)| m.len() != num_obs || m.cols() != num_states)
-        {
+        if (stored.num_obs, stored.num_states) != (num_obs, num_states) {
             return Err(inconsistent(format!(
-                "{name} is {}x{}, expected {num_obs}x{num_states}",
-                m.len(),
-                m.cols()
-            )));
-        }
-        if posteriors.totals.len() != num_obs - 1 {
-            return Err(inconsistent(format!(
-                "{} pairwise totals for {num_obs} chunks, expected {}",
-                posteriors.totals.len(),
-                num_obs - 1
+                "stored posteriors are {}x{}, expected {num_obs}x{num_states}",
+                stored.num_obs, stored.num_states
             )));
         }
         let (start_intervals, gaps, total_intervals) = interval_layout(log, config)?;
         // The sampler transports step n with A^{gaps[n + 1]}: gaps that
         // differ from the log's layout would sample with the wrong kernel.
-        if posteriors.gaps != gaps {
+        if stored.gaps != gaps {
             return Err(inconsistent(
                 "stored gaps differ from the log's interval layout".to_string(),
             ));
@@ -292,8 +358,9 @@ impl Abduction {
             start_intervals,
             total_intervals,
             viterbi,
-            posteriors: OnceLock::from(posteriors),
-            emissions: Mutex::new(None),
+            posteriors: OnceLock::new(),
+            pending: Mutex::new(Some(Pending::Parse(stored))),
+            restored: true,
         })
     }
 
@@ -322,29 +389,35 @@ impl Abduction {
 
     /// The smoothed posteriors over chunk capacities.
     ///
-    /// The first call on a freshly inferred abduction runs
-    /// forward–backward over the kept emission table and then drops the
-    /// table; later calls, and racing calls from other threads (which wait
-    /// for the first), return the same posteriors. A restored abduction
-    /// ([`Self::from_parts`]) returns its stored posteriors at once.
-    /// Sampling, posterior means and persistence all read through here.
+    /// The first call builds them once. On a freshly inferred abduction it
+    /// runs forward–backward over the kept emission table and then drops
+    /// the table; on a restored one ([`Self::from_parts`]) it parses the
+    /// stored matrices, derives γ and drops the stored bytes — the same
+    /// bits the saved posteriors had. Later calls, and racing calls from
+    /// other threads (which wait for the first), return the same
+    /// posteriors. Sampling, posterior means and persistence all read
+    /// through here.
     pub fn posteriors(&self) -> &Posteriors {
         self.posteriors.get_or_init(|| {
-            let emissions = self
-                .emissions
+            let pending = self
+                .pending
                 .lock()
-                .expect("the table lock is held only by `take`, which cannot panic")
+                .expect("the pending lock is held only by `take`, which cannot panic")
                 .take()
-                .expect("an unsmoothed abduction keeps its emission table");
-            self.workspace.forward_backward(&emissions)
+                .expect("an abduction keeps its pending posteriors until they are built");
+            match pending {
+                Pending::Smooth(emissions) => self.workspace.forward_backward(&emissions),
+                Pending::Parse(stored) => stored.assemble(),
+            }
         })
     }
 
     /// Whether the posteriors are available without running
     /// forward–backward: smoothing has run, or the abduction was restored
-    /// complete.
+    /// (its stored matrices are parsed on the first [`Self::posteriors`]
+    /// call, which never smooths).
     pub fn is_smoothed(&self) -> bool {
-        self.posteriors.get().is_some()
+        self.restored || self.posteriors.get().is_some()
     }
 
     /// The Viterbi decode (path plus its log-likelihood) — exposed whole,
@@ -464,8 +537,8 @@ fn interval_layout(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use veritas_abr::Mpc;
-    use veritas_ehmm::StateMatrix;
     use veritas_media::{QualityLadder, VbrParams, VideoAsset};
     use veritas_player::{run_session, PlayerConfig};
     use veritas_trace::generators::{FccLike, TraceGenerator};
@@ -724,107 +797,129 @@ mod tests {
         );
     }
 
+    /// A stored posterior whose parse hands back `posteriors`, with the
+    /// gaps the restore passes it; `parsed` counts the parses.
+    fn stored(posteriors: Posteriors, parsed: &Arc<AtomicUsize>) -> StoredPosteriors {
+        let (num_obs, num_states) = (posteriors.alpha.len(), posteriors.alpha.cols());
+        let parsed = Arc::clone(parsed);
+        StoredPosteriors::new(num_obs, num_states, posteriors.gaps.clone(), move |gaps| {
+            parsed.fetch_add(1, Ordering::SeqCst);
+            Posteriors { gaps, ..posteriors }
+        })
+    }
+
+    /// A stored posterior that must never be parsed: its restore is
+    /// refused first.
+    fn unparsed(num_obs: usize, num_states: usize, gaps: Vec<u32>) -> StoredPosteriors {
+        StoredPosteriors::new(num_obs, num_states, gaps, |_| {
+            panic!("a refused restore parses nothing")
+        })
+    }
+
     #[test]
     fn from_parts_restores_an_identical_abduction_without_inference() {
         let truth = FccLike::new(3.0, 8.0).generate(600.0, 77);
         let log = logged_session(&truth);
         let config = VeritasConfig::paper_default();
         let original = Abduction::infer(&log, &config);
+        let parsed = Arc::new(AtomicUsize::new(0));
         let restored = Abduction::from_parts(
             &log,
             &config,
             original.workspace().clone(),
             original.viterbi().clone(),
-            original.posteriors().clone(),
+            stored(original.posteriors().clone(), &parsed),
         )
         .unwrap();
         assert_eq!(restored.viterbi_states(), original.viterbi_states());
-        assert_eq!(restored.posteriors(), original.posteriors());
         assert_eq!(restored.num_obs(), original.num_obs());
         assert_eq!(restored.start_intervals(), original.start_intervals());
         assert_eq!(restored.total_intervals(), original.total_intervals());
         assert_eq!(restored.viterbi_trace(), original.viterbi_trace());
+        assert_eq!(
+            parsed.load(Ordering::SeqCst),
+            0,
+            "Viterbi reads parse nothing"
+        );
+        assert_eq!(restored.posteriors(), original.posteriors());
         assert_eq!(restored.sample_traces(3), original.sample_traces(3));
+        assert_eq!(parsed.load(Ordering::SeqCst), 1, "the parse runs once");
         assert!(
             std::sync::Arc::ptr_eq(restored.workspace(), original.workspace()),
             "restoration must reuse the caller's shared kernel workspace"
         );
     }
 
+    /// Every restore check runs in `from_parts`, before any parse. A
+    /// stored part that disagrees with the stored shape (a mis-shaped
+    /// matrix, a total too few or too many) cannot reach this layer: the
+    /// engine's `.vpost` decoder refuses it, as its test
+    /// `a_stored_part_that_does_not_fit_is_refused_at_load` checks.
     #[test]
     fn from_parts_rejects_artifacts_that_do_not_fit_the_log() {
         let truth = FccLike::new(3.0, 8.0).generate(600.0, 78);
         let log = logged_session(&truth);
         let config = VeritasConfig::paper_default();
         let ab = Abduction::infer(&log, &config);
+        let (rows, cols) = (log.records.len(), ab.capacity_grid().len());
+        let gaps = ab.posteriors().gaps.clone();
+        let restore = |log: &SessionLog, viterbi: ViterbiResult, stored: StoredPosteriors| {
+            Abduction::from_parts(log, &config, ab.workspace().clone(), viterbi, stored)
+        };
 
         // A truncated log: every stored shape is now one chunk too long.
         let mut shorter = log.clone();
         shorter.records.pop();
-        let err = Abduction::from_parts(
+        let err = restore(
             &shorter,
-            &config,
-            ab.workspace().clone(),
             ab.viterbi().clone(),
-            ab.posteriors().clone(),
+            unparsed(rows, cols, gaps.clone()),
         )
         .unwrap_err();
         assert!(matches!(err, AbductionError::InconsistentParts(_)), "{err}");
 
         // An out-of-grid Viterbi state.
         let mut bad_viterbi = ab.viterbi().clone();
-        bad_viterbi.path[0] = ab.capacity_grid().len();
+        bad_viterbi.path[0] = cols;
         assert!(matches!(
-            Abduction::from_parts(
-                &log,
-                &config,
-                ab.workspace().clone(),
-                bad_viterbi,
-                ab.posteriors().clone(),
-            ),
+            restore(&log, bad_viterbi, unparsed(rows, cols, gaps.clone())),
             Err(AbductionError::InconsistentParts(_))
         ));
 
-        // Every posterior part, mis-shaped one at a time.
-        let rejects = |mutate: &dyn Fn(&mut Posteriors)| {
-            let mut bad = ab.posteriors().clone();
-            mutate(&mut bad);
+        // A stored shape other than the log's chunks by the grid's states.
+        let rejects = |num_obs: usize, num_states: usize, gaps: Vec<u32>| {
             matches!(
-                Abduction::from_parts(
+                restore(
                     &log,
-                    &config,
-                    ab.workspace().clone(),
                     ab.viterbi().clone(),
-                    bad,
+                    unparsed(num_obs, num_states, gaps)
                 ),
                 Err(AbductionError::InconsistentParts(_))
             )
         };
-        let (rows, cols) = (log.records.len(), ab.capacity_grid().len());
-        let matrix = |r: usize, c: usize| StateMatrix::zeros(r, c);
-        let wrong_shapes = [(rows - 1, cols), (rows + 1, cols), (rows, cols - 1)];
-        for (r, c) in wrong_shapes {
-            assert!(rejects(&|p| p.gamma = matrix(r, c)), "gamma {r}x{c}");
-            assert!(rejects(&|p| p.alpha = matrix(r, c)), "alpha {r}x{c}");
-            assert!(rejects(&|p| p.beta = matrix(r, c)), "beta {r}x{c}");
-            assert!(
-                rejects(&|p| p.emissions = matrix(r, c)),
-                "emissions {r}x{c}"
-            );
+        for (r, c) in [(rows - 1, cols), (rows + 1, cols), (rows, cols - 1)] {
+            assert!(rejects(r, c, gaps.clone()), "stored shape {r}x{c}");
         }
-        assert!(rejects(&|p| {
-            p.totals.pop();
-        }));
-        assert!(rejects(&|p| p.totals.push(1.0)));
         // Gaps that do not match the log's interval layout: a changed gap,
         // a shifted one, and one too few.
-        assert!(rejects(&|p| p.gaps[1] += 1));
-        assert!(rejects(&|p| p.gaps.rotate_left(1)));
-        assert!(rejects(&|p| {
-            p.gaps.pop();
-        }));
+        let mut changed = gaps.clone();
+        changed[1] += 1;
+        assert!(rejects(rows, cols, changed));
+        let mut shifted = gaps.clone();
+        shifted.rotate_left(1);
+        assert!(rejects(rows, cols, shifted));
+        let mut fewer = gaps.clone();
+        fewer.pop();
+        assert!(rejects(rows, cols, fewer));
         // The untouched parts still restore.
-        assert!(!rejects(&|_| {}));
+        let parsed = Arc::new(AtomicUsize::new(0));
+        let restored = restore(
+            &log,
+            ab.viterbi().clone(),
+            stored(ab.posteriors().clone(), &parsed),
+        )
+        .expect("the untouched parts restore");
+        assert_eq!(restored.posteriors(), ab.posteriors());
     }
 
     #[test]
@@ -851,21 +946,74 @@ mod tests {
         assert_eq!(ab.posteriors(), &eager);
         assert!(ab.is_smoothed());
         assert!(
-            ab.emissions.lock().unwrap().is_none(),
+            ab.pending.lock().unwrap().is_none(),
             "the emission table is dropped once smoothing has run"
         );
         assert!(std::ptr::eq(ab.posteriors(), ab.posteriors()));
 
-        // A restored abduction is complete at construction.
+        // A restored abduction never smooths: its posteriors are available
+        // at once, and parsed on the first read.
+        let parsed = Arc::new(AtomicUsize::new(0));
         let restored = Abduction::from_parts(
             &log,
             &config,
             ab.workspace().clone(),
             ab.viterbi().clone(),
-            eager,
+            stored(eager, &parsed),
         )
         .unwrap();
         assert!(restored.is_smoothed());
+        assert!(restored.pending.lock().unwrap().is_some());
+        assert_eq!(parsed.load(Ordering::SeqCst), 0);
+        assert_eq!(restored.posteriors(), ab.posteriors());
+        assert!(restored.is_smoothed());
+        assert!(restored.pending.lock().unwrap().is_none());
+        assert_eq!(parsed.load(Ordering::SeqCst), 1);
+    }
+
+    /// A workspace built for another state count or another stay
+    /// probability is a caller bug both constructors refuse, checked in
+    /// place.
+    #[test]
+    fn a_workspace_for_another_spec_panics_in_both_constructors() {
+        let truth = FccLike::new(3.0, 8.0).generate(600.0, 21);
+        let log = logged_session(&truth);
+        let config = VeritasConfig::paper_default();
+        let ab = Abduction::infer(&log, &config);
+        let capacities = config.capacity_grid();
+        let rows: Vec<Vec<f64>> = log
+            .records
+            .iter()
+            .map(|r| Abduction::emission_row(r, &capacities, config.sigma_mbps))
+            .collect();
+        let mut more_states = config;
+        more_states.max_capacity_mbps += config.epsilon_mbps;
+        let mut other_stay = config;
+        other_stay.stay_probability = 0.5;
+        for other in [more_states, other_stay] {
+            let workspace = Arc::new(EhmmWorkspace::new(Abduction::spec_for(&other)));
+            assert_ne!(workspace.spec(), &Abduction::spec_for(&config));
+            let infer = std::panic::catch_unwind(|| {
+                Abduction::try_infer_prepared(&log, &config, rows.clone(), workspace.clone())
+            });
+            let restore = std::panic::catch_unwind(|| {
+                Abduction::from_parts(
+                    &log,
+                    &config,
+                    workspace.clone(),
+                    ab.viterbi().clone(),
+                    unparsed(rows.len(), capacities.len(), ab.posteriors().gaps.clone()),
+                )
+            });
+            for outcome in [infer.map(|_| ()), restore.map(|_| ())] {
+                let message = outcome.expect_err("a mismatched workspace panics");
+                let message = message.downcast_ref::<&str>().copied().unwrap_or_default();
+                assert_eq!(message, "workspace spec does not match the configuration");
+            }
+        }
+        // The workspace the config implies is accepted by both.
+        let workspace = Arc::new(EhmmWorkspace::new(Abduction::spec_for(&config)));
+        assert!(Abduction::try_infer_prepared(&log, &config, rows, workspace).is_ok());
     }
 
     proptest::proptest! {

@@ -61,24 +61,25 @@ impl TransitionMatrix {
     pub fn tridiagonal(n: usize, stay: f64) -> Self {
         assert!(n > 0);
         assert!((0.0..=1.0).contains(&stay));
-        if n == 1 {
-            return Self::identity(1);
-        }
-        let move_p = 1.0 - stay;
         let mut data = vec![0.0; n * n];
         for (i, row) in data.chunks_exact_mut(n).enumerate() {
-            row[i] = stay;
-            if i == 0 {
-                row[1] += move_p;
-            } else if i == n - 1 {
-                row[n - 2] += move_p;
-            } else {
-                row[i - 1] += move_p / 2.0;
-                row[i + 1] += move_p / 2.0;
+            for (j, p) in row.iter_mut().enumerate() {
+                *p = tridiagonal_entry(n, stay, i, j);
             }
             check_row(i, row);
         }
         Self { n, data }
+    }
+
+    /// Whether this matrix equals [`TransitionMatrix::tridiagonal`]`(n,
+    /// stay)` entry for entry, compared in place without building it.
+    pub(crate) fn is_tridiagonal(&self, n: usize, stay: f64) -> bool {
+        self.n == n
+            && self
+                .data
+                .chunks_exact(n)
+                .enumerate()
+                .all(|(i, row)| (0..n).all(|j| row[j] == tridiagonal_entry(n, stay, i, j)))
     }
 
     /// Number of states.
@@ -141,6 +142,25 @@ impl TransitionMatrix {
 
 /// Asserts that row `i` of a transition matrix holds finite, non-negative
 /// probabilities summing to 1 (±1e-6).
+/// Entry `(i, j)` of [`TransitionMatrix::tridiagonal`]`(n, stay)`: `stay`
+/// on the diagonal, the whole remainder `1 − stay` to the one neighbour of
+/// a boundary state, half of it to each neighbour of an inner state; a
+/// one-state chain always stays.
+fn tridiagonal_entry(n: usize, stay: f64, i: usize, j: usize) -> f64 {
+    let move_p = 1.0 - stay;
+    if n == 1 {
+        1.0
+    } else if i == j {
+        stay
+    } else if i.abs_diff(j) != 1 {
+        0.0
+    } else if i == 0 || i == n - 1 {
+        move_p
+    } else {
+        move_p / 2.0
+    }
+}
+
 fn check_row(i: usize, row: &[f64]) {
     let mut sum = 0.0;
     for &p in row {
@@ -317,6 +337,39 @@ mod tests {
             let spread = col.iter().cloned().fold(0.0_f64, f64::max)
                 - col.iter().cloned().fold(1.0_f64, f64::min);
             assert!(spread < 1e-6, "column {j} has not mixed: {col:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The in-place check accepts exactly the matrix `tridiagonal`
+        /// builds: the same state count and stay probability, one of them
+        /// changed is refused; so is any other spec's initial
+        /// distribution.
+        #[test]
+        fn the_in_place_tridiagonal_check_matches_the_built_matrix(
+            n in 1usize..40,
+            stay in 0.0f64..=1.0,
+            other in 0.0f64..=1.0,
+        ) {
+            let built = TransitionMatrix::tridiagonal(n, stay);
+            proptest::prop_assert!(built.is_tridiagonal(n, stay));
+            proptest::prop_assert!(!built.is_tridiagonal(n + 1, stay));
+            if n > 1 {
+                proptest::prop_assert!(!built.is_tridiagonal(n - 1, stay));
+                proptest::prop_assert_eq!(
+                    built.is_tridiagonal(n, other),
+                    TransitionMatrix::tridiagonal(n, other) == built
+                );
+            }
+            let spec = crate::EhmmSpec::with_uniform_initial(built.clone());
+            proptest::prop_assert!(spec.is_uniform_tridiagonal(n, stay));
+            proptest::prop_assert!(!spec.is_uniform_tridiagonal(n + 1, stay));
+            if n > 1 {
+                let mut initial = vec![0.0; n];
+                initial[0] = 1.0;
+                let skewed = crate::EhmmSpec::new(built, initial);
+                proptest::prop_assert!(!skewed.is_uniform_tridiagonal(n, stay));
+            }
         }
     }
 

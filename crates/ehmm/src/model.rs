@@ -48,6 +48,16 @@ impl EhmmSpec {
         Self::new(transition, vec![1.0 / n as f64; n])
     }
 
+    /// Whether this spec equals
+    /// `EhmmSpec::with_uniform_initial(TransitionMatrix::tridiagonal(num_states,
+    /// stay))`, compared in place: nothing is allocated, so a caller can
+    /// check a shared workspace's spec on every use.
+    pub fn is_uniform_tridiagonal(&self, num_states: usize, stay: f64) -> bool {
+        let uniform = 1.0 / num_states as f64;
+        self.transition.is_tridiagonal(num_states, stay)
+            && self.initial.iter().all(|&p| p == uniform)
+    }
+
     /// Number of hidden states.
     pub fn num_states(&self) -> usize {
         self.transition.num_states()

@@ -58,14 +58,20 @@ pub(crate) fn fnv_mix(hash: &mut u64, bits: u64) {
 /// ([`crate::persist`]). Every fingerprint in this crate mixes floats
 /// through this function.
 pub(crate) fn fnv_mix_f64(hash: &mut u64, value: f64) {
-    let bits = if value == 0.0 {
+    fnv_mix(hash, canonical_bits(value));
+}
+
+/// The bit pattern [`fnv_mix_f64`] mixes for `value`: `+0.0` for either
+/// zero, the one canonical NaN for every NaN payload, otherwise the raw
+/// bits.
+pub(crate) fn canonical_bits(value: f64) -> u64 {
+    if value == 0.0 {
         0.0_f64.to_bits()
     } else if value.is_nan() {
         f64::NAN.to_bits()
     } else {
         value.to_bits()
-    };
-    fnv_mix(hash, bits);
+    }
 }
 
 /// Fingerprints the configuration fields the abduction posterior depends

@@ -31,11 +31,22 @@
 //! smoother's O(N·K) parts (α, β, the scaled emission rows, each step's
 //! pairwise total, each observation's gap, the log-likelihood), and a
 //! trailing checksum. Floats are stored as raw IEEE-754 bit patterns, and
-//! γ is recomputed from α and β on load with the operations inference uses
+//! γ is recomputed from α and β with the operations inference uses
 //! ([`Posteriors::new`]), so a reloaded posterior is *bit-equal* to the one
 //! saved — no text round-trip error. The dense pairwise tensor ξ is not
 //! stored: the sampler rebuilds the column it reads from these parts.
 //! Kernel tables (`kern-v2-<config>.vkern`) use the same envelope.
+//!
+//! A load verifies the whole entry before it returns — the checksum, the
+//! version and the key, the shapes against the log and the grid, every
+//! Viterbi state, and the gaps against the log's δ-interval layout — but
+//! parses only the key, the Viterbi path and the gaps. The restored
+//! [`Abduction`] keeps the file's bytes and parses α, β, the emission
+//! rows and the totals, and derives γ, on its first
+//! [`Abduction::posteriors`] read ([`veritas::StoredPosteriors`]), so a
+//! consumer of the Viterbi path alone (a scan's abduction and aggregate
+//! answers) never pays for them. No float pattern is invalid, so the
+//! deferred parse checks nothing a load skips, and it cannot fail.
 //!
 //! The checksum covers everything after the magic. It runs [`LANES`]
 //! independent lanes over the payload's 8-byte little-endian words (word
@@ -63,7 +74,9 @@
 //! rename), so a crash mid-write can never leave a half-entry under a live
 //! key. Loads are corruption-tolerant: a missing, truncated, garbage, or
 //! shape-inconsistent file is a **miss**, never an error — the cache
-//! simply re-infers and overwrites the entry via the same atomic path.
+//! simply re-infers and overwrites the entry via the same atomic path; a
+//! restored entry's deferred parse reads only bytes the load verified, so
+//! a damaged file never surfaces at the first posterior read.
 //! [`DiskStore::load_classified`] additionally distinguishes the corrupt
 //! case and deletes the bad file, so the re-inference + write-through
 //! *heals* the store; the cache tier counts these heals
@@ -77,7 +90,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use veritas::{Abduction, VeritasConfig};
+use veritas::{Abduction, StoredPosteriors, VeritasConfig};
 use veritas_ehmm::{EhmmWorkspace, Posteriors, StateMatrix, TransitionMatrix, ViterbiResult};
 use veritas_player::SessionLog;
 
@@ -282,9 +295,16 @@ impl DiskStore {
             return DiskLoadOutcome::Missing;
         };
         let restored = decode(&bytes)
-            .filter(|(stored_key, _, _)| stored_key == key)
-            .and_then(|(_, viterbi, posteriors)| {
-                Abduction::from_parts(log, config, workspace, viterbi, posteriors).ok()
+            .filter(|entry| entry.key == *key)
+            .and_then(|entry| {
+                let matrices = entry.matrices;
+                let stored = StoredPosteriors::new(
+                    matrices.num_obs,
+                    matrices.num_states,
+                    entry.gaps,
+                    move |gaps| matrices.parse(&bytes, gaps),
+                );
+                Abduction::from_parts(log, config, workspace, entry.viterbi, stored).ok()
             });
         match restored {
             Some(abduction) => DiskLoadOutcome::Restored(Box::new(abduction)),
@@ -595,10 +615,55 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Parses one stored entry, validating magic, version, checksum, and every
-/// declared length against the actual byte count *before* any large
-/// allocation. Returns `None` on any inconsistency.
-fn decode(bytes: &[u8]) -> Option<(PersistKey, ViterbiResult, Posteriors)> {
+/// A stored entry as [`decode`] verifies it: the key, the Viterbi decode,
+/// the gaps, and where the unparsed posterior matrices lie.
+struct Decoded {
+    key: PersistKey,
+    viterbi: ViterbiResult,
+    gaps: Vec<u32>,
+    matrices: Matrices,
+}
+
+/// Where a verified entry's posterior matrices lie in its bytes, and the
+/// scalars that complete them. α, β, the emission rows and the totals are
+/// parsed only by [`Matrices::parse`], on the first posterior read of a
+/// restore.
+#[derive(Clone, Copy)]
+struct Matrices {
+    /// Byte offset of α in the entry.
+    at: usize,
+    num_obs: usize,
+    num_states: usize,
+    log_likelihood: f64,
+}
+
+impl Matrices {
+    /// Parses α, β, the emission rows and the totals from `bytes`, the
+    /// entry [`decode`] verified, and derives γ with the operations
+    /// inference uses ([`Posteriors::new`]), so the posteriors are
+    /// bit-equal to the ones saved. `decode` checked every length, so
+    /// nothing here can fail.
+    fn parse(self, bytes: &[u8], gaps: Vec<u32>) -> Posteriors {
+        const VERIFIED: &str = "decode verified the entry's length";
+        let cells = self.num_obs * self.num_states;
+        let mut reader = Reader::new(&bytes[self.at..]);
+        let mut matrix = || {
+            let values = reader.take_f64s(cells).expect(VERIFIED);
+            StateMatrix::from_vec(self.num_obs, self.num_states, values)
+        };
+        let (alpha, beta, emissions) = (matrix(), matrix(), matrix());
+        let totals = reader.take_f64s(self.num_obs - 1).expect(VERIFIED);
+        Posteriors::new(alpha, beta, emissions, totals, gaps, self.log_likelihood)
+    }
+}
+
+/// Verifies one stored entry: magic, version, checksum, and every declared
+/// length against the actual byte count (*before* any large allocation),
+/// then parses the key, the Viterbi decode with every state in range, the
+/// gaps and the log-likelihood. The posterior matrices are left unparsed
+/// ([`Matrices::parse`]): no float pattern is invalid, so parsing them
+/// checks nothing. Returns `None` on any inconsistency.
+fn decode(bytes: &[u8]) -> Option<Decoded> {
     if bytes.len() < MAGIC.len() + 8 || bytes[..MAGIC.len()] != MAGIC {
         return None;
     }
@@ -625,10 +690,10 @@ fn decode(bytes: &[u8]) -> Option<(PersistKey, ViterbiResult, Posteriors)> {
     // The whole remaining layout is length-determined; verify it against
     // the payload size before allocating anything observation-sized.
     let cells = num_obs.checked_mul(num_states)?;
+    let matrix_words = cells.checked_mul(3)?.checked_add(num_obs - 1)?; // α, β, emission rows, totals
     let expected_words = num_obs // viterbi path
         .checked_add(1)? // viterbi log-likelihood
-        .checked_add(cells.checked_mul(3)?)? // alpha, beta, emission rows
-        .checked_add(num_obs - 1)? // pairwise totals
+        .checked_add(matrix_words)?
         .checked_add(num_obs)? // gaps
         .checked_add(1)?; // posterior log-likelihood
     if payload.len() - reader.pos() != expected_words.checked_mul(8)? {
@@ -646,20 +711,24 @@ fn decode(bytes: &[u8]) -> Option<(PersistKey, ViterbiResult, Posteriors)> {
         path,
         log_likelihood: reader.take_f64()?,
     };
-    let mut matrix = || {
-        reader
-            .take_f64s(cells)
-            .map(|v| StateMatrix::from_vec(num_obs, num_states, v))
-    };
-    let (alpha, beta, emissions) = (matrix()?, matrix()?, matrix()?);
-    let totals = reader.take_f64s(num_obs - 1)?;
+    let at = MAGIC.len() + reader.pos();
+    reader.take_bytes(matrix_words * 8)?;
     let mut gaps = Vec::with_capacity(num_obs);
     for _ in 0..num_obs {
         gaps.push(u32::try_from(reader.take_u64()?).ok()?);
     }
-    let log_likelihood = reader.take_f64()?;
-    let posteriors = Posteriors::new(alpha, beta, emissions, totals, gaps, log_likelihood);
-    Some((key, viterbi, posteriors))
+    let matrices = Matrices {
+        at,
+        num_obs,
+        num_states,
+        log_likelihood: reader.take_f64()?,
+    };
+    Some(Decoded {
+        key,
+        viterbi,
+        gaps,
+        matrices,
+    })
 }
 
 #[cfg(test)]
@@ -696,6 +765,14 @@ mod tests {
         let gaps = (0..num_obs).map(|_| values().to_bits() as u32).collect();
         let posteriors = Posteriors::new(alpha, beta, emissions, totals, gaps, values());
         (key, viterbi, posteriors)
+    }
+
+    /// [`decode`], then the parse a restore defers to its first posterior
+    /// read: everything the entry holds.
+    fn decode_all(bytes: &[u8]) -> Option<(PersistKey, ViterbiResult, Posteriors)> {
+        let entry = decode(bytes)?;
+        let posteriors = entry.matrices.parse(bytes, entry.gaps);
+        Some((entry.key, entry.viterbi, posteriors))
     }
 
     /// xorshift64*: a seeded stream of arbitrary 64-bit words.
@@ -751,7 +828,7 @@ mod tests {
             let (key, viterbi, posteriors) = entry(num_obs, num_states, &mut values);
             let bytes = encode(&key, &viterbi, &posteriors);
             let (back_key, back_viterbi, back_posteriors) =
-                decode(&bytes).expect("a just-encoded entry must decode");
+                decode_all(&bytes).expect("a just-encoded entry must decode");
             prop_assert_eq!(back_key, key);
             prop_assert_eq!(&back_viterbi.path, &viterbi.path);
             prop_assert_eq!(
@@ -1092,6 +1169,155 @@ mod tests {
             );
             assert!(!path.exists());
         }
+    }
+
+    /// A matrix's shape and its cells as raw bits.
+    fn part_bits(part: &StateMatrix) -> (usize, usize, Vec<u64>) {
+        let bits = part.as_slice().iter().map(|v| v.to_bits()).collect();
+        (part.len(), part.cols(), bits)
+    }
+
+    /// A saved posterior restores bit for bit: γ (derived on the first
+    /// read), α, β, the emission rows, the totals, the gaps and both
+    /// log-likelihoods equal those of the inferred entry, and seeded
+    /// samples equal its samples.
+    #[test]
+    fn a_restored_posterior_is_bit_identical_to_the_saved_one() {
+        let fx = fixture_120();
+        let config = &fx.config;
+        let inferred = crate::infer_prefix(&fx.log, fx.log.records.len(), config).unwrap();
+        let dir = std::env::temp_dir().join("veritas_persist_bit_identical");
+        let _ = fs::remove_dir_all(&dir);
+        let store = DiskStore::open(&dir).unwrap();
+        store.save(&fx.key, &inferred).unwrap();
+        let restored = store
+            .load(&fx.key, &fx.log, config, workspace(config))
+            .expect("a saved posterior restores");
+        assert!(restored.is_smoothed());
+        assert_eq!(restored.viterbi(), inferred.viterbi());
+        let (back, saved) = (restored.posteriors(), inferred.posteriors());
+        for (back, saved) in [
+            (&back.gamma, &saved.gamma),
+            (&back.alpha, &saved.alpha),
+            (&back.beta, &saved.beta),
+            (&back.emissions, &saved.emissions),
+        ] {
+            assert_eq!(part_bits(back), part_bits(saved));
+        }
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&back.totals), bits(&saved.totals));
+        assert_eq!(back.gaps, saved.gaps);
+        assert_eq!(
+            back.log_likelihood.to_bits(),
+            saved.log_likelihood.to_bits()
+        );
+        for seed in [0, 7, u64::MAX] {
+            assert_eq!(
+                restored.sample_traces_with_seed(4, seed),
+                inferred.sample_traces_with_seed(4, seed)
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// A real 120-chunk posterior damaged anywhere in its matrix
+        /// region (α, β, the emission rows, the totals) is refused and
+        /// healed at load, whose checksum covers the bytes the first
+        /// posterior read would parse. Resealed, the same damage restores,
+        /// and the first read then parses it without a panic.
+        #[test]
+        fn damage_in_the_matrix_region_is_refused_and_healed_at_load(
+            (position, flip) in (any::<usize>(), 1u8..=255),
+        ) {
+            let fx = fixture_120();
+            let num_obs = fx.log.records.len();
+            let cells = num_obs * fx.config.capacity_grid().len();
+            let region = 8 * (3 * cells + num_obs - 1);
+            let position = alpha_offset(num_obs) + position % region;
+            let mut bytes = fx.entry.clone();
+            bytes[position] ^= flip;
+            let dir = std::env::temp_dir().join("veritas_persist_matrix_damage");
+            let store = DiskStore::open(&dir).unwrap();
+            let path = store.path_for(&fx.key);
+            let load = || store.load_classified(&fx.key, &fx.log, &fx.config, workspace(&fx.config));
+            fs::write(&path, &bytes).unwrap();
+            prop_assert!(matches!(load(), DiskLoadOutcome::Healed), "flip at byte {}", position);
+            prop_assert!(!path.exists());
+
+            fs::write(&path, seal(&MAGIC, &bytes[MAGIC.len()..bytes.len() - 8])).unwrap();
+            match load() {
+                DiskLoadOutcome::Restored(abduction) => {
+                    let posteriors = abduction.posteriors();
+                    prop_assert_eq!(posteriors.gamma.len(), num_obs);
+                    prop_assert_eq!(abduction.sample_traces_with_seed(2, 1).len(), 2);
+                }
+                other => prop_assert!(false, "a resealed entry restores, got {:?}", other),
+            }
+        }
+    }
+
+    /// The cases `from_parts` can no longer see: a stored α, β or emission
+    /// matrix of the wrong shape, a total too few or too many, a gap too
+    /// few, and (with the right count) a changed gap. Each `.vpost` is
+    /// sealed with a valid checksum and refused, and healed, at load. γ is
+    /// not stored: a mis-shaped γ writes the very bytes of the original,
+    /// and the restore derives the right one.
+    #[test]
+    fn a_stored_part_that_does_not_fit_is_refused_at_load() {
+        let fx = fixture();
+        let inferred = crate::infer_prefix(&fx.log, fx.log.records.len(), &fx.config).unwrap();
+        let original = inferred.posteriors().clone();
+        let (rows, cols) = (original.alpha.len(), original.alpha.cols());
+        let dir = std::env::temp_dir().join("veritas_persist_part_shapes");
+        let _ = fs::remove_dir_all(&dir);
+        let store = DiskStore::open(&dir).unwrap();
+        let path = store.path_for(&fx.key);
+        let load = |posteriors: &Posteriors| {
+            fs::write(&path, encode(&fx.key, inferred.viterbi(), posteriors)).unwrap();
+            store.load_classified(&fx.key, &fx.log, &fx.config, workspace(&fx.config))
+        };
+        let refused = |name: &str, mutate: &dyn Fn(&mut Posteriors)| {
+            let mut posteriors = original.clone();
+            mutate(&mut posteriors);
+            let outcome = load(&posteriors);
+            assert!(
+                matches!(outcome, DiskLoadOutcome::Healed),
+                "{name}: {outcome:?}"
+            );
+            assert!(!path.exists(), "{name}");
+        };
+        let matrix = |r: usize, c: usize| StateMatrix::zeros(r, c);
+        for (r, c) in [(rows - 1, cols), (rows + 1, cols), (rows, cols - 1)] {
+            refused(&format!("alpha {r}x{c}"), &|p| p.alpha = matrix(r, c));
+            refused(&format!("beta {r}x{c}"), &|p| p.beta = matrix(r, c));
+            refused(&format!("emissions {r}x{c}"), &|p| {
+                p.emissions = matrix(r, c)
+            });
+
+            let mut gamma = original.clone();
+            gamma.gamma = matrix(r, c);
+            assert_eq!(
+                encode(&fx.key, inferred.viterbi(), &gamma),
+                fx.entry,
+                "gamma is not stored"
+            );
+            match load(&gamma) {
+                DiskLoadOutcome::Restored(abduction) => {
+                    assert_eq!(abduction.posteriors(), &original, "gamma {r}x{c}")
+                }
+                other => panic!("gamma {r}x{c}: {other:?}"),
+            }
+        }
+        refused("a total too few", &|p| {
+            p.totals.pop();
+        });
+        refused("a total too many", &|p| p.totals.push(1.0));
+        refused("a gap too few", &|p| {
+            p.gaps.pop();
+        });
+        refused("a changed gap", &|p| p.gaps[1] += 1);
     }
 
     /// The fixture's payload (everything between the magic and the

@@ -16,7 +16,10 @@
 //!   [`log_fingerprint`].
 //! * **[`LazyCorpus`]** — opens a `.vcorp` by verifying the whole-file
 //!   checksum and reading only the header + index; session logs are
-//!   decoded on demand per work unit. A corpus of at most
+//!   decoded on demand per work unit, each selected column verified
+//!   against its index digest first, in one pass over the rows that
+//!   steps every column's FNV chain in turn (so the chains' multiplies
+//!   overlap instead of running column after column). A corpus of at most
 //!   [`DEFAULT_MAX_RESIDENT`] sessions keeps every decoded log; a larger
 //!   one keeps only its most recent decode, so corpora larger than RAM
 //!   stream through a run. Cache fingerprints are served from the index
@@ -257,7 +260,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use veritas_net::TcpInfo;
 use veritas_player::{ChunkRecord, SessionLog};
 
-use crate::cache::{fnv_mix, fnv_mix_f64, log_fingerprint, FNV_OFFSET};
+use crate::cache::{canonical_bits, fnv_mix, log_fingerprint, FNV_OFFSET};
 use crate::corpus::{natural_cmp, sorted_json_paths, Corpus, SyntheticSpec};
 use crate::error::EngineError;
 use crate::persist::{put_f64, put_u64, Reader};
@@ -297,8 +300,9 @@ const ENTRY_MIN_WORDS: usize = 5 + NUM_COLUMNS;
 type ColumnGetter = fn(&ChunkRecord) -> f64;
 
 /// The `f64` columns of a block, in on-disk order. Decode rebuilds
-/// records positionally from this order (see `decode_block`), so the two
-/// must only ever change together — guarded by the round-trip proptest.
+/// records by the [`columns`] indices, which follow this order (see
+/// `decode_block`), so the two must only ever change together — guarded
+/// by the round-trip proptest.
 const F64_COLUMNS: [(&str, ColumnGetter); 16] = [
     ("size_bytes", |r| r.size_bytes),
     ("ssim", |r| r.ssim),
@@ -441,23 +445,59 @@ fn encode_block(log: &SessionLog) -> (Vec<u8>, [u64; NUM_COLUMNS]) {
     put_f64(&mut buf, log.total_rebuffer_s);
     put_f64(&mut buf, log.session_duration_s);
     put_u64(&mut buf, n as u64);
-    let mut digests = [FNV_OFFSET; NUM_COLUMNS];
+    let header_len = buf.len();
     for record in &log.records {
         put_u64(&mut buf, record.index as u64);
-        fnv_mix(&mut digests[0], record.index as u64);
     }
     for record in &log.records {
         put_u64(&mut buf, record.quality as u64);
-        fnv_mix(&mut digests[1], record.quality as u64);
     }
-    for (column, (_, get)) in F64_COLUMNS.iter().enumerate() {
-        let digest = &mut digests[2 + column];
+    for (_, get) in &F64_COLUMNS {
         for record in &log.records {
             put_f64(&mut buf, get(record));
-            fnv_mix_f64(digest, get(record));
         }
     }
+    let digests = column_digests(&buf[header_len..], n, ColumnSet::all());
     (buf, digests)
+}
+
+/// The FNV-1a digest of every column in `cols`, over a block's column
+/// region (the [`NUM_COLUMNS`] columns of `chunks` words each, in on-disk
+/// order): the integer columns mix their raw words and the `f64` columns
+/// their canonical bits, as [`crate::log_fingerprint`] does. One pass over
+/// the rows steps every selected column's chain once per row, so the
+/// columns' independent multiply chains overlap instead of running one
+/// after another. Unselected columns are not read, and their digests stay
+/// at the offset basis.
+///
+/// The one digest definition: the writer seals each block with it and
+/// every decode verifies against it.
+fn column_digests(region: &[u8], chunks: usize, cols: ColumnSet) -> [u64; NUM_COLUMNS] {
+    let mut selected = [0usize; NUM_COLUMNS];
+    let mut count = 0;
+    for column in (0..NUM_COLUMNS).filter(|&column| cols.contains(column)) {
+        selected[count] = column;
+        count += 1;
+    }
+    let mut digests = [FNV_OFFSET; NUM_COLUMNS];
+    for row in 0..chunks {
+        for &column in &selected[..count] {
+            let word = column_word(region, chunks, column, row);
+            let word = if column < 2 {
+                word
+            } else {
+                canonical_bits(f64::from_bits(word))
+            };
+            fnv_mix(&mut digests[column], word);
+        }
+    }
+    digests
+}
+
+/// Word `row` of column `column` in a column region of `chunks` rows.
+fn column_word(region: &[u8], chunks: usize, column: usize, row: usize) -> u64 {
+    let at = (column * chunks + row) * 8;
+    u64::from_le_bytes(region[at..at + 8].try_into().expect("8-byte word"))
 }
 
 /// Streams sessions into a new `.vcorp` file.
@@ -686,9 +726,11 @@ fn take_str(reader: &mut Reader<'_>, what: &str) -> Result<String, VcorpError> {
 
 /// Decodes one session block restricted to the columns in `cols` and
 /// verifies it against its index entry: the chunk count and every
-/// selected column's digest. Unselected columns are skipped — not
-/// digest-checked — and their record fields zero-filled, so callers may
-/// hand in a buffer whose unselected column ranges were never read.
+/// selected column's digest, all computed in one interleaved pass
+/// ([`column_digests`]) before any record is built; a mismatch names the
+/// first bad column in on-disk order. Unselected columns are skipped —
+/// not digest-checked — and their record fields zero-filled, so callers
+/// may hand in a buffer whose unselected column ranges were never read.
 ///
 /// A full decode (`cols.is_all()`) also checks that the rebuilt log's
 /// recomputed [`crate::log_fingerprint`] equals the stored one, so the
@@ -716,80 +758,57 @@ fn decode_block(
         )));
     }
     let n = n as usize;
-    let expected = n
-        .checked_mul(NUM_COLUMNS * 8)
-        .filter(|&cols| bytes.len() - reader.pos() == cols);
-    if expected.is_none() {
+    let region = &bytes[reader.pos()..];
+    if n.checked_mul(NUM_COLUMNS * 8) != Some(region.len()) {
         return Err(fail(format!(
             "block length {} does not match its {n} declared chunks",
             bytes.len()
         )));
     }
-    let mut take_int_column = |column: usize, name: &str| -> Result<Vec<usize>, VcorpError> {
-        if !cols.contains(column) {
-            reader.take_bytes(n * 8).expect("length verified above");
-            return Ok(vec![0usize; n]);
-        }
-        let mut values = Vec::with_capacity(n);
-        let mut digest = FNV_OFFSET;
-        for _ in 0..n {
-            let v = reader.take_u64().expect("length verified above");
-            fnv_mix(&mut digest, v);
-            let v = usize::try_from(v).map_err(|_| fail(format!("column `{name}` overflows")))?;
-            values.push(v);
-        }
-        if digest != entry.column_digests[column] {
-            return Err(fail(format!("column `{name}` digest mismatch")));
-        }
-        Ok(values)
-    };
-    let index_column = take_int_column(0, "index")?;
-    let quality_column = take_int_column(1, "quality")?;
-    let mut columns: Vec<Vec<f64>> = Vec::with_capacity(F64_COLUMNS.len());
-    for (column, (name, _)) in F64_COLUMNS.iter().enumerate() {
-        if !cols.contains(2 + column) {
-            reader.take_bytes(n * 8).expect("length verified above");
-            columns.push(vec![0.0; n]);
-            continue;
-        }
-        let mut values = Vec::with_capacity(n);
-        let mut digest = FNV_OFFSET;
-        for _ in 0..n {
-            let v = reader.take_f64().expect("length verified above");
-            fnv_mix_f64(&mut digest, v);
-            values.push(v);
-        }
-        if digest != entry.column_digests[2 + column] {
-            return Err(fail(format!("column `{name}` digest mismatch")));
-        }
-        columns.push(values);
+    let digests = column_digests(region, n, cols);
+    if let Some(column) = (0..NUM_COLUMNS)
+        .find(|&column| cols.contains(column) && digests[column] != entry.column_digests[column])
+    {
+        return Err(fail(format!(
+            "column `{}` digest mismatch",
+            ColumnSet::name(column)
+        )));
     }
-    debug_assert!(reader.at_end(), "length verified above");
-    // Positional access below mirrors the F64_COLUMNS on-disk order.
+    // An unselected column reads as zero, whatever the buffer holds there.
+    let masks: [u64; NUM_COLUMNS] =
+        std::array::from_fn(|column| if cols.contains(column) { !0 } else { 0 });
+    let word = |column: usize, row: usize| column_word(region, n, column, row) & masks[column];
+    let float = |column: usize, row: usize| f64::from_bits(word(column, row));
+    let int = |column: usize, row: usize| {
+        usize::try_from(word(column, row))
+            .map_err(|_| fail(format!("column `{}` overflows", ColumnSet::name(column))))
+    };
     let records = (0..n)
-        .map(|i| ChunkRecord {
-            index: index_column[i],
-            quality: quality_column[i],
-            size_bytes: columns[0][i],
-            ssim: columns[1][i],
-            wait_before_request_s: columns[2][i],
-            start_time_s: columns[3][i],
-            end_time_s: columns[4][i],
-            download_time_s: columns[5][i],
-            throughput_mbps: columns[6][i],
-            buffer_at_request_s: columns[7][i],
-            rebuffer_s: columns[8][i],
-            tcp_info: TcpInfo {
-                cwnd_segments: columns[9][i],
-                ssthresh_segments: columns[10][i],
-                rto_s: columns[11][i],
-                srtt_s: columns[12][i],
-                min_rtt_s: columns[13][i],
-                last_send_gap_s: columns[14][i],
-            },
-            gtbw_at_request_mbps: columns[15][i],
+        .map(|i| {
+            Ok(ChunkRecord {
+                index: int(columns::INDEX, i)?,
+                quality: int(columns::QUALITY, i)?,
+                size_bytes: float(columns::SIZE_BYTES, i),
+                ssim: float(columns::SSIM, i),
+                wait_before_request_s: float(columns::WAIT_BEFORE_REQUEST_S, i),
+                start_time_s: float(columns::START_TIME_S, i),
+                end_time_s: float(columns::END_TIME_S, i),
+                download_time_s: float(columns::DOWNLOAD_TIME_S, i),
+                throughput_mbps: float(columns::THROUGHPUT_MBPS, i),
+                buffer_at_request_s: float(columns::BUFFER_AT_REQUEST_S, i),
+                rebuffer_s: float(columns::REBUFFER_S, i),
+                tcp_info: TcpInfo {
+                    cwnd_segments: float(columns::CWND_SEGMENTS, i),
+                    ssthresh_segments: float(columns::SSTHRESH_SEGMENTS, i),
+                    rto_s: float(columns::RTO_S, i),
+                    srtt_s: float(columns::SRTT_S, i),
+                    min_rtt_s: float(columns::MIN_RTT_S, i),
+                    last_send_gap_s: float(columns::LAST_SEND_GAP_S, i),
+                },
+                gtbw_at_request_mbps: float(columns::GTBW_AT_REQUEST_MBPS, i),
+            })
         })
-        .collect();
+        .collect::<Result<_, VcorpError>>()?;
     let log = SessionLog {
         abr_name,
         buffer_capacity_s,

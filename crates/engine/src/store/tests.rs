@@ -381,6 +381,146 @@ proptest! {
     }
 }
 
+/// The digests the interleaved pass replaced, kept as the reference: each
+/// selected column hashed on its own, word after word, byte by byte
+/// ([`fnv_mix`]; the `f64` columns through [`crate::cache::fnv_mix_f64`]).
+fn reference_digests(region: &[u8], chunks: usize, cols: ColumnSet) -> [u64; NUM_COLUMNS] {
+    let mut digests = [FNV_OFFSET; NUM_COLUMNS];
+    for (column, digest) in digests.iter_mut().enumerate() {
+        if !cols.contains(column) {
+            continue;
+        }
+        for row in 0..chunks {
+            let at = (column * chunks + row) * 8;
+            let word = u64::from_le_bytes(region[at..at + 8].try_into().unwrap());
+            if column < 2 {
+                fnv_mix(digest, word);
+            } else {
+                crate::cache::fnv_mix_f64(digest, f64::from_bits(word));
+            }
+        }
+    }
+    digests
+}
+
+/// A word that is often a float with canonical twins: ±0.0, a NaN with an
+/// arbitrary sign and payload, or else arbitrary bits.
+fn twin_prone_word(next: &mut impl FnMut() -> u64) -> u64 {
+    let word = next();
+    match word % 5 {
+        0 => (-0.0f64).to_bits(),
+        1 => 0.0f64.to_bits(),
+        2 => f64::NAN.to_bits() | word >> 13 | word << 63,
+        _ => next(),
+    }
+}
+
+/// [`bit_source`]'s stream as raw words.
+fn words(seed: u64) -> impl FnMut() -> u64 {
+    let mut values = bit_source(seed);
+    move || values().to_bits()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// Over arbitrary column bits (−0.0, +0.0 and NaN payloads included)
+    /// and any column set, the interleaved digests equal the byte-serial
+    /// reference column by column; unselected columns stay at the offset
+    /// basis on both sides.
+    #[test]
+    fn interleaved_digests_match_the_byte_serial_reference(
+        seed in any::<u64>(),
+        chunks in 0usize..14,
+        mask in 0u32..(1u32 << ColumnSet::COUNT),
+    ) {
+        let mut next = words(seed);
+        let region: Vec<u8> = (0..NUM_COLUMNS * chunks)
+            .flat_map(|_| twin_prone_word(&mut next).to_le_bytes())
+            .collect();
+        let cols = ColumnSet::from_bits(mask).expect("mask is in range");
+        prop_assert_eq!(
+            column_digests(&region, chunks, cols),
+            reference_digests(&region, chunks, cols)
+        );
+        prop_assert_eq!(
+            column_digests(&region, chunks, ColumnSet::all()),
+            reference_digests(&region, chunks, ColumnSet::all())
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Words of a block's column region overwritten *after* open, often by
+    /// a canonical twin of the word there (the other zero, another NaN
+    /// payload): under any column set, full decodes included, a decode
+    /// succeeds exactly when the byte-serial reference accepts every
+    /// selected column, and a refusal names the first column the
+    /// reference rejects, in on-disk order.
+    #[test]
+    fn post_open_column_overwrites_are_judged_as_the_reference_judges_them(
+        seed in any::<u64>(),
+        mask in 0u32..(1u32 << ColumnSet::COUNT),
+        full in any::<bool>(),
+    ) {
+        let chunks = 6;
+        let dir = temp_dir("post_open_reference");
+        let path = dir.join("corpus.vcorp");
+        let mut next = words(seed);
+        let mut floats = || f64::from_bits(twin_prone_word(&mut next));
+        let log = synth_log("mpc", chunks, &mut floats);
+        let mut writer = VcorpWriter::create(&path, &meta()).expect("create writer");
+        writer.append("s0", &log).expect("append");
+        writer.finish().expect("finish");
+        let entry = open_parts(&path).expect("open parts").index[0].clone();
+        let region_at = entry.offset as usize + block_header_len(&entry).expect("header length");
+        let region_len = NUM_COLUMNS * chunks * 8;
+
+        let corpus = LazyCorpus::open(&path).expect("open before corruption");
+        let mut bytes = fs::read(&path).expect("read file");
+        let region = &mut bytes[region_at..region_at + region_len];
+        for _ in 0..1 + next() % 3 {
+            let at = 8 * (next() as usize % (NUM_COLUMNS * chunks));
+            let old = u64::from_le_bytes(region[at..at + 8].try_into().unwrap());
+            let value = f64::from_bits(old);
+            let new = if value == 0.0 {
+                old ^ 1 << 63
+            } else if value.is_nan() {
+                f64::NAN.to_bits() | next() >> 13 | next() << 63
+            } else {
+                twin_prone_word(&mut next)
+            };
+            region[at..at + 8].copy_from_slice(&new.to_le_bytes());
+        }
+        let cols = if full {
+            ColumnSet::all()
+        } else {
+            ColumnSet::from_bits(mask).expect("mask is in range")
+        };
+        let reference = reference_digests(region, chunks, cols);
+        let first_bad = (0..NUM_COLUMNS)
+            .find(|&column| cols.contains(column) && reference[column] != entry.column_digests[column]);
+        fs::write(&path, &bytes).expect("rewrite overwritten file");
+
+        match (corpus.load_log_projected(0, cols), first_bad) {
+            (Ok(_), None) => {}
+            (Err(VcorpError::Corrupt(reason)), Some(column)) => {
+                let expected = format!("column `{}` digest mismatch", ColumnSet::name(column));
+                prop_assert!(reason.ends_with(&expected), "{} under {:?}", reason, cols);
+            }
+            (outcome, first_bad) => prop_assert!(
+                false,
+                "decode {:?} but the reference's first bad column is {:?} under {:?}",
+                outcome.map(|_| ()),
+                first_bad,
+                cols
+            ),
+        }
+    }
+}
+
 /// The whole-log fingerprint check only a full decode runs: a stored
 /// fingerprint patched in the index (and the whole-file checksum resealed,
 /// so open accepts the file) fails a full decode, while a projection —

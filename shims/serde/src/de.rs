@@ -12,6 +12,18 @@ pub trait Error: Sized + std::error::Error {
     fn custom<T: Display>(msg: T) -> Self;
 }
 
+/// A number as a [`crate::Deserializer`] reads it for an integer type
+/// ([`crate::Deserializer::deserialize_integer`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Number {
+    /// An integer literal (digits only, no fraction or exponent), exactly;
+    /// `None` when its magnitude is past `i128`, which no integer type
+    /// holds.
+    Integer(Option<i128>),
+    /// Any other number.
+    Float(f64),
+}
+
 /// The elements of a sequence, pulled one at a time in input order.
 pub trait SeqAccess<'de> {
     /// Error type.

@@ -128,17 +128,35 @@ impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
 // Deserialize
 // ---------------------------------------------------------------------------
 
+/// An integer literal converts exactly or fails with a range error. Any
+/// other number must be integral and in range: `MAX as f64 + 1.0` is the
+/// exact power of two past the range, also where `MAX as f64` rounds up
+/// to it (`u64`, `i64`).
 macro_rules! deserialize_int {
     ($($t:ty),*) => {$(
         impl<'de> Deserialize<'de> for $t {
             fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-                let n = deserializer.deserialize_f64()?;
-                if n.fract() != 0.0 || n < <$t>::MIN as f64 || n > <$t>::MAX as f64 {
-                    return Err(de::Error::custom(format!(
-                        "number {n} is not a valid {}", stringify!($t)
-                    )));
+                match deserializer.deserialize_integer()? {
+                    de::Number::Integer(n) => n
+                        .and_then(|n| <$t>::try_from(n).ok())
+                        .ok_or_else(|| {
+                            let literal = n.map_or("integer".to_string(), |n| format!("integer {n}"));
+                            de::Error::custom(format!(
+                                "{literal} is out of range for {}", stringify!($t)
+                            ))
+                        }),
+                    de::Number::Float(n) => {
+                        if n.fract() != 0.0
+                            || n < <$t>::MIN as f64
+                            || n >= <$t>::MAX as f64 + 1.0
+                        {
+                            return Err(de::Error::custom(format!(
+                                "number {n} is not a valid {}", stringify!($t)
+                            )));
+                        }
+                        Ok(n as $t)
+                    }
                 }
-                Ok(n as $t)
             }
         }
     )*};

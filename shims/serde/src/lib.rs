@@ -45,7 +45,10 @@
 //! * Without `deny_unknown_fields`, a repeated member is ignored and the
 //!   first occurrence wins; real serde refuses it as a `duplicate field`.
 //!   With the attribute, both refuse it.
-//! * Numbers are `f64`: integers round-trip exactly up to 2^53.
+//! * An integer type reads an integer literal from its digits and writes
+//!   its digits, so every `u64` and `i64` round-trips exactly, and a
+//!   literal past the type's range is an error. Every other number, and
+//!   every number in a [`Value`], is an `f64`.
 
 #![deny(missing_docs)]
 
@@ -140,9 +143,12 @@ pub trait Deserializer<'de>: Sized {
 
     /// Reads a boolean.
     fn deserialize_bool(self) -> Result<bool, Self::Error>;
-    /// Reads a number. Integer types read through this and check the
-    /// fraction and range themselves.
+    /// Reads a number as `f64`.
     fn deserialize_f64(self) -> Result<f64, Self::Error>;
+    /// Reads a number for an integer type: an integer literal exactly,
+    /// from its digits, and any other number as `f64`. The integer type
+    /// checks the range, and the fraction of an `f64`, itself.
+    fn deserialize_integer(self) -> Result<de::Number, Self::Error>;
     /// Reads a string.
     fn deserialize_string(self) -> Result<String, Self::Error>;
     /// Reads a unit value (`null`).

@@ -6,11 +6,10 @@
 //!
 //! Serialization streams: one serializer writes each `serialize_*` call a
 //! `Serialize` impl makes straight into the output, compact or two-space
-//! indented, with no intermediate tree. Integer-valued numbers below 2^53
-//! print without a trailing `.0` (so integer-typed fields round-trip
-//! cleanly), integers of every width go through `f64` like any other
-//! number, non-finite numbers print as `null`, and control characters
-//! other than `\n`, `\r` and `\t` print as `\u00XX`.
+//! indented, with no intermediate tree. Integers of every width print
+//! their exact digits, and so do integer-valued `f64`s below 2^53 (no
+//! trailing `.0`); non-finite numbers print as `null`, and control
+//! characters other than `\n`, `\r` and `\t` print as `\u00XX`.
 //!
 //! Deserialization decodes as it parses, with no intermediate tree: the
 //! parser is the serde shim's pull `Deserializer`, so [`from_str`] reads
@@ -22,14 +21,17 @@
 //! surrogate pairs; arrays and objects nested at most 128 deep; booleans;
 //! null; and numbers by the RFC's grammar, so a leading zero (`01`), a
 //! bare `.` (`1.`, `1.e5`) or an exponent without digits is an error, and
-//! so is a number past the `f64` range (`1e309`), as upstream.
+//! so is a number past the `f64` range (`1e309`), as upstream. An integer
+//! type reads an integer literal from its digits, so one past the type's
+//! range (`18446744073709551616` as a `u64`) is an error, not the nearest
+//! `f64`.
 
 #![deny(missing_docs)]
 
 use std::fmt;
 use std::io;
 
-use serde::de::{SeqAccess, SeqVisitor, StructAccess, StructVisitor};
+use serde::de::{Number, SeqAccess, SeqVisitor, StructAccess, StructVisitor};
 use serde::Deserialize;
 
 pub use serde::Value;
@@ -192,17 +194,18 @@ impl<W: io::Write> Serializer<W> {
             // `#[serde(with = ...)]` sentinel (see TcpInfo::last_send_gap_s).
             self.write(b"null")
         } else if n == n.trunc() && n.abs() < 9.007_199_254_740_992e15 {
-            self.write_integer(n as i64)
+            self.write_integer(n < 0.0, n.abs() as u64)
         } else {
             write!(self.writer, "{n}").map_err(Error::io)
         }
     }
 
-    /// Decimal digits of `v`, most significant first, without `format!`.
-    fn write_integer(&mut self, v: i64) -> Result<(), Error> {
-        let mut buf = [0u8; 20];
+    /// The decimal digits of `magnitude`, most significant first, after a
+    /// `-` when `negative`, without `format!`.
+    fn write_integer(&mut self, negative: bool, magnitude: u64) -> Result<(), Error> {
+        let mut buf = [0u8; 21];
         let mut pos = buf.len();
-        let mut rest = v.unsigned_abs();
+        let mut rest = magnitude;
         loop {
             pos -= 1;
             buf[pos] = b'0' + (rest % 10) as u8;
@@ -211,7 +214,7 @@ impl<W: io::Write> Serializer<W> {
                 break;
             }
         }
-        if v < 0 {
+        if negative {
             pos -= 1;
             buf[pos] = b'-';
         }
@@ -278,11 +281,11 @@ impl<'a, W: io::Write> serde::Serializer for &'a mut Serializer<W> {
     }
 
     fn serialize_i64(self, v: i64) -> Result<(), Error> {
-        self.write_number(v as f64)
+        self.write_integer(v < 0, v.unsigned_abs())
     }
 
     fn serialize_u64(self, v: u64) -> Result<(), Error> {
-        self.write_number(v as f64)
+        self.write_integer(false, v)
     }
 
     fn serialize_f64(self, v: f64) -> Result<(), Error> {
@@ -531,13 +534,46 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// A number by RFC 8259's grammar: an optional `-`, then `0` or a
-    /// nonzero digit and more digits, then optionally `.` and at least one
-    /// digit, then optionally `e`/`E`, a sign and at least one digit. A
-    /// number too large for `f64` is an error, as upstream; one too small
-    /// reads as zero.
+    /// A number as `f64`. A number too large for `f64` is an error, as
+    /// upstream; one too small reads as zero.
     fn parse_number(&mut self) -> Result<f64, Error> {
         let start = self.pos;
+        self.scan_number()?;
+        self.float_from(start)
+    }
+
+    /// A number for an integer type: an integer literal exactly, any
+    /// other number as [`Parser::parse_number`] reads it.
+    fn parse_integer(&mut self) -> Result<Number, Error> {
+        let start = self.pos;
+        if self.scan_number()? {
+            Ok(Number::Integer(exact_integer(&self.bytes[start..self.pos])))
+        } else {
+            self.float_from(start).map(Number::Float)
+        }
+    }
+
+    /// The number scanned from byte `start` up to the cursor, as `f64`.
+    fn float_from(&self, start: usize) -> Result<f64, Error> {
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(n),
+            Ok(_) => Err(Error::new(format!(
+                "number out of range `{text}` at byte {start}"
+            ))),
+            Err(_) => Err(Error::new(format!(
+                "invalid number `{text}` at byte {start}"
+            ))),
+        }
+    }
+
+    /// Moves past a number by RFC 8259's grammar: an optional `-`, then
+    /// `0` or a nonzero digit and more digits, then optionally `.` and at
+    /// least one digit, then optionally `e`/`E`, a sign and at least one
+    /// digit. Returns whether it is an integer literal: no fraction and no
+    /// exponent.
+    fn scan_number(&mut self) -> Result<bool, Error> {
         let invalid = |at: usize| Error::new(format!("invalid number at byte {at}"));
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -552,7 +588,9 @@ impl<'a> Parser<'a> {
             Some(b'1'..=b'9') => self.skip_digits(),
             _ => return Err(invalid(self.pos)),
         }
+        let mut integer = true;
         if self.peek() == Some(b'.') {
+            integer = false;
             self.pos += 1;
             if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
                 return Err(invalid(self.pos));
@@ -560,6 +598,7 @@ impl<'a> Parser<'a> {
             self.skip_digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            integer = false;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
@@ -569,17 +608,7 @@ impl<'a> Parser<'a> {
             }
             self.skip_digits();
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
-        match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(n),
-            Ok(_) => Err(Error::new(format!(
-                "number out of range `{text}` at byte {start}"
-            ))),
-            Err(_) => Err(Error::new(format!(
-                "invalid number `{text}` at byte {start}"
-            ))),
-        }
+        Ok(integer)
     }
 
     fn skip_digits(&mut self) {
@@ -692,6 +721,27 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The value of an integer literal (an optional `-`, then ASCII digits),
+/// or `None` past the range of `i128`. The digits accumulate as a
+/// negative number, so `i128::MIN` itself reads exactly.
+fn exact_integer(literal: &[u8]) -> Option<i128> {
+    let (negative, digits) = match literal {
+        [b'-', digits @ ..] => (true, digits),
+        digits => (false, digits),
+    };
+    let mut value: i128 = 0;
+    for &digit in digits {
+        value = value
+            .checked_mul(10)?
+            .checked_sub(i128::from(digit - b'0'))?;
+    }
+    if negative {
+        Some(value)
+    } else {
+        value.checked_neg()
+    }
+}
+
 impl<'de> serde::Deserializer<'de> for &mut Parser<'_> {
     type Error = Error;
 
@@ -706,6 +756,13 @@ impl<'de> serde::Deserializer<'de> for &mut Parser<'_> {
     fn deserialize_f64(self) -> Result<f64, Error> {
         match self.peek_token() {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
+            _ => Err(self.invalid("a number")),
+        }
+    }
+
+    fn deserialize_integer(self) -> Result<Number, Error> {
+        match self.peek_token() {
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_integer(),
             _ => Err(self.invalid("a number")),
         }
     }
@@ -1006,5 +1063,102 @@ mod tests {
         assert_eq!(to_string(&42.0).unwrap(), "42");
         assert_eq!(to_string(&-7i64).unwrap(), "-7");
         assert_eq!(to_string(&0.5).unwrap(), "0.5");
+    }
+
+    /// An integer literal one past a 64-bit type's range is a range error
+    /// that names the type; it used to read as the maximum through `f64`.
+    #[test]
+    fn an_integer_one_past_its_range_is_an_error() {
+        for (result, ty) in [
+            (from_str::<u64>("18446744073709551616").map(|_| ()), "u64"),
+            (
+                from_str::<usize>("18446744073709551616").map(|_| ()),
+                "usize",
+            ),
+            (from_str::<i64>("9223372036854775808").map(|_| ()), "i64"),
+            (from_str::<i64>("-9223372036854775809").map(|_| ()), "i64"),
+            (from_str::<u64>("-1").map(|_| ()), "u64"),
+            (from_str::<u8>("256").map(|_| ()), "u8"),
+        ] {
+            let err = result.expect_err(ty).to_string();
+            assert!(
+                err.contains("out of range for ") && err.ends_with(ty),
+                "{err}"
+            );
+        }
+        // Past i128, whatever the type.
+        let err = from_str::<u64>(&"9".repeat(60)).unwrap_err();
+        assert_eq!(err.to_string(), "integer is out of range for u64");
+        assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        assert_eq!(from_str::<i64>("9223372036854775807").unwrap(), i64::MAX);
+        assert_eq!(from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        assert_eq!(from_str::<u64>("-0").unwrap(), 0);
+    }
+
+    /// 2^53 + 1 is not an `f64`, but it is a `u64`: it reads and writes
+    /// exactly, as does every extreme of the 64-bit types.
+    #[test]
+    fn integers_past_2_53_round_trip_exactly() {
+        assert_eq!(
+            from_str::<u64>("9007199254740993").unwrap(),
+            9_007_199_254_740_993
+        );
+        assert_eq!(
+            to_string(&9_007_199_254_740_993u64).unwrap(),
+            "9007199254740993"
+        );
+        assert_eq!(
+            from_str::<i64>("-9007199254740993").unwrap(),
+            -9_007_199_254_740_993
+        );
+        for n in [u64::MAX, u64::MAX - 1, 1 << 63, (1 << 53) + 1] {
+            let text = to_string(&n).unwrap();
+            assert_eq!(text, n.to_string());
+            assert_eq!(from_str::<u64>(&text).unwrap(), n);
+        }
+        for n in [i64::MIN, i64::MIN + 1, i64::MAX, -(1 << 53) - 1] {
+            let text = to_string(&n).unwrap();
+            assert_eq!(text, n.to_string());
+            assert_eq!(from_str::<i64>(&text).unwrap(), n);
+        }
+        // Below 2^53 the wire bytes are those of the f64 path.
+        for n in [0u64, 1, 42, (1 << 53) - 1] {
+            assert_eq!(to_string(&n).unwrap(), to_string(&(n as f64)).unwrap());
+        }
+        assert_eq!(to_string(&-5i64).unwrap(), to_string(&-5.0).unwrap());
+    }
+
+    /// A number with a fraction or an exponent still reads as `f64` for an
+    /// integer type: integral and in range, or an error. The range's top is
+    /// exact now: `2^64` as a `u64` and `2^63` as an `i64` are refused.
+    #[test]
+    fn non_integer_literals_keep_the_fraction_and_range_checks() {
+        assert_eq!(from_str::<u64>("1.0").unwrap(), 1);
+        assert_eq!(from_str::<u64>("1e3").unwrap(), 1000);
+        assert_eq!(from_str::<i8>("-1.28e2").unwrap(), -128);
+        assert_eq!(
+            from_str::<u64>("1.8446744073709550e19").unwrap(),
+            18_446_744_073_709_549_568
+        );
+        for (text, result) in [
+            ("1.5", from_str::<u64>("1.5").map(|_| ())),
+            ("2.56e2", from_str::<u8>("2.56e2").map(|_| ())),
+            ("-1e0", from_str::<u32>("-1e0").map(|_| ())),
+            (
+                "1.8446744073709552e19",
+                from_str::<u64>("1.8446744073709552e19").map(|_| ()),
+            ),
+            (
+                "9.223372036854775808e18",
+                from_str::<i64>("9.223372036854775808e18").map(|_| ()),
+            ),
+        ] {
+            let err = result.expect_err(text).to_string();
+            assert!(err.contains("is not a valid"), "{text}: {err}");
+        }
+        assert_eq!(
+            from_str::<i64>("-9.223372036854775808e18").unwrap(),
+            i64::MIN
+        );
     }
 }

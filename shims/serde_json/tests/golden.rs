@@ -449,8 +449,8 @@ const EXPECTED: &[(&str, &str, &str)] = &[
     ),
     (
         "integers",
-        "{\"zero\":0,\"u8_max\":255,\"i8_min\":-128,\"u32_max\":4294967295,\"below_2_53\":9007199254740991,\"at_2_53\":9007199254740992,\"past_2_53\":9007199254740992,\"u64_max\":18446744073709552000,\"i64_min\":-9223372036854776000,\"negative\":-1234567,\"unit\":null,\"yes\":true,\"no\":false,\"absent\":null}",
-        "{\n  \"zero\": 0,\n  \"u8_max\": 255,\n  \"i8_min\": -128,\n  \"u32_max\": 4294967295,\n  \"below_2_53\": 9007199254740991,\n  \"at_2_53\": 9007199254740992,\n  \"past_2_53\": 9007199254740992,\n  \"u64_max\": 18446744073709552000,\n  \"i64_min\": -9223372036854776000,\n  \"negative\": -1234567,\n  \"unit\": null,\n  \"yes\": true,\n  \"no\": false,\n  \"absent\": null\n}",
+        "{\"zero\":0,\"u8_max\":255,\"i8_min\":-128,\"u32_max\":4294967295,\"below_2_53\":9007199254740991,\"at_2_53\":9007199254740992,\"past_2_53\":9007199254740993,\"u64_max\":18446744073709551615,\"i64_min\":-9223372036854775808,\"negative\":-1234567,\"unit\":null,\"yes\":true,\"no\":false,\"absent\":null}",
+        "{\n  \"zero\": 0,\n  \"u8_max\": 255,\n  \"i8_min\": -128,\n  \"u32_max\": 4294967295,\n  \"below_2_53\": 9007199254740991,\n  \"at_2_53\": 9007199254740992,\n  \"past_2_53\": 9007199254740993,\n  \"u64_max\": 18446744073709551615,\n  \"i64_min\": -9223372036854775808,\n  \"negative\": -1234567,\n  \"unit\": null,\n  \"yes\": true,\n  \"no\": false,\n  \"absent\": null\n}",
     ),
     (
         "empties",
