@@ -62,8 +62,8 @@ fn bench_ehmm(c: &mut Criterion) {
     // The large-K shape: a fine capacity grid makes the per-step pairwise
     // work of forward–backward dominant. The smoother only sums each step's
     // banded pairwise total here; it used to also write the dense K×K ξ
-    // matrix per step ((N−1)·K² stores), which CI's perf gate keeps from
-    // coming back (fails above 0.5× of the committed pre-change median).
+    // matrix per step ((N−1)·K² stores), which the id's entry in
+    // BENCH_gates.json keeps from coming back.
     {
         let num_states = 63;
         let spec = EhmmSpec::with_uniform_initial(TransitionMatrix::tridiagonal(num_states, 0.8));
@@ -116,8 +116,8 @@ fn bench_abduction_scaling(c: &mut Criterion) {
 /// chunks of a 120-chunk MPC session over a warm workspace, as an
 /// interventional unit runs it (`prefix_60_viterbi`), and the same call
 /// followed by the first `.posteriors()` read, which runs forward–backward
-/// (`prefix_60_smoothed`). CI fails unless the first median is below 0.5×
-/// the second, i.e. if inference starts smoothing eagerly again.
+/// (`prefix_60_smoothed`). The pair's entry in BENCH_gates.json fails if
+/// inference starts smoothing eagerly again.
 fn bench_prefix_abduction(c: &mut Criterion) {
     use std::sync::Arc;
 
@@ -210,8 +210,8 @@ fn bench_abr(c: &mut Criterion) {
 /// The storage-layer projection pin: a 3-column aggregate pass over a
 /// 1000-session `.vcorp`, re-decoding every block each iteration (the
 /// corpus exceeds the resident bound, so only the last decode stays
-/// resident). The companion full-decode bench gives the ratio projection
-/// is expected to beat.
+/// resident). The companion full-decode bench gives the median the
+/// projected pass must stay below (its entry in BENCH_gates.json).
 fn bench_store(c: &mut Criterion) {
     use veritas_engine::{columns, ColumnSet, LazyCorpus, SyntheticSpec, VcorpWriter};
     use veritas_engine::{CorpusMeta, SessionCorpus};
@@ -273,10 +273,9 @@ fn bench_store(c: &mut Criterion) {
 /// the gaps, and `Abduction::from_parts` over a warm kernel workspace, as
 /// a disk hit in the engine pays it. The posterior matrices are parsed,
 /// and γ derived, on the first `posteriors()` read, so
-/// `restore_120x21_posteriors` times the same restore plus that read. CI
-/// fails `restore_120x21` above 0.5× of the committed byte-serial-checksum
-/// median, and unless it stays below 0.75× of the `_posteriors` id in the
-/// same run.
+/// `restore_120x21_posteriors` times the same restore plus that read. The
+/// entries of `restore_120x21` in BENCH_gates.json fail if a byte-serial
+/// checksum comes back or if the restore parses the matrices at load.
 fn bench_persist(c: &mut Criterion) {
     use std::sync::Arc;
     use veritas_engine::{

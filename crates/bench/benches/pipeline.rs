@@ -88,7 +88,7 @@ fn bench_engine(c: &mut Criterion) {
     });
 
     // The CI smoke workload: the 3-query example set over a 5-session
-    // corpus (tracked in BENCH_baseline.json as engine_queryset_small).
+    // corpus.
     let small_corpus: Arc<dyn Corpus> = Arc::new(
         SyntheticSpec {
             sessions: 5,
@@ -113,9 +113,9 @@ fn bench_engine(c: &mut Criterion) {
 /// and every ladder rung) on one session of a 200-session `.vcorp`. The
 /// engine runs one thread and one earlier run left the prefix posterior
 /// and the session's log resident, so every unit is a memory hit and the
-/// request machinery is all that is timed. CI fails it above 0.5× of the
-/// committed median recorded while every run spawned a worker thread and
-/// every compile and submit re-hashed the asset.
+/// request machinery is all that is timed. Its entry in BENCH_gates.json
+/// fails if every run spawns a worker thread or every compile and submit
+/// re-hashes the asset again.
 fn bench_nextchunk(c: &mut Criterion) {
     c.bench_function("engine/nextchunk_request_warm", |b| {
         let synthetic = SyntheticSpec {
@@ -177,9 +177,9 @@ fn nextchunk_set(corpus: &dyn Corpus) -> QuerySet {
 
 /// The bytes of one next-chunk response: its six interventional records
 /// (`EngineReport::write_jsonl`) and the summary envelope, written into
-/// a reused buffer as the daemon writes them into a connection's. CI
-/// fails it above 0.6× of the committed median recorded while the JSON
-/// writer lowered every value to a tree before rendering it.
+/// a reused buffer as the daemon writes them into a connection's. Its
+/// entry in BENCH_gates.json fails if the JSON writer lowers every value
+/// to a tree before rendering it again.
 fn bench_wire(c: &mut Criterion) {
     c.bench_function("wire/nextchunk_response_6_records", |b| {
         let corpus: Arc<dyn Corpus> = Arc::new(
@@ -210,7 +210,8 @@ fn bench_wire(c: &mut Criterion) {
 
 /// Parsing the query set of one next-chunk request:
 /// `QuerySet::from_json` of the compact six-query set that a
-/// `nextchunk_serve` request carries as its `query` member.
+/// `nextchunk_serve` request carries as its `query` member. Its entry in
+/// BENCH_gates.json fails if the parse builds a value tree again.
 fn bench_wire_parse(c: &mut Criterion) {
     c.bench_function("wire/nextchunk_queryset_parse", |b| {
         let corpus = SyntheticSpec {

@@ -255,11 +255,6 @@ pub enum CacheSource {
 }
 
 impl CacheSource {
-    /// Whether the lookup avoided inference (memory or disk).
-    pub fn is_warm(self) -> bool {
-        !matches!(self, CacheSource::Inferred)
-    }
-
     /// The wire label result records carry (`"hit"`, `"disk"`, `"miss"`).
     pub fn label(self) -> &'static str {
         match self {
@@ -349,55 +344,22 @@ impl AbductionCache {
         self.disk = Some(store);
     }
 
-    /// The persistent store, when one is attached.
-    pub fn disk_store(&self) -> Option<&DiskStore> {
-        self.disk.as_ref()
-    }
-
-    /// Returns the cached full-session abduction for `(session_id, config)`,
-    /// inferring (and caching) it on first use, plus where it came from.
-    pub fn get_or_infer(
-        &self,
-        session_id: &str,
-        log: &SessionLog,
-        config: &VeritasConfig,
-    ) -> Result<(Arc<Abduction>, CacheSource), AbductionError> {
-        self.get_or_infer_prefix(session_id, log, log.records.len(), config)
-    }
-
-    /// Like [`Self::get_or_infer`] but conditioning only on the first
-    /// `horizon` chunk records — the decision-point view interventional
-    /// queries need. `horizon == log.records.len()` is the full-session
-    /// entry and shares its key with [`Self::get_or_infer`].
+    /// Returns the cached abduction of `session_id`'s log conditioned on
+    /// its first `horizon` chunk records (`horizon == log.records.len()`
+    /// for the full session, a decision-point prefix for interventional
+    /// queries) under `config`, inferring (and caching) it on first use,
+    /// plus where it came from.
+    ///
+    /// The caller supplies the log and config fingerprints: the executor
+    /// computes both once per session / per planned config (see
+    /// [`crate::QueryPlan::configs`]) instead of re-hashing the full log
+    /// on every lookup. They **must** be [`log_fingerprint`]`(log)` and
+    /// [`config_fingerprint`]`(config)` or cache entries will alias — in
+    /// memory *and* on disk, where the `(log_fp, config_fp, horizon)`
+    /// triple is the entry's whole identity.
     ///
     /// Inference failures are returned (and counted as misses) but not
     /// cached, so a transiently bad query does not poison the slot.
-    pub fn get_or_infer_prefix(
-        &self,
-        session_id: &str,
-        log: &SessionLog,
-        horizon: usize,
-        config: &VeritasConfig,
-    ) -> Result<(Arc<Abduction>, CacheSource), AbductionError> {
-        self.get_or_infer_keyed(
-            session_id,
-            log,
-            log_fingerprint(log),
-            horizon,
-            config,
-            config_fingerprint(config),
-        )
-    }
-
-    /// Like [`Self::get_or_infer_prefix`] but with the log and config
-    /// fingerprints supplied by the caller. The executor computes both
-    /// once per session / per planned config (see
-    /// [`crate::QueryPlan::configs`]) instead of re-hashing the full log
-    /// on every lookup; the fingerprints **must** be
-    /// [`log_fingerprint`]`(log)` and [`config_fingerprint`]`(config)` or
-    /// cache entries will alias — in memory *and* on disk, where the
-    /// `(log_fp, config_fp, horizon)` triple is the entry's whole
-    /// identity.
     pub fn get_or_infer_keyed(
         &self,
         session_id: &str,
@@ -658,6 +620,30 @@ mod tests {
         run_session(&asset, &mut abr, &truth, &PlayerConfig::paper_default())
     }
 
+    /// A lookup of `log`'s first `horizon` records through
+    /// [`AbductionCache::get_or_infer_keyed`], with the fingerprints
+    /// computed here.
+    fn lookup_prefix(
+        cache: &AbductionCache,
+        session_id: &str,
+        log: &SessionLog,
+        horizon: usize,
+        config: &VeritasConfig,
+    ) -> Result<(Arc<Abduction>, CacheSource), AbductionError> {
+        let (log_fp, config_fp) = (log_fingerprint(log), config_fingerprint(config));
+        cache.get_or_infer_keyed(session_id, log, log_fp, horizon, config, config_fp)
+    }
+
+    /// [`lookup_prefix`] of the full session.
+    fn lookup(
+        cache: &AbductionCache,
+        session_id: &str,
+        log: &SessionLog,
+        config: &VeritasConfig,
+    ) -> Result<(Arc<Abduction>, CacheSource), AbductionError> {
+        lookup_prefix(cache, session_id, log, log.records.len(), config)
+    }
+
     #[test]
     fn fingerprint_ignores_sampling_fields_only() {
         let base = VeritasConfig::paper_default();
@@ -713,12 +699,10 @@ mod tests {
         let cache = AbductionCache::new();
         let log = log();
         let config = VeritasConfig::paper_default();
-        let (first, source1) = cache.get_or_infer("s0", &log, &config).unwrap();
-        let (second, source2) = cache.get_or_infer("s0", &log, &config).unwrap();
+        let (first, source1) = lookup(&cache, "s0", &log, &config).unwrap();
+        let (second, source2) = lookup(&cache, "s0", &log, &config).unwrap();
         assert_eq!(source1, CacheSource::Inferred);
         assert_eq!(source2, CacheSource::Memory);
-        assert!(!source1.is_warm());
-        assert!(source2.is_warm());
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(
             cache.stats(),
@@ -738,12 +722,10 @@ mod tests {
         let cache = AbductionCache::new();
         let log = log();
         let config = VeritasConfig::paper_default();
-        cache.get_or_infer("a", &log, &config).unwrap();
-        cache.get_or_infer("b", &log, &config).unwrap();
-        cache.get_or_infer_prefix("a", &log, 10, &config).unwrap();
-        cache
-            .get_or_infer("a", &log, &config.with_sigma(1.0))
-            .unwrap();
+        lookup(&cache, "a", &log, &config).unwrap();
+        lookup(&cache, "b", &log, &config).unwrap();
+        lookup_prefix(&cache, "a", &log, 10, &config).unwrap();
+        lookup(&cache, "a", &log, &config.with_sigma(1.0)).unwrap();
         assert_eq!(cache.misses(), 4);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.entries(), 4);
@@ -761,7 +743,7 @@ mod tests {
         let cache = AbductionCache::new();
         let log = log();
         let config = VeritasConfig::paper_default();
-        let (before, _) = cache.get_or_infer("s", &log, &config).unwrap();
+        let (before, _) = lookup(&cache, "s", &log, &config).unwrap();
         assert!(Arc::ptr_eq(
             before.workspace(),
             &cache.workspace_for(&config)
@@ -796,9 +778,7 @@ mod tests {
             (n / 2, config.with_stay_probability(0.9)),
         ];
         for (horizon, variant) in variants {
-            let (cached, source) = cache
-                .get_or_infer_prefix("s", &log, horizon, &variant)
-                .unwrap();
+            let (cached, source) = lookup_prefix(&cache, "s", &log, horizon, &variant).unwrap();
             assert_eq!(source, CacheSource::Inferred);
             assert!(!cached.is_smoothed(), "a memory-only miss must not smooth");
             // Rows derived from the shared table give the posterior a
@@ -811,7 +791,7 @@ mod tests {
         // A different grid gets its own table.
         let mut coarse = config;
         coarse.epsilon_mbps = 1.0;
-        cache.get_or_infer("s", &log, &coarse).unwrap();
+        lookup(&cache, "s", &log, &coarse).unwrap();
         assert_eq!(cache.tables.lock().len(), 2);
     }
 
@@ -821,9 +801,7 @@ mod tests {
         let log = log();
         let config = VeritasConfig::paper_default();
         let horizon = log.records.len() / 2;
-        let (abduction, _) = cache
-            .get_or_infer_prefix("s", &log, horizon, &config)
-            .unwrap();
+        let (abduction, _) = lookup_prefix(&cache, "s", &log, horizon, &config).unwrap();
         assert!(!abduction.is_smoothed());
 
         // The eager reference: forward–backward over the rows the cache
@@ -878,12 +856,11 @@ mod tests {
         let cache = AbductionCache::new();
         let log = log();
         let base = VeritasConfig::paper_default();
-        cache.get_or_infer("s", &log, &base).unwrap();
-        let (_, source) = cache
-            .get_or_infer("s", &log, &base.with_samples(2).with_seed(99))
-            .unwrap();
-        assert!(
-            source.is_warm(),
+        lookup(&cache, "s", &log, &base).unwrap();
+        let (_, source) = lookup(&cache, "s", &log, &base.with_samples(2).with_seed(99)).unwrap();
+        assert_eq!(
+            source,
+            CacheSource::Memory,
             "seed/sample overrides must not force re-inference"
         );
     }
@@ -897,8 +874,8 @@ mod tests {
         let mut log_b = log_a.clone();
         log_b.records.truncate(log_b.records.len() - 1);
         let config = VeritasConfig::paper_default();
-        let (a, source_a) = cache.get_or_infer("session-0", &log_a, &config).unwrap();
-        let (b, source_b) = cache.get_or_infer("session-0", &log_b, &config).unwrap();
+        let (a, source_a) = lookup(&cache, "session-0", &log_a, &config).unwrap();
+        let (b, source_b) = lookup(&cache, "session-0", &log_b, &config).unwrap();
         assert_eq!(source_a, CacheSource::Inferred);
         assert_eq!(
             source_b,
@@ -924,8 +901,8 @@ mod tests {
             ..log()
         };
         let config = VeritasConfig::paper_default();
-        assert!(cache.get_or_infer("e", &empty, &config).is_err());
-        assert!(cache.get_or_infer("e", &empty, &config).is_err());
+        assert!(lookup(&cache, "e", &empty, &config).is_err());
+        assert!(lookup(&cache, "e", &empty, &config).is_err());
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.entries(), 0);
     }
@@ -937,8 +914,8 @@ mod tests {
         let mut log_b = log_a.clone();
         log_b.records.truncate(log_b.records.len() / 2);
         let config = VeritasConfig::paper_default();
-        let (a, _) = cache.get_or_infer("a", &log_a, &config).unwrap();
-        let (b, _) = cache.get_or_infer("b", &log_b, &config).unwrap();
+        let (a, _) = lookup(&cache, "a", &log_a, &config).unwrap();
+        let (b, _) = lookup(&cache, "b", &log_b, &config).unwrap();
         assert!(
             Arc::ptr_eq(a.workspace(), b.workspace()),
             "same config must resolve to one shared kernel workspace"
@@ -946,13 +923,9 @@ mod tests {
         assert!(Arc::ptr_eq(a.workspace(), &cache.workspace_for(&config)));
         // A posterior-relevant config change gets its own workspace; a
         // sampling-only change does not.
-        let (c, _) = cache
-            .get_or_infer("a", &log_a, &config.with_stay_probability(0.9))
-            .unwrap();
+        let (c, _) = lookup(&cache, "a", &log_a, &config.with_stay_probability(0.9)).unwrap();
         assert!(!Arc::ptr_eq(a.workspace(), c.workspace()));
-        let (d, _) = cache
-            .get_or_infer("a", &log_a, &config.with_seed(999).with_samples(2))
-            .unwrap();
+        let (d, _) = lookup(&cache, "a", &log_a, &config.with_seed(999).with_samples(2)).unwrap();
         assert!(Arc::ptr_eq(a.workspace(), d.workspace()));
     }
 
@@ -986,7 +959,7 @@ mod tests {
         let n = bad.records.len() - 1;
         bad.records[n].start_time_s = 0.0;
         let config = VeritasConfig::paper_default();
-        match cache.get_or_infer("bad", &bad, &config) {
+        match lookup(&cache, "bad", &bad, &config) {
             Err(AbductionError::NonMonotonicLog { chunk }) => assert_eq!(chunk, n),
             other => panic!("expected NonMonotonicLog, got {other:?}"),
         }
@@ -1086,7 +1059,7 @@ mod tests {
         let config = VeritasConfig::paper_default();
 
         let cold = AbductionCache::new().with_disk_store(store);
-        let (inferred, source) = cold.get_or_infer("s", &log, &config).unwrap();
+        let (inferred, source) = lookup(&cold, "s", &log, &config).unwrap();
         assert_eq!(source, CacheSource::Inferred);
         assert_eq!(cold.disk_hits(), 0);
         assert!(
@@ -1097,7 +1070,7 @@ mod tests {
         // A fresh cache (fresh process, in effect) over the same directory
         // restores the posterior without inference.
         let warm = AbductionCache::new().with_disk_store(DiskStore::open(&dir).unwrap());
-        let (restored, source) = warm.get_or_infer("s", &log, &config).unwrap();
+        let (restored, source) = lookup(&warm, "s", &log, &config).unwrap();
         assert_eq!(source, CacheSource::Disk);
         assert_eq!(warm.misses(), 0, "the warm lookup must not infer");
         assert_eq!(restored.posteriors(), inferred.posteriors());
@@ -1105,7 +1078,7 @@ mod tests {
         // Sampling — the consumer of the restored posterior — agrees too.
         assert_eq!(restored.sample_traces(3), inferred.sample_traces(3));
         // Once restored, the entry lives in memory.
-        let (_, source) = warm.get_or_infer("s", &log, &config).unwrap();
+        let (_, source) = lookup(&warm, "s", &log, &config).unwrap();
         assert_eq!(source, CacheSource::Memory);
         // The cold run wrote its kernel table through alongside the
         // posterior, so the warm workspace restored kernels from disk too.
@@ -1129,15 +1102,12 @@ mod tests {
         let dir = store.dir().to_path_buf();
         let log = log();
         let config = VeritasConfig::paper_default();
+        let vkern = store.kernel_path_for(config_fingerprint(&config));
 
         let cold = AbductionCache::new().with_disk_store(store);
-        cold.get_or_infer("s", &log, &config).unwrap();
+        lookup(&cold, "s", &log, &config).unwrap();
         let cold_kernels = cold.workspace_for(&config).export_kernels();
         assert!(!cold_kernels.is_empty(), "inference materializes kernels");
-        let vkern = cold
-            .disk_store()
-            .unwrap()
-            .kernel_path_for(config_fingerprint(&config));
         assert!(vkern.exists(), "the kernel table was written through");
 
         // A fresh cache restores every kernel before running anything, and
@@ -1164,10 +1134,10 @@ mod tests {
         let mut other = log.clone();
         other.records[1].start_time_s = 4.0;
         other.session_duration_s = 8.0;
-        let (warm_abduction, source) = warm.get_or_infer("s2", &other, &config).unwrap();
+        let (warm_abduction, source) = lookup(&warm, "s2", &other, &config).unwrap();
         assert_eq!(source, CacheSource::Inferred);
         let reference = AbductionCache::new();
-        let (ref_abduction, _) = reference.get_or_infer("s2", &other, &config).unwrap();
+        let (ref_abduction, _) = lookup(&reference, "s2", &other, &config).unwrap();
         assert_eq!(warm_abduction.posteriors(), ref_abduction.posteriors());
         assert_eq!(
             warm_abduction.sample_traces(4),
@@ -1181,13 +1151,10 @@ mod tests {
         let dir = store.dir().to_path_buf();
         let log = log();
         let config = VeritasConfig::paper_default();
+        let vkern = store.kernel_path_for(config_fingerprint(&config));
 
         let cold = AbductionCache::new().with_disk_store(store);
-        let (inferred, _) = cold.get_or_infer("s", &log, &config).unwrap();
-        let vkern = cold
-            .disk_store()
-            .unwrap()
-            .kernel_path_for(config_fingerprint(&config));
+        let (inferred, _) = lookup(&cold, "s", &log, &config).unwrap();
         let mut bytes = std::fs::read(&vkern).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
@@ -1196,7 +1163,7 @@ mod tests {
         // The corrupt table is a silent miss: no kernel restores, the
         // posterior restore still works, and answers are unchanged.
         let warm = AbductionCache::new().with_disk_store(DiskStore::open(&dir).unwrap());
-        let (restored, source) = warm.get_or_infer("s", &log, &config).unwrap();
+        let (restored, source) = lookup(&warm, "s", &log, &config).unwrap();
         assert_eq!(source, CacheSource::Disk);
         assert_eq!(warm.kernel_disk_hits(), 0);
         assert_eq!(restored.posteriors(), inferred.posteriors());
@@ -1212,7 +1179,7 @@ mod tests {
         let log = log();
         let config = VeritasConfig::paper_default();
         let cold = AbductionCache::new().with_disk_store(store);
-        cold.get_or_infer("s", &log, &config).unwrap();
+        lookup(&cold, "s", &log, &config).unwrap();
 
         let entry = std::fs::read_dir(&dir)
             .unwrap()
@@ -1228,7 +1195,7 @@ mod tests {
         ] {
             std::fs::write(&entry, mangle).unwrap();
             let warm = AbductionCache::new().with_disk_store(DiskStore::open(&dir).unwrap());
-            let (_, source) = warm.get_or_infer("s", &log, &config).unwrap();
+            let (_, source) = lookup(&warm, "s", &log, &config).unwrap();
             assert_eq!(
                 source,
                 CacheSource::Inferred,
@@ -1240,7 +1207,7 @@ mod tests {
 
         // The re-inference wrote the entry back; it restores again.
         let healed = AbductionCache::new().with_disk_store(DiskStore::open(&dir).unwrap());
-        let (_, source) = healed.get_or_infer("s", &log, &config).unwrap();
+        let (_, source) = lookup(&healed, "s", &log, &config).unwrap();
         assert_eq!(source, CacheSource::Disk);
     }
 
@@ -1251,21 +1218,19 @@ mod tests {
         let log_a = log();
         let config = VeritasConfig::paper_default();
         let cold = AbductionCache::new().with_disk_store(store);
-        cold.get_or_infer("s", &log_a, &config).unwrap();
+        lookup(&cold, "s", &log_a, &config).unwrap();
 
         // A changed log (different fingerprint) and a changed
         // posterior-relevant config both miss naturally.
         let mut log_b = log_a.clone();
         log_b.records[0].throughput_mbps += 0.125;
         let warm = AbductionCache::new().with_disk_store(DiskStore::open(&dir).unwrap());
-        let (_, source) = warm.get_or_infer("s", &log_b, &config).unwrap();
+        let (_, source) = lookup(&warm, "s", &log_b, &config).unwrap();
         assert_eq!(source, CacheSource::Inferred);
-        let (_, source) = warm
-            .get_or_infer("s", &log_a, &config.with_sigma(1.0))
-            .unwrap();
+        let (_, source) = lookup(&warm, "s", &log_a, &config.with_sigma(1.0)).unwrap();
         assert_eq!(source, CacheSource::Inferred);
         // The original pair still restores.
-        let (_, source) = warm.get_or_infer("s", &log_a, &config).unwrap();
+        let (_, source) = lookup(&warm, "s", &log_a, &config).unwrap();
         assert_eq!(source, CacheSource::Disk);
     }
 
@@ -1277,7 +1242,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    cache.get_or_infer("shared", &log, &config).unwrap();
+                    lookup(&cache, "shared", &log, &config).unwrap();
                 });
             }
         });
@@ -1294,7 +1259,7 @@ mod tests {
 
         // Seed a valid entry, then corrupt it in place.
         let cold = AbductionCache::new().with_disk_store(store);
-        let (expected, _) = cold.get_or_infer("shared", &log, &config).unwrap();
+        let (expected, _) = lookup(&cold, "shared", &log, &config).unwrap();
         let entry = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())
@@ -1314,7 +1279,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    let (restored, _) = cache.get_or_infer("shared", &log, &config).unwrap();
+                    let (restored, _) = lookup(&cache, "shared", &log, &config).unwrap();
                     assert_eq!(restored.posteriors(), expected.posteriors());
                 });
             }
@@ -1348,7 +1313,7 @@ mod tests {
 
         // And a fresh cache restores it from disk again.
         let warm = AbductionCache::new().with_disk_store(DiskStore::open(&dir).unwrap());
-        let (_, source) = warm.get_or_infer("shared", &log, &config).unwrap();
+        let (_, source) = lookup(&warm, "shared", &log, &config).unwrap();
         assert_eq!(source, CacheSource::Disk);
         assert_eq!(warm.healed(), 0);
     }

@@ -22,14 +22,14 @@
 //!   stream; only the per-session scalars are retained, never the full
 //!   record set.
 
-use serde::{de, Deserialize, Deserializer, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 use veritas::{Scenario, VeritasConfig};
 use veritas_player::QoeSummary;
 
 use crate::cache::config_fingerprint;
 use crate::corpus::Corpus;
 use crate::error::EngineError;
-use crate::query::{Query, QueryKind, QuerySet, ScenarioSpec};
+use crate::query::{Query, QueryKind, QuerySet, ScenarioSpec, WireNames};
 use crate::runner::materialize_scenario;
 use crate::store::{columns, ColumnSet};
 
@@ -251,27 +251,29 @@ pub enum AggregateMetric {
 }
 
 impl AggregateMetric {
+    /// Every metric with its wire name, in declaration order.
+    const NAMES: WireNames<AggregateMetric> = WireNames {
+        what: "aggregate metric",
+        rows: &[
+            (AggregateMetric::MeanCapacityMbps, "mean_capacity_mbps"),
+            (AggregateMetric::MeanSsim, "mean_ssim"),
+            (
+                AggregateMetric::RebufferRatioPercent,
+                "rebuffer_ratio_percent",
+            ),
+            (AggregateMetric::AvgBitrateMbps, "avg_bitrate_mbps"),
+            (AggregateMetric::StartupDelayS, "startup_delay_s"),
+        ],
+    };
+
     /// The wire name of this metric.
     pub fn as_str(&self) -> &'static str {
-        match self {
-            AggregateMetric::MeanCapacityMbps => "mean_capacity_mbps",
-            AggregateMetric::MeanSsim => "mean_ssim",
-            AggregateMetric::RebufferRatioPercent => "rebuffer_ratio_percent",
-            AggregateMetric::AvgBitrateMbps => "avg_bitrate_mbps",
-            AggregateMetric::StartupDelayS => "startup_delay_s",
-        }
+        Self::NAMES.rows[*self as usize].1
     }
 
     /// Parses a wire name.
     pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "mean_capacity_mbps" => Some(AggregateMetric::MeanCapacityMbps),
-            "mean_ssim" => Some(AggregateMetric::MeanSsim),
-            "rebuffer_ratio_percent" => Some(AggregateMetric::RebufferRatioPercent),
-            "avg_bitrate_mbps" => Some(AggregateMetric::AvgBitrateMbps),
-            "startup_delay_s" => Some(AggregateMetric::StartupDelayS),
-            _ => None,
-        }
+        Self::NAMES.parse(name)
     }
 
     /// Whether computing this metric requires replaying a scenario (the
@@ -302,13 +304,7 @@ impl Serialize for AggregateMetric {
 
 impl<'de> Deserialize<'de> for AggregateMetric {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let name = String::deserialize(deserializer)?;
-        AggregateMetric::parse(&name).ok_or_else(|| {
-            de::Error::custom(format!(
-                "unknown aggregate metric `{name}` (expected mean_capacity_mbps | mean_ssim | \
-                 rebuffer_ratio_percent | avg_bitrate_mbps | startup_delay_s)"
-            ))
-        })
+        deserializer.deserialize_str(&Self::NAMES)
     }
 }
 

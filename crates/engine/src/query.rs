@@ -52,27 +52,26 @@ pub enum QueryKind {
 }
 
 impl QueryKind {
+    /// Every kind with its wire name, in declaration order.
+    const NAMES: WireNames<QueryKind> = WireNames {
+        what: "query kind",
+        rows: &[
+            (QueryKind::Abduction, "abduction"),
+            (QueryKind::Interventional, "interventional"),
+            (QueryKind::Counterfactual, "counterfactual"),
+            (QueryKind::Sweep, "sweep"),
+            (QueryKind::Aggregate, "aggregate"),
+        ],
+    };
+
     /// The wire name of this kind.
     pub fn as_str(&self) -> &'static str {
-        match self {
-            QueryKind::Abduction => "abduction",
-            QueryKind::Interventional => "interventional",
-            QueryKind::Counterfactual => "counterfactual",
-            QueryKind::Sweep => "sweep",
-            QueryKind::Aggregate => "aggregate",
-        }
+        Self::NAMES.rows[*self as usize].1
     }
 
     /// Parses a wire name.
     pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "abduction" => Some(QueryKind::Abduction),
-            "interventional" => Some(QueryKind::Interventional),
-            "counterfactual" => Some(QueryKind::Counterfactual),
-            "sweep" => Some(QueryKind::Sweep),
-            "aggregate" => Some(QueryKind::Aggregate),
-            _ => None,
-        }
+        Self::NAMES.parse(name)
     }
 }
 
@@ -84,11 +83,44 @@ impl Serialize for QueryKind {
 
 impl<'de> Deserialize<'de> for QueryKind {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let name = String::deserialize(deserializer)?;
-        QueryKind::parse(&name).ok_or_else(|| {
-            de::Error::custom(format!(
-                "unknown query kind `{name}` (expected abduction | interventional | \
-                 counterfactual | sweep | aggregate)"
+        deserializer.deserialize_str(&Self::NAMES)
+    }
+}
+
+/// The wire names of a fieldless enum: one `(variant, name)` row per
+/// variant, in declaration order, so a variant's discriminant indexes its
+/// row. The enum's `as_str`, `parse` and decode error all read it. As a
+/// [`de::Visitor`] it decodes a name from the string the format lends,
+/// without allocating.
+pub(crate) struct WireNames<T: 'static> {
+    /// What a name names, for errors.
+    pub(crate) what: &'static str,
+    pub(crate) rows: &'static [(T, &'static str)],
+}
+
+impl<T: Copy> WireNames<T> {
+    pub(crate) fn parse(&self, name: &str) -> Option<T> {
+        self.rows
+            .iter()
+            .find(|&&(_, row)| row == name)
+            .map(|&(value, _)| value)
+    }
+}
+
+impl<'de, T: Copy> de::Visitor<'de> for &WireNames<T> {
+    type Value = T;
+
+    fn expecting(&self, formatter: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(formatter, "a string naming the {}", self.what)
+    }
+
+    fn visit_str<E: de::Error>(self, name: &str) -> Result<T, E> {
+        self.parse(name).ok_or_else(|| {
+            let names: Vec<&str> = self.rows.iter().map(|&(_, row)| row).collect();
+            E::custom(format!(
+                "unknown {} `{name}` (expected {})",
+                self.what,
+                names.join(" | ")
             ))
         })
     }
@@ -681,5 +713,47 @@ mod tests {
             assert_eq!(QueryKind::parse(kind.as_str()), Some(kind));
         }
         assert_eq!(QueryKind::parse("associational"), None);
+    }
+
+    #[test]
+    fn names_decode_from_the_lent_string() {
+        use crate::plan::AggregateMetric;
+
+        let kinds = [
+            (QueryKind::Abduction, "abduction"),
+            (QueryKind::Interventional, "interventional"),
+            (QueryKind::Counterfactual, "counterfactual"),
+            (QueryKind::Sweep, "sweep"),
+            (QueryKind::Aggregate, "aggregate"),
+        ];
+        for (kind, name) in kinds {
+            assert_eq!(kind.as_str(), name);
+            let json = serde_json::to_string(&kind).unwrap();
+            assert_eq!(serde_json::from_str::<QueryKind>(&json).unwrap(), kind);
+        }
+        // An escaped name decodes from the parser's unescaped buffer.
+        assert_eq!(
+            serde_json::from_str::<QueryKind>(r#""abducti\u006fn""#).unwrap(),
+            QueryKind::Abduction
+        );
+        assert_eq!(
+            serde_json::from_str::<AggregateMetric>(r#""mean_\u0073sim""#).unwrap(),
+            AggregateMetric::MeanSsim
+        );
+        let refused = |result: Result<(), serde_json::Error>| result.unwrap_err().to_string();
+        let kind = |json: &str| refused(serde_json::from_str::<QueryKind>(json).map(drop));
+        let metric = |json: &str| refused(serde_json::from_str::<AggregateMetric>(json).map(drop));
+        assert_eq!(
+            kind(r#""associational""#),
+            "unknown query kind `associational` (expected abduction | interventional | \
+             counterfactual | sweep | aggregate)"
+        );
+        assert_eq!(
+            metric(r#""qo\u0065""#),
+            "unknown aggregate metric `qoe` (expected mean_capacity_mbps | mean_ssim | \
+             rebuffer_ratio_percent | avg_bitrate_mbps | startup_delay_s)"
+        );
+        assert!(kind("1").starts_with("expected a string naming the query kind, found `1`"));
+        assert!(metric("null").starts_with("expected a string naming the aggregate metric"));
     }
 }

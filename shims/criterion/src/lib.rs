@@ -10,8 +10,8 @@
 //! `sample_size` samples, and reported as the median ns/iteration on
 //! stdout. When the `VERITAS_BENCH_JSON` environment variable names a file,
 //! one JSON line per benchmark is appended to it (`{"id": ..., "median_ns":
-//! ..., "samples": [...]}`), which is how the repo records its checked-in
-//! baselines.
+//! ..., "samples": [...]}`), which is what `bench_compare` checks against
+//! the committed perf gates.
 
 #![deny(missing_docs)]
 

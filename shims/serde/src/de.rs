@@ -1,8 +1,8 @@
 //! Deserialization-side helper traits: the error trait, and the visitors
-//! and accessors through which a [`crate::Deserializer`] hands a sequence
-//! or a struct to the type decoding it.
+//! and accessors through which a [`crate::Deserializer`] hands a string, a
+//! sequence or a struct to the type decoding it.
 
-use std::fmt::Display;
+use std::fmt::{self, Display};
 
 use crate::Deserialize;
 
@@ -22,6 +22,21 @@ pub enum Number {
     Integer(Option<i128>),
     /// Any other number.
     Float(f64),
+}
+
+/// Builds a value from a string the format lends
+/// ([`crate::Deserializer::deserialize_str`]): real serde's `Visitor`,
+/// narrowed to strings, with the same method signatures.
+pub trait Visitor<'de>: Sized {
+    /// The value built.
+    type Value;
+
+    /// Writes what the visitor expects, such as "a string", for the
+    /// error on a value that is not a string.
+    fn expecting(&self, formatter: &mut fmt::Formatter<'_>) -> fmt::Result;
+
+    /// Builds the value from the string, which lives only for this call.
+    fn visit_str<E: Error>(self, v: &str) -> Result<Self::Value, E>;
 }
 
 /// The elements of a sequence, pulled one at a time in input order.

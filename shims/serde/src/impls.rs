@@ -1,5 +1,6 @@
 //! `Serialize` / `Deserialize` implementations for std types.
 
+use std::fmt;
 use std::marker::PhantomData;
 
 use crate::de::{SeqAccess, SeqVisitor};
@@ -181,9 +182,24 @@ impl<'de> Deserialize<'de> for bool {
     }
 }
 
+/// Copies a lent string into a `String`.
+struct StringVisitor;
+
+impl<'de> de::Visitor<'de> for StringVisitor {
+    type Value = String;
+
+    fn expecting(&self, formatter: &mut fmt::Formatter<'_>) -> fmt::Result {
+        formatter.write_str("a string")
+    }
+
+    fn visit_str<E: de::Error>(self, v: &str) -> Result<String, E> {
+        Ok(v.to_owned())
+    }
+}
+
 impl<'de> Deserialize<'de> for String {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.deserialize_string()
+        deserializer.deserialize_str(StringVisitor)
     }
 }
 

@@ -21,9 +21,10 @@
 //! either reads as the field's default when it has one, and as `None` for
 //! an `Option` field; otherwise it is a `missing field` error that names
 //! the member. Code outside the shims spells its JSON field policy with
-//! these attributes and hand-writes only string-valued impls over
-//! `String::deserialize`, so swapping the real crates back in is a
-//! manifest change, not a source change.
+//! these attributes and hand-writes only string-valued impls, through
+//! [`Deserializer::deserialize_str`] and a [`de::Visitor`], which have real
+//! serde's signatures, so swapping the real crates back in is a manifest
+//! change, not a source change.
 //!
 //! # Where the shim differs from real serde
 //!
@@ -31,13 +32,14 @@
 //!   format's [`Serializer`] call by call. Deserialization pulls, as the
 //!   format parses: a `Deserialize` impl asks the format's
 //!   [`Deserializer`] for the shape it expects (a bool, a number, a
-//!   string, `null`, an option, a sequence through a
-//!   [`de::SeqVisitor`], a struct through a [`de::StructVisitor`]) and
-//!   the format decodes exactly that, with no intermediate tree. It is a
-//!   narrowed form of real serde's visitor-driven model: the format is
-//!   told the type rather than describing itself, and a struct visitor
-//!   matches each member name in place. [`Value`], the one
-//!   self-describing type, comes from [`Deserializer::deserialize_value`].
+//!   string through a [`de::Visitor`], `null`, an option, a sequence
+//!   through a [`de::SeqVisitor`], a struct through a
+//!   [`de::StructVisitor`]) and the format decodes exactly that, with no
+//!   intermediate tree. It is a narrowed form of real serde's
+//!   visitor-driven model: the format is told the type rather than
+//!   describing itself, and a struct visitor matches each member name in
+//!   place. [`Value`], the one self-describing type, comes from
+//!   [`Deserializer::deserialize_value`].
 //! * A `null` member reads as an absent one. Real serde hands `null` to
 //!   the field's own decoder, so there an `Option<Option<T>>` reads
 //!   `Some(None)`, a `with` decoder may map `null` to a value, and a
@@ -149,8 +151,11 @@ pub trait Deserializer<'de>: Sized {
     /// from its digits, and any other number as `f64`. The integer type
     /// checks the range, and the fraction of an `f64`, itself.
     fn deserialize_integer(self) -> Result<de::Number, Self::Error>;
-    /// Reads a string.
-    fn deserialize_string(self) -> Result<String, Self::Error>;
+    /// Reads a string and lends it to `visitor`, the value-level
+    /// counterpart of [`de::StructAccess::next_member`]: the text is
+    /// borrowed from the input or decoded into a buffer the format reuses,
+    /// so the read itself allocates nothing.
+    fn deserialize_str<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, Self::Error>;
     /// Reads a unit value (`null`).
     fn deserialize_unit(self) -> Result<(), Self::Error>;
     /// Reads an option: `None` after consuming a `null`, otherwise the

@@ -31,7 +31,7 @@
 use std::fmt;
 use std::io;
 
-use serde::de::{Number, SeqAccess, SeqVisitor, StructAccess, StructVisitor};
+use serde::de::{Number, SeqAccess, SeqVisitor, StructAccess, StructVisitor, Visitor};
 use serde::Deserialize;
 
 pub use serde::Value;
@@ -767,11 +767,15 @@ impl<'de> serde::Deserializer<'de> for &mut Parser<'_> {
         }
     }
 
-    fn deserialize_string(self) -> Result<String, Error> {
-        match self.peek_token() {
-            Some(b'"') => self.parse_string(),
-            _ => Err(self.invalid("a string")),
+    fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
+        if self.peek_token() != Some(b'"') {
+            return Err(self.invalid(&Expected(&visitor).to_string()));
         }
+        let text = match self.parse_str()? {
+            Some(text) => text,
+            None => &self.unescaped,
+        };
+        visitor.visit_str(text)
     }
 
     fn deserialize_unit(self) -> Result<(), Error> {
@@ -820,6 +824,15 @@ impl<'de> serde::Deserializer<'de> for &mut Parser<'_> {
 
     fn deserialize_value(self) -> Result<Value, Error> {
         self.parse_value()
+    }
+}
+
+/// What a string visitor expects, as error text.
+struct Expected<'v, V>(&'v V);
+
+impl<'de, V: Visitor<'de>> fmt::Display for Expected<'_, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.expecting(f)
     }
 }
 

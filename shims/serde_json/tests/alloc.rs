@@ -1,45 +1,11 @@
 //! A parse allocates only what it returns: counted with a global
 //! allocator that counts only on the thread that asks it to.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use serde::Deserialize;
 
-/// The system allocator, counting allocations on threads that turned
-/// counting on.
-struct Counting;
+mod counting;
 
-thread_local! {
-    /// Allocations so far on this thread, or `None` while not counting.
-    /// A `const` initialiser needs no allocation and no destructor, so the
-    /// allocator may read it.
-    static ALLOCATIONS: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; counting only
-// touches a thread-local `Cell`.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|count| count.set(count.get().map(|n| n + 1)));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// `f`'s result and the allocations it made on this thread.
-fn counting<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    ALLOCATIONS.with(|count| count.set(Some(0)));
-    let value = f();
-    let allocations = ALLOCATIONS.with(|count| count.replace(None));
-    (value, allocations.expect("counting was on"))
-}
+use counting::counting;
 
 fn seven() -> u32 {
     7
