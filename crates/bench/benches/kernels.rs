@@ -113,9 +113,11 @@ fn bench_abduction_scaling(c: &mut Criterion) {
 }
 
 /// A next-chunk prefix abduction: `try_infer_prepared` on the first 60
-/// chunks of a 120-chunk MPC session over a warm workspace, as an
-/// interventional unit runs it (`prefix_60_viterbi`), and the same call
-/// followed by the first `.posteriors()` read, which runs forward–backward
+/// chunks of a 120-chunk MPC session over a warm workspace
+/// (`prefix_60_viterbi`; an interventional unit runs the same inference
+/// routine through `try_infer_prefix`, with rows derived from its
+/// session's throughput table), and the same call followed by the first
+/// `.posteriors()` read, which runs forward–backward
 /// (`prefix_60_smoothed`). The pair's entry in BENCH_gates.json fails if
 /// inference starts smoothing eagerly again.
 fn bench_prefix_abduction(c: &mut Criterion) {

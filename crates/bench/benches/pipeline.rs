@@ -2,7 +2,8 @@
 //! full abduction on a recorded session, a complete counterfactual
 //! comparison (abduction + K replays + baseline + oracle), the query
 //! engine over a shared-session query set, one warm next-chunk request,
-//! the parse of its query set, and the JSONL bytes of its response.
+//! its query set's JSON, written and parsed, and the JSONL bytes of its
+//! response.
 
 use std::sync::Arc;
 
@@ -175,52 +176,76 @@ fn nextchunk_set(corpus: &dyn Corpus) -> QuerySet {
     set
 }
 
-/// The bytes of one next-chunk response: its six interventional records
-/// (`EngineReport::write_jsonl`) and the summary envelope, written into
-/// a reused buffer as the daemon writes them into a connection's. Its
-/// entry in BENCH_gates.json fails if the JSON writer lowers every value
-/// to a tree before rendering it again.
+/// The bytes of one next-chunk response. `response_6_records` writes its
+/// six interventional records (`EngineReport::write_jsonl`) and the
+/// summary envelope into a reused buffer, as the daemon writes them into a
+/// connection's; `response_scan` runs [`byte_scan`] over the same bytes,
+/// a yardstick no JSON code runs in. The pair's entry in BENCH_gates.json
+/// fails if the JSON writer lowers every value to a tree before rendering
+/// it again.
 fn bench_wire(c: &mut Criterion) {
-    c.bench_function("wire/nextchunk_response_6_records", |b| {
-        let corpus: Arc<dyn Corpus> = Arc::new(
-            SyntheticSpec {
-                sessions: 1,
-                ..SyntheticSpec::default()
-            }
-            .build(),
-        );
-        let set = nextchunk_set(corpus.as_ref());
-        let engine = Engine::builder().threads(1).build().unwrap();
-        let report = engine.run(corpus, &set).unwrap();
-        assert_eq!(report.summary.errors, 0);
-        let envelope = SummaryEnvelope {
-            summary: report.summary.clone(),
-            req_id: Some(600),
-        };
-        let mut out = Vec::with_capacity(8192);
-        b.iter(|| {
-            out.clear();
-            report.write_jsonl(&mut out).unwrap();
-            serde_json::to_writer(&mut out, black_box(&envelope)).unwrap();
-            out.push(b'\n');
-            black_box(out.len())
-        });
-    });
-}
-
-/// Parsing the query set of one next-chunk request:
-/// `QuerySet::from_json` of the compact six-query set that a
-/// `nextchunk_serve` request carries as its `query` member. Its entry in
-/// BENCH_gates.json fails if the parse builds a value tree again.
-fn bench_wire_parse(c: &mut Criterion) {
-    c.bench_function("wire/nextchunk_queryset_parse", |b| {
-        let corpus = SyntheticSpec {
+    let corpus: Arc<dyn Corpus> = Arc::new(
+        SyntheticSpec {
             sessions: 1,
             ..SyntheticSpec::default()
         }
-        .build();
-        let json = serde_json::to_string(&nextchunk_set(&corpus)).unwrap();
+        .build(),
+    );
+    let set = nextchunk_set(corpus.as_ref());
+    let engine = Engine::builder().threads(1).build().unwrap();
+    let report = engine.run(corpus, &set).unwrap();
+    assert_eq!(report.summary.errors, 0);
+    let envelope = SummaryEnvelope {
+        summary: report.summary.clone(),
+        req_id: Some(600),
+    };
+    let write = |out: &mut Vec<u8>| {
+        out.clear();
+        report.write_jsonl(&mut *out).unwrap();
+        serde_json::to_writer(&mut *out, black_box(&envelope)).unwrap();
+        out.push(b'\n');
+    };
+    let mut out = Vec::with_capacity(8192);
+    c.bench_function("wire/nextchunk_response_6_records", |b| {
+        b.iter(|| {
+            write(&mut out);
+            black_box(out.len())
+        });
+    });
+    write(&mut out);
+    c.bench_function("wire/nextchunk_response_scan", |b| {
+        b.iter(|| byte_scan(black_box(&out)));
+    });
+}
+
+/// FNV-1a over `bytes`, one byte after another: a serial pass whose cost
+/// follows the machine's speed and the byte count alone, so a JSON gate
+/// measured against it does not move with the runner.
+fn byte_scan(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The query set of one next-chunk request, both ways:
+/// `queryset_parse` is `QuerySet::from_json` of the compact six-query set
+/// that a `nextchunk_serve` request carries as its `query` member, and
+/// `queryset_write` is the `serde_json::to_string` that made it. The
+/// pair's entry in BENCH_gates.json fails if the parse builds a value
+/// tree again.
+fn bench_wire_parse(c: &mut Criterion) {
+    let corpus = SyntheticSpec {
+        sessions: 1,
+        ..SyntheticSpec::default()
+    }
+    .build();
+    let set = nextchunk_set(&corpus);
+    let json = serde_json::to_string(&set).unwrap();
+    c.bench_function("wire/nextchunk_queryset_parse", |b| {
         b.iter(|| QuerySet::from_json(black_box(&json)).unwrap());
+    });
+    c.bench_function("wire/nextchunk_queryset_write", |b| {
+        b.iter(|| serde_json::to_string(black_box(&set)).unwrap());
     });
 }
 

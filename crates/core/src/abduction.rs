@@ -27,13 +27,18 @@ use crate::{AbductionError, VeritasConfig};
 /// configuration to share the kernels across *sessions* too (see
 /// [`Self::try_infer_prepared`]).
 ///
-/// Inference decodes the Viterbi path and keeps the emission table;
-/// forward–backward runs once, on the first call to [`Self::posteriors`],
-/// and the table is dropped when it has run. Consumers that read only the
-/// Viterbi path (interventional prediction, Viterbi traces) never pay for
-/// smoothing. A posterior restored by [`Self::from_parts`] never smooths:
-/// its stored matrices are parsed, and γ derived, on the first
-/// [`Self::posteriors`] call.
+/// Inference decodes the Viterbi path and keeps only what its answers
+/// read: the decode, the δ-interval layout, and the source of its emission
+/// rows. Forward–backward runs once, on the first call to
+/// [`Self::posteriors`], and the source is dropped when it has run.
+/// Consumers that read only the Viterbi path (interventional prediction,
+/// Viterbi traces) never pay for smoothing. A prefix inference
+/// ([`Self::try_infer_prefix`]) keeps a recipe for its rows instead of the
+/// rows: the shared predicted-throughput table, the prefix's observed
+/// throughputs and σ, from which the first [`Self::posteriors`] call
+/// rebuilds the rows Viterbi ran over, bit for bit. A posterior restored by
+/// [`Self::from_parts`] never smooths: its stored matrices are parsed, and
+/// γ derived, on the first [`Self::posteriors`] call.
 #[derive(Debug)]
 pub struct Abduction {
     config: VeritasConfig,
@@ -60,11 +65,45 @@ pub struct Abduction {
 /// [`Abduction::posteriors`] call builds them.
 #[derive(Debug)]
 enum Pending {
-    /// The emission table inference conditioned on: forward–backward runs
-    /// over it.
+    /// The emission table a caller handed to inference
+    /// ([`Abduction::try_infer_prepared`]): forward–backward runs over it.
     Smooth(EmissionTable),
+    /// The recipe of the rows a prefix inference ran over
+    /// ([`Abduction::try_infer_prefix`]): they are rebuilt and smoothed.
+    Rebuild(EmissionRecipe),
     /// A restored store entry: its parse assembles the posteriors.
     Parse(StoredPosteriors),
+}
+
+/// Predicted throughputs `f(c, W_n, S_n)`: one row per chunk record, one
+/// column per capacity-grid value ([`Abduction::predicted_throughput_row`]).
+/// They depend on neither σ nor the stay probability, so one table of a
+/// log serves every horizon and every noise variant over its grid.
+pub type ThroughputTable = Vec<Vec<f64>>;
+
+/// What a prefix inference keeps instead of its emission rows: the shared
+/// predicted-throughput table (rows past the prefix are never read), the
+/// prefix's observed throughputs and σ. [`Self::rows`] derives the rows
+/// through [`Abduction::emission_row_from_predicted`], the noise half of
+/// [`Abduction::emission_row`], so they are the bits Viterbi ran over.
+#[derive(Debug)]
+struct EmissionRecipe {
+    predicted: Arc<ThroughputTable>,
+    observed: Vec<f64>,
+    sigma_mbps: f64,
+}
+
+impl EmissionRecipe {
+    /// One emission row per observed throughput.
+    fn rows(&self) -> Vec<Vec<f64>> {
+        self.observed
+            .iter()
+            .zip(self.predicted.iter())
+            .map(|(&observed, predicted)| {
+                Abduction::emission_row_from_predicted(observed, predicted, self.sigma_mbps)
+            })
+            .collect()
+    }
 }
 
 /// A stored posterior, as a persistent store hands it to
@@ -203,7 +242,7 @@ impl Abduction {
     /// stored predicted-throughput row is bit-identical to it.
     pub fn emission_row(record: &ChunkRecord, capacities: &[f64], sigma_mbps: f64) -> Vec<f64> {
         let predicted = Self::predicted_throughput_row(record, capacities);
-        Self::emission_row_from_predicted(record, &predicted, sigma_mbps)
+        Self::emission_row_from_predicted(record.throughput_mbps, &predicted, sigma_mbps)
     }
 
     /// The estimator half of an emission row: `f(c, W_n, S_n)`, the
@@ -218,23 +257,23 @@ impl Abduction {
             .collect()
     }
 
-    /// The noise half of an emission row: the Gaussian log-density of the
-    /// record's observed throughput around each predicted throughput of
-    /// `predicted` (a [`Self::predicted_throughput_row`] of this record),
-    /// with standard deviation `sigma_mbps`.
+    /// The noise half of an emission row: the Gaussian log-density of a
+    /// record's observed throughput `observed_mbps` around each predicted
+    /// throughput of `predicted` (a [`Self::predicted_throughput_row`] of
+    /// that record), with standard deviation `sigma_mbps`.
     ///
     /// # Panics
     ///
     /// Panics unless `sigma_mbps > 0`.
     pub fn emission_row_from_predicted(
-        record: &ChunkRecord,
+        observed_mbps: f64,
         predicted: &[f64],
         sigma_mbps: f64,
     ) -> Vec<f64> {
         assert!(sigma_mbps > 0.0);
         predicted
             .iter()
-            .map(|&mean| gaussian_log_pdf(record.throughput_mbps, mean, sigma_mbps))
+            .map(|&mean| gaussian_log_pdf(observed_mbps, mean, sigma_mbps))
             .collect()
     }
 
@@ -263,47 +302,119 @@ impl Abduction {
         workspace: Arc<EhmmWorkspace>,
     ) -> Result<Self, AbductionError> {
         config.validate().map_err(AbductionError::InvalidConfig)?;
-        if log.records.is_empty() {
+        Self::infer_records(
+            &log.records,
+            log.session_duration_s,
+            config,
+            rows,
+            None,
+            workspace,
+        )
+    }
+
+    /// Runs abduction over the first `horizon` records of `log`, read in
+    /// place, with emission rows derived from `predicted`: a
+    /// predicted-throughput table of `log` over `config`'s capacity grid
+    /// with at least `horizon` rows ([`Self::predicted_throughput_row`]).
+    /// The result is bit-identical to [`Self::try_infer`] of
+    /// `log.prefix(horizon)`.
+    ///
+    /// Only the Viterbi decode runs here. The abduction keeps `predicted`,
+    /// the prefix's observed throughputs and σ rather than the emission
+    /// rows; the first [`Self::posteriors`] call rebuilds the rows, bit for
+    /// bit, and smooths them. A consumer of the Viterbi path alone never
+    /// holds more than the decode and the interval layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `horizon` exceeds the log's record count, if `predicted`
+    /// has fewer than `horizon` rows, or if `workspace` was built for a
+    /// different spec than `config` implies — caller bugs, not data
+    /// errors.
+    pub fn try_infer_prefix(
+        log: &SessionLog,
+        horizon: usize,
+        config: &VeritasConfig,
+        predicted: Arc<ThroughputTable>,
+        workspace: Arc<EhmmWorkspace>,
+    ) -> Result<Self, AbductionError> {
+        config.validate().map_err(AbductionError::InvalidConfig)?;
+        let records = &log.records[..horizon];
+        let recipe = EmissionRecipe {
+            predicted,
+            observed: records.iter().map(|r| r.throughput_mbps).collect(),
+            sigma_mbps: config.sigma_mbps,
+        };
+        Self::infer_records(
+            records,
+            log.session_duration_s,
+            config,
+            recipe.rows(),
+            Some(recipe),
+            workspace,
+        )
+    }
+
+    /// The one inference routine behind [`Self::try_infer_prepared`] and
+    /// [`Self::try_infer_prefix`], which validate `config` first: lays out
+    /// the δ-intervals of `records`, decodes Viterbi over `rows`, and keeps
+    /// what the first [`Self::posteriors`] call smooths: `recipe`, the
+    /// source of `rows`, when there is one, else the table of `rows`.
+    fn infer_records(
+        records: &[ChunkRecord],
+        session_duration_s: f64,
+        config: &VeritasConfig,
+        rows: Vec<Vec<f64>>,
+        recipe: Option<EmissionRecipe>,
+        workspace: Arc<EhmmWorkspace>,
+    ) -> Result<Self, AbductionError> {
+        if records.is_empty() {
             return Err(AbductionError::EmptySession);
         }
         assert_eq!(
             rows.len(),
-            log.records.len(),
+            records.len(),
             "need one emission row per chunk record"
         );
         let quantizer = Quantizer::new(config.epsilon_mbps, config.max_capacity_mbps);
         Self::assert_workspace_fits(&workspace, &quantizer, config.stay_probability);
-        let (start_intervals, gaps, total_intervals) = interval_layout(log, config)?;
+        let (start_intervals, gaps, total_intervals) =
+            interval_layout(records, session_duration_s, config)?;
         let emissions = EmissionTable::new(rows, gaps);
         let viterbi = workspace.viterbi(&emissions);
+        let pending = match recipe {
+            Some(recipe) => Pending::Rebuild(recipe),
+            None => Pending::Smooth(emissions),
+        };
 
         Ok(Self {
             config: *config,
             quantizer,
             workspace,
-            num_obs: emissions.num_obs(),
+            num_obs: records.len(),
             start_intervals,
             total_intervals,
             viterbi,
             posteriors: OnceLock::new(),
-            pending: Mutex::new(Some(Pending::Smooth(emissions))),
+            pending: Mutex::new(Some(pending)),
             restored: false,
         })
     }
 
-    /// Rebuilds an abduction from a stored posterior — the warm-start
-    /// path persistent caches use. No forward–backward or Viterbi pass
-    /// runs; only the cheap δ-interval layout is rederived from the log,
-    /// and the stored matrices are parsed, and γ derived, on the first
+    /// Rebuilds an abduction of the first `horizon` records of `log`,
+    /// read in place, from a stored posterior — the warm-start path
+    /// persistent caches use. No forward–backward or Viterbi pass runs;
+    /// only the cheap δ-interval layout is rederived from the records, and
+    /// the stored matrices are parsed, and γ derived, on the first
     /// [`Self::posteriors`] call.
     ///
-    /// Every check runs here, before the matrices are parsed: a Viterbi
-    /// path whose length or state indices do not fit, a stored shape other
-    /// than the log's chunk count by the grid's state count, or stored
-    /// gaps that differ from the log's δ-interval layout yield
-    /// [`AbductionError::InconsistentParts`], so a stale or truncated store
-    /// entry can never be served as a plausible-looking posterior, nor
-    /// sampled with the wrong `A^Δ`.
+    /// Every check runs here, before the matrices are parsed: a horizon
+    /// past the log's end, a Viterbi path whose length or state indices do
+    /// not fit, a stored shape other than the horizon by the grid's state
+    /// count, or stored gaps that differ from the prefix's δ-interval
+    /// layout yield [`AbductionError::InconsistentParts`], so a stale or
+    /// truncated store entry can never be served as a plausible-looking
+    /// posterior, nor sampled with the wrong `A^Δ`.
     ///
     /// # Panics
     ///
@@ -311,20 +422,27 @@ impl Abduction {
     /// implies — a caller bug, exactly as in [`Self::try_infer_prepared`].
     pub fn from_parts(
         log: &SessionLog,
+        horizon: usize,
         config: &VeritasConfig,
         workspace: Arc<EhmmWorkspace>,
         viterbi: ViterbiResult,
         stored: StoredPosteriors,
     ) -> Result<Self, AbductionError> {
         config.validate().map_err(AbductionError::InvalidConfig)?;
-        if log.records.is_empty() {
+        let inconsistent = |reason: String| AbductionError::InconsistentParts(reason);
+        let Some(records) = log.records.get(..horizon) else {
+            return Err(inconsistent(format!(
+                "the stored posterior covers {horizon} chunks, log has {}",
+                log.records.len()
+            )));
+        };
+        if records.is_empty() {
             return Err(AbductionError::EmptySession);
         }
         let quantizer = Quantizer::new(config.epsilon_mbps, config.max_capacity_mbps);
         Self::assert_workspace_fits(&workspace, &quantizer, config.stay_probability);
-        let num_obs = log.records.len();
+        let num_obs = records.len();
         let num_states = quantizer.num_states();
-        let inconsistent = |reason: String| AbductionError::InconsistentParts(reason);
         if viterbi.path.len() != num_obs {
             return Err(inconsistent(format!(
                 "viterbi path covers {} chunks, log has {num_obs}",
@@ -342,7 +460,8 @@ impl Abduction {
                 stored.num_obs, stored.num_states
             )));
         }
-        let (start_intervals, gaps, total_intervals) = interval_layout(log, config)?;
+        let (start_intervals, gaps, total_intervals) =
+            interval_layout(records, log.session_duration_s, config)?;
         // The sampler transports step n with A^{gaps[n + 1]}: gaps that
         // differ from the log's layout would sample with the wrong kernel.
         if stored.gaps != gaps {
@@ -390,13 +509,15 @@ impl Abduction {
     /// The smoothed posteriors over chunk capacities.
     ///
     /// The first call builds them once. On a freshly inferred abduction it
-    /// runs forward–backward over the kept emission table and then drops
-    /// the table; on a restored one ([`Self::from_parts`]) it parses the
-    /// stored matrices, derives γ and drops the stored bytes — the same
-    /// bits the saved posteriors had. Later calls, and racing calls from
-    /// other threads (which wait for the first), return the same
-    /// posteriors. Sampling, posterior means and persistence all read
-    /// through here.
+    /// runs forward–backward over the emission rows Viterbi ran over — the
+    /// kept table of [`Self::try_infer_prepared`], or the rows a prefix
+    /// inference's recipe rebuilds bit for bit ([`Self::try_infer_prefix`])
+    /// — and then drops that source; on a restored one
+    /// ([`Self::from_parts`]) it parses the stored matrices, derives γ and
+    /// drops the stored bytes — the same bits the saved posteriors had.
+    /// Later calls, and racing calls from other threads (which wait for the
+    /// first), return the same posteriors. Sampling, posterior means and
+    /// persistence all read through here.
     pub fn posteriors(&self) -> &Posteriors {
         self.posteriors.get_or_init(|| {
             let pending = self
@@ -407,6 +528,11 @@ impl Abduction {
                 .expect("an abduction keeps its pending posteriors until they are built");
             match pending {
                 Pending::Smooth(emissions) => self.workspace.forward_backward(&emissions),
+                Pending::Rebuild(recipe) => {
+                    let emissions =
+                        EmissionTable::new(recipe.rows(), gaps_between(&self.start_intervals));
+                    self.workspace.forward_backward(&emissions)
+                }
                 Pending::Parse(stored) => stored.assemble(),
             }
         })
@@ -502,36 +628,44 @@ impl Abduction {
     }
 }
 
-/// The δ-interval layout a log/config pair implies: the interval in which
-/// each chunk starts, the non-negative gaps between consecutive starts,
-/// and the total interval count of the session. Shared by fresh inference
-/// ([`Abduction::try_infer_prepared`]) and warm restoration
-/// ([`Abduction::from_parts`]) so the two paths can never disagree.
+/// The δ-interval layout that chunk `records` of a session lasting
+/// `session_duration_s` imply under `config`: the interval in which each
+/// chunk starts, the non-negative gaps between consecutive starts
+/// ([`gaps_between`]), and the total interval count of the session. Shared
+/// by fresh inference ([`Abduction::try_infer_prepared`],
+/// [`Abduction::try_infer_prefix`]) and warm restoration
+/// ([`Abduction::from_parts`]) so the paths can never disagree.
 fn interval_layout(
-    log: &SessionLog,
+    records: &[ChunkRecord],
+    session_duration_s: f64,
     config: &VeritasConfig,
 ) -> Result<(Vec<usize>, Vec<u32>, usize), AbductionError> {
-    let start_intervals: Vec<usize> = log
-        .records
+    let start_intervals: Vec<usize> = records
         .iter()
         .map(|record| (record.start_time_s / config.delta_s).floor() as usize)
         .collect();
-    let mut gaps = Vec::with_capacity(start_intervals.len());
-    gaps.push(0u32);
-    for n in 1..start_intervals.len() {
-        let (prev, cur) = (start_intervals[n - 1], start_intervals[n]);
-        if cur < prev {
-            // A backwards start time would underflow the `usize`
-            // subtraction below and produce a garbage gap; reject the
-            // log instead.
-            return Err(AbductionError::NonMonotonicLog { chunk: n });
-        }
-        gaps.push((cur - prev) as u32);
+    if let Some(chunk) =
+        (1..start_intervals.len()).find(|&n| start_intervals[n] < start_intervals[n - 1])
+    {
+        // A backwards start time would underflow the `usize` subtraction
+        // of its gap and produce a garbage gap; reject the log instead.
+        return Err(AbductionError::NonMonotonicLog { chunk });
     }
-    let total_intervals = ((log.session_duration_s / config.delta_s).ceil() as usize)
+    let gaps = gaps_between(&start_intervals);
+    let total_intervals = ((session_duration_s / config.delta_s).ceil() as usize)
         .max(start_intervals.last().copied().unwrap_or(0) + 1)
         .max(1);
     Ok((start_intervals, gaps, total_intervals))
+}
+
+/// The gap `Δ_n` between consecutive chunk starts, `0` for the first
+/// chunk: the gaps an emission table embeds. `start_intervals` never
+/// decrease ([`interval_layout`] checks), so a prefix inference can
+/// rebuild its gaps from the layout it keeps.
+fn gaps_between(start_intervals: &[usize]) -> Vec<u32> {
+    std::iter::once(0)
+        .chain(start_intervals.windows(2).map(|w| (w[1] - w[0]) as u32))
+        .collect()
 }
 
 #[cfg(test)]
@@ -825,6 +959,7 @@ mod tests {
         let parsed = Arc::new(AtomicUsize::new(0));
         let restored = Abduction::from_parts(
             &log,
+            log.records.len(),
             &config,
             original.workspace().clone(),
             original.viterbi().clone(),
@@ -864,7 +999,15 @@ mod tests {
         let (rows, cols) = (log.records.len(), ab.capacity_grid().len());
         let gaps = ab.posteriors().gaps.clone();
         let restore = |log: &SessionLog, viterbi: ViterbiResult, stored: StoredPosteriors| {
-            Abduction::from_parts(log, &config, ab.workspace().clone(), viterbi, stored)
+            let horizon = log.records.len();
+            Abduction::from_parts(
+                log,
+                horizon,
+                &config,
+                ab.workspace().clone(),
+                viterbi,
+                stored,
+            )
         };
 
         // A truncated log: every stored shape is now one chunk too long.
@@ -939,7 +1082,7 @@ mod tests {
             .iter()
             .map(|r| Abduction::emission_row(r, &capacities, config.sigma_mbps))
             .collect();
-        let (_, gaps, _) = interval_layout(&log, &config).unwrap();
+        let (_, gaps, _) = interval_layout(&log.records, log.session_duration_s, &config).unwrap();
         let eager = ab
             .workspace()
             .forward_backward(&EmissionTable::new(rows, gaps));
@@ -956,6 +1099,7 @@ mod tests {
         let parsed = Arc::new(AtomicUsize::new(0));
         let restored = Abduction::from_parts(
             &log,
+            log.records.len(),
             &config,
             ab.workspace().clone(),
             ab.viterbi().clone(),
@@ -999,6 +1143,7 @@ mod tests {
             let restore = std::panic::catch_unwind(|| {
                 Abduction::from_parts(
                     &log,
+                    log.records.len(),
                     &config,
                     workspace.clone(),
                     ab.viterbi().clone(),
@@ -1078,7 +1223,7 @@ mod tests {
             let horizon = 1 + (cut * (records.len() - 1) as f64) as usize;
             let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
             for (record, predicted) in records[..horizon].iter().zip(&table) {
-                let derived = Abduction::emission_row_from_predicted(record, predicted, sigma);
+                let derived = Abduction::emission_row_from_predicted(record.throughput_mbps, predicted, sigma);
                 let direct = Abduction::emission_row(record, &capacities, sigma);
                 let density: Vec<f64> = capacities
                     .iter()

@@ -51,7 +51,7 @@ mod counterfactual;
 mod error;
 mod interventional;
 
-pub use abduction::{Abduction, StoredPosteriors};
+pub use abduction::{Abduction, StoredPosteriors, ThroughputTable};
 pub use baseline::{baseline_trace, baseline_value_at, gtbw_trace_from_log, oracle_trace};
 pub use config::VeritasConfig;
 pub use counterfactual::{

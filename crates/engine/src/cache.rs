@@ -11,13 +11,19 @@
 //! conditioned on; interventional queries at an explicit decision point
 //! condition on a prefix).
 //!
-//! An inferred entry holds its Viterbi decode; forward–backward runs on
-//! the entry's first posterior read (see [`Abduction::posteriors`]), so
-//! interventional units, which read only the last Viterbi state, never
-//! smooth. The costly half of the emission rows, the estimator's predicted
+//! The costly half of the emission rows, the estimator's predicted
 //! throughput `f(c, W_n, S_n)`, depends on neither σ nor the horizon: the
 //! cache keeps one such table per (log, capacity grid) and derives every
-//! entry's rows from it.
+//! entry's rows from it. An inferred entry holds only what its answers
+//! read: its Viterbi decode, its δ-interval layout, and a recipe for its
+//! rows — the table's `Arc`, the prefix's observed throughputs and σ
+//! ([`Abduction::try_infer_prefix`]); at k = 60 over the default 21-state
+//! grid that is about 2 KB, where keeping the rows cost about 12 KB more.
+//! Forward–backward rebuilds the rows, bit for bit, and runs on the
+//! entry's first posterior read (see [`Abduction::posteriors`]), so
+//! interventional units, which read only the last Viterbi state, never
+//! smooth. Inference and disk restores read the log's first `horizon`
+//! records in place; no lookup copies the prefix.
 //!
 //! Concurrency: the map itself is only locked long enough to find or insert
 //! an entry slot; inference runs under the slot's own lock, so two workers
@@ -30,7 +36,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use veritas::{Abduction, AbductionError, VeritasConfig};
+use veritas::{Abduction, AbductionError, ThroughputTable, VeritasConfig};
 use veritas_ehmm::EhmmWorkspace;
 use veritas_player::{ChunkRecord, SessionLog};
 
@@ -155,6 +161,9 @@ pub fn infer_prefix(
 /// the workspace for `config`. Both are only invoked after the config
 /// validates and the horizon is checked, so they may build grid- and
 /// spec-derived state without re-checking.
+///
+/// The records are read in place ([`Abduction::try_infer_prefix`]): the
+/// entry keeps the table's `Arc`, not a copy of the prefix or its rows.
 fn infer_prefix_with(
     log: &SessionLog,
     horizon: usize,
@@ -163,47 +172,17 @@ fn infer_prefix_with(
     workspace: impl FnOnce() -> Arc<EhmmWorkspace>,
 ) -> Result<Abduction, AbductionError> {
     config.validate().map_err(AbductionError::InvalidConfig)?;
-    let view = prefix_view(log, horizon);
-    if view.records.is_empty() {
-        return Err(AbductionError::EmptySession);
-    }
-    let table = table(&config.capacity_grid());
-    let rows = view
-        .records
-        .iter()
-        .zip(table.iter())
-        .map(|(record, predicted)| {
-            Abduction::emission_row_from_predicted(record, predicted, config.sigma_mbps)
-        })
-        .collect();
-    Abduction::try_infer_prepared(&view, config, rows, workspace())
-}
-
-/// The first `horizon` records of `log` as a borrowed view when the
-/// horizon covers the whole log, or an owned truncated copy otherwise.
-/// Shared by fresh inference and the disk warm-start path, so both
-/// condition on exactly the same prefix.
-///
-/// # Panics
-///
-/// Panics if `horizon` exceeds the log's record count; callers validate
-/// query-supplied horizons first (see `Engine::answer_interventional`).
-fn prefix_view(log: &SessionLog, horizon: usize) -> std::borrow::Cow<'_, SessionLog> {
     assert!(
         horizon <= log.records.len(),
         "horizon {horizon} exceeds the log's {} records",
         log.records.len()
     );
-    if horizon == log.records.len() {
-        std::borrow::Cow::Borrowed(log)
-    } else {
-        std::borrow::Cow::Owned(log.prefix(horizon))
+    if horizon == 0 {
+        return Err(AbductionError::EmptySession);
     }
+    let table = table(&config.capacity_grid());
+    Abduction::try_infer_prefix(log, horizon, config, table, workspace())
 }
-
-/// Predicted throughputs `f(c, W_n, S_n)`: one row per chunk record, one
-/// column per capacity-grid value ([`Abduction::predicted_throughput_row`]).
-type ThroughputTable = Vec<Vec<f64>>;
 
 /// Builds the predicted-throughput table of `records` over `capacities`,
 /// serially: the engine already runs one unit per executor worker.
@@ -390,7 +369,7 @@ impl AbductionCache {
             config: config_fp,
             horizon,
         };
-        if let Some(abduction) = self.load_from_disk(&persist_key, log, horizon, config) {
+        if let Some(abduction) = self.load_from_disk(&persist_key, log, config) {
             let abduction = Arc::new(abduction);
             *guard = Some(abduction.clone());
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
@@ -421,28 +400,24 @@ impl AbductionCache {
         Ok((abduction, CacheSource::Inferred))
     }
 
-    /// Attempts a disk restore for one key. Validates the config and
-    /// builds the horizon view exactly as inference would, so a restored
+    /// Attempts a disk restore for one key. Checks the config and the
+    /// horizon exactly as inference would, and the store restores over
+    /// the first `key.horizon` records of `log` in place, so a restored
     /// posterior is checked against the same log prefix a fresh one would
     /// condition on. Every failure mode is a `None` (miss).
     fn load_from_disk(
         &self,
         key: &PersistKey,
         log: &SessionLog,
-        horizon: usize,
         config: &VeritasConfig,
     ) -> Option<Abduction> {
         let disk = self.disk.as_ref()?;
-        if config.validate().is_err() || horizon > log.records.len() {
+        if config.validate().is_err() || key.horizon == 0 || key.horizon > log.records.len() {
             // Let the inference path produce the typed error.
             return None;
         }
-        let view = prefix_view(log, horizon);
-        if view.records.is_empty() {
-            return None;
-        }
         let workspace = self.workspace_keyed(key.config, config);
-        match disk.load_classified(key, &view, config, workspace) {
+        match disk.load_classified(key, log, config, workspace) {
             crate::persist::DiskLoadOutcome::Restored(abduction) => Some(*abduction),
             crate::persist::DiskLoadOutcome::Missing => None,
             crate::persist::DiskLoadOutcome::Healed => {
@@ -810,7 +785,9 @@ mod tests {
         let rows = log.records[..horizon]
             .iter()
             .zip(table.iter())
-            .map(|(r, p)| Abduction::emission_row_from_predicted(r, p, config.sigma_mbps))
+            .map(|(r, p)| {
+                Abduction::emission_row_from_predicted(r.throughput_mbps, p, config.sigma_mbps)
+            })
             .collect();
         let starts = abduction.start_intervals();
         let gaps = std::iter::once(0)
@@ -1012,6 +989,88 @@ mod tests {
             log_a.records[0].throughput_mbps = value;
             log_b.records[0].throughput_mbps = twin;
             proptest::prop_assert_eq!(log_fingerprint(&log_a), log_fingerprint(&log_b));
+        }
+    }
+
+    /// Every bit a posterior's first read returns: γ, α, β, the emission
+    /// rows, the totals, the gaps and the log-likelihood.
+    fn posterior_bits(p: &veritas_ehmm::Posteriors) -> Vec<u64> {
+        [&p.gamma, &p.alpha, &p.beta, &p.emissions]
+            .iter()
+            .flat_map(|m| m.as_slice())
+            .chain(&p.totals)
+            .chain([&p.log_likelihood])
+            .map(|v| v.to_bits())
+            .chain(p.gaps.iter().map(|&g| u64::from(g)))
+            .collect()
+    }
+
+    /// The Viterbi path and the bits of its log-likelihood.
+    fn viterbi_bits(abduction: &Abduction) -> (Vec<usize>, u64) {
+        let viterbi = abduction.viterbi();
+        (viterbi.path.clone(), viterbi.log_likelihood.to_bits())
+    }
+
+    /// [`log`], emulated once for every property case.
+    fn shared_log() -> &'static SessionLog {
+        static LOG: std::sync::OnceLock<SessionLog> = std::sync::OnceLock::new();
+        LOG.get_or_init(log)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+
+        /// A prefix entry derives its rows from the log's one throughput
+        /// table, reads the prefix in place and keeps only a recipe for
+        /// its rows, which the first posterior read rebuilds; a restore
+        /// through the disk tier reads the prefix in place too. Whatever
+        /// the horizon, σ and stay probability, both are bit-identical to
+        /// a standalone inference over a copy of the prefix.
+        #[test]
+        fn prefix_entries_and_restores_match_a_standalone_inference_bit_for_bit(
+            (cut, sigma, stay) in (0.0f64..1.0, 0.05f64..3.0, 0.0f64..=1.0),
+            (other_cut, other_sigma, other_stay) in (0.0f64..1.0, 0.05f64..3.0, 0.0f64..=1.0),
+        ) {
+            static CASE: AtomicU64 = AtomicU64::new(0);
+            let log = shared_log();
+            let horizon_at = |cut: f64| 1 + (cut * (log.records.len() - 1) as f64) as usize;
+            let variant = |sigma: f64, stay: f64| {
+                VeritasConfig::paper_default()
+                    .with_sigma(sigma)
+                    .with_stay_probability(stay)
+            };
+            let (horizon, config) = (horizon_at(cut), variant(sigma, stay));
+            let direct = Abduction::try_infer(&log.prefix(horizon), &config).unwrap();
+
+            // Another variant first builds the table the entry shares.
+            let cache = AbductionCache::new();
+            let other = variant(other_sigma, other_stay);
+            lookup_prefix(&cache, "s", log, horizon_at(other_cut), &other).unwrap();
+            let (entry, source) = lookup_prefix(&cache, "s", log, horizon, &config).unwrap();
+            proptest::prop_assert_eq!(cache.tables.lock().len(), 1);
+            proptest::prop_assert_eq!(source, CacheSource::Inferred);
+            proptest::prop_assert!(!entry.is_smoothed());
+            proptest::prop_assert_eq!(viterbi_bits(&entry), viterbi_bits(&direct));
+            proptest::prop_assert_eq!(
+                posterior_bits(entry.posteriors()),
+                posterior_bits(direct.posteriors())
+            );
+
+            // The write-through saves the entry; a fresh cache restores it.
+            let case = CASE.fetch_add(1, Ordering::Relaxed);
+            let store = temp_store(&format!("prefix_bits_{}_{case}", std::process::id()));
+            let dir = store.dir().to_path_buf();
+            let cold = AbductionCache::new().with_disk_store(store);
+            lookup_prefix(&cold, "s", log, horizon, &config).unwrap();
+            let warm = AbductionCache::new().with_disk_store(DiskStore::open(&dir).unwrap());
+            let (restored, source) = lookup_prefix(&warm, "s", log, horizon, &config).unwrap();
+            proptest::prop_assert_eq!(source, CacheSource::Disk);
+            proptest::prop_assert_eq!(viterbi_bits(&restored), viterbi_bits(&direct));
+            proptest::prop_assert_eq!(
+                posterior_bits(restored.posteriors()),
+                posterior_bits(direct.posteriors())
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

@@ -248,13 +248,14 @@ impl DiskStore {
     }
 
     /// Loads the entry for `key` and restores it into an [`Abduction`]
-    /// over `log` (already the horizon-truncated view) under `config`,
+    /// over the first `key.horizon` records of `log` (the whole log, or
+    /// already the horizon-truncated view), read in place, under `config`,
     /// resolving transition kernels through the shared `workspace`.
     ///
     /// Any failure — no file, unreadable file, wrong magic or version, a
     /// checksum or key mismatch, or artifacts whose shapes do not fit the
-    /// log — returns `None`: a disk problem is a cache miss, never an
-    /// error.
+    /// log, a horizon past its end included — returns `None`: a disk
+    /// problem is a cache miss, never an error.
     pub fn load(
         &self,
         key: &PersistKey,
@@ -304,7 +305,8 @@ impl DiskStore {
                     entry.gaps,
                     move |gaps| matrices.parse(&bytes, gaps),
                 );
-                Abduction::from_parts(log, config, workspace, entry.viterbi, stored).ok()
+                Abduction::from_parts(log, key.horizon, config, workspace, entry.viterbi, stored)
+                    .ok()
             });
         match restored {
             Some(abduction) => DiskLoadOutcome::Restored(Box::new(abduction)),

@@ -143,8 +143,16 @@ pub const DEFAULT_IO_TIMEOUT_S: u64 = 30;
 pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 
 /// Per-query unit latencies retained for the metrics percentiles — a
-/// bounded sliding window so a long-lived daemon's memory stays flat.
+/// bounded sliding window per query id.
 const LATENCY_WINDOW: usize = 4096;
+
+/// Query ids whose latency windows the metrics keep. Clients choose the
+/// ids, so without a bound a client that names every query anew would
+/// grow the daemon forever, and every snapshot would copy and sort every
+/// window. Past the bound the least recently seen id is dropped: the
+/// windows hold at most 64 × [`LATENCY_WINDOW`] samples (2 MiB), so a
+/// long-lived daemon's metrics memory stays flat.
+const MAX_LATENCY_IDS: usize = 64;
 
 /// `veritasd --help` (and `veritas serve --help` / `veritas worker
 /// --help`, which run the same daemon).
@@ -368,7 +376,8 @@ pub struct MetricsSnapshot {
     /// decode volume worth watching.
     pub residency: Option<crate::ResidencyStats>,
     /// Per-query-id p50/p95/max unit latency over a sliding window of
-    /// the last 4096 units, sorted by id.
+    /// the last 4096 units, sorted by id, for the 64 most recently seen
+    /// ids.
     pub per_query: Vec<QueryLatency>,
 }
 
@@ -405,10 +414,20 @@ struct ServiceState {
     retries_total: AtomicU64,
     quarantined_total: AtomicU64,
     shard_retries_total: AtomicU64,
-    latencies: Mutex<HashMap<String, VecDeque<u64>>>,
+    latencies: Mutex<LatencyWindows>,
     /// The worker-pool coordinator when the daemon fronts `--workers N`
     /// executor processes; `None` serves every plan in-process.
     dist: Option<Coordinator>,
+}
+
+/// The metrics' latency windows: one per query id, for at most
+/// [`MAX_LATENCY_IDS`] ids.
+#[derive(Default)]
+struct LatencyWindows {
+    /// Each id's window and the tick at which it was last observed.
+    by_id: HashMap<String, (u64, VecDeque<u64>)>,
+    /// Records observed so far: the clock of "least recently seen".
+    tick: u64,
 }
 
 /// One structured stderr log line — the daemon's per-plan operational
@@ -448,11 +467,30 @@ impl ServiceState {
             return;
         }
         let mut latencies = self.latencies.lock();
+        let LatencyWindows { by_id, tick } = &mut *latencies;
+        *tick += 1;
         // Looked up by `&str`: the id is copied only the first time it
         // is seen, not once per record.
-        let window = match latencies.get_mut(record.query_id.as_str()) {
-            Some(window) => window,
-            None => latencies.entry(record.query_id.clone()).or_default(),
+        let window = match by_id.get_mut(record.query_id.as_str()) {
+            Some((seen, window)) => {
+                *seen = *tick;
+                window
+            }
+            None => {
+                if by_id.len() == MAX_LATENCY_IDS {
+                    let oldest = by_id
+                        .iter()
+                        .min_by_key(|(_, (seen, _))| *seen)
+                        .map(|(id, _)| id.clone());
+                    if let Some(oldest) = oldest {
+                        by_id.remove(&oldest);
+                    }
+                }
+                &mut by_id
+                    .entry(record.query_id.clone())
+                    .or_insert((*tick, VecDeque::new()))
+                    .1
+            }
         };
         if window.len() == LATENCY_WINDOW {
             window.pop_front();
@@ -464,8 +502,9 @@ impl ServiceState {
         let per_query = {
             let latencies = self.latencies.lock();
             let mut per_query: Vec<QueryLatency> = latencies
+                .by_id
                 .iter()
-                .map(|(id, elapsed)| {
+                .map(|(id, (_, elapsed))| {
                     let mut sorted: Vec<u64> = elapsed.iter().copied().collect();
                     sorted.sort_unstable();
                     QueryLatency {
@@ -807,7 +846,7 @@ impl Service {
                 retries_total: AtomicU64::new(0),
                 quarantined_total: AtomicU64::new(0),
                 shard_retries_total: AtomicU64::new(0),
-                latencies: Mutex::new(HashMap::new()),
+                latencies: Mutex::new(LatencyWindows::default()),
                 dist,
             }),
         })
@@ -1500,18 +1539,7 @@ mod tests {
         // the last LATENCY_WINDOW, 11..=total.
         let total = LATENCY_WINDOW + 10;
         for elapsed_us in 1..=total as u64 {
-            service.state.observe(&QueryRecord {
-                query_id: "q".to_string(),
-                kind: QueryKind::Abduction,
-                session: "s0".to_string(),
-                variant: None,
-                status: "ok".to_string(),
-                error: None,
-                cache: None,
-                elapsed_us,
-                output: None,
-                attempts: None,
-            });
+            service.state.observe(&record_of("q", elapsed_us));
         }
         let metrics = service.metrics();
         assert_eq!(metrics.records_streamed, total as u64);
@@ -1521,6 +1549,62 @@ mod tests {
         assert_eq!(latency.units, LATENCY_WINDOW);
         assert_eq!(latency.p50_us, 10 + LATENCY_WINDOW as u64 / 2);
         assert_eq!(latency.max_us, total as u64);
+    }
+
+    /// Every record of `query_id` with unit latency `elapsed_us`.
+    fn record_of(query_id: &str, elapsed_us: u64) -> QueryRecord {
+        QueryRecord {
+            query_id: query_id.to_string(),
+            kind: QueryKind::Abduction,
+            session: "s0".to_string(),
+            variant: None,
+            status: "ok".to_string(),
+            error: None,
+            cache: None,
+            elapsed_us,
+            output: None,
+            attempts: None,
+        }
+    }
+
+    #[test]
+    fn the_latency_windows_keep_only_the_most_recently_seen_ids() {
+        let service = Service::bind(ServiceConfig {
+            addr: "127.0.0.1:0".to_string(),
+            engine: EngineFlags {
+                synthetic: Some(1),
+                ..EngineFlags::default()
+            },
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        // A client names every query anew, 10 ids past the bound; one
+        // more id, "hot", is seen again before each new id.
+        let fresh = MAX_LATENCY_IDS + 10;
+        for n in 0..fresh {
+            service.state.observe(&record_of("hot", 1));
+            service
+                .state
+                .observe(&record_of(&format!("q{n:03}"), n as u64));
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.records_streamed, 2 * fresh as u64);
+        assert_eq!(
+            metrics.per_query.len(),
+            MAX_LATENCY_IDS,
+            "the windows are bounded by id count"
+        );
+        // Sorted by id: "hot", which was always recently seen, then the
+        // 63 most recent fresh ids; the first 11 were dropped oldest
+        // first.
+        let ids: Vec<&str> = metrics.per_query.iter().map(|q| q.id.as_str()).collect();
+        assert_eq!(ids[0], "hot");
+        let kept: Vec<String> = (fresh + 1 - MAX_LATENCY_IDS..fresh)
+            .map(|n| format!("q{n:03}"))
+            .collect();
+        assert_eq!(&ids[1..], kept);
+        let hot = metrics.per_query.iter().find(|q| q.id == "hot").unwrap();
+        assert_eq!(hot.units, fresh, "a kept id keeps its whole window");
     }
 
     #[test]

@@ -783,32 +783,34 @@ fn decode_block(
         usize::try_from(word(column, row))
             .map_err(|_| fail(format!("column `{}` overflows", ColumnSet::name(column))))
     };
-    let records = (0..n)
-        .map(|i| {
-            Ok(ChunkRecord {
-                index: int(columns::INDEX, i)?,
-                quality: int(columns::QUALITY, i)?,
-                size_bytes: float(columns::SIZE_BYTES, i),
-                ssim: float(columns::SSIM, i),
-                wait_before_request_s: float(columns::WAIT_BEFORE_REQUEST_S, i),
-                start_time_s: float(columns::START_TIME_S, i),
-                end_time_s: float(columns::END_TIME_S, i),
-                download_time_s: float(columns::DOWNLOAD_TIME_S, i),
-                throughput_mbps: float(columns::THROUGHPUT_MBPS, i),
-                buffer_at_request_s: float(columns::BUFFER_AT_REQUEST_S, i),
-                rebuffer_s: float(columns::REBUFFER_S, i),
-                tcp_info: TcpInfo {
-                    cwnd_segments: float(columns::CWND_SEGMENTS, i),
-                    ssthresh_segments: float(columns::SSTHRESH_SEGMENTS, i),
-                    rto_s: float(columns::RTO_S, i),
-                    srtt_s: float(columns::SRTT_S, i),
-                    min_rtt_s: float(columns::MIN_RTT_S, i),
-                    last_send_gap_s: float(columns::LAST_SEND_GAP_S, i),
-                },
-                gtbw_at_request_mbps: float(columns::GTBW_AT_REQUEST_MBPS, i),
-            })
-        })
-        .collect::<Result<_, VcorpError>>()?;
+    // Sized up front: collecting through `Result` cannot see the length,
+    // so the vector would grow by doubling and keep up to twice the
+    // records' memory in every resident log.
+    let mut records = Vec::with_capacity(n);
+    for i in 0..n {
+        records.push(ChunkRecord {
+            index: int(columns::INDEX, i)?,
+            quality: int(columns::QUALITY, i)?,
+            size_bytes: float(columns::SIZE_BYTES, i),
+            ssim: float(columns::SSIM, i),
+            wait_before_request_s: float(columns::WAIT_BEFORE_REQUEST_S, i),
+            start_time_s: float(columns::START_TIME_S, i),
+            end_time_s: float(columns::END_TIME_S, i),
+            download_time_s: float(columns::DOWNLOAD_TIME_S, i),
+            throughput_mbps: float(columns::THROUGHPUT_MBPS, i),
+            buffer_at_request_s: float(columns::BUFFER_AT_REQUEST_S, i),
+            rebuffer_s: float(columns::REBUFFER_S, i),
+            tcp_info: TcpInfo {
+                cwnd_segments: float(columns::CWND_SEGMENTS, i),
+                ssthresh_segments: float(columns::SSTHRESH_SEGMENTS, i),
+                rto_s: float(columns::RTO_S, i),
+                srtt_s: float(columns::SRTT_S, i),
+                min_rtt_s: float(columns::MIN_RTT_S, i),
+                last_send_gap_s: float(columns::LAST_SEND_GAP_S, i),
+            },
+            gtbw_at_request_mbps: float(columns::GTBW_AT_REQUEST_MBPS, i),
+        });
+    }
     let log = SessionLog {
         abr_name,
         buffer_capacity_s,

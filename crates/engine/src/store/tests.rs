@@ -256,6 +256,8 @@ proptest! {
                 log.session_duration_s.to_bits()
             );
             prop_assert_eq!(loaded.records.len(), log.records.len());
+            // A resident log keeps no spare record slots.
+            prop_assert_eq!(loaded.records.capacity(), log.records.len());
             for (got, want) in loaded.records.iter().zip(&log.records) {
                 let index = if cols.contains(columns::INDEX) { want.index } else { 0 };
                 prop_assert_eq!(got.index, index);

@@ -27,7 +27,7 @@ struct Strict {
 #[test]
 fn a_struct_parse_allocates_only_the_strings_and_vector_it_returns() {
     let json = r#"{"id": "a", "flag": true, "count": 2, "tags": ["x", "y"], "note": null}"#;
-    let (strict, allocations) = counting(|| serde_json::from_str::<Strict>(json));
+    let (strict, tally) = counting(|| serde_json::from_str::<Strict>(json));
     assert_eq!(
         strict.unwrap(),
         Strict {
@@ -39,7 +39,7 @@ fn a_struct_parse_allocates_only_the_strings_and_vector_it_returns() {
         }
     );
     assert_eq!(
-        allocations, 4,
+        tally.allocations, 4,
         "`id`, the `tags` vector, `\"x\"` and `\"y\"`; member names, numbers and `null` allocate nothing"
     );
 }
